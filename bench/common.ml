@@ -9,19 +9,6 @@ let minutes m =
   let m = if quick then Float.max 1.0 (m /. 5.0) else m in
   Time.span_s (60.0 *. m)
 
-(* Decision-implementation override for the storage manager, so the CI
-   snapshot check can run the same experiments under the indexed fast path
-   and the scan reference and diff the JSON byte for byte. *)
-let selector =
-  match Sys.getenv_opt "SSMC_SELECTOR" with
-  | None | Some "indexed" -> Storage.Manager.Indexed
-  | Some "scan" -> Storage.Manager.Scan
-  | Some "checked" -> Storage.Manager.Checked
-  | Some other ->
-      Fmt.epr "SSMC_SELECTOR: unknown selector %S (known: indexed scan checked)@."
-        other;
-      exit 2
-
 let section title = Fmt.pr "@.######## %s ########@.@." title
 
 let note fmt = Fmt.pr ("  " ^^ fmt ^^ "@.")

@@ -163,8 +163,8 @@ let run () =
     report.Storage.Manager.sectors_scanned
     (1000.0 *. Time.span_to_s outcome.Ssmc.Machine.remount_span);
 
-  (* Headline metrics for --json; all deterministic, so CI diffs them
-     across selectors and against the checked-in snapshot. *)
+  (* Headline metrics for --json; all deterministic, so --check pins them
+     across job counts and against the checked-in snapshot. *)
   Common.put_metric "e11_warm_faults" (float_of_int (List.length warm_log));
   Common.put_metric "e11_warm_lost"
     (float_of_int (List.fold_left (fun a o -> a + o.Ssmc.Machine.blocks_lost) 0 warm_log));

@@ -33,8 +33,7 @@ let tag { cards; strip; workload } =
 let mgr_cfg () =
   {
     Storage.Manager.default_config with
-    Storage.Manager.selector = Common.selector;
-    buffer =
+    Storage.Manager.buffer =
       {
         Storage.Write_buffer.capacity_blocks = 512;
         writeback_delay = Time.span_s 5.0;

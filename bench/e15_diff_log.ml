@@ -41,7 +41,6 @@ let mk_manager { merge_len; _ } =
     {
       Storage.Manager.default_config with
       Storage.Manager.segment_sectors = 16;
-      selector = Common.selector;
       buffer =
         {
           Storage.Write_buffer.capacity_blocks = 0;

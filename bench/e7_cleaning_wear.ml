@@ -31,7 +31,6 @@ let make ?(buffer_blocks = 64) ?(segment_sectors = 32) ~flash_kib ~wear ~cleaner
         };
       max_flush_batch = 64;
       flush_spacing = Time.span_ms 20.0;
-      selector = Common.selector;
     }
   in
   (engine, Storage.Manager.create cfg ~engine ~flash ~dram)

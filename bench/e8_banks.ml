@@ -19,7 +19,6 @@ let run_point ~banking ~write_blocks_per_s ~seed =
     {
       Storage.Manager.default_config with
       Storage.Manager.banking;
-      selector = Common.selector;
       buffer =
         {
           Storage.Write_buffer.capacity_blocks = 512;

@@ -6,13 +6,15 @@
      dune exec bench/main.exe -- e6 e8   # selected experiments
      dune exec bench/main.exe -- --list  # print the experiment table
      QUICK=1 dune exec bench/main.exe    # shorter runs for iteration
+     QUICK=1 dune exec bench/main.exe -- --check  # the pinned contracts
 
    --jobs N sizes the Domain pool independent simulation points run on
    (default: SSMC_JOBS or the machine's core count); results are
    byte-identical at any job count.  --json FILE additionally writes
    machine-readable results: per experiment its wall-clock seconds and
    the headline metrics it recorded, plus the job count and the process
-   peak RSS. *)
+   peak RSS.  --check runs every row of [Contract.rows] at jobs 1 and 2
+   and exits 1 if any contract breaks. *)
 
 let experiments =
   [
@@ -33,7 +35,6 @@ let experiments =
     ("e15", "page-differential logging trade-off", E15_diff_log.run);
     ("stream", "streaming replay: peak heap vs trace length", Stream.run);
     ("queue", "event queue: heap vs timing wheel churn rates", Queue_bench.run);
-    ("replay", "replay drivers: interpreted vs compiled A/B", Replay_bench.run);
     ("storage", "storage manager: indexed structures vs scan reference", Storage_bench.run);
     ("micro", "simulator micro-benchmarks", Micro.run);
     ("pool", "Domain pool: parallel speedup and sequential overhead", Pool_bench.run);
@@ -96,35 +97,79 @@ let print_experiment_table () =
   Sim.Table.print t
 
 let usage () =
-  Fmt.epr "usage: main.exe [--list] [--jobs N] [--json FILE] [EXPERIMENT...]@.";
+  Fmt.epr "usage: main.exe [--list | --check] [--jobs N] [--json FILE] [EXPERIMENT...]@.";
   exit 2
 
+(* One experiment run with fresh metrics and probes: what it recorded. *)
+let run_experiment run =
+  ignore (Common.take_metrics ());
+  Sim.Probe.reset_all ();
+  run ();
+  (Common.take_metrics (), Sim.Probe.snapshot_all ())
+
+let check () =
+  if not Common.quick then begin
+    Fmt.epr "--check compares QUICK snapshots: run it with QUICK=1@.";
+    exit 2
+  end;
+  Sim.Probe.set_metrics true;
+  let run_row (row : Contract.row) jobs =
+    Sim.Pool.set_default_jobs jobs;
+    List.concat_map
+      (fun name ->
+        let _, _, run = List.find (fun (n, _, _) -> n = name) experiments in
+        fst (run_experiment run))
+      row.experiments
+  in
+  let failures =
+    List.concat_map
+      (fun (row : Contract.row) ->
+        let jobs1 = run_row row 1 in
+        let jobs2 = run_row row 2 in
+        let snapshot = Option.map Contract.load_snapshot row.snapshot in
+        List.map
+          (fun f -> Contract.name row ^ ": " ^ f)
+          (Contract.verify row ~jobs1 ~jobs2 ~snapshot))
+      Contract.rows
+  in
+  List.iter (Fmt.epr "CONTRACT %s@.") failures;
+  Fmt.epr "--check: %d contract rows, %d failure%s@." (List.length Contract.rows)
+    (List.length failures)
+    (if List.length failures = 1 then "" else "s");
+  exit (if failures = [] then 0 else 1)
+
 let () =
-  let json_path, jobs, list_only, picks =
-    let rec parse (json, jobs, list_only, picks) = function
-      | "--json" :: path :: rest -> parse (Some path, jobs, list_only, picks) rest
+  let json_path, jobs, mode, picks =
+    let rec parse (json, jobs, mode, picks) = function
+      | "--json" :: path :: rest -> parse (Some path, jobs, mode, picks) rest
       | [ "--json" ] ->
         Fmt.epr "--json needs a file argument@.";
         usage ()
       | "--jobs" :: n :: rest -> (
         match int_of_string_opt n with
-        | Some j when j >= 1 -> parse (json, Some j, list_only, picks) rest
+        | Some j when j >= 1 -> parse (json, Some j, mode, picks) rest
         | _ ->
           Fmt.epr "--jobs needs a positive integer, got %S@." n;
           usage ())
       | [ "--jobs" ] ->
         Fmt.epr "--jobs needs an argument@.";
         usage ()
-      | "--list" :: rest -> parse (json, jobs, true, picks) rest
-      | arg :: rest -> parse (json, jobs, list_only, arg :: picks) rest
-      | [] -> (json, jobs, list_only, List.rev picks)
+      | "--list" :: rest -> parse (json, jobs, `List, picks) rest
+      | "--check" :: rest -> parse (json, jobs, `Check, picks) rest
+      | arg :: rest -> parse (json, jobs, mode, arg :: picks) rest
+      | [] -> (json, jobs, mode, List.rev picks)
     in
-    parse (None, None, false, []) (List.tl (Array.to_list Sys.argv))
+    parse (None, None, `Run, []) (List.tl (Array.to_list Sys.argv))
   in
-  if list_only then begin
+  (match mode with
+  | `List ->
     print_experiment_table ();
     exit 0
-  end;
+  | `Check when json_path = None && jobs = None && picks = [] -> check ()
+  | `Check ->
+    Fmt.epr "--check runs every contract row and takes no other argument@.";
+    usage ()
+  | `Run -> ());
   Option.iter Sim.Pool.set_default_jobs jobs;
   let requested =
     match picks with
@@ -159,12 +204,9 @@ let () =
   let runs =
     List.map
       (fun (name, descr, run) ->
-        ignore (Common.take_metrics ());
-        Sim.Probe.reset_all ();
         let t0 = Unix.gettimeofday () in
-        run ();
-        let wall_s = Unix.gettimeofday () -. t0 in
-        (name, descr, wall_s, Common.take_metrics (), Sim.Probe.snapshot_all ()))
+        let metrics, probes = run_experiment run in
+        (name, descr, Unix.gettimeofday () -. t0, metrics, probes))
       (List.filter_map snd resolved)
   in
   (match json_path with

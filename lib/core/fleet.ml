@@ -256,10 +256,10 @@ let out_of_space_report ~index ~variant ~workload =
   }
 
 (* The full per-device path: pick hardware and workload, build (or
-   recycle) the machine, stream-generate and compile the trace, run it on
-   the compiled fast path, reduce to scalars.  Returns the probe snapshot
-   alongside so [run] can fold fleet-wide metrics; the snapshot is empty
-   unless the harness enabled metrics. *)
+   recycle) the machine, stream the generated trace through it, reduce to
+   scalars.  Returns the probe snapshot alongside so [run] can fold
+   fleet-wide metrics; the snapshot is empty unless the harness enabled
+   metrics. *)
 let simulate_device_full s ~index =
   let variant =
     pick_weighted (device_rng s ~index ~stream:stream_variant)
@@ -283,7 +283,6 @@ let simulate_device_full s ~index =
         ~duration:s.duration
     in
     Machine.preload machine stream.Trace.Synth.stream_initial_files;
-    let compiled = Trace.Replay.Compiled.compile_seq stream.Trace.Synth.seq in
     let faults =
       if s.faults_per_device = 0 then None
       else
@@ -292,7 +291,7 @@ let simulate_device_full s ~index =
              ~rng:(device_rng s ~index ~stream:stream_faults)
              ~kinds:s.fault_kinds ~n:s.faults_per_device ~over:s.duration ())
     in
-    let result = Machine.run_compiled ?faults machine compiled in
+    let result = Machine.run_seq ?faults machine stream.Trace.Synth.seq in
     let evenness =
       match Machine.manager machine with
       | Some m -> Some (Storage.Manager.wear_evenness m)

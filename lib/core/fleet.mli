@@ -9,8 +9,8 @@
     randomness from index-keyed {!Sim.Rng.split_ix2} seed families) and
     streams them through the {!Sim.Pool} Domain pool in sharded batches:
     each device is constructed (recycling allocations via
-    {!Machine.recycle}), replayed on the compiled fast path
-    ({!Machine.run_compiled}), reduced to a small {!device_report}, and
+    {!Machine.recycle}), its trace streamed through {!Machine.run_seq},
+    reduced to a small {!device_report}, and
     released before the next shard starts.  Peak memory is therefore
     O(shard × jobs), never O(N) — a million devices fit in the heap a few
     dozen would otherwise need.

@@ -302,13 +302,6 @@ let p_meta_us = Probe.summary "machine.meta_latency_us"
 let ph_read_us = Probe.histogram "machine.read_hist_us"
 let ph_write_us = Probe.histogram "machine.write_hist_us"
 
-let op_label = function
-  | Trace.Record.Create _ -> "op.create"
-  | Trace.Record.Delete _ -> "op.delete"
-  | Trace.Record.Truncate _ -> "op.truncate"
-  | Trace.Record.Read _ -> "op.read"
-  | Trace.Record.Write _ -> "op.write"
-
 let span_or_error t result =
   match result with
   | Ok span -> span
@@ -528,155 +521,25 @@ type result = {
   fault_log : fault_outcome list;
 }
 
-let run_seq ?(drain = Time.span_s 120.0) ?(faults = []) t records =
-  let started = Engine.now t.engine in
-  let fault_log = ref [] in
-  List.iter
-    (fun e ->
-      let at = Time.add started e.Fault.after in
-      ignore
-        (Engine.schedule t.engine ~at (fun _ ->
-             fault_log := inject_fault t e.Fault.kind :: !fault_log)))
-    faults;
-  let offset = Time.diff started Time.zero in
-  let shifted =
-    if Time.equal started Time.zero then records
-    else
-      Seq.map
-        (fun r -> { r with Trace.Record.at = Time.add r.Trace.Record.at offset })
-        records
-  in
-  let read_latency = Stat.Summary.create () in
-  let write_latency = Stat.Summary.create () in
-  let meta_latency = Stat.Summary.create () in
-  let read_hist_us = Stat.Histogram.create () in
-  let write_hist_us = Stat.Histogram.create () in
-  let busy = ref Time.span_zero in
-  let ops = ref 0 in
-  (* The final record's timestamp bounds the drain window, but a streamed
-     trace's length is unknown until it ends: track it as records go by
-     instead of scanning the materialized trace.  The periodic power
-     accounting (an OS housekeeping task) likewise cannot take an [until]
-     bound up front; the chain stops rescheduling once the drain is done. *)
-  let last_at = ref started in
-  let accounting_done = ref false in
-  let rec account_tick engine =
-    if not !accounting_done then begin
-      account t;
-      ignore (Engine.schedule_after engine ~after:(Time.span_s 60.0) account_tick)
-    end
-  in
-  ignore (Engine.schedule_after t.engine ~after:(Time.span_s 60.0) account_tick);
-  Trace.Replay.run_seq t.engine shifted ~f:(fun engine record ->
-      last_at := record.Trace.Record.at;
-      let op_start = Engine.now engine in
-      let span = apply t record in
-      incr ops;
-      busy := Time.span_add !busy span;
-      let us = Time.span_to_us span in
-      if Probe.timeline_enabled () then
-        Probe.span
-          ~name:(op_label record.Trace.Record.op)
-          ~cat:"op"
-          ~args:[ ("file", string_of_int (Trace.Record.file record)) ]
-          ~start:op_start ~finish:(Time.add op_start span) ();
-      (match record.Trace.Record.op with
-      | Trace.Record.Read _ ->
-        Stat.Summary.observe read_latency us;
-        Stat.Histogram.observe read_hist_us us;
-        Probe.observe p_read_us us;
-        Probe.observe_hist ph_read_us us
-      | Trace.Record.Write _ ->
-        Stat.Summary.observe write_latency us;
-        Stat.Histogram.observe write_hist_us us;
-        Probe.observe p_write_us us;
-        Probe.observe_hist ph_write_us us
-      | Trace.Record.Create _ | Trace.Record.Delete _ | Trace.Record.Truncate _ ->
-        Stat.Summary.observe meta_latency us;
-        Probe.observe p_meta_us us);
-      (* Closed loop: the (single-threaded) client does not issue its next
-         operation until this one completed. *)
-      Engine.run_until engine (Time.add (Engine.now engine) span));
-  Engine.run_until t.engine (Time.add !last_at drain);
-  accounting_done := true;
-  account t;
-  let elapsed = Time.diff (Engine.now t.engine) started in
-  let manager_stats = Option.map Storage.Store.stats t.store in
-  let lifetime_years =
-    (* On an array the machine dies with its first worn-out card: the
-       extrapolated lifetime is the minimum over cards. *)
-    match t.store with
-    | Some s ->
-      Some
-        (Array.fold_left
-           (fun acc m ->
-             Float.min acc
-               (Lifetime.of_run ~flash:(Storage.Manager.flash m)
-                  ~stats:(Storage.Manager.stats m)
-                  ~evenness:(Storage.Manager.wear_evenness m) ~elapsed))
-           infinity (Storage.Store.managers s))
-    | None -> None
-  in
-  {
-    ops_applied = !ops;
-    op_errors = t.errors;
-    elapsed;
-    busy = !busy;
-    read_latency;
-    write_latency;
-    meta_latency;
-    read_hist_us;
-    write_hist_us;
-    energy_j = total_energy t;
-    battery_fraction_left = Device.Battery.fraction_remaining t.battery;
-    manager_stats;
-    lifetime_years;
-    fault_log = List.rev !fault_log;
-  }
+(* --- Replay ----------------------------------------------------------------
 
-let run ?drain ?faults t records = run_seq ?drain ?faults t (List.to_seq records)
-
-(* --- Compiled replay ----------------------------------------------------------
-
-   The raw-speed path over a pre-lowered trace: flat array indexing instead
-   of per-record variant matching, and pre-resolved file-system routes
-   instead of per-record path formatting and parsing.  Charging is
-   byte-identical to [run_seq] — the [_in] operations issue the same DRAM
-   metadata accesses in the same order as the path walk they replace, and
-   every probe/stat observation below mirrors its interpreted twin — so the
-   two drivers produce the same result on the same trace, which the test
-   suite asserts.  Anything the fast path cannot serve (disk-backed file
-   systems, records outside the common "/data" directory) falls back to the
-   interpreted [apply] per record. *)
+   One driver serves every trace.  [run_compiled] hands it a pre-lowered
+   trace; [run_seq] lowers its stream a chunk at a time, so a streamed
+   trace is held one chunk at a time.  The loop indexes the
+   compiled arrays instead of matching on record variants, and reaches
+   memfs files through a pre-resolved route to "/data" instead of
+   formatting and parsing a path per record — the [_in] operations charge
+   exactly what the path walk charges.  Anything the route cannot serve
+   (disk-backed file systems, a machine without "/data") goes through
+   [apply] per record. *)
 
 module Compiled = Trace.Replay.Compiled
 
-let tag_label =
-  (* Indexed by dispatch tag; same strings as [op_label]. *)
-  [| "op.create"; "op.write"; "op.read"; "op.truncate"; "op.delete" |]
+(* Indexed by dispatch tag. *)
+let tag_label = [| "op.create"; "op.write"; "op.read"; "op.truncate"; "op.delete" |]
 
-(* Leaf names under "/data", interned per file id so the hot loop never
-   formats a path.  [Vfs.path_of_file_id id] is "/data/f<id>". *)
-let name_cache = ref [||]
-
-let leaf_name id =
-  let cache = !name_cache in
-  if id >= 0 && id < Array.length cache && String.length cache.(id) > 0 then
-    cache.(id)
-  else begin
-    let name = "f" ^ string_of_int id in
-    if id >= 0 then begin
-      if id >= Array.length cache then begin
-        let bigger = Array.make (max (id + 1) ((2 * Array.length cache) + 64)) "" in
-        Array.blit cache 0 bigger 0 (Array.length cache);
-        name_cache := bigger
-      end;
-      !name_cache.(id) <- name
-    end;
-    name
-  end
-
-let run_compiled ?(drain = Time.span_s 120.0) ?(faults = []) t (c : Compiled.t) =
+(* [feed chunk] calls [chunk] on each piece of the trace in order. *)
+let replay ?(drain = Time.span_s 120.0) ?(faults = []) t feed =
   let started = Engine.now t.engine in
   let fault_log = ref [] in
   List.iter
@@ -694,6 +557,10 @@ let run_compiled ?(drain = Time.span_s 120.0) ?(faults = []) t (c : Compiled.t) 
   let write_hist_us = Stat.Histogram.create () in
   let busy = ref Time.span_zero in
   let ops = ref 0 in
+  (* The last record's instant bounds the drain window.  The periodic power
+     accounting (an OS housekeeping task) cannot take an [until] bound up
+     front, since a streamed trace's length is unknown until it ends; the
+     chain stops rescheduling once the drain is done. *)
   let last_at = ref started in
   let accounting_done = ref false in
   let rec account_tick engine =
@@ -717,69 +584,93 @@ let run_compiled ?(drain = Time.span_s 120.0) ?(faults = []) t (c : Compiled.t) 
     end;
     !route_dir
   in
-  let at_ns = c.Compiled.at_ns
-  and tags = c.Compiled.tag
-  and files = c.Compiled.file
-  and arg1 = c.Compiled.arg1
-  and arg2 = c.Compiled.arg2 in
-  for i = 0 to c.Compiled.n - 1 do
-    let at = Time.of_ns (at_ns.(i) + offset_ns) in
-    if Time.( < ) (Engine.now t.engine) at then Engine.run_until t.engine at;
-    last_at := at;
-    let op_start = Engine.now t.engine in
-    let tag = tags.(i) in
-    let span =
-      match t.fs with
-      | Mem m -> begin
-        match data_dir m with
-        | Some dir ->
-          Probe.incr p_ops;
-          let name = leaf_name files.(i) in
-          if tag = Compiled.tag_write then begin
-            let create_span =
-              if Fs.Memfs.exists_in m dir name then Time.span_zero
-              else span_or_error t (Fs.Memfs.create_in m dir name)
-            in
-            Time.span_add create_span
-              (span_or_error t
-                 (Fs.Memfs.write_in m dir name ~offset:arg1.(i) ~bytes:arg2.(i)))
-          end
-          else if tag = Compiled.tag_read then
-            span_or_error t (Fs.Memfs.read_in m dir name ~offset:arg1.(i) ~bytes:arg2.(i))
-          else if tag = Compiled.tag_create then
-            span_or_error t (Fs.Memfs.create_in m dir name)
-          else if tag = Compiled.tag_truncate then
-            span_or_error t (Fs.Memfs.truncate_in m dir name ~size:arg1.(i))
-          else span_or_error t (Fs.Memfs.unlink_in m dir name)
-        | None -> apply t (Compiled.record c i)
-      end
-      | Disk_fs _ -> apply t (Compiled.record c i)
-    in
-    incr ops;
-    busy := Time.span_add !busy span;
-    let us = Time.span_to_us span in
-    if Probe.timeline_enabled () then
-      Probe.span ~name:tag_label.(tag) ~cat:"op"
-        ~args:[ ("file", string_of_int files.(i)) ]
-        ~start:op_start ~finish:(Time.add op_start span) ();
-    if tag = Compiled.tag_read then begin
-      Stat.Summary.observe read_latency us;
-      Stat.Histogram.observe read_hist_us us;
-      Probe.observe p_read_us us;
-      Probe.observe_hist ph_read_us us
-    end
-    else if tag = Compiled.tag_write then begin
-      Stat.Summary.observe write_latency us;
-      Stat.Histogram.observe write_hist_us us;
-      Probe.observe p_write_us us;
-      Probe.observe_hist ph_write_us us
-    end
+  (* Leaf names under "/data" ("f<id>"), interned for this replay so the
+     loop formats each file's name once.  Owned by the call: concurrent
+     replays on other domains share nothing. *)
+  let names = ref [||] in
+  let leaf_name id =
+    if id < 0 then "f" ^ string_of_int id
     else begin
-      Stat.Summary.observe meta_latency us;
-      Probe.observe p_meta_us us
-    end;
-    Engine.run_until t.engine (Time.add (Engine.now t.engine) span)
-  done;
+      if id >= Array.length !names then begin
+        let bigger = Array.make (max (id + 1) ((2 * Array.length !names) + 64)) "" in
+        Array.blit !names 0 bigger 0 (Array.length !names);
+        names := bigger
+      end;
+      if String.length !names.(id) = 0 then !names.(id) <- "f" ^ string_of_int id;
+      !names.(id)
+    end
+  in
+  feed (fun (c : Compiled.t) ->
+      let at_ns = c.Compiled.at_ns
+      and tags = c.Compiled.tag
+      and files = c.Compiled.file
+      and arg1 = c.Compiled.arg1
+      and arg2 = c.Compiled.arg2 in
+      for i = 0 to c.Compiled.n - 1 do
+        (* Run every engine event due before the record, then apply it at
+           its instant — or at once, if the previous operation ran past it:
+           a foreground operation cannot begin before its predecessor
+           completed. *)
+        let at = Time.of_ns (at_ns.(i) + offset_ns) in
+        if Time.( < ) (Engine.now t.engine) at then Engine.run_until t.engine at;
+        last_at := at;
+        let op_start = Engine.now t.engine in
+        let tag = tags.(i) in
+        let span =
+          match t.fs with
+          | Mem m -> begin
+            match data_dir m with
+            | Some dir ->
+              Probe.incr p_ops;
+              let name = leaf_name files.(i) in
+              if tag = Compiled.tag_write then begin
+                let create_span =
+                  if Fs.Memfs.exists_in m dir name then Time.span_zero
+                  else span_or_error t (Fs.Memfs.create_in m dir name)
+                in
+                Time.span_add create_span
+                  (span_or_error t
+                     (Fs.Memfs.write_in m dir name ~offset:arg1.(i) ~bytes:arg2.(i)))
+              end
+              else if tag = Compiled.tag_read then
+                span_or_error t
+                  (Fs.Memfs.read_in m dir name ~offset:arg1.(i) ~bytes:arg2.(i))
+              else if tag = Compiled.tag_create then
+                span_or_error t (Fs.Memfs.create_in m dir name)
+              else if tag = Compiled.tag_truncate then
+                span_or_error t (Fs.Memfs.truncate_in m dir name ~size:arg1.(i))
+              else span_or_error t (Fs.Memfs.unlink_in m dir name)
+            | None -> apply t (Compiled.record c i)
+          end
+          | Disk_fs _ -> apply t (Compiled.record c i)
+        in
+        incr ops;
+        busy := Time.span_add !busy span;
+        let us = Time.span_to_us span in
+        if Probe.timeline_enabled () then
+          Probe.span ~name:tag_label.(tag) ~cat:"op"
+            ~args:[ ("file", string_of_int files.(i)) ]
+            ~start:op_start ~finish:(Time.add op_start span) ();
+        if tag = Compiled.tag_read then begin
+          Stat.Summary.observe read_latency us;
+          Stat.Histogram.observe read_hist_us us;
+          Probe.observe p_read_us us;
+          Probe.observe_hist ph_read_us us
+        end
+        else if tag = Compiled.tag_write then begin
+          Stat.Summary.observe write_latency us;
+          Stat.Histogram.observe write_hist_us us;
+          Probe.observe p_write_us us;
+          Probe.observe_hist ph_write_us us
+        end
+        else begin
+          Stat.Summary.observe meta_latency us;
+          Probe.observe p_meta_us us
+        end;
+        (* Closed loop: the (single-threaded) client does not issue its
+           next operation until this one completed. *)
+        Engine.run_until t.engine (Time.add (Engine.now t.engine) span)
+      done);
   Engine.run_until t.engine (Time.add !last_at drain);
   accounting_done := true;
   account t;
@@ -816,6 +707,14 @@ let run_compiled ?(drain = Time.span_s 120.0) ?(faults = []) t (c : Compiled.t) 
     lifetime_years;
     fault_log = List.rev !fault_log;
   }
+
+let run_compiled ?drain ?faults t c = replay ?drain ?faults t (fun chunk -> chunk c)
+
+let run_seq ?drain ?faults t records =
+  replay ?drain ?faults t (fun chunk ->
+      Seq.iter chunk (Compiled.chunks records))
+
+let run ?drain ?faults t records = run_seq ?drain ?faults t (List.to_seq records)
 
 (* --- Multi-seed replication --------------------------------------------------- *)
 

@@ -127,15 +127,23 @@ val run_seq :
     then keep the engine running [drain] longer (default 120 s) so pending
     flushes and cleaning settle, then do the final power accounting.
 
-    Each [faults] event fires at [start + after] through {!inject_fault}
-    while the replay runs; the trace resumes on the (possibly remounted)
-    machine and the outcomes land in [fault_log].  Events scheduled past
-    the end of the drain window never fire.
+    Each record applies at its instant, after every engine event due by
+    then — or at once, if the previous operation ran past it: the client
+    is a closed loop.  Each [faults] event fires at [start + after]
+    through {!inject_fault} while the replay runs; the trace resumes on
+    the (possibly remounted) machine and the outcomes land in
+    [fault_log].  Events scheduled past the end of the drain window never
+    fire.
 
-    Records are pulled one at a time and none is retained: replaying a
-    streamed ({!Trace.Synth.generate_seq}) or file-backed
-    ({!Trace.Format_io.read_seq}) trace keeps peak memory constant in the
-    trace length (file-system state aside). *)
+    The stream is lowered a chunk at a time
+    ({!Trace.Replay.Compiled.chunks}) and each chunk is released once
+    replayed, so a streamed ({!Trace.Synth.generate_seq}) or file-backed
+    ({!Trace.Format_io.read_seq}) trace replays in memory bounded by the
+    chunk, not the trace length (file-system state aside).  Memfs records
+    go through a route pinned to ["/data"] ({!Fs.Memfs.route}); anything
+    it cannot serve (a disk-backed machine, no ["/data"]) falls back to
+    {!apply} per record.  A mid-run cold restart invalidates and rebuilds
+    the route. *)
 
 val run :
   ?drain:Sim.Time.span ->
@@ -151,16 +159,8 @@ val run_compiled :
   t ->
   Trace.Replay.Compiled.t ->
   result
-(** {!run_seq} over a pre-lowered trace ({!Trace.Replay.Compiled}): the
-    raw-speed replay path.  Dispatch is pre-resolved — flat array indexing
-    instead of per-record variant matching, and a pinned route to ["/data"]
-    instead of per-record path formatting and parsing — but every device
-    charge, probe observation, and statistic is issued in exactly the order
-    the interpreted driver issues them, so the result (and all headline
-    metrics) is byte-identical to [run_seq] on the same trace.  Records the
-    route cannot serve (disk-backed machines, files outside ["/data"]) fall
-    back to the interpreted {!apply} per record; a mid-run cold restart
-    invalidates and transparently rebuilds the route. *)
+(** {!run_seq} over a trace lowered up front: the same loop, given the
+    whole trace as one chunk. *)
 
 val pp_result : Format.formatter -> result -> unit
 

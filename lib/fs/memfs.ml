@@ -89,100 +89,83 @@ let meta_write t = Device.Dram.write (Storage.Store.dram t.store) ~bytes:64
 
 let ( let* ) = Result.bind
 
-(* Walk to the directory table holding the last component; charges one
-   metadata read per component traversed. *)
-let rec walk_dir t table components ~charge =
+(* Walk [components] down from [table], charging one metadata read per
+   directory traversed: the table reached and the accumulated charge. *)
+let rec walk_dir t table components charge =
   match components with
-  | [] -> Ok table
+  | [] -> Ok (table, charge)
   | name :: rest -> begin
-    charge := Time.span_add !charge (meta_read t);
+    let charge = Time.span_add charge (meta_read t) in
     match Hashtbl.find_opt table name with
-    | Some (Dir sub) -> walk_dir t sub rest ~charge
+    | Some (Dir sub) -> walk_dir t sub rest charge
     | Some (File _) -> Error Fs_error.Enotdir
     | None -> Error Fs_error.Enoent
   end
 
-let resolve t path ~charge =
+(* Where a path leads: the root itself, or a leaf name in its parent
+   directory's table together with what walking to that table cost. *)
+type place = Root | Leaf of (string, node) Hashtbl.t * string * Time.span
+
+let locate t path =
   let* components = Path.parse path in
   match Path.split_last components with
-  | None -> Ok (`Root t.root)
+  | None -> Ok Root
   | Some (parent, name) ->
-    let* table = walk_dir t t.root parent ~charge in
-    charge := Time.span_add !charge (meta_read t);
-    Ok (`In (table, name, Hashtbl.find_opt table name))
+    let* table, charge = walk_dir t t.root parent Time.span_zero in
+    Ok (Leaf (table, name, charge))
 
-let lookup_file t path ~charge =
-  match resolve t path ~charge with
+(* Run [leaf] on the leaf [path] names; [root] answers for "/" itself. *)
+let at_path t path ~root leaf =
+  match locate t path with
   | Error e -> Error e
-  | Ok (`Root _) -> Error Fs_error.Eisdir
-  | Ok (`In (_, _, None)) -> Error Fs_error.Enoent
-  | Ok (`In (_, _, Some (Dir _))) -> Error Fs_error.Eisdir
-  | Ok (`In (_, _, Some (File f))) -> Ok f
+  | Ok Root -> root
+  | Ok (Leaf (table, name, charge)) -> leaf table name charge
 
-let mkdir t path =
-  let charge = ref Time.span_zero in
-  match resolve t path ~charge with
-  | Error e -> Error e
-  | Ok (`Root _) -> Error Fs_error.Eexist
-  | Ok (`In (_, _, Some _)) -> Error Fs_error.Eexist
-  | Ok (`In (table, fname, None)) ->
-    Hashtbl.replace table fname (Dir (Hashtbl.create dir_table_size));
-    t.dirs <- t.dirs + 1;
-    Ok (Time.span_add !charge (meta_write t))
-
-let create t path =
-  let charge = ref Time.span_zero in
-  match resolve t path ~charge with
-  | Error e -> Error e
-  | Ok (`Root _) -> Error Fs_error.Eexist
-  | Ok (`In (_, _, Some _)) -> Error Fs_error.Eexist
-  | Ok (`In (table, fname, None)) ->
-    Hashtbl.replace table fname (File { size = 0; map = Blockmap.create () });
-    t.files <- t.files + 1;
-    Ok (Time.span_add !charge (meta_write t))
+(* The leaf lookup costs one more metadata read, charged even when the
+   caller discards the span. *)
+let leaf_charge t charge = Time.span_add charge (meta_read t)
 
 let block_bytes t = Storage.Store.block_bytes t.store
 
 let p_writes = Sim.Probe.counter "fs.memfs.writes"
 let p_reads = Sim.Probe.counter "fs.memfs.reads"
 
-(* Op bodies shared by the path-resolving entry points and the
-   pre-resolved routes below: everything after the leaf lookup, with the
-   walk's charge threaded in. *)
-
 let write_body t f ~offset ~bytes ~charge =
-  if bytes > 0 then begin
-    let bs = block_bytes t in
-    let first = offset / bs and last = (offset + bytes - 1) / bs in
-    (* Thread completion time through the blocks: each access issues when
-       its predecessor finished. *)
-    let start = Sim.Engine.now (Storage.Store.engine t.store) in
-    let cursor = ref (Time.add start !charge) in
-    for i = first to last do
-      let b =
-        let b = Blockmap.find f.map i in
-        if b <> Blockmap.no_block then b
-        else begin
-          let b = Storage.Store.alloc t.store in
-          Blockmap.set f.map i b;
-          b
-        end
-      in
-      cursor := Storage.Store.write_block_at t.store ~at:!cursor b
-    done;
-    charge := Time.diff !cursor start;
-    f.size <- max f.size (offset + bytes)
-  end;
-  charge := Time.span_add !charge (meta_write t);
-  Ok !charge
+  let charge =
+    if bytes <= 0 then charge
+    else begin
+      let bs = block_bytes t in
+      let first = offset / bs and last = (offset + bytes - 1) / bs in
+      (* Thread completion time through the blocks: each access issues when
+         its predecessor finished. *)
+      let start = Sim.Engine.now (Storage.Store.engine t.store) in
+      let cursor = ref (Time.add start charge) in
+      for i = first to last do
+        let b =
+          let b = Blockmap.find f.map i in
+          if b <> Blockmap.no_block then b
+          else begin
+            let b = Storage.Store.alloc t.store in
+            Blockmap.set f.map i b;
+            b
+          end
+        in
+        cursor := Storage.Store.write_block_at t.store ~at:!cursor b
+      done;
+      f.size <- max f.size (offset + bytes);
+      Time.diff !cursor start
+    end
+  in
+  Ok (Time.span_add charge (meta_write t))
 
 let read_body t f ~offset ~bytes ~charge =
   let bytes = max 0 (min bytes (f.size - offset)) in
-  if bytes > 0 then begin
+  if bytes <= 0 then Ok charge
+  else begin
     let bs = block_bytes t in
     let first = offset / bs and last = (offset + bytes - 1) / bs in
     let start = Sim.Engine.now (Storage.Store.engine t.store) in
-    let cursor = ref (Time.add start !charge) in
+    let cursor = ref (Time.add start charge) in
     for i = first to last do
       (* How much of this block the range covers. *)
       let lo = max offset (i * bs) and hi = min (offset + bytes) ((i + 1) * bs) in
@@ -194,43 +177,125 @@ let read_body t f ~offset ~bytes ~charge =
         cursor :=
           Time.add !cursor (Device.Dram.read (Storage.Store.dram t.store) ~bytes:n)
     done;
-    charge := Time.diff !cursor start
-  end;
-  Ok !charge
+    Ok (Time.diff !cursor start)
+  end
 
-let truncate_body t f ~size ~charge =
-  let bs = block_bytes t in
-  let keep = Units.ceil_div size bs in
-  List.iter (Storage.Store.free_block t.store) (Blockmap.crop f.map keep);
-  f.size <- min f.size size;
-  charge := Time.span_add !charge (meta_write t);
-  Ok !charge
+(* --- Leaf operations -----------------------------------------------------
+
+   Each operation has one implementation, entered with the table holding
+   the leaf and what reaching that table cost: the path operations walk
+   there component by component ([at_path]), the [_in] operations charge a
+   pre-resolved route's depth without the walk ([route_charge]).  The
+   charge is threaded as a value and missing leaves are caught as
+   [Not_found], so a leaf operation allocates nothing before its result. *)
+
+let create_leaf t table name charge =
+  let charge = leaf_charge t charge in
+  if Hashtbl.mem table name then Error Fs_error.Eexist
+  else begin
+    Hashtbl.replace table name (File { size = 0; map = Blockmap.create () });
+    t.files <- t.files + 1;
+    Ok (Time.span_add charge (meta_write t))
+  end
+
+let exists_leaf t table name charge =
+  ignore (leaf_charge t charge : Time.span);
+  Hashtbl.mem table name
+
+let write_leaf t ~offset ~bytes table name charge =
+  let charge = leaf_charge t charge in
+  match Hashtbl.find table name with
+  | File f -> write_body t f ~offset ~bytes ~charge
+  | Dir _ -> Error Fs_error.Eisdir
+  | exception Not_found -> Error Fs_error.Enoent
+
+let read_leaf t ~offset ~bytes table name charge =
+  let charge = leaf_charge t charge in
+  match Hashtbl.find table name with
+  | File f -> read_body t f ~offset ~bytes ~charge
+  | Dir _ -> Error Fs_error.Eisdir
+  | exception Not_found -> Error Fs_error.Enoent
+
+let truncate_leaf t ~size table name charge =
+  let charge = leaf_charge t charge in
+  match Hashtbl.find table name with
+  | File f ->
+    let keep = Units.ceil_div size (block_bytes t) in
+    List.iter (Storage.Store.free_block t.store) (Blockmap.crop f.map keep);
+    f.size <- min f.size size;
+    Ok (Time.span_add charge (meta_write t))
+  | Dir _ -> Error Fs_error.Eisdir
+  | exception Not_found -> Error Fs_error.Enoent
+
+let unlink_leaf t table name charge =
+  let charge = leaf_charge t charge in
+  match Hashtbl.find table name with
+  | File f ->
+    Blockmap.iter_live (Storage.Store.free_block t.store) f.map;
+    Hashtbl.remove table name;
+    t.files <- t.files - 1;
+    Ok (Time.span_add charge (meta_write t))
+  | Dir _ -> Error Fs_error.Eisdir
+  | exception Not_found -> Error Fs_error.Enoent
+
+let file_leaf t table name charge =
+  ignore (leaf_charge t charge : Time.span);
+  match Hashtbl.find_opt table name with
+  | Some (File f) -> Ok f
+  | Some (Dir _) -> Error Fs_error.Eisdir
+  | None -> Error Fs_error.Enoent
+
+(* --- Path operations ------------------------------------------------------- *)
+
+let lookup_file t path = at_path t path ~root:(Error Fs_error.Eisdir) (file_leaf t)
+let create t path = at_path t path ~root:(Error Fs_error.Eexist) (create_leaf t)
+let unlink t path = at_path t path ~root:(Error Fs_error.Eisdir) (unlink_leaf t)
+
+let exists t path =
+  match locate t path with
+  | Ok Root -> true
+  | Ok (Leaf (table, name, charge)) -> exists_leaf t table name charge
+  | Error _ -> false
 
 let write t path ~offset ~bytes =
   if offset < 0 || bytes < 0 then Error Fs_error.Einval
   else begin
     Sim.Probe.incr p_writes;
-    let charge = ref Time.span_zero in
-    let* f = lookup_file t path ~charge in
-    write_body t f ~offset ~bytes ~charge
+    at_path t path ~root:(Error Fs_error.Eisdir) (write_leaf t ~offset ~bytes)
   end
 
 let read t path ~offset ~bytes =
   if offset < 0 || bytes < 0 then Error Fs_error.Einval
   else begin
     Sim.Probe.incr p_reads;
-    let charge = ref Time.span_zero in
-    let* f = lookup_file t path ~charge in
-    read_body t f ~offset ~bytes ~charge
+    at_path t path ~root:(Error Fs_error.Eisdir) (read_leaf t ~offset ~bytes)
   end
 
 let truncate t path ~size =
   if size < 0 then Error Fs_error.Einval
-  else begin
-    let charge = ref Time.span_zero in
-    let* f = lookup_file t path ~charge in
-    truncate_body t f ~size ~charge
-  end
+  else at_path t path ~root:(Error Fs_error.Eisdir) (truncate_leaf t ~size)
+
+let mkdir t path =
+  at_path t path ~root:(Error Fs_error.Eexist) (fun table name charge ->
+      let charge = leaf_charge t charge in
+      if Hashtbl.mem table name then Error Fs_error.Eexist
+      else begin
+        Hashtbl.replace table name (Dir (Hashtbl.create dir_table_size));
+        t.dirs <- t.dirs + 1;
+        Ok (Time.span_add charge (meta_write t))
+      end)
+
+let rmdir t path =
+  at_path t path ~root:(Error Fs_error.Einval) (fun table name charge ->
+      let charge = leaf_charge t charge in
+      match Hashtbl.find_opt table name with
+      | None -> Error Fs_error.Enoent
+      | Some (File _) -> Error Fs_error.Enotdir
+      | Some (Dir sub) when Hashtbl.length sub > 0 -> Error Fs_error.Enotempty
+      | Some (Dir _) ->
+        Hashtbl.remove table name;
+        t.dirs <- t.dirs - 1;
+        Ok (Time.span_add charge (meta_write t)))
 
 (* Is [dst] inside the subtree rooted at [src]?  (Moving a directory into
    itself would orphan the whole subtree.) *)
@@ -244,75 +309,42 @@ let is_path_prefix ~src ~dst =
   go src dst
 
 let rename t src_path dst_path =
-  let charge = ref Time.span_zero in
   let* src = Path.parse src_path in
   let* dst = Path.parse dst_path in
   if is_path_prefix ~src ~dst then Error Fs_error.Einval
-  else begin
-    match resolve t src_path ~charge with
-    | Error e -> Error e
-    | Ok (`Root _) -> Error Fs_error.Einval
-    | Ok (`In (_, _, None)) -> Error Fs_error.Enoent
-    | Ok (`In (src_table, src_name, Some node)) -> begin
-      match resolve t dst_path ~charge with
-      | Error e -> Error e
-      | Ok (`Root _) -> Error Fs_error.Eexist
-      | Ok (`In (_, _, Some _)) -> Error Fs_error.Eexist
-      | Ok (`In (dst_table, dst_name, None)) ->
-        Hashtbl.remove src_table src_name;
-        Hashtbl.replace dst_table dst_name node;
-        Ok (Time.span_add !charge (meta_write t))
-    end
-  end
-
-let unlink t path =
-  let charge = ref Time.span_zero in
-  match resolve t path ~charge with
-  | Error e -> Error e
-  | Ok (`Root _) -> Error Fs_error.Eisdir
-  | Ok (`In (_, _, None)) -> Error Fs_error.Enoent
-  | Ok (`In (_, _, Some (Dir _))) -> Error Fs_error.Eisdir
-  | Ok (`In (table, fname, Some (File f))) ->
-    Blockmap.iter_live (Storage.Store.free_block t.store) f.map;
-    Hashtbl.remove table fname;
-    t.files <- t.files - 1;
-    Ok (Time.span_add !charge (meta_write t))
-
-let rmdir t path =
-  let charge = ref Time.span_zero in
-  match resolve t path ~charge with
-  | Error e -> Error e
-  | Ok (`Root _) -> Error Fs_error.Einval
-  | Ok (`In (_, _, None)) -> Error Fs_error.Enoent
-  | Ok (`In (_, _, Some (File _))) -> Error Fs_error.Enotdir
-  | Ok (`In (table, fname, Some (Dir sub))) ->
-    if Hashtbl.length sub > 0 then Error Fs_error.Enotempty
-    else begin
-      Hashtbl.remove table fname;
-      t.dirs <- t.dirs - 1;
-      Ok (Time.span_add !charge (meta_write t))
-    end
+  else
+    at_path t src_path ~root:(Error Fs_error.Einval) (fun src_table src_name charge ->
+        let charge = leaf_charge t charge in
+        match Hashtbl.find_opt src_table src_name with
+        | None -> Error Fs_error.Enoent
+        | Some node ->
+          at_path t dst_path ~root:(Error Fs_error.Eexist)
+            (fun dst_table dst_name dst_charge ->
+              let charge = leaf_charge t (Time.span_add charge dst_charge) in
+              if Hashtbl.mem dst_table dst_name then Error Fs_error.Eexist
+              else begin
+                Hashtbl.remove src_table src_name;
+                Hashtbl.replace dst_table dst_name node;
+                Ok (Time.span_add charge (meta_write t))
+              end))
 
 let file_size t path =
-  let charge = ref Time.span_zero in
-  let* f = lookup_file t path ~charge in
+  let* f = lookup_file t path in
   Ok f.size
 
-let exists t path =
-  let charge = ref Time.span_zero in
-  match resolve t path ~charge with
-  | Ok (`Root _) -> true
-  | Ok (`In (_, _, Some _)) -> true
-  | Ok (`In (_, _, None)) | Error _ -> false
-
 let readdir t path =
-  let charge = ref Time.span_zero in
-  match resolve t path ~charge with
-  | Error e -> Error e
-  | Ok (`Root table) | Ok (`In (_, _, Some (Dir table))) ->
+  let listing table =
     Ok (List.sort String.compare (Hashtbl.fold (fun k _ acc -> k :: acc) table []))
-  | Ok (`In (_, _, Some (File _))) -> Error Fs_error.Enotdir
-  | Ok (`In (_, _, None)) -> Error Fs_error.Enoent
+  in
+  match locate t path with
+  | Error e -> Error e
+  | Ok Root -> listing t.root
+  | Ok (Leaf (table, name, charge)) -> (
+    ignore (leaf_charge t charge : Time.span);
+    match Hashtbl.find_opt table name with
+    | Some (Dir sub) -> listing sub
+    | Some (File _) -> Error Fs_error.Enotdir
+    | None -> Error Fs_error.Enoent)
 
 let sync t = Storage.Store.flush_all t.store
 
@@ -320,8 +352,7 @@ let preload t path ~size =
   if size < 0 then Error Fs_error.Einval
   else begin
     let* _span = create t path in
-    let charge = ref Time.span_zero in
-    let* f = lookup_file t path ~charge in
+    let* f = lookup_file t path in
     let bs = block_bytes t in
     for i = 0 to Units.ceil_div size bs - 1 do
       let b = Storage.Store.alloc t.store in
@@ -332,7 +363,7 @@ let preload t path ~size =
     Ok ()
   end
 
-(* --- Pre-resolved routes (compiled replay) --------------------------------
+(* --- Pre-resolved routes (replay) ------------------------------------------
 
    A route pins a file's parent directory table so the hot replay loop
    skips path formatting, parsing, and the per-component string lookups —
@@ -359,72 +390,34 @@ let route t dirpath =
   go t.root components
 
 (* The walk's charges, without the walk. *)
-let resolve_in t (d : dirh) name ~charge =
-  let c = ref !charge in
+let route_charge t d =
+  let c = ref Time.span_zero in
   for _ = 1 to d.depth do
     c := Time.span_add !c (meta_read t)
   done;
-  c := Time.span_add !c (meta_read t);
-  charge := !c;
-  Hashtbl.find_opt d.parent name
+  !c
 
-let create_in t d name =
-  let charge = ref Time.span_zero in
-  match resolve_in t d name ~charge with
-  | Some _ -> Error Fs_error.Eexist
-  | None ->
-    Hashtbl.replace d.parent name (File { size = 0; map = Blockmap.create () });
-    t.files <- t.files + 1;
-    Ok (Time.span_add !charge (meta_write t))
-
-let exists_in t d name =
-  (* Like [exists], the walk's device charges land but the span is the
-     caller's to discard. *)
-  let charge = ref Time.span_zero in
-  match resolve_in t d name ~charge with Some _ -> true | None -> false
+let create_in t d name = create_leaf t d.parent name (route_charge t d)
+let exists_in t d name = exists_leaf t d.parent name (route_charge t d)
+let unlink_in t d name = unlink_leaf t d.parent name (route_charge t d)
 
 let write_in t d name ~offset ~bytes =
   if offset < 0 || bytes < 0 then Error Fs_error.Einval
   else begin
     Sim.Probe.incr p_writes;
-    let charge = ref Time.span_zero in
-    match resolve_in t d name ~charge with
-    | None -> Error Fs_error.Enoent
-    | Some (Dir _) -> Error Fs_error.Eisdir
-    | Some (File f) -> write_body t f ~offset ~bytes ~charge
+    write_leaf t ~offset ~bytes d.parent name (route_charge t d)
   end
 
 let read_in t d name ~offset ~bytes =
   if offset < 0 || bytes < 0 then Error Fs_error.Einval
   else begin
     Sim.Probe.incr p_reads;
-    let charge = ref Time.span_zero in
-    match resolve_in t d name ~charge with
-    | None -> Error Fs_error.Enoent
-    | Some (Dir _) -> Error Fs_error.Eisdir
-    | Some (File f) -> read_body t f ~offset ~bytes ~charge
+    read_leaf t ~offset ~bytes d.parent name (route_charge t d)
   end
 
 let truncate_in t d name ~size =
   if size < 0 then Error Fs_error.Einval
-  else begin
-    let charge = ref Time.span_zero in
-    match resolve_in t d name ~charge with
-    | None -> Error Fs_error.Enoent
-    | Some (Dir _) -> Error Fs_error.Eisdir
-    | Some (File f) -> truncate_body t f ~size ~charge
-  end
-
-let unlink_in t d name =
-  let charge = ref Time.span_zero in
-  match resolve_in t d name ~charge with
-  | None -> Error Fs_error.Enoent
-  | Some (Dir _) -> Error Fs_error.Eisdir
-  | Some (File f) ->
-    Blockmap.iter_live (Storage.Store.free_block t.store) f.map;
-    Hashtbl.remove d.parent name;
-    t.files <- t.files - 1;
-    Ok (Time.span_add !charge (meta_write t))
+  else truncate_leaf t ~size d.parent name (route_charge t d)
 
 let enumerate t =
   let acc = ref [] in
@@ -447,8 +440,7 @@ let adopt t path ~size ~blocks =
         invalid_arg "Memfs.adopt: unknown block")
     blocks;
   let* _span = create t path in
-  let charge = ref Time.span_zero in
-  let* f = lookup_file t path ~charge in
+  let* f = lookup_file t path in
   List.iteri (fun i b -> Blockmap.set f.map i b) blocks;
   f.size <- size;
   Ok ()
@@ -482,8 +474,7 @@ let adopt_sparse t path ~size ~blocks =
         invalid_arg "Memfs.adopt_sparse: unknown block")
     blocks;
   let* _span = create t path in
-  let charge = ref Time.span_zero in
-  let* f = lookup_file t path ~charge in
+  let* f = lookup_file t path in
   List.iter (fun (i, b) -> Blockmap.set f.map i b) blocks;
   f.size <- size;
   Ok ()
@@ -495,8 +486,7 @@ let rec node_metadata_bytes = function
 let metadata_bytes t = node_metadata_bytes (Dir t.root)
 
 let file_blocks t path =
-  let charge = ref Time.span_zero in
-  let* f = lookup_file t path ~charge in
+  let* f = lookup_file t path in
   let acc = ref [] in
   Blockmap.iter_live (fun b -> acc := b :: !acc) f.map;
   Ok (List.rev !acc)

@@ -104,13 +104,15 @@ val check : t -> (unit, string) result
 
 (** {2 Pre-resolved routes}
 
-    The compiled-replay fast path: a {!dirh} pins a directory table once,
-    and the [_in] operations act on a leaf name under it — skipping path
+    The replay fast path: a {!dirh} pins a directory table once, and the
+    [_in] operations act on a leaf name under it — skipping path
     formatting, parsing, and per-component table lookups while charging
     exactly what the path-based walk charges (one metadata read per
     component, one for the leaf) and still resolving the leaf on every
-    call, since files come and go mid-trace.  A route dies with its file
-    system: rebuild after anything that replaces [t] (cold restart). *)
+    call, since files come and go mid-trace.  Each [_in] operation shares
+    its implementation with its path twin: only the way to the leaf's
+    directory differs.  A route dies with its file system: rebuild after
+    anything that replaces [t] (cold restart). *)
 
 type dirh
 (** A resolved directory under which leaves are addressed by name. *)

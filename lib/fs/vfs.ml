@@ -18,26 +18,4 @@ module type S = sig
   val sync : t -> span
 end
 
-(* Replay calls this once per record; a [Printf] per call is measurable in
-   the hot loop, so intern the formatted paths per id.  Ids are small and
-   dense.  Domains may race on the cache: the array swap is atomic, entries
-   are write-once immutable strings, and a lost update only costs a
-   re-format — never a wrong path. *)
-let path_cache = ref [||]
-
-let path_of_file_id id =
-  let cache = !path_cache in
-  if id >= 0 && id < Array.length cache && String.length cache.(id) > 0 then
-    cache.(id)
-  else begin
-    let path = "/data/f" ^ string_of_int id in
-    if id >= 0 then begin
-      if id >= Array.length cache then begin
-        let bigger = Array.make (max (id + 1) ((2 * Array.length cache) + 64)) "" in
-        Array.blit cache 0 bigger 0 (Array.length cache);
-        path_cache := bigger
-      end;
-      !path_cache.(id) <- path
-    end;
-    path
-  end
+let path_of_file_id id = "/data/f" ^ string_of_int id

@@ -5,25 +5,12 @@ type t = {
 
 and callback = t -> unit
 
-(* The agenda structure for engines that don't pick one explicitly:
-   SSMC_QUEUE=heap|wheel|checked, defaulting to the wheel (the heap stays
-   the reference; CI pins the experiments byte-identical across all
-   three). *)
-let default_queue =
-  lazy
-    (match Option.map String.lowercase_ascii (Sys.getenv_opt "SSMC_QUEUE") with
-    | Some "heap" -> Event_queue.Heap
-    | Some "wheel" | None -> Event_queue.Wheel
-    | Some "checked" -> Event_queue.Checked
-    | Some other ->
-      Fmt.invalid_arg "SSMC_QUEUE=%s (expected heap, wheel, or checked)" other)
-
-let create ?queue () =
-  let kind = match queue with Some k -> k | None -> Lazy.force default_queue in
-  { clock = Time.zero; agenda = Event_queue.create ~kind () }
+(* The agenda is a timing wheel: the engine never schedules in the past,
+   which is the wheel's one constraint. *)
+let create () =
+  { clock = Time.zero; agenda = Event_queue.create ~kind:Event_queue.Wheel () }
 
 let now t = t.clock
-let queue_kind t = Event_queue.kind t.agenda
 
 let schedule t ~at f =
   if Time.( < ) at t.clock then invalid_arg "Engine.schedule: instant in the past";

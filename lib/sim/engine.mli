@@ -7,17 +7,12 @@
 
 type t
 
-val create : ?queue:Event_queue.kind -> unit -> t
-(** A fresh engine with the clock at {!Time.zero} and an empty agenda.
-    [queue] picks the agenda structure (see {!Event_queue.kind}); when
-    omitted it comes from the [SSMC_QUEUE] environment variable
-    ([heap]/[wheel]/[checked]), defaulting to [Wheel]. *)
+val create : unit -> t
+(** A fresh engine with the clock at {!Time.zero} and an empty agenda (a
+    {!Event_queue.Wheel}). *)
 
 val now : t -> Time.t
 (** The current simulated instant. *)
-
-val queue_kind : t -> Event_queue.kind
-(** The agenda structure this engine runs on. *)
 
 val schedule : t -> at:Time.t -> (t -> unit) -> Event_queue.handle
 (** Schedule a callback at an absolute instant.

@@ -6,9 +6,9 @@ type 'a entry = 'a Timing_wheel.entry = {
 }
 
 type handle = H : 'a entry -> handle
-type kind = Heap | Wheel | Checked
+type kind = Heap | Wheel
 
-let kind_name = function Heap -> "heap" | Wheel -> "wheel" | Checked -> "checked"
+let kind_name = function Heap -> "heap" | Wheel -> "wheel"
 
 exception Empty
 
@@ -103,12 +103,7 @@ end
 
 (* --- The kind-dispatching queue ------------------------------------------- *)
 
-type 'a impl =
-  | Heap_q of 'a Heap_impl.t
-  | Wheel_q of 'a Timing_wheel.t
-  (* Both structures over physically shared entries; every pop asserts
-     they deliver the same one. *)
-  | Checked_q of 'a Heap_impl.t * 'a Timing_wheel.t
+type 'a impl = Heap_q of 'a Heap_impl.t | Wheel_q of 'a Timing_wheel.t
 
 type 'a t = {
   impl : 'a impl;
@@ -121,12 +116,8 @@ let create ?(kind = Heap) () =
     match kind with
     | Heap -> Heap_q (Heap_impl.create ())
     | Wheel -> Wheel_q (Timing_wheel.create ())
-    | Checked -> Checked_q (Heap_impl.create (), Timing_wheel.create ())
   in
   { impl; next_seq = 0; live = 0 }
-
-let kind t =
-  match t.impl with Heap_q _ -> Heap | Wheel_q _ -> Wheel | Checked_q _ -> Checked
 
 let add t ~at payload =
   let entry = { at; seq = t.next_seq; payload; cancelled = false } in
@@ -134,10 +125,7 @@ let add t ~at payload =
   t.live <- t.live + 1;
   (match t.impl with
   | Heap_q h -> Heap_impl.add h entry
-  | Wheel_q w -> Timing_wheel.add w entry
-  | Checked_q (h, w) ->
-    Heap_impl.add h entry;
-    Timing_wheel.add w entry);
+  | Wheel_q w -> Timing_wheel.add w entry);
   H entry
 
 let cancel t (H entry) =
@@ -146,22 +134,12 @@ let cancel t (H entry) =
     t.live <- t.live - 1
   end
 
-let divergence ~op (eh : _ entry) (ew : _ entry) =
-  Fmt.failwith
-    "Event_queue(checked): %s divergence: heap seq %d at %dns, wheel seq %d at %dns"
-    op eh.seq (Time.to_ns eh.at) ew.seq (Time.to_ns ew.at)
-
 let pop_entry_exn t =
   if t.live = 0 then raise Empty;
   let entry =
     match t.impl with
     | Heap_q h -> Heap_impl.pop_exn h
     | Wheel_q w -> Timing_wheel.pop_exn w
-    | Checked_q (h, w) ->
-      let eh = Heap_impl.pop_exn h in
-      let ew = Timing_wheel.pop_exn w in
-      if eh != ew then divergence ~op:"pop" eh ew;
-      eh
   in
   t.live <- t.live - 1;
   entry
@@ -180,23 +158,13 @@ let peek_time_exn t =
   match t.impl with
   | Heap_q h -> (Heap_impl.peek_exn h).at
   | Wheel_q w -> (Timing_wheel.peek_exn w).at
-  | Checked_q (h, w) ->
-    let eh = Heap_impl.peek_exn h in
-    let ew = Timing_wheel.peek_exn w in
-    if eh != ew then divergence ~op:"peek" eh ew;
-    eh.at
 
 let peek_time t = if t.live = 0 then None else Some (peek_time_exn t)
 let length t = t.live
 let is_empty t = t.live = 0
 
 let clear t =
-  (match t.impl with
-  | Heap_q h -> Heap_impl.clear h
-  | Wheel_q w -> Timing_wheel.clear w
-  | Checked_q (h, w) ->
-    Heap_impl.clear h;
-    Timing_wheel.clear w);
+  (match t.impl with Heap_q h -> Heap_impl.clear h | Wheel_q w -> Timing_wheel.clear w);
   (* Reset the tie-break counter too: a cleared queue replays a fresh
      run's delivery order exactly. *)
   t.next_seq <- 0;

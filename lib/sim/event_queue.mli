@@ -9,29 +9,26 @@
     constraints) and a hierarchical {!Timing_wheel} (O(1) for the
     near-FIFO instant distributions replay produces, but adds must not
     land before the last popped instant — the engine's scheduling rule
-    already guarantees that).  [Checked] runs both over physically shared
-    entries and fails loudly if they ever disagree on a delivery — the
-    same differential pattern [Storage.Manager] uses for its index. *)
+    already guarantees that).  The engine always runs on the wheel; the
+    test suite checks both kinds against a reference model. *)
 
 type 'a t
 
 type handle
 (** Identifies a scheduled event for cancellation. *)
 
-type kind = Heap | Wheel | Checked
+type kind = Heap | Wheel
 
 val kind_name : kind -> string
 
 val create : ?kind:kind -> unit -> 'a t
 (** A fresh queue; [kind] defaults to [Heap], which accepts adds at any
-    instant.  Choose [Wheel] (or [Checked]) only for engine-shaped
-    workloads where instants never precede the last delivery. *)
-
-val kind : 'a t -> kind
+    instant.  Choose [Wheel] only for engine-shaped workloads where
+    instants never precede the last delivery. *)
 
 val add : 'a t -> at:Time.t -> 'a -> handle
 (** Schedule a payload at an instant.
-    @raise Invalid_argument under [Wheel]/[Checked] if [at] precedes the
+    @raise Invalid_argument under [Wheel] if [at] precedes the
     instant of the last popped event. *)
 
 val cancel : 'a t -> handle -> unit

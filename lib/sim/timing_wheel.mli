@@ -4,8 +4,7 @@
 
     The wheel is one of the two implementations behind {!Event_queue} —
     use that module unless you are the queue itself.  It shares
-    {!Event_queue}'s entry representation so the [Checked] kind can run
-    both structures over physically identical entries.
+    {!Event_queue}'s entry representation with the heap.
 
     Contract, narrower than the heap's:
     - Instants are non-negative and {!add} must not move backwards past

@@ -34,8 +34,13 @@ module Compiled = struct
     | Record.Truncate _ -> tag_truncate
     | Record.Delete _ -> tag_delete
 
-  let compile_seq records =
-    let cap = ref 1024 in
+  (* Lower records off the front of [records] until [max] are taken or the
+     stream ends, and return them with the remainder.  Every node is forced
+     exactly once — the node after the last one taken is left unforced, and
+     an exhausted stream is returned as [Seq.empty] — so a channel-backed
+     trace never re-reads a line. *)
+  let compile_prefix ~max records =
+    let cap = ref (min max 1024) in
     let at_ns = ref (Array.make !cap 0) in
     let tag = ref (Array.make !cap 0) in
     let file = ref (Array.make !cap 0) in
@@ -43,37 +48,54 @@ module Compiled = struct
     let arg2 = ref (Array.make !cap 0) in
     let n = ref 0 in
     let grow () =
-      let ncap = 2 * !cap in
+      let ncap = min max (2 * !cap) in
       let extend a = let na = Array.make ncap 0 in Array.blit !a 0 na 0 !n; a := na in
       extend at_ns; extend tag; extend file; extend arg1; extend arg2;
       cap := ncap
     in
-    Seq.iter
-      (fun r ->
-        if !n = !cap then grow ();
-        let i = !n in
-        !at_ns.(i) <- Time.to_ns r.Record.at;
-        !tag.(i) <- tag_of_op r.Record.op;
-        !file.(i) <- Record.file r;
-        (match r.Record.op with
-        | Record.Write { offset; bytes; _ } | Record.Read { offset; bytes; _ } ->
-          !arg1.(i) <- offset;
-          !arg2.(i) <- bytes
-        | Record.Truncate { size; _ } -> !arg1.(i) <- size
-        | Record.Create _ | Record.Delete _ -> ());
-        incr n)
-      records;
+    let push r =
+      if !n = !cap then grow ();
+      let i = !n in
+      !at_ns.(i) <- Time.to_ns r.Record.at;
+      !tag.(i) <- tag_of_op r.Record.op;
+      !file.(i) <- Record.file r;
+      (match r.Record.op with
+      | Record.Write { offset; bytes; _ } | Record.Read { offset; bytes; _ } ->
+        !arg1.(i) <- offset;
+        !arg2.(i) <- bytes
+      | Record.Truncate { size; _ } -> !arg1.(i) <- size
+      | Record.Create _ | Record.Delete _ -> ());
+      incr n
+    in
+    let rec fill records =
+      if !n = max then records
+      else
+        match records () with
+        | Seq.Nil -> Seq.empty
+        | Seq.Cons (r, rest) ->
+          push r;
+          fill rest
+    in
+    let rest = fill records in
     let shrink a = if Array.length !a = !n then !a else Array.sub !a 0 !n in
-    {
-      n = !n;
-      at_ns = shrink at_ns;
-      tag = shrink tag;
-      file = shrink file;
-      arg1 = shrink arg1;
-      arg2 = shrink arg2;
-    }
+    ( {
+        n = !n;
+        at_ns = shrink at_ns;
+        tag = shrink tag;
+        file = shrink file;
+        arg1 = shrink arg1;
+        arg2 = shrink arg2;
+      },
+      rest )
 
-  let compile records = compile_seq (List.to_seq records)
+  let compile records = fst (compile_prefix ~max:max_int (List.to_seq records))
+
+  let chunk_records = 4096
+
+  let rec chunks records () =
+    match compile_prefix ~max:chunk_records records with
+    | { n = 0; _ }, _ -> Seq.Nil
+    | c, rest -> Seq.Cons (c, chunks rest)
 
   (* Reconstruct a record (fallback paths and round-trip tests). *)
   let record c i =
@@ -88,20 +110,3 @@ module Compiled = struct
     in
     { Record.at = Time.of_ns c.at_ns.(i); op }
 end
-
-let run_seq engine records ~f =
-  Seq.iter
-    (fun r ->
-      let at = r.Record.at in
-      if Time.( < ) (Engine.now engine) at then Engine.run_until engine at;
-      f engine r)
-    records
-
-let run engine records ~f = run_seq engine (List.to_seq records) ~f
-
-let run_all_seq engine records ~f ~drain_until =
-  run_seq engine records ~f;
-  Engine.run_until engine drain_until
-
-let run_all engine records ~f ~drain_until =
-  run_all_seq engine (List.to_seq records) ~f ~drain_until

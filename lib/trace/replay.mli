@@ -1,18 +1,17 @@
-(** Trace replay.
+(** Traces lowered for replay.
 
-    Drives a time-ordered trace through a consumer while keeping a
-    simulation engine's clock in step, so that background activity scheduled
-    on the engine (writeback timers, cleaners, battery accounting)
-    interleaves with foreground operations at the right instants.
+    {!Ssmc.Machine} replays every trace through one loop over
+    {!Compiled} chunks, keeping its simulation engine's clock in step so
+    that background activity (writeback timers, cleaners, battery
+    accounting) interleaves with foreground operations at the right
+    instants.  A streamed trace is lowered a chunk at a time
+    ({!Compiled.chunks}), so replaying it holds one chunk, never the whole
+    trace. *)
 
-    The sequence variants pull records on demand and retain none of them:
-    replay of a streamed or file-backed trace runs in constant memory no
-    matter how long the trace is.  The list variants are thin wrappers. *)
-
-(** A trace lowered to flat struct-of-arrays form for the compiled replay
-    fast path: consumers index int arrays instead of matching on
-    {!Record.op} and allocating per-record closures.  Compile once, replay
-    many times — the arrays are immutable by convention. *)
+(** A trace lowered to flat struct-of-arrays form: replay loops index int
+    arrays instead of matching on {!Record.op} and allocating per-record
+    closures.  Compile once, replay many times — the arrays are immutable
+    by convention. *)
 module Compiled : sig
   type t = private {
     n : int;
@@ -23,13 +22,21 @@ module Compiled : sig
     arg2 : int array;  (** bytes (write/read); else 0. *)
   }
   (** Fields are exposed (read-only) so replay loops index the arrays
-      directly; construct only through {!compile_seq}/{!compile}. *)
-
-  val compile_seq : Record.t Seq.t -> t
-  (** Materialize and lower a trace.  Unlike {!run_seq}, this holds the
-      whole trace (5 ints per record). *)
+      directly; construct only through the functions below.  Every array
+      has exactly [n] elements. *)
 
   val compile : Record.t list -> t
+  (** Lower a whole trace (5 ints per record). *)
+
+  val chunk_records : int
+  (** Records per {!chunks} chunk: 4096. *)
+
+  val chunks : Record.t Seq.t -> t Seq.t
+  (** The trace lowered {!chunk_records} records at a time (the last chunk
+      may be shorter; no chunk is empty).  Lazy: each chunk pulls its
+      records when it is forced, and every node of the input is forced
+      exactly once, so a channel-backed trace is safe to stream through
+      it. *)
 
   val length : t -> int
 
@@ -44,33 +51,3 @@ module Compiled : sig
   val tag_truncate : int
   val tag_delete : int
 end
-
-val run_seq :
-  Sim.Engine.t -> Record.t Seq.t -> f:(Sim.Engine.t -> Record.t -> unit) -> unit
-(** For each record in order: run every engine event due before the record's
-    timestamp, advance the clock to it, and apply [f].  Records stamped in
-    the past (before the current clock) are applied at the current clock
-    time — a foreground operation cannot begin before its predecessor's
-    bookkeeping completed. *)
-
-val run :
-  Sim.Engine.t -> Record.t list -> f:(Sim.Engine.t -> Record.t -> unit) -> unit
-(** [run_seq] over a materialized trace. *)
-
-val run_all_seq :
-  Sim.Engine.t ->
-  Record.t Seq.t ->
-  f:(Sim.Engine.t -> Record.t -> unit) ->
-  drain_until:Sim.Time.t ->
-  unit
-(** [run_seq] followed by running the engine's agenda up to [drain_until] —
-    letting pending flushes and cleaners finish after the last foreground
-    operation. *)
-
-val run_all :
-  Sim.Engine.t ->
-  Record.t list ->
-  f:(Sim.Engine.t -> Record.t -> unit) ->
-  drain_until:Sim.Time.t ->
-  unit
-(** [run_all_seq] over a materialized trace. *)

@@ -99,10 +99,13 @@ let prop_cancel_removes =
 (* --- Kind-parametrized model check ----------------------------------------
 
    Random add/cancel/pop interleavings against a naive insertion-ordered
-   reference, over all three queue kinds (mirrors test_seg_index's
-   model-based approach).  Adds respect the wheel's contract — never
-   before the last popped instant — which is exactly what the engine
-   guarantees. *)
+   reference, over both queue kinds (mirrors test_seg_index's model-based
+   approach).  Adds respect the wheel's contract — never before the last
+   popped instant — which is exactly what the engine guarantees.  An add
+   lands [d] units of 32^k ns past that instant, for k up to 11 and d up
+   to 40, so instants differ from the wheel's cursor in every 5-bit group
+   and reach all 13 wheel levels (d >= 32 at k = 11 carries into the
+   top one). *)
 
 let prop_matches_model kind =
   let name =
@@ -110,7 +113,7 @@ let prop_matches_model kind =
       (Event_queue.kind_name kind)
   in
   QCheck.Test.make ~name ~count:300
-    QCheck.(list (pair (int_bound 2) (int_bound 40)))
+    QCheck.(list (triple (int_bound 2) (int_bound 11) (int_bound 40)))
     (fun ops ->
       let q = Event_queue.create ~kind () in
       (* Alive entries in insertion order: (at_ns, id, handle). *)
@@ -141,10 +144,13 @@ let prop_matches_model kind =
         | Some _, None | None, Some _ -> ok := false
       in
       List.iter
-        (fun (action, x) ->
+        (fun (action, level, x) ->
           match action with
           | 0 ->
-            let at = !watermark + x in
+            let ahead = x lsl (5 * level) in
+            let at =
+              if ahead > max_int - !watermark then !watermark else !watermark + ahead
+            in
             let id = !next_id in
             incr next_id;
             let h = Event_queue.add q ~at:(t at) id in
@@ -176,11 +182,13 @@ let test_wheel_rejects_past_add () =
 (* Far-apart instants force entries into high wheel levels and exercise
    the cascade path on extraction. *)
 let test_wheel_cascades () =
-  let q = Event_queue.create ~kind:Event_queue.Checked () in
-  let times = [ 0; 1; 31; 32; 33; 1_000; 1_024; 32_768; 1_000_000; 1_048_576 ] in
-  List.iter (fun at -> ignore (Event_queue.add q ~at:(t at) at)) (List.rev times);
+  let q = Event_queue.create ~kind:Event_queue.Wheel () in
+  let times =
+    [ 1_048_576; 33; 0; 1 lsl 61; 1_000_000; 31; 1_024; 1; 32_768; 1 lsl 40; 32; 1_000 ]
+  in
+  List.iter (fun at -> ignore (Event_queue.add q ~at:(t at) at)) times;
   let popped = List.init (List.length times) (fun _ -> snd (Option.get (Event_queue.pop q))) in
-  Alcotest.(check (list int)) "sorted across levels" times popped
+  Alcotest.(check (list int)) "sorted across levels" (List.sort compare times) popped
 
 (* Regression for the space leak: popped (and cleared) entries must not
    keep payload closures reachable from the queue's internal arrays. *)
@@ -207,7 +215,7 @@ let test_popped_payloads_collectible () =
       Alcotest.(check int)
         (Printf.sprintf "no payloads retained (%s)" (Event_queue.kind_name kind))
         0 !retained)
-    [ Event_queue.Heap; Event_queue.Wheel; Event_queue.Checked ]
+    [ Event_queue.Heap; Event_queue.Wheel ]
 
 let suite =
   [
@@ -222,7 +230,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_cancel_removes;
     QCheck_alcotest.to_alcotest (prop_matches_model Event_queue.Heap);
     QCheck_alcotest.to_alcotest (prop_matches_model Event_queue.Wheel);
-    QCheck_alcotest.to_alcotest (prop_matches_model Event_queue.Checked);
     Alcotest.test_case "wheel rejects past add" `Quick test_wheel_rejects_past_add;
     Alcotest.test_case "wheel cascades across levels" `Quick test_wheel_cascades;
     Alcotest.test_case "popped payloads collectible" `Quick

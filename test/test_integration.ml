@@ -170,29 +170,37 @@ let test_streaming_replay_equivalence () =
         (Fs.Memfs.metadata_bytes (fs_of m)))
     [ ("seq-of-list", via_seq_of_list); ("end-to-end stream", via_stream) ]
 
-(* --- Compiled replay equals interpreted replay ------------------------------------ *)
+(* --- A streamed trace replays like a precompiled one ------------------------------ *)
 
 let test_compiled_replay_equivalence () =
-  (* The compiled fast path must be a pure speedup: same trace, same
-     machine, byte-identical result — including across a mid-run cold
-     restart, which kills the pre-resolved route out from under it. *)
-  let trace = gen 26 120.0 in
-  let compiled = Trace.Replay.Compiled.compile trace.Trace.Synth.records in
-  let machine () =
-    (* No backup battery: a depletion fault forces a cold restart. *)
-    Ssmc.Machine.create (Ssmc.Config.solid_state ~backup_wh:0.0 ~seed:26 ())
+  (* [run_seq] lowers its stream a chunk at a time; the same
+     trace lowered up front must replay byte-identically.  The trace spans
+     a full chunk and a partial one, and a cold restart in the second
+     chunk kills the pre-resolved route mid-stream. *)
+  let seed = 26 in
+  let stream () =
+    Trace.Synth.generate_seq Trace.Workloads.engineering ~rng:(Rng.create ~seed)
+      ~duration:(Time.span_s 250.0)
   in
+  let compiled = Trace.Replay.Compiled.compile (List.of_seq (stream ()).Trace.Synth.seq) in
+  let n = Trace.Replay.Compiled.length compiled
+  and chunk = Trace.Replay.Compiled.chunk_records in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d records: two chunks, the last partial" n)
+    true
+    (n > chunk && n < 2 * chunk);
   let run ?faults driver =
-    let m = machine () in
-    Ssmc.Machine.preload m trace.Trace.Synth.initial_files;
+    (* No backup battery: a depletion fault forces a cold restart. *)
+    let m = Ssmc.Machine.create (Ssmc.Config.solid_state ~backup_wh:0.0 ~seed ()) in
+    Ssmc.Machine.preload m (stream ()).Trace.Synth.stream_initial_files;
     let r = driver ?faults m in
     (match Fs.Memfs.check (Option.get (Ssmc.Machine.memfs m)) with
     | Ok () -> ()
     | Error msg -> Alcotest.failf "fsck: %s" msg);
     r
   in
-  let interpreted ?faults m = Ssmc.Machine.run ?faults m trace.Trace.Synth.records in
-  let fast ?faults m = Ssmc.Machine.run_compiled ?faults m compiled in
+  let streamed ?faults m = Ssmc.Machine.run_seq ?faults m (stream ()).Trace.Synth.seq in
+  let precompiled ?faults m = Ssmc.Machine.run_compiled ?faults m compiled in
   let deep_check label (a : Ssmc.Machine.result) (b : Ssmc.Machine.result) =
     check_same_result label a b;
     let fcheck what va vb = Alcotest.(check (float 0.0)) (label ^ ": " ^ what) va vb in
@@ -208,13 +216,22 @@ let test_compiled_replay_equivalence () =
       (Stat.Summary.mean a.Ssmc.Machine.meta_latency)
       (Stat.Summary.mean b.Ssmc.Machine.meta_latency)
   in
-  deep_check "compiled" (run interpreted) (run fast);
-  let faults = [ { Fault.after = Time.span_s 40.0; kind = Fault.Battery_depletion } ] in
-  let af = run ~faults interpreted in
-  let bf = run ~faults fast in
+  deep_check "streamed" (run streamed) (run precompiled);
+  (* Halfway between the second chunk's first record and the last one. *)
+  let at i = compiled.Trace.Replay.Compiled.at_ns.(i) in
+  let faults =
+    [
+      {
+        Fault.after = Time.span_ns ((at chunk + at (n - 1)) / 2);
+        kind = Fault.Battery_depletion;
+      };
+    ]
+  in
+  let af = run ~faults streamed in
+  let bf = run ~faults precompiled in
   Alcotest.(check bool) "cold restart happened" true
-    (List.exists (fun o -> o.Ssmc.Machine.cold_restart) bf.Ssmc.Machine.fault_log);
-  deep_check "compiled+cold-restart" af bf
+    (List.exists (fun o -> o.Ssmc.Machine.cold_restart) af.Ssmc.Machine.fault_log);
+  deep_check "streamed+cold-restart" af bf
 
 (* --- memfs / ffs logical equivalence ---------------------------------------------- *)
 

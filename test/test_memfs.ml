@@ -269,6 +269,55 @@ let prop_blockmap_model =
       in
       !ok && List.rev !live = expect_live)
 
+(* Each [_in] operation shares its implementation with its path twin; a
+   route must charge exactly what the walk charges.  The same random
+   operations run by path on one file system and through a route on
+   another must agree on every result and span, and leave the same DRAM
+   traffic behind.  Leaves sit two directories down, and "sub" is a
+   directory, so depth charges and the Eisdir cases are exercised. *)
+let prop_route_ops_match_paths =
+  QCheck.Test.make ~name:"memfs: route ops match path ops" ~count:100
+    QCheck.(list (triple (int_bound 5) (int_bound 6) (pair (int_bound 9000) (int_bound 5000))))
+    (fun ops ->
+      let setup () =
+        let _e, fs = make () in
+        List.iter (fun d -> ignore (ok (Fs.Memfs.mkdir fs d))) [ "/d"; "/d/e"; "/d/e/sub" ];
+        fs
+      in
+      let by_path = setup () and by_route = setup () in
+      let dir = ok (Fs.Memfs.route by_route "/d/e") in
+      let span = Result.map Time.span_to_ns in
+      let results =
+        List.map
+          (fun (op, leaf, (a, b)) ->
+            let name = if leaf = 6 then "sub" else "f" ^ string_of_int leaf in
+            let path = "/d/e/" ^ name in
+            let m = by_path and r = by_route in
+            match op with
+            | 0 -> (span (Fs.Memfs.create m path), span (Fs.Memfs.create_in r dir name))
+            | 1 ->
+              let e = Fs.Memfs.exists m path and e' = Fs.Memfs.exists_in r dir name in
+              (Ok (Bool.to_int e), Ok (Bool.to_int e'))
+            | 2 ->
+              ( span (Fs.Memfs.write m path ~offset:a ~bytes:b),
+                span (Fs.Memfs.write_in r dir name ~offset:a ~bytes:b) )
+            | 3 ->
+              ( span (Fs.Memfs.read m path ~offset:a ~bytes:b),
+                span (Fs.Memfs.read_in r dir name ~offset:a ~bytes:b) )
+            | 4 ->
+              ( span (Fs.Memfs.truncate m path ~size:a),
+                span (Fs.Memfs.truncate_in r dir name ~size:a) )
+            | _ -> (span (Fs.Memfs.unlink m path), span (Fs.Memfs.unlink_in r dir name)))
+          ops
+      in
+      let dram fs =
+        let d = Storage.Store.dram (Fs.Memfs.store fs) in
+        (Device.Dram.reads d, Device.Dram.writes d)
+      in
+      List.for_all (fun (a, b) -> a = b) results
+      && dram by_path = dram by_route
+      && Fs.Memfs.enumerate by_path = Fs.Memfs.enumerate by_route)
+
 let suite =
   [
     Alcotest.test_case "namespace" `Quick test_create_and_namespace;
@@ -284,4 +333,5 @@ let suite =
     Alcotest.test_case "blockmap edges" `Quick test_blockmap_edges;
     QCheck_alcotest.to_alcotest prop_blockmap_model;
     QCheck_alcotest.to_alcotest prop_random_ops_consistent;
+    QCheck_alcotest.to_alcotest prop_route_ops_match_paths;
   ]

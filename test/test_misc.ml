@@ -107,15 +107,27 @@ let test_sizing_pp_and_lifetime_errors () =
            }))
 
 let test_replay_run_all () =
-  let engine = Engine.create () in
-  let fired = ref false in
-  ignore (Engine.schedule engine ~at:(Time.of_ns 5_000) (fun _ -> fired := true));
+  (* Replay keeps the engine running [drain] past the last record: events
+     inside the window fire, the clock stops at its end, and events beyond
+     it never fire. *)
+  let machine = Ssmc.Machine.create (Ssmc.Config.solid_state ()) in
+  Ssmc.Machine.preload machine [];
+  let engine = Ssmc.Machine.engine machine in
+  let started = Time.to_ns (Engine.now engine) in
+  let at s = Time.of_ns (started + int_of_float (s *. 1e9)) in
+  let fired = ref [] in
+  List.iter
+    (fun s -> ignore (Engine.schedule engine ~at:(at s) (fun _ -> fired := s :: !fired)))
+    [ 5.0; 12.0 ];
   let records =
-    [ { Trace.Record.at = Time.of_ns 1_000; op = Trace.Record.Create { file = 1 } } ]
+    [ { Trace.Record.at = Time.of_ns 1_000_000_000; op = Trace.Record.Create { file = 1 } } ]
   in
-  Trace.Replay.run_all engine records ~f:(fun _ _ -> ()) ~drain_until:(Time.of_ns 10_000);
-  Alcotest.(check bool) "post-trace event drained" true !fired;
-  Alcotest.(check int) "clock at drain point" 10_000 (Time.to_ns (Engine.now engine))
+  let result = Ssmc.Machine.run ~drain:(Time.span_s 10.0) machine records in
+  Alcotest.(check (list (float 0.0))) "only the in-window event fired" [ 5.0 ] !fired;
+  Alcotest.(check int) "clock at the drain point" (Time.to_ns (at 11.0))
+    (Time.to_ns (Engine.now engine));
+  Alcotest.(check (float 1e-9)) "elapsed spans the drain" 11.0
+    (Time.span_to_s result.Ssmc.Machine.elapsed)
 
 let test_chart_empty_and_flat () =
   (* Degenerate inputs render without crashing. *)

@@ -22,9 +22,11 @@ let test_record_accessors () =
 
 let test_compile_roundtrip () =
   (* Lowering to struct-of-arrays and reconstructing gives back the exact
-     records, across every op shape and across the growth boundary. *)
+     records, across every op shape and across the growth boundary — whole,
+     or chunk by chunk off an ephemeral stream, which must be pulled once
+     per record plus once for its end. *)
   let many =
-    List.init 3000 (fun i ->
+    List.init 10_000 (fun i ->
         match i mod 5 with
         | 0 -> record i (Trace.Record.Create { file = i })
         | 1 -> record i (w i (i * 3) (i + 7))
@@ -32,14 +34,43 @@ let test_compile_roundtrip () =
         | 3 -> record i (Trace.Record.Truncate { file = i; size = i * 11 })
         | _ -> record i (Trace.Record.Delete { file = i }))
   in
-  let c = Trace.Replay.Compiled.compile many in
-  Alcotest.(check int) "length" (List.length many) (Trace.Replay.Compiled.length c);
-  List.iteri
-    (fun i orig ->
-      let back = Trace.Replay.Compiled.record c i in
-      if back <> orig then
-        Alcotest.failf "record %d did not round-trip: %a" i Trace.Record.pp back)
-    many
+  let records_of c =
+    List.init (Trace.Replay.Compiled.length c) (Trace.Replay.Compiled.record c)
+  in
+  let check_records label expected got =
+    List.iteri
+      (fun i (orig, back) ->
+        if back <> orig then
+          Alcotest.failf "%s: record %d did not round-trip: %a" label i Trace.Record.pp back)
+      (List.combine expected got)
+  in
+  let c = Trace.Replay.Compiled.compile (List.filteri (fun i _ -> i < 3000) many) in
+  Alcotest.(check int) "length" 3000 (Trace.Replay.Compiled.length c);
+  check_records "whole" (List.filteri (fun i _ -> i < 3000) many) (records_of c);
+  let size = Trace.Replay.Compiled.chunk_records in
+  List.iter
+    (fun n ->
+      let rest = ref (List.filteri (fun i _ -> i < n) many) in
+      let pulls = ref 0 in
+      let stream =
+        Seq.of_dispenser (fun () ->
+            incr pulls;
+            match !rest with
+            | [] -> None
+            | r :: tl ->
+              rest := tl;
+              Some r)
+      in
+      let chunks = List.of_seq (Trace.Replay.Compiled.chunks stream) in
+      let label = Printf.sprintf "%d records" n in
+      Alcotest.(check (list int)) (label ^ ": chunk lengths")
+        (List.init ((n + size - 1) / size) (fun k -> min size (n - (k * size))))
+        (List.map Trace.Replay.Compiled.length chunks);
+      Alcotest.(check int) (label ^ ": pulls") (n + 1) !pulls;
+      check_records label
+        (List.filteri (fun i _ -> i < n) many)
+        (List.concat_map records_of chunks))
+    [ 10_000; 2 * size; 0 ]
 
 (* --- Text format ------------------------------------------------------------ *)
 
@@ -270,23 +301,56 @@ let test_engineering_death_fraction_matches_baker () =
 
 (* --- Replay ---------------------------------------------------------------------- *)
 
+(* Replay is [Ssmc.Machine]'s one driver; these pin its clock rules on a
+   whole machine.  A machine starts replaying after its preload settles, so
+   record instants are relative to [started]. *)
+let preloaded_machine () =
+  let m = Ssmc.Machine.create (Ssmc.Config.solid_state ~seed:1 ()) in
+  Ssmc.Machine.preload m [ (1, 4096) ];
+  (m, Time.to_ns (Engine.now (Ssmc.Machine.engine m)))
+
+let ms n = n * 1_000_000
+
 let test_replay_advances_clock () =
-  let engine = Engine.create () in
-  let records = [ record 100 (w 1 0 512); record 300 (r 1 0 512) ] in
-  let seen = ref [] in
-  Trace.Replay.run engine records ~f:(fun e rec_ ->
-      seen := (Time.to_ns (Engine.now e), Trace.Record.file rec_) :: !seen);
-  Alcotest.(check (list (pair int int)))
-    "applied at the record instants"
-    [ (100, 1); (300, 1) ]
-    (List.rev !seen)
+  let m, started = preloaded_machine () in
+  Probe.set_timeline true;
+  Fun.protect
+    ~finally:(fun () ->
+      Probe.set_timeline false;
+      Probe.reset ())
+    (fun () ->
+      ignore (Ssmc.Machine.run m [ record (ms 100) (w 1 0 512); record (ms 300) (r 1 0 512) ]);
+      let ops =
+        List.filter_map
+          (fun e ->
+            if e.Probe.Timeline.ev_cat = "op" then
+              Some (e.Probe.Timeline.ev_name, e.Probe.Timeline.ev_ts_ns - started)
+            else None)
+          (Probe.Timeline.events ())
+      in
+      Alcotest.(check (list (pair string int)))
+        "applied at the record instants"
+        [ ("op.write", ms 100); ("op.read", ms 300) ]
+        ops)
 
 let test_replay_runs_due_events () =
-  let engine = Engine.create () in
-  let fired = ref false in
-  ignore (Engine.schedule engine ~at:(Time.of_ns 50) (fun _ -> fired := true));
-  Trace.Replay.run engine [ record 100 (w 1 0 1) ] ~f:(fun _ _ -> ());
-  Alcotest.(check bool) "event before record fired" true !fired
+  (* An engine event due before a record fires before it is applied; one
+     due after fires after. *)
+  let m, started = preloaded_machine () in
+  let seen = ref [] in
+  let observe at =
+    ignore
+      (Engine.schedule (Ssmc.Machine.engine m) ~at:(Time.of_ns (started + at)) (fun _ ->
+           let fs = Option.get (Ssmc.Machine.memfs m) in
+           seen := (at, Fs.Memfs.exists fs "/data/f2") :: !seen))
+  in
+  observe (ms 50);
+  observe (ms 150);
+  ignore (Ssmc.Machine.run m [ record (ms 100) (w 2 0 512) ]);
+  Alcotest.(check (list (pair int bool)))
+    "events interleave with the record"
+    [ (ms 50, false); (ms 150, true) ]
+    (List.rev !seen)
 
 (* --- Streaming ------------------------------------------------------------------- *)
 
