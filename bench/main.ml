@@ -35,7 +35,7 @@ let experiments =
     ("e15", "page-differential logging trade-off", E15_diff_log.run);
     ("stream", "streaming replay: peak heap vs trace length", Stream.run);
     ("queue", "event queue: heap vs timing wheel churn rates", Queue_bench.run);
-    ("storage", "storage manager: indexed structures vs scan reference", Storage_bench.run);
+    ("storage", "storage manager: decision-path and buffer host costs", Storage_bench.run);
     ("micro", "simulator micro-benchmarks", Micro.run);
     ("pool", "Domain pool: parallel speedup and sequential overhead", Pool_bench.run);
     ("probe", "Sim.Probe: disabled-path overhead vs replay cost", Probe_bench.run);

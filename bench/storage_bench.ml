@@ -1,16 +1,12 @@
-(* Storage-manager decision paths: the indexed segment-state structures
-   against the scan-per-decision reference they replaced.
+(* Storage-manager host costs: the indexed decision path, the write
+   buffer's deadline refreshes, array drains and the front cache.
 
-   Three measurements:
    - Bechamel throughput of the steady-state rewrite+clean loop at 64, 512,
-     and 4096 segments under both selectors — the scan reference grows
-     linearly with segment count, the indexed path should stay near-flat;
-   - allocation churn (GC minor words per write) under both selectors —
-     the reference's per-decision Array.to_list / List.filter round trips
-     against the list-free index walk;
-   - a scaled-down E7-style policy grid wall-clocked under both selectors,
-     with the final statistics asserted equal (the decisions are
-     byte-identical; only the time to make them differs). *)
+     and 4096 segments — the indexed decisions should keep it near-flat in
+     the segment count;
+   - allocation churn (GC minor words per write) of the same loop;
+   - deadline-refresh churn, array drain cost and front-cache hot paths
+     (see each table). *)
 
 open Bechamel
 open Toolkit
@@ -19,7 +15,7 @@ open Sim
 (* 4 banks, 8-sector segments, 512B sectors: [nsegments] scales the flash
    size, everything else stays fixed.  Write-through buffering so every
    rewrite exercises acquire (and, at steady state, cleaning). *)
-let make_manager ?(cleaner = Storage.Cleaner.Cost_benefit) ~nsegments ~selector () =
+let make_manager ~nsegments =
   let engine = Engine.create () in
   let flash =
     Device.Flash.create
@@ -30,14 +26,12 @@ let make_manager ?(cleaner = Storage.Cleaner.Cost_benefit) ~nsegments ~selector 
     {
       Storage.Manager.default_config with
       Storage.Manager.segment_sectors = 8;
-      cleaner;
       buffer =
         {
           Storage.Write_buffer.capacity_blocks = 0;
           writeback_delay = Time.span_s 1.0;
           refresh_on_rewrite = false;
         };
-      selector;
     }
   in
   (engine, Storage.Manager.create cfg ~engine ~flash ~dram)
@@ -45,8 +39,8 @@ let make_manager ?(cleaner = Storage.Cleaner.Cost_benefit) ~nsegments ~selector 
 (* A filled manager plus a deterministic rewrite stream: 85% of capacity
    live, rewrites spread over every block by an LCG so segments age into
    the mixed-utilization regime the cleaner actually faces. *)
-let rewrite_state ~nsegments ~selector =
-  let engine, manager = make_manager ~nsegments ~selector () in
+let rewrite_state ~nsegments =
+  let engine, manager = make_manager ~nsegments in
   let live = 85 * Storage.Manager.capacity_blocks manager / 100 in
   let blocks = Array.init live (fun _ -> Storage.Manager.alloc manager) in
   Array.iter (fun b -> Storage.Manager.load_cold manager b) blocks;
@@ -60,31 +54,22 @@ let rewrite_state ~nsegments ~selector =
 
 let rewrites_per_run = 64
 
-let throughput_test ~nsegments ~selector ~label =
-  let engine, manager, next = rewrite_state ~nsegments ~selector in
-  Test.make
-    ~name:(Printf.sprintf "storage: %d rewrites, %d segs, %s" rewrites_per_run
-             nsegments label)
+let test_name nsegments =
+  Printf.sprintf "storage: %d rewrites, %d segs" rewrites_per_run nsegments
+
+let throughput_test ~nsegments =
+  let engine, manager, next = rewrite_state ~nsegments in
+  Test.make ~name:(test_name nsegments)
     (Staged.stage (fun () ->
          for _ = 1 to rewrites_per_run do
            ignore (Storage.Manager.write_block manager (next ()))
          done;
          Engine.run_until engine (Time.add (Engine.now engine) (Time.span_us 500.0))))
 
-let selectors =
-  [ (Storage.Manager.Indexed, "indexed"); (Storage.Manager.Scan, "scan") ]
-
 let sizes = [ 64; 512; 4096 ]
 
 let throughput_table () =
-  let tests =
-    List.concat_map
-      (fun nsegments ->
-        List.map
-          (fun (selector, label) -> throughput_test ~nsegments ~selector ~label)
-          selectors)
-      sizes
-  in
+  let tests = List.map (fun nsegments -> throughput_test ~nsegments) sizes in
   let ols = Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |] in
   let cfg =
     Benchmark.cfg ~limit:2000 ~quota:(Bechamel.Time.second 0.25) ~stabilize:true ()
@@ -111,61 +96,35 @@ let throughput_table () =
       ~title:
         (Printf.sprintf "rewrite+clean cost vs segment count (%d rewrites per run)"
            rewrites_per_run)
-      ~columns:
-        [
-          ("segments", Table.Right);
-          ("scan ns/run", Table.Right);
-          ("indexed ns/run", Table.Right);
-          ("speedup", Table.Right);
-        ]
+      ~columns:[ ("segments", Table.Right); ("ns/run", Table.Right) ]
   in
   List.iter
     (fun nsegments ->
-      let ns label =
-        estimate_of
-          (Printf.sprintf "storage: %d rewrites, %d segs, %s" rewrites_per_run
-             nsegments label)
-      in
-      let scan = ns "scan" and indexed = ns "indexed" in
-      Common.put_metric (Printf.sprintf "storage_ns_scan_%d" nsegments) scan;
-      Common.put_metric (Printf.sprintf "storage_ns_indexed_%d" nsegments) indexed;
-      Table.add_row t
-        [
-          Table.cell_i nsegments;
-          Printf.sprintf "%.0f" scan;
-          Printf.sprintf "%.0f" indexed;
-          Printf.sprintf "%.1fx" (scan /. indexed);
-        ])
+      let ns = estimate_of (test_name nsegments) in
+      Common.put_metric (Printf.sprintf "storage_ns_indexed_%d" nsegments) ns;
+      Table.add_row t [ Table.cell_i nsegments; Printf.sprintf "%.0f" ns ])
     sizes;
   Table.print t;
   Common.note
-    "scan cost grows with the segment array; the indexed walk should stay near-flat \
-     from 512 to 4096 segments."
+    "the indexed decisions should keep the cost near-flat from 512 to 4096 segments."
 
-(* Allocation churn of the decision paths: minor-heap words per client
-   write.  The scan reference materializes candidate lists twice per
-   acquire; the index walk allocates only balanced-tree nodes on state
+(* Allocation churn of the decision path: minor-heap words per client
+   write.  The index walk allocates only balanced-tree nodes on state
    transitions. *)
 let allocation_table () =
   let writes = 4000 in
-  let words_per_write selector =
-    let _engine, manager, next = rewrite_state ~nsegments:512 ~selector in
-    let before = Gc.minor_words () in
-    for _ = 1 to writes do
-      ignore (Storage.Manager.write_block manager (next ()))
-    done;
-    (Gc.minor_words () -. before) /. float_of_int writes
-  in
+  let _engine, manager, next = rewrite_state ~nsegments:512 in
+  let before = Gc.minor_words () in
+  for _ = 1 to writes do
+    ignore (Storage.Manager.write_block manager (next ()))
+  done;
+  let words = (Gc.minor_words () -. before) /. float_of_int writes in
   let t =
     Table.create ~title:"allocation churn (512 segments, write-through rewrites)"
-      ~columns:[ ("selector", Table.Left); ("minor words / write", Table.Right) ]
+      ~columns:[ ("minor words / write", Table.Right) ]
   in
-  List.iter
-    (fun (selector, label) ->
-      let words = words_per_write selector in
-      Common.put_metric ("storage_words_per_write_" ^ label) words;
-      Table.add_row t [ label; Printf.sprintf "%.0f" words ])
-    selectors;
+  Common.put_metric "storage_words_per_write_indexed" words;
+  Table.add_row t [ Printf.sprintf "%.0f" words ];
   Table.print t
 
 (* Deadline-refresh churn: a hot working set rewritten in place, every
@@ -186,7 +145,6 @@ let refresh_churn_table () =
     {
       Storage.Manager.default_config with
       Storage.Manager.segment_sectors = 8;
-      selector = Storage.Manager.Indexed;
       buffer =
         {
           Storage.Write_buffer.capacity_blocks = 256;
@@ -248,7 +206,6 @@ let array_flush_table () =
       {
         Storage.Manager.default_config with
         Storage.Manager.segment_sectors = 8;
-        selector = Storage.Manager.Indexed;
         buffer =
           {
             Storage.Write_buffer.capacity_blocks = 1024;
@@ -319,7 +276,6 @@ let front_cache_table () =
     {
       Storage.Manager.default_config with
       Storage.Manager.segment_sectors = 8;
-      selector = Storage.Manager.Indexed;
       buffer =
         {
           Storage.Write_buffer.capacity_blocks = 1024;
@@ -357,60 +313,10 @@ let front_cache_table () =
     "each front-cache touch is one hash probe; the cycle's budget is dominated \
      by the write and miss-read themselves."
 
-(* A scaled-down E7 cleaner grid, wall-clocked under both selectors.  The
-   two runs must agree on every statistic — the selectors differ only in
-   how fast they reach the same decisions. *)
-let e7_grid selector =
-  let cells = ref [] in
-  List.iter
-    (fun cleaner ->
-      List.iter
-        (fun utilization ->
-          let engine, manager = make_manager ~cleaner ~nsegments:1024 ~selector () in
-          let capacity = Storage.Manager.capacity_blocks manager in
-          let live = int_of_float (float_of_int capacity *. utilization) in
-          let blocks = Array.init live (fun _ -> Storage.Manager.alloc manager) in
-          Array.iter (fun b -> Storage.Manager.load_cold manager b) blocks;
-          Engine.run_until engine (Time.add (Engine.now engine) (Time.span_s 60.0));
-          Storage.Manager.reset_traffic manager;
-          let rng = Rng.create ~seed:75 in
-          let zipf = Distribution.Zipf.create ~n:live ~s:1.0 in
-          for _ = 1 to if Common.quick then 40 else 120 do
-            for _ = 1 to 128 do
-              ignore
-                (Storage.Manager.write_block manager
-                   blocks.(Distribution.Zipf.sample zipf rng))
-            done;
-            Engine.run_until engine (Time.add (Engine.now engine) (Time.span_s 1.0))
-          done;
-          cells :=
-            (Storage.Manager.stats manager, Storage.Manager.wear_evenness manager)
-            :: !cells)
-        [ 0.75; 0.90 ])
-    [ Storage.Cleaner.Greedy; Storage.Cleaner.Cost_benefit ];
-  List.rev !cells
-
-let e7_comparison () =
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let v = f () in
-    (v, Unix.gettimeofday () -. t0)
-  in
-  let scan_cells, scan_s = time (fun () -> e7_grid Storage.Manager.Scan) in
-  let indexed_cells, indexed_s = time (fun () -> e7_grid Storage.Manager.Indexed) in
-  if scan_cells <> indexed_cells then
-    failwith "storage bench: selectors disagreed on the E7 grid results";
-  Common.put_metric "storage_e7_wall_scan_s" scan_s;
-  Common.put_metric "storage_e7_wall_indexed_s" indexed_s;
-  Common.note
-    "E7-style grid (1024 segments): scan %.2fs, indexed %.2fs (%.1fx); results identical."
-    scan_s indexed_s (scan_s /. indexed_s)
-
 let run () =
-  Common.section "storage manager: indexed decision structures vs scan reference";
+  Common.section "storage manager: decision path, write buffer and array host costs";
   throughput_table ();
   allocation_table ();
   refresh_churn_table ();
   array_flush_table ();
-  front_cache_table ();
-  e7_comparison ()
+  front_cache_table ()

@@ -48,27 +48,16 @@ let make_probes ?card ~nbanks () =
     p_bank_erases = Array.init nbanks (fun b -> Probe.counter (lb b "erases"));
   }
 
-type selector = Indexed | Scan | Checked
-
-let selector_name = function
-  | Indexed -> "indexed"
-  | Scan -> "scan"
-  | Checked -> "checked"
-
 type config = {
   segment_sectors : int;
   buffer : Write_buffer.config;
   cleaner : Cleaner.policy;
   wear : Wear.policy;
   banking : Banks.policy;
-  low_water : int;
-  high_water : int;
   hot_threshold : float option;
-  heat_half_life : Time.span;
   max_flush_batch : int;
   flush_spacing : Time.span;
   flush_watermark : float option;
-  selector : selector;
   diff_log : Diff_log.config option;
 }
 
@@ -79,16 +68,20 @@ let default_config =
     cleaner = Cleaner.Cost_benefit;
     wear = Wear.Dynamic;
     banking = Banks.Unified;
-    low_water = 2;
-    high_water = 4;
     hot_threshold = None;
-    heat_half_life = Time.span_s 60.0;
     max_flush_batch = 16;
     flush_spacing = Time.span_ms 100.0;
     flush_watermark = None;
-    selector = Indexed;
     diff_log = None;
   }
+
+(* Demand cleaning runs while fewer than [low_water] segments are free.
+   [min_segments] keeps a flash big enough to clean at that mark with
+   headroom to spare.  [heat_half_life] is the decay of the write counts
+   the hot-block migration reads. *)
+let low_water = 2
+let min_segments = 5
+let heat_half_life = Time.span_s 60.0
 
 type block = int
 
@@ -159,10 +152,9 @@ type t = {
   mutable next_version : int;
   (* Incrementally maintained segment-state indexes and counters.  The
      indexes answer every allocation/cleaning decision in O(log n); the
-     counters replace the O(#segments) rescans in stats and the
-     maybe_clean loop condition.  Maintained in every selector mode (the
-     Scan reference consults the arrays instead, which is what the
-     differential tests compare against). *)
+     counters replace O(#segments) rescans in stats and the maybe_clean
+     loop condition.  The differential tests hold both against full scans
+     of [segments]. *)
   idx : Seg_index.t;
   wear_acc : Wear.acc;
   in_closed_idx : bool array;
@@ -182,6 +174,7 @@ let block_bytes t = Device.Flash.sector_bytes t.flash
 let nsegments t = Array.length t.segments
 let bank_of_segment t i = i / t.segs_per_bank
 let flash t = t.flash
+let segments t = t.segments
 let dram t = t.dram
 let engine t = t.engine
 let card t = t.card
@@ -270,17 +263,6 @@ let note_kill t seg =
       ~old_live:(live + 1) ~new_live:live ~lt_ns:(lt_ns seg)
   end
 
-(* Append a live block to an Open segment: the one place segments fill,
-   touch, and transition to Closed (where they become victim candidates). *)
-let log_append_exn t seg ~block ~touch_at =
-  match Segment.append seg ~block with
-  | None -> assert false (* callers hold an Open (non-full) segment *)
-  | Some slot ->
-    t.n_live_blocks <- t.n_live_blocks + 1;
-    Segment.touch seg ~at:touch_at;
-    if Segment.state seg = Segment.Closed then closed_index_add t seg;
-    slot
-
 (* Rebuild every index, counter, and the wear accumulator from the segment
    array (manager creation and crash recovery, where the rebuild loop
    manipulates segments directly). *)
@@ -306,8 +288,6 @@ let create ?card cfg ~engine ~flash ~dram =
   if cfg.segment_sectors <= 0 then invalid_arg "Manager.create: segment_sectors <= 0";
   if cfg.segment_sectors > Device.Flash.sectors_per_bank flash then
     invalid_arg "Manager.create: segment does not fit in a bank";
-  if cfg.low_water < 1 || cfg.high_water < cfg.low_water then
-    invalid_arg "Manager.create: watermarks must satisfy 1 <= low <= high";
   (match Banks.validate cfg.banking ~nbanks:(Device.Flash.nbanks flash) with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Manager.create: " ^ msg));
@@ -319,7 +299,7 @@ let create ?card cfg ~engine ~flash ~dram =
   let segs_per_bank = Device.Flash.sectors_per_bank flash / cfg.segment_sectors in
   if segs_per_bank < 1 then invalid_arg "Manager.create: bank smaller than a segment";
   let nsegments = nbanks * segs_per_bank in
-  if nsegments < cfg.high_water + 1 then
+  if nsegments < min_segments then
     invalid_arg "Manager.create: flash too small for the cleaning watermarks";
   let segments =
     Array.init nsegments (fun i ->
@@ -344,7 +324,7 @@ let create ?card cfg ~engine ~flash ~dram =
       retired = Array.make nsegments false;
       segs_per_bank;
       buffer = Write_buffer.create cfg.buffer;
-      heat = Heat.create ~half_life:cfg.heat_half_life ();
+      heat = Heat.create ~half_life:heat_half_life ();
       meta = Array.make (nsegments * cfg.segment_sectors) no_meta;
       next_block = 0;
       open_fresh = None;
@@ -376,71 +356,19 @@ let create ?card cfg ~engine ~flash ~dram =
   rebuild_indexes t;
   t
 
-(* --- Reference scans (the pre-index implementation, kept verbatim) --------
+let free_segment_count t = Seg_index.free_count t.idx
+let capacity_blocks t = (nsegments t - t.n_retired) * t.cfg.segment_sectors
 
-   These remain the executable specification: the Scan selector routes
-   every decision and statistic through them, and the Checked selector
-   runs both paths and fails loudly on any divergence.  The differential
-   tests in test/test_manager_diff.ml hold the two implementations
-   byte-identical. *)
-
-let free_segment_count_scan t =
-  let n = ref 0 in
-  Array.iteri
-    (fun i seg ->
-      if (not t.retired.(i)) && Segment.state seg = Segment.Free then incr n)
-    t.segments;
-  !n
-
-let live_block_count_scan t =
-  Array.fold_left (fun acc seg -> acc + Segment.live_count seg) 0 t.segments
-
-let capacity_blocks_scan t =
-  let usable = ref 0 in
-  Array.iteri
-    (fun i seg -> if not t.retired.(i) then usable := !usable + Segment.nslots seg)
-    t.segments;
-  !usable
-
-let free_segment_count t =
-  match t.cfg.selector with
-  | Scan -> free_segment_count_scan t
-  | Indexed -> Seg_index.free_count t.idx
-  | Checked ->
-    let n = Seg_index.free_count t.idx in
-    let scan = free_segment_count_scan t in
-    if n <> scan then
-      Fmt.failwith "Manager: free-segment counter %d but scan says %d" n scan;
-    n
-
-let live_block_count t =
-  match t.cfg.selector with
-  | Scan -> live_block_count_scan t
-  | Indexed -> t.n_live_blocks
-  | Checked ->
-    let n = t.n_live_blocks in
-    let scan = live_block_count_scan t in
-    if n <> scan then
-      Fmt.failwith "Manager: live-block counter %d but scan says %d" n scan;
-    n
-
-let capacity_blocks t =
-  match t.cfg.selector with
-  | Scan -> capacity_blocks_scan t
-  | Indexed -> (nsegments t - t.n_retired) * t.cfg.segment_sectors
-  | Checked ->
-    let n = (nsegments t - t.n_retired) * t.cfg.segment_sectors in
-    let scan = capacity_blocks_scan t in
-    if n <> scan then Fmt.failwith "Manager: capacity counter %d but scan says %d" n scan;
-    n
+let kill_slot t ~seg ~slot =
+  let s = t.segments.(seg) in
+  Segment.kill s ~slot;
+  note_kill t s
 
 (* Kill a block's flash copy (data superseded or freed). *)
 let kill_flash_copy t m =
   match m.loc with
   | Flashed { seg; slot } ->
-    let s = t.segments.(seg) in
-    Segment.kill s ~slot;
-    note_kill t s;
+    kill_slot t ~seg ~slot;
     m.loc <- Blank
   | Blank | Buffered -> ()
 
@@ -483,50 +411,21 @@ let record_delta_header t ~sector ~block ~pos ~prev_sector =
 
 (* --- Free-segment picks --------------------------------------------------- *)
 
-(* The reference: materialize the eligible set, restrict it to the
-   least-busy bank, hand it to Wear.pick_free. *)
-let pick_scan t ~purpose ~for_cold ~restrict =
-  let nbanks = Device.Flash.nbanks t.flash in
-  let eligible seg =
-    let i = Segment.id seg in
-    Segment.state seg = Segment.Free
-    && (not t.retired.(i))
-    && ((not restrict)
-       || Banks.allowed t.cfg.banking ~nbanks purpose ~bank:(bank_of_segment t i))
-  in
-  let candidates = Array.of_list (List.filter eligible (Array.to_list t.segments)) in
-  if Array.length candidates = 0 then None
-  else begin
-    (* Prefer the least-busy bank so queued writeback spreads across the
-       banks it is allowed to use; wear policy picks within that bank. *)
-    let bank_busy seg =
-      Device.Flash.bank_busy_until t.flash ~bank:(bank_of_segment t (Segment.id seg))
-    in
-    let best_busy =
-      Array.fold_left (fun acc seg -> Time.min acc (bank_busy seg))
-        (bank_busy candidates.(0)) candidates
-    in
-    let in_best =
-      Array.of_list
-        (List.filter
-           (fun seg -> Time.equal (bank_busy seg) best_busy)
-           (Array.to_list candidates))
-    in
-    Wear.pick_free ~for_cold t.cfg.wear ~erase_count:(erase_count_of_segment t) in_best
-  end
-
 (* The index walk: per allowed bank, one O(log n) min/max lookup; across
    banks, prefer the least-busy bank, then the wear policy's key, then the
-   lowest id — exactly the reference's tie-breaking (ids ascend with
-   banks, and each bank entry already carries its lowest tied id).  No
-   closures, no intermediate lists. *)
-let pick_indexed t ~purpose ~for_cold ~restrict =
+   lowest id — the tie-breaking of {!Wear.pick_free} over the least-busy
+   bank's free segments (ids ascend with banks, and each bank entry
+   already carries its lowest tied id).  No closures, no intermediate
+   lists. *)
+let pick_free t ~purpose ~restrict =
   let nbanks = Device.Flash.nbanks t.flash in
-  (* Under Static wear leveling, cold data parks on the most-worn free
-     segment; everything else takes the least-worn (or first-fit, where
-     keys are constant 0). *)
+  (* Under Static wear leveling, cold data (cleaner output and cold
+     loads) parks on the most-worn free segment; everything else takes the
+     least-worn (or first-fit, where keys are constant 0). *)
   let want_most_worn =
-    match t.cfg.wear with Wear.Static _ -> for_cold | Wear.None_ | Wear.Dynamic -> false
+    match (t.cfg.wear, purpose) with
+    | Wear.Static _, (Banks.Clean_out | Banks.Cold_load) -> true
+    | _ -> false
   in
   let best_id = ref (-1) in
   let best_key = ref 0 in
@@ -560,24 +459,6 @@ let pick_indexed t ~purpose ~for_cold ~restrict =
   done;
   if !best_id < 0 then None else Some t.segments.(!best_id)
 
-let pick_for t ~purpose ~for_cold ~restrict =
-  match t.cfg.selector with
-  | Indexed -> pick_indexed t ~purpose ~for_cold ~restrict
-  | Scan -> pick_scan t ~purpose ~for_cold ~restrict
-  | Checked ->
-    let i = pick_indexed t ~purpose ~for_cold ~restrict in
-    let s = pick_scan t ~purpose ~for_cold ~restrict in
-    (match (i, s) with
-    | None, None -> ()
-    | Some a, Some b when Segment.id a = Segment.id b -> ()
-    | _ ->
-      Fmt.failwith "Manager: pick divergence (indexed %a, scan %a)"
-        Fmt.(option ~none:(any "none") int)
-        (Option.map Segment.id i)
-        Fmt.(option ~none:(any "none") int)
-        (Option.map Segment.id s));
-    i
-
 (* --- Victim selection ----------------------------------------------------- *)
 
 let bank_allowed_for t ~purpose ~bank =
@@ -585,24 +466,9 @@ let bank_allowed_for t ~purpose ~bank =
   | None -> true
   | Some p -> Banks.allowed t.cfg.banking ~nbanks:(Device.Flash.nbanks t.flash) p ~bank
 
-(* The reference: Wear.relocation_victim then Cleaner.select, both full
-   folds over the segment array. *)
-let select_victim_scan t ~now ~purpose =
-  (* Only Closed segments are ever selected (both selectors filter on
-     state), so retirement (and the caller's bank constraint) are the
-     only extra eligibility conditions. *)
-  let eligible seg =
-    let i = Segment.id seg in
-    (not t.retired.(i)) && bank_allowed_for t ~purpose ~bank:(bank_of_segment t i)
-  in
-  match
-    Wear.relocation_victim t.cfg.wear ~erase_count:(erase_count_of_segment t) ~eligible
-      t.segments
-  with
-  | Some v -> Some v
-  | None -> Cleaner.select t.cfg.cleaner ~now ~eligible t.segments
-
-let select_victim_indexed t ~now ~purpose =
+(* {!Wear.relocation_victim}, then {!Cleaner.select}, answered from the
+   per-bank indexes. *)
+let select_victim t ~now ~purpose =
   let nbanks = Device.Flash.nbanks t.flash in
   let relocation =
     match t.cfg.wear with
@@ -678,25 +544,33 @@ let select_victim_indexed t ~now ~purpose =
       done;
       if !best_id < 0 then None else Some t.segments.(!best_id))
 
-let select_victim t ~now ~purpose =
-  match t.cfg.selector with
-  | Indexed -> select_victim_indexed t ~now ~purpose
-  | Scan -> select_victim_scan t ~now ~purpose
-  | Checked ->
-    let i = select_victim_indexed t ~now ~purpose in
-    let s = select_victim_scan t ~now ~purpose in
-    (match (i, s) with
-    | None, None -> ()
-    | Some a, Some b when Segment.id a = Segment.id b -> ()
-    | _ ->
-      Fmt.failwith "Manager: victim divergence (indexed %a, scan %a)"
-        Fmt.(option ~none:(any "none") int)
-        (Option.map Segment.id i)
-        Fmt.(option ~none:(any "none") int)
-        (Option.map Segment.id s));
-    i
+let next_free_segment t ~purpose ~restrict =
+  Option.map Segment.id (pick_free t ~purpose ~restrict)
+
+let next_victim t ~purpose =
+  Option.map Segment.id (select_victim t ~now:(Engine.now t.engine) ~purpose)
 
 (* --- Log appends, segment acquisition, cleaning -------------------------- *)
+
+(* Append [block] to the open segment [seg] and program its sector with
+   [bytes] on the cursor: the one place the log grows, and so the one
+   place segments fill, get touched, and turn Closed (where they become
+   victim candidates).  Returns the slot. *)
+let program_append t seg ~cursor ~block ~bytes =
+  match Segment.append seg ~block with
+  | None -> assert false (* callers hold an Open (non-full) segment *)
+  | Some slot ->
+    t.n_live_blocks <- t.n_live_blocks + 1;
+    Segment.touch seg ~at:(Engine.now t.engine);
+    if Segment.state seg = Segment.Closed then closed_index_add t seg;
+    let prog =
+      or_device_failure
+        (Device.Flash.program t.flash ~now:!cursor
+           ~sector:(Segment.sector_of_slot seg slot) ~bytes)
+    in
+    cursor := prog.Device.Flash.finish;
+    Probe.incr t.probes.p_bank_programs.(bank_of_segment t (Segment.id seg));
+    slot
 
 let rec ensure_open t ~purpose ~cursor =
   let slot_ref, set =
@@ -714,25 +588,20 @@ let rec ensure_open t ~purpose ~cursor =
 
 and acquire t ~purpose ~cursor =
   if not t.cleaning then maybe_clean t ~cursor;
-  let for_cold =
-    match purpose with
-    | Banks.Clean_out | Banks.Cold_load -> true
-    | Banks.Fresh_write -> false
-  in
   let choice =
-    match pick_for t ~purpose ~for_cold ~restrict:true with
+    match pick_free t ~purpose ~restrict:true with
     | Some s -> Some s
     | None ->
       (* No free segment in the banks this purpose may use: try to recycle
          one there before polluting the other banks' partition. *)
       if (not t.cleaning) && clean_one t ~cursor ~purpose:(Some purpose) then
-        pick_for t ~purpose ~for_cold ~restrict:true
+        pick_free t ~purpose ~restrict:true
       else None
   in
   let choice =
     match choice with
     | Some s -> Some s
-    | None -> pick_for t ~purpose ~for_cold ~restrict:false
+    | None -> pick_free t ~purpose ~restrict:false
   in
   match choice with
   | Some seg ->
@@ -749,7 +618,7 @@ and acquire t ~purpose ~cursor =
       (* One forced cleaning pass, then give up. *)
       if not (clean_one t ~cursor ~purpose:None) then begin
         Log.err (fun m ->
-            m "out of space: %d live blocks, %d free segments" (live_block_count t)
+            m "out of space: %d live blocks, %d free segments" t.n_live_blocks
               (free_segment_count t));
         raise Out_of_space
       end;
@@ -757,11 +626,7 @@ and acquire t ~purpose ~cursor =
     end
 
 and maybe_clean t ~cursor =
-  while
-    free_segment_count t < t.cfg.low_water
-    && free_segment_count t < t.cfg.high_water
-    && clean_one t ~cursor ~purpose:None
-  do
+  while free_segment_count t < low_water && clean_one t ~cursor ~purpose:None do
     ()
   done
 
@@ -822,14 +687,8 @@ and clean_one t ~cursor ~purpose =
           in
           cursor := read_op.Device.Flash.finish;
           let out = ensure_open t ~purpose:Banks.Clean_out ~cursor in
-          let out_slot = log_append_exn t out ~block:b ~touch_at:now in
+          let out_slot = program_append t out ~cursor ~block:b ~bytes:nbytes in
           let out_sector = Segment.sector_of_slot out out_slot in
-          let prog =
-            or_device_failure
-              (Device.Flash.program t.flash ~now:!cursor ~sector:out_sector ~bytes:nbytes)
-          in
-          cursor := prog.Device.Flash.finish;
-          Probe.incr t.probes.p_bank_programs.(bank_of_segment t (Segment.id out));
           (match role with
           | `Whole ->
             let m = find_meta t b in
@@ -901,16 +760,9 @@ and clean_one t ~cursor ~purpose =
 (* Program one client/cold block at the head of the log, whole. *)
 let append_full t ~purpose ~cursor b =
   let seg = ensure_open t ~purpose ~cursor in
-  let slot = log_append_exn t seg ~block:b ~touch_at:(Engine.now t.engine) in
-  let sector = Segment.sector_of_slot seg slot in
-  let prog =
-    or_device_failure
-      (Device.Flash.program t.flash ~now:!cursor ~sector ~bytes:(block_bytes t))
-  in
-  cursor := prog.Device.Flash.finish;
-  Probe.incr t.probes.p_bank_programs.(bank_of_segment t (Segment.id seg));
+  let slot = program_append t seg ~cursor ~block:b ~bytes:(block_bytes t) in
   let m = find_meta t b in
-  record_header t m ~sector ~block:b;
+  record_header t m ~sector:(Segment.sector_of_slot seg slot) ~block:b;
   m.loc <- Flashed { seg = Segment.id seg; slot }
 
 (* Program an overwrite as a delta record against the chain's base page:
@@ -920,18 +772,28 @@ let append_full t ~purpose ~cursor b =
 let append_delta t d ~cursor b ~bseg ~bslot =
   let nbytes = (Diff_log.config d).Diff_log.delta_bytes in
   let seg = ensure_open t ~purpose:Banks.Fresh_write ~cursor in
-  let slot = log_append_exn t seg ~block:b ~touch_at:(Engine.now t.engine) in
+  let slot = program_append t seg ~cursor ~block:b ~bytes:nbytes in
   let sector = Segment.sector_of_slot seg slot in
-  let prog =
-    or_device_failure (Device.Flash.program t.flash ~now:!cursor ~sector ~bytes:nbytes)
-  in
-  cursor := prog.Device.Flash.finish;
-  Probe.incr t.probes.p_bank_programs.(bank_of_segment t (Segment.id seg));
   let pos = Diff_log.next_pos d ~block:b in
   record_delta_header t ~sector ~block:b ~pos ~prev_sector:None;
   Diff_log.push_delta d ~block:b ~pos ~seg:(Segment.id seg) ~slot ~sector ~bytes:nbytes;
   Diff_log.note_delta_programmed d ~bytes:nbytes;
   (find_meta t b).loc <- Flashed { seg = bseg; slot = bslot }
+
+(* Retire a block's chain: kill the base page's slot and every delta
+   record's slot, obsolete the delta headers, and forget the chain.  The
+   base header is the block's own ([m.hdr_sector]); the caller supersedes
+   it (merge) or obsoletes it (free). *)
+let drop_chain t d ~block =
+  (match Diff_log.base d ~block with
+  | Some (seg, slot) -> kill_slot t ~seg ~slot
+  | None -> assert false);
+  List.iter
+    (fun (dl : Diff_log.delta) ->
+      kill_slot t ~seg:dl.Diff_log.d_seg ~slot:dl.Diff_log.d_slot;
+      obsolete_header t ~block ~hdr_sector:dl.Diff_log.d_sector)
+    (Diff_log.deltas d ~block);
+  Diff_log.drop d ~block
 
 (* Fold a chain back into a single full base page: read base + deltas
    (the reassembly cost), retire every chain slot and delta header, then
@@ -939,7 +801,6 @@ let append_delta t d ~cursor b ~bseg ~bslot =
    cursor right after the delta that tripped the threshold, so merges
    ride the writeback timer's pacing like any other flush work. *)
 let merge_chain t d ~cursor b =
-  let m = find_meta t b in
   let bseg, bslot =
     match Diff_log.base d ~block:b with Some p -> p | None -> assert false
   in
@@ -951,33 +812,14 @@ let merge_chain t d ~cursor b =
     cursor := op.Device.Flash.finish
   in
   read (Segment.sector_of_slot t.segments.(bseg) bslot) full;
-  let ds = Diff_log.deltas d ~block:b in
-  List.iter (fun (dl : Diff_log.delta) -> read dl.Diff_log.d_sector dl.Diff_log.d_bytes) ds;
+  List.iter
+    (fun (dl : Diff_log.delta) -> read dl.Diff_log.d_sector dl.Diff_log.d_bytes)
+    (Diff_log.deltas d ~block:b);
   (* Retire the chain before acquiring the output segment, so a cleaning
      pass the allocation may trigger never copies slots we are folding. *)
-  let kill seg slot =
-    let s = t.segments.(seg) in
-    Segment.kill s ~slot;
-    note_kill t s
-  in
-  kill bseg bslot;
-  List.iter
-    (fun (dl : Diff_log.delta) ->
-      kill dl.Diff_log.d_seg dl.Diff_log.d_slot;
-      obsolete_header t ~block:b ~hdr_sector:dl.Diff_log.d_sector)
-    ds;
-  Diff_log.drop d ~block:b;
+  drop_chain t d ~block:b;
   Diff_log.note_merge d;
-  let seg = ensure_open t ~purpose:Banks.Fresh_write ~cursor in
-  let slot = log_append_exn t seg ~block:b ~touch_at:(Engine.now t.engine) in
-  let sector = Segment.sector_of_slot seg slot in
-  let prog =
-    or_device_failure (Device.Flash.program t.flash ~now:!cursor ~sector ~bytes:full)
-  in
-  cursor := prog.Device.Flash.finish;
-  Probe.incr t.probes.p_bank_programs.(bank_of_segment t (Segment.id seg));
-  record_header t m ~sector ~block:b;
-  m.loc <- Flashed { seg = Segment.id seg; slot }
+  append_full t ~purpose:Banks.Fresh_write ~cursor b
 
 (* The flush dispatch: a chained block's flush becomes a delta append
    (merging once over the threshold); everything else — first flushes,
@@ -991,6 +833,15 @@ let append_block t ~purpose ~cursor b =
     append_delta t d ~cursor b ~bseg ~bslot;
     if Diff_log.should_merge d ~block:b then merge_chain t d ~cursor b
   | Some _ | None -> append_full t ~purpose ~cursor b
+
+(* Flush one client block to the log and count it.  A buffered block is
+   read out of DRAM first; write-through programs straight from the
+   client's write. *)
+let flush_block t ~cursor ~buffered b =
+  if buffered then ignore (Device.Dram.read t.dram ~bytes:(block_bytes t));
+  append_block t ~purpose:Banks.Fresh_write ~cursor b;
+  t.c_flushed <- t.c_flushed + 1;
+  Probe.incr t.probes.p_flushed
 
 (* --- Writeback timer ------------------------------------------------------ *)
 
@@ -1054,13 +905,7 @@ and timer_fired t =
         t.c_hot_retained <- t.c_hot_retained + 1;
         Probe.incr t.probes.p_hot_retained
       end
-      else begin
-        (* Reading the buffered copy out of DRAM. *)
-        ignore (Device.Dram.read t.dram ~bytes:(block_bytes t));
-        append_block t ~purpose:Banks.Fresh_write ~cursor b;
-        t.c_flushed <- t.c_flushed + 1;
-        Probe.incr t.probes.p_flushed
-      end)
+      else flush_block t ~cursor ~buffered:true b)
     expired;
   if expired <> [] then note_busy t ~start:now ~finish:!cursor;
   if expired <> [] && Probe.timeline_enabled () then
@@ -1116,12 +961,7 @@ let detach t =
 
 (* Flush one specific dirty block synchronously (eviction path). *)
 let flush_now t ~cursor b =
-  if Write_buffer.take t.buffer ~block:b then begin
-    ignore (Device.Dram.read t.dram ~bytes:(block_bytes t));
-    append_block t ~purpose:Banks.Fresh_write ~cursor b;
-    t.c_flushed <- t.c_flushed + 1;
-    Probe.incr t.probes.p_flushed
-  end
+  if Write_buffer.take t.buffer ~block:b then flush_block t ~cursor ~buffered:true b
 
 let write_block_at t ~at b =
   let m = find_meta t b in
@@ -1143,9 +983,7 @@ let write_block_at t ~at b =
   cursor := Time.add !cursor dram_latency;
   if Write_buffer.capacity t.buffer = 0 then begin
     (* Write-through: straight to flash; the client eats the program time. *)
-    append_block t ~purpose:Banks.Fresh_write ~cursor b;
-    t.c_flushed <- t.c_flushed + 1;
-    Probe.incr t.probes.p_flushed
+    flush_block t ~cursor ~buffered:false b
   end
   else begin
     let rec admit () =
@@ -1225,22 +1063,9 @@ let free_block t b =
   | Some d when Diff_log.has_chain d ~block:b ->
     (* The whole chain dies with the block: base page (live even while
        the block sat dirty) and every delta record and header. *)
-    let kill seg slot =
-      let s = t.segments.(seg) in
-      Segment.kill s ~slot;
-      note_kill t s
-    in
-    (match Diff_log.base d ~block:b with
-    | Some (bseg, bslot) -> kill bseg bslot
-    | None -> assert false);
-    List.iter
-      (fun (dl : Diff_log.delta) ->
-        kill dl.Diff_log.d_seg dl.Diff_log.d_slot;
-        obsolete_header t ~block:b ~hdr_sector:dl.Diff_log.d_sector)
-      (Diff_log.deltas d ~block:b);
-    Diff_log.drop d ~block:b;
+    drop_chain t d ~block:b;
     m.loc <- Blank
-  | Some _ | None -> ( match m.loc with Flashed _ -> kill_flash_copy t m | _ -> ()));
+  | Some _ | None -> kill_flash_copy t m);
   (* Deletion is durable: whatever header the block still has on flash —
      even a rollback copy left live while the block sat dirty — is
      obsoleted in place, so a crash cannot resurrect freed data. *)
@@ -1261,13 +1086,7 @@ let load_cold t b =
 let flush_all t =
   let now = Engine.now t.engine in
   let cursor = ref now in
-  List.iter
-    (fun b ->
-      ignore (Device.Dram.read t.dram ~bytes:(block_bytes t));
-      append_block t ~purpose:Banks.Fresh_write ~cursor b;
-      t.c_flushed <- t.c_flushed + 1;
-      Probe.incr t.probes.p_flushed)
-    (Write_buffer.drain t.buffer);
+  List.iter (flush_block t ~cursor ~buffered:true) (Write_buffer.drain t.buffer);
   if not (Time.equal !cursor now) then note_busy t ~start:now ~finish:!cursor;
   Time.diff !cursor now
 
@@ -1291,18 +1110,13 @@ type stats = {
   write_amplification : float;
 }
 
-let retired_count t =
-  match t.cfg.selector with
-  | Scan -> Array.fold_left (fun acc r -> if r then acc + 1 else acc) 0 t.retired
-  | Indexed | Checked -> t.n_retired
-
-(* [live_block_count] counts live log slots — with chains, a block holds
+(* [n_live_blocks] counts live log slots — with chains, a block holds
    several (base + deltas), and a dirty chained block's base is live with
    the block counted under [dirty_blocks].  Correct both out so
    [stats.live_blocks] keeps meaning "blocks whose current data is a
    flash copy", which fs-level accounting sums against the namespace. *)
 let resident_blocks t =
-  let phys = live_block_count t in
+  let phys = t.n_live_blocks in
   match t.diff with
   | None -> phys
   | Some d ->
@@ -1326,7 +1140,7 @@ let stats t =
     cleanings = t.c_cleanings;
     dirty_blocks = Write_buffer.size t.buffer;
     free_segments = free_segment_count t;
-    retired_segments = retired_count t;
+    retired_segments = t.n_retired;
     live_blocks = resident_blocks t;
     write_reduction =
       (if t.c_writes = 0 then 0.0
@@ -1346,16 +1160,7 @@ let pp_stats ppf s =
     (100.0 *. s.write_reduction)
     s.write_amplification s.dirty_blocks s.free_segments s.live_blocks
 
-let wear_evenness t =
-  match t.cfg.selector with
-  | Scan -> Wear.evenness ~erase_count:(erase_count_of_segment t) t.segments
-  | Indexed -> Wear.evenness_of_acc t.wear_acc
-  | Checked ->
-    let inc = Wear.evenness_of_acc t.wear_acc in
-    let scan = Wear.evenness ~erase_count:(erase_count_of_segment t) t.segments in
-    if inc <> scan then
-      Fmt.failwith "Manager: wear accumulator diverged from the scan";
-    inc
+let wear_evenness t = Wear.evenness_of_acc t.wear_acc
 
 (* A chained block keeps a durable base page on flash even while its
    newest data sits dirty in DRAM, so placement introspection reports the

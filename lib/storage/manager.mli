@@ -26,30 +26,16 @@
 exception Out_of_space
 (** Raised when live data exceeds what flash can hold even after cleaning. *)
 
-(** How allocation and cleaning decisions are answered.
-
-    [Indexed] (the default) consults incrementally maintained per-bank
-    indexes — O(log n) per decision, O(1) counters for statistics.
-    [Scan] is the original implementation, a full scan over the segment
-    array per decision; it is kept as the executable reference.  [Checked]
-    runs both and raises [Failure] on any divergence (used by the
-    differential tests; the two are byte-identical by construction). *)
-type selector = Indexed | Scan | Checked
-
-val selector_name : selector -> string
-
 type config = {
   segment_sectors : int;  (** Sectors (= blocks) per log segment. *)
   buffer : Write_buffer.config;
   cleaner : Cleaner.policy;
   wear : Wear.policy;
   banking : Banks.policy;
-  low_water : int;  (** Demand-clean when free segments drop below this. *)
-  high_water : int;  (** ... and clean until at least this many are free. *)
   hot_threshold : float option;
-      (** Decayed-write-count above which a block is retained in DRAM at
-          its flush deadline; [None] disables migration. *)
-  heat_half_life : Sim.Time.span;
+      (** Decayed-write-count (60 s half-life) above which a block is
+          retained in DRAM at its flush deadline; [None] disables
+          migration. *)
   max_flush_batch : int;
       (** Background flushes program at most this many blocks per timer
           firing, so foreground reads are never stuck behind an unbounded
@@ -61,7 +47,6 @@ type config = {
           of waiting for their writeback deadline.  Trades absorption for
           headroom (fewer synchronous evictions on bursts).  [None]
           disables it (pure writeback-delay policy). *)
-  selector : selector;
   diff_log : Diff_log.config option;
       (** Page-differential logging: a flushed overwrite programs a small
           delta record against the block's durable base page instead of a
@@ -75,7 +60,13 @@ type config = {
 val default_config : config
 (** 32-sector segments, the {!Write_buffer.default_config} buffer,
     cost-benefit cleaning, dynamic wear leveling, unified banks,
-    watermarks 2/4, migration off. *)
+    migration off.
+
+    Allocation and cleaning decisions are answered from incrementally
+    maintained per-bank indexes (O(log n) each, O(1) counters for
+    statistics).  Whenever fewer than two segments are free, an
+    allocation first cleans until two are free again or no victim is
+    left. *)
 
 type t
 
@@ -90,8 +81,9 @@ val create :
     instead of the historical ["storage.manager.*"]) and timeline span
     args, never behavior.
     @raise Invalid_argument if the configuration is inconsistent with the
-    flash geometry (segments must fit within a bank; partitioning must be
-    valid; watermarks must satisfy [1 <= low_water <= high_water]). *)
+    flash geometry: segments must fit within a bank, partitioning must be
+    valid, delta records must fit in a sector, and the flash must hold at
+    least five segments so the cleaner has room to work. *)
 
 val card : t -> int option
 
@@ -215,6 +207,25 @@ val delta_chain_length : t -> block -> int
     without a chain or with diff logging off). *)
 
 val flash : t -> Device.Flash.t
+
+val segments : t -> Segment.t array
+(** The segment array, indexed by segment id.  Read-only by contract:
+    the manager's indexes track every state change it makes, and a
+    caller's mutation would silently desynchronize them.  Segment [i]
+    lives in bank [i / (nsegments / nbanks)]. *)
+
+val next_free_segment : t -> purpose:Banks.purpose -> restrict:bool -> int option
+(** The free segment an acquisition for [purpose] would open in the
+    current state: least-busy bank first, then the wear policy's pick,
+    then the lowest id.  [restrict] limits the search to the banks
+    [purpose] may use.  Observes only (an acquisition first cleans if
+    fewer than two segments are free). *)
+
+val next_victim : t -> purpose:Banks.purpose option -> int option
+(** The segment a cleaning pass would take now: a static wear-leveling
+    relocation if one is due, else the cleaner policy's choice; [Some p]
+    limits it to the banks [p] may use.  Observes only. *)
+
 val dram : t -> Device.Dram.t
 val engine : t -> Sim.Engine.t
 val nsegments : t -> int

@@ -19,8 +19,9 @@
 
     Buckets are [Map]/[Set] based, so every entry point is O(log n) and
     min/max queries return the {e lowest segment id} within the extreme
-    bucket — matching the first-in-id-order tie-breaking of the reference
-    scans, which the differential tests pin down.
+    bucket — matching the first-in-id-order tie-breaking of the scans.
+    The scans live in [test/scan_oracle.ml], the oracle the differential
+    tests check the manager's decisions against after every operation.
 
     This module is pure bookkeeping over [(bank, id, key)] integers; it
     never touches devices or segments.  {!Manager} owns the hook points

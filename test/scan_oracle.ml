@@ -1,0 +1,147 @@
+(* The storage manager's decisions, recomputed by full scans.
+
+   The manager answers every allocation and cleaning decision from
+   per-bank indexes and keeps O(1) counters for its statistics.  This
+   module is the reference those must match: the scan-per-decision
+   implementation the indexes replaced, rebuilt on the public policy
+   functions ({!Storage.Wear.pick_free}, {!Storage.Wear.relocation_victim},
+   {!Storage.Cleaner.select}, {!Storage.Wear.evenness}) over the manager's
+   segment array.  [check] compares every decision and count the manager
+   would report right now; the differential tests call it after every
+   operation. *)
+
+open Sim
+module M = Storage.Manager
+module Seg = Storage.Segment
+
+(* The manager's state as the scans read it. *)
+type view = {
+  cfg : M.config;
+  flash : Device.Flash.t;
+  segments : Seg.t array;
+  retired : bool array;
+  segs_per_bank : int;
+}
+
+let view cfg m =
+  let segments = M.segments m in
+  let flash = M.flash m in
+  {
+    cfg;
+    flash;
+    segments;
+    retired = Array.map (fun s -> s.M.seg_retired) (M.segment_snapshots m);
+    segs_per_bank = Array.length segments / Device.Flash.nbanks flash;
+  }
+
+let bank_of v seg = Seg.id seg / v.segs_per_bank
+let erase_count v seg = Device.Flash.erase_count v.flash ~sector:(Seg.first_sector seg)
+let in_service v seg = not v.retired.(Seg.id seg)
+
+let allowed v purpose seg =
+  Storage.Banks.allowed v.cfg.M.banking ~nbanks:(Device.Flash.nbanks v.flash) purpose
+    ~bank:(bank_of v seg)
+
+(* Free segments (in the purpose's banks if [restrict]), narrowed to the
+   least-busy bank, then the wear policy's pick among them. *)
+let pick_free v ~purpose ~restrict =
+  let candidates =
+    List.filter
+      (fun seg ->
+        Seg.state seg = Seg.Free
+        && in_service v seg
+        && ((not restrict) || allowed v purpose seg))
+      (Array.to_list v.segments)
+  in
+  let busy seg = Device.Flash.bank_busy_until v.flash ~bank:(bank_of v seg) in
+  match candidates with
+  | [] -> None
+  | first :: _ ->
+    let least =
+      List.fold_left (fun acc seg -> Time.min acc (busy seg)) (busy first) candidates
+    in
+    let in_least = List.filter (fun seg -> Time.equal (busy seg) least) candidates in
+    let for_cold = purpose <> Storage.Banks.Fresh_write in
+    Storage.Wear.pick_free ~for_cold v.cfg.M.wear ~erase_count:(erase_count v)
+      (Array.of_list in_least)
+    |> Option.map Seg.id
+
+(* A due wear-leveling relocation first, else the cleaner's choice. *)
+let victim v ~now ~purpose =
+  let eligible seg =
+    in_service v seg && match purpose with None -> true | Some p -> allowed v p seg
+  in
+  (match
+     Storage.Wear.relocation_victim v.cfg.M.wear ~erase_count:(erase_count v) ~eligible
+       v.segments
+   with
+  | Some seg -> Some seg
+  | None -> Storage.Cleaner.select v.cfg.M.cleaner ~now ~eligible v.segments)
+  |> Option.map Seg.id
+
+let count v f = Array.fold_left (fun n seg -> n + f seg) 0 v.segments
+
+(* With diff logging on, [stats.live_blocks] counts blocks, not log slots:
+   a chain's deltas, and the base page of a chained block whose newest
+   data is dirty, occupy slots without adding a block.  A dirty block
+   reports a flash location only when such a base exists. *)
+let chain_slots m =
+  List.fold_left
+    (fun n b ->
+      n + M.delta_chain_length m b
+      + if M.block_is_dirty m b && M.location_of_block m b <> None then 1 else 0)
+    0 (M.known_blocks m)
+
+let purposes = Storage.Banks.[ Fresh_write; Clean_out; Cold_load ]
+
+let purpose_name = function
+  | Storage.Banks.Fresh_write -> "fresh"
+  | Storage.Banks.Clean_out -> "clean-out"
+  | Storage.Banks.Cold_load -> "cold"
+
+let pp_id = Fmt.(option ~none:(any "none") int)
+
+let pp_evenness ppf (e : Storage.Wear.evenness) =
+  Fmt.pf ppf "min %d max %d mean %h sd %h" e.min_erases e.max_erases e.mean_erases
+    e.stddev_erases
+
+(* [Ok ()] when the manager agrees with the scans under [cfg] (normally the
+   manager's own config), else [Error] naming every disagreement. *)
+let check cfg m =
+  let v = view cfg m in
+  let errors = ref [] in
+  let expect what pp ~manager ~scan =
+    if manager <> scan then
+      errors := Fmt.str "%s: manager %a, scan %a" what pp manager pp scan :: !errors
+  in
+  List.iter
+    (fun purpose ->
+      List.iter
+        (fun restrict ->
+          expect
+            (Fmt.str "free pick (%s, restrict %b)" (purpose_name purpose) restrict)
+            pp_id
+            ~manager:(M.next_free_segment m ~purpose ~restrict)
+            ~scan:(pick_free v ~purpose ~restrict))
+        [ true; false ])
+    purposes;
+  let now = Engine.now (M.engine m) in
+  List.iter
+    (fun purpose ->
+      expect
+        (Fmt.str "victim (%s)" (Option.fold ~none:"any" ~some:purpose_name purpose))
+        pp_id ~manager:(M.next_victim m ~purpose) ~scan:(victim v ~now ~purpose))
+    (None :: List.map Option.some purposes);
+  let stats = M.stats m in
+  expect "free segments" Fmt.int ~manager:stats.M.free_segments
+    ~scan:
+      (count v (fun seg -> if in_service v seg && Seg.state seg = Seg.Free then 1 else 0));
+  expect "retired segments" Fmt.int ~manager:stats.M.retired_segments
+    ~scan:(count v (fun seg -> if in_service v seg then 0 else 1));
+  expect "capacity" Fmt.int ~manager:(M.capacity_blocks m)
+    ~scan:(count v (fun seg -> if in_service v seg then Seg.nslots seg else 0));
+  expect "live blocks" Fmt.int ~manager:stats.M.live_blocks
+    ~scan:(count v Seg.live_count - chain_slots m);
+  expect "wear evenness" pp_evenness ~manager:(M.wear_evenness m)
+    ~scan:(Storage.Wear.evenness ~erase_count:(erase_count v) v.segments);
+  match List.rev !errors with [] -> Ok () | es -> Error (String.concat "; " es)

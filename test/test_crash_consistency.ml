@@ -1,91 +1,15 @@
 (* Differential crash-consistency harness (the §3.3 safety argument, run
    live).  For crash points spread across an operation sequence and the
-   full cleaner × wear × banking × buffering policy grid, two managers —
-   one [Checked] (every internal decision asserted against the scan
-   reference) and one [Scan] — run the same prefix, crash, and remount.
-   The pre-crash state of each manager is its own crash-free reference:
-   the crash destroys only DRAM, so everything flash-resident must come
-   back exactly where it was, wear statistics and all, and the only
-   permissible loss is what sat dirty in the write buffer. *)
+   full cleaner × wear × banking × buffering policy grid, one manager runs
+   the prefix, crashes, and remounts; {!Scan_oracle} checks its decisions
+   and counts before the crash and after the remount.  The pre-crash state
+   is the manager's own crash-free reference: the crash destroys only
+   DRAM, so everything flash-resident must come back exactly where it was,
+   wear statistics and all, and the only permissible loss is what sat
+   dirty in the write buffer. *)
 
 open Sim
-
-let mk ?diff_log ~selector ~cleaner ~wear ~banking ~buffer_blocks () =
-  let engine = Engine.create () in
-  let flash =
-    Device.Flash.create
-      (Device.Flash.config ~nbanks:2 ~endurance_override:60
-         ~size_bytes:(128 * 1024) ())
-  in
-  let dram = Device.Dram.create ~size_bytes:Units.mib ~battery_backed:true () in
-  let cfg =
-    {
-      Storage.Manager.default_config with
-      Storage.Manager.segment_sectors = 8;
-      buffer =
-        {
-          Storage.Write_buffer.capacity_blocks = buffer_blocks;
-          writeback_delay = Time.span_ms 5.0;
-          refresh_on_rewrite = true;
-        };
-      cleaner;
-      wear;
-      banking;
-      selector;
-      diff_log;
-    }
-  in
-  (engine, Storage.Manager.create cfg ~engine ~flash ~dram)
-
-type op = Write of int | Fresh | Free of int | Cold | Advance of int
-
-let op_of_int n =
-  match n mod 6 with
-  | 0 | 1 -> Write (n / 6)
-  | 2 -> Fresh
-  | 3 -> Free (n / 6)
-  | 4 -> Advance (1 + (n / 6 mod 20))
-  | _ -> Cold
-
-let lcg_ops ~seed ~len =
-  let s = ref seed in
-  List.init len (fun _ ->
-      s := ((!s * 1103515245) + 12345) land 0x3FFFFFFF;
-      !s mod 100_000)
-
-(* Drive one manager through the op stream.  Deterministic in the stream,
-   so two managers fed the same list allocate identical handles. *)
-let run_ops (engine, m) ops =
-  let cap = Storage.Manager.capacity_blocks m * 6 / 10 in
-  let live = ref [] in
-  let nlive = ref 0 in
-  List.iter
-    (fun n ->
-      match op_of_int n with
-      | Write k when !nlive > 0 ->
-        ignore (Storage.Manager.write_block m (List.nth !live (k mod !nlive)))
-      | Write _ | Fresh when !nlive < cap ->
-        let b = Storage.Manager.alloc m in
-        ignore (Storage.Manager.write_block m b);
-        live := b :: !live;
-        incr nlive
-      | Write _ | Fresh -> ()
-      | Free k when !nlive > 0 ->
-        let b = List.nth !live (k mod !nlive) in
-        Storage.Manager.free_block m b;
-        live := List.filter (fun x -> x <> b) !live;
-        decr nlive
-      | Free _ -> ()
-      | Cold when !nlive < cap ->
-        let b = Storage.Manager.alloc m in
-        Storage.Manager.load_cold m b;
-        live := b :: !live;
-        incr nlive
-      | Cold -> ()
-      | Advance ms ->
-        Engine.run_until engine
-          (Time.add (Engine.now engine) (Time.span_ms (float_of_int ms))))
-    ops
+open Test_manager_diff.Ops
 
 (* Everything the invariants need about a manager at one instant. *)
 type snapshot = {
@@ -216,43 +140,30 @@ let check_invariants ~ctx pre post report =
 let run_crash_point ?diff_log ~ctx ~ops ~crash_index ~cleaner ~wear ~banking
     ~buffer_blocks () =
   let prefix = List.filteri (fun i _ -> i < crash_index) ops in
-  (* Both selectors crash at the same point: the Checked manager asserts
-     indexed-vs-scan agreement internally at every decision, and the
-     externally visible recovery must agree with the plain Scan manager. *)
-  let ea, a =
-    mk ?diff_log ~selector:Storage.Manager.Checked ~cleaner ~wear ~banking
-      ~buffer_blocks ()
+  let cfg = config ?diff_log ~cleaner ~wear ~banking ~buffer_blocks () in
+  let engine, m = mk cfg in
+  run_ops (engine, m) prefix;
+  (* 7. Decisions and counts match the scans on both sides of the crash. *)
+  let agree moment m =
+    match Scan_oracle.check cfg m with
+    | Ok () -> ()
+    | Error msg -> fail ~ctx "%s: %s" moment msg
   in
-  let eb, b =
-    mk ?diff_log ~selector:Storage.Manager.Scan ~cleaner ~wear ~banking ~buffer_blocks
-      ()
-  in
-  run_ops (ea, a) prefix;
-  run_ops (eb, b) prefix;
-  let pre_a = snapshot a in
-  let pre_b = snapshot b in
-  if pre_a.blocks <> pre_b.blocks then
-    fail ~ctx "selectors diverged before the crash";
-  let a', span_a, report_a = Storage.Manager.crash_and_remount a in
-  let b', span_b, report_b = Storage.Manager.crash_and_remount b in
-  if span_a <> span_b then fail ~ctx "remount spans diverged across selectors";
-  if report_a <> report_b then fail ~ctx "remount reports diverged across selectors";
-  let post_a = snapshot a' in
-  let post_b = snapshot b' in
-  if post_a.blocks <> post_b.blocks then
-    fail ~ctx "recovered block sets diverged across selectors";
-  check_invariants ~ctx pre_a post_a (Some report_a);
-  check_invariants ~ctx pre_b post_b (Some report_b);
+  agree "before the crash" m;
+  let pre = snapshot m in
+  let m', _, report = Storage.Manager.crash_and_remount m in
+  agree "after the remount" m';
+  let post = snapshot m' in
+  check_invariants ~ctx pre post (Some report);
   (* 8. Remount is idempotent: crashing the already-clean remounted
      manager recovers the identical state and loses nothing. *)
-  let a'', _, report2 = Storage.Manager.crash_and_remount a' in
+  let m'', _, report2 = Storage.Manager.crash_and_remount m' in
   if report2.Storage.Manager.buffered_lost <> 0 then
     fail ~ctx "second remount claims buffered loss";
-  let post2 = snapshot a'' in
-  if post2.blocks <> post_a.blocks then fail ~ctx "remount not idempotent"
+  let post2 = snapshot m'' in
+  if post2.blocks <> post.blocks then fail ~ctx "remount not idempotent"
 
-(* 24 configs x 9 crash points = 216 crash scenarios (>= the 200 the
-   acceptance criteria require), every one over both selectors. *)
+(* 24 configs x 9 crash points = 216 crash scenarios. *)
 let crash_indices = [ 15; 40; 77; 120; 161; 200; 247; 301; 355 ]
 
 let grid_case ?diff_log ~name ~seed ~len () =
@@ -280,13 +191,9 @@ let grid_case ?diff_log ~name ~seed ~len () =
                             ~wear ~banking ~buffer_blocks ())
                         crash_indices)
                     [ 0; 8 ])
-                [ Storage.Banks.Unified; Storage.Banks.Partitioned { write_banks = 1 } ])
-            [
-              Storage.Wear.None_;
-              Storage.Wear.Dynamic;
-              Storage.Wear.Static { spread_threshold = 5 };
-            ])
-        [ Storage.Cleaner.Greedy; Storage.Cleaner.Cost_benefit ])
+                bankings)
+            wears)
+        cleaners)
 
 (* A quick single-config pass so even `-q` runs exercise the crash path. *)
 let quick_case =

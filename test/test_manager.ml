@@ -43,9 +43,10 @@ let test_create_validation () =
   bad
     { Storage.Manager.default_config with Storage.Manager.segment_sectors = 100 }
     "segment does not fit in a bank";
+  (* 64 KB over 2 banks in 32-sector segments is only 4 segments. *)
   bad
-    { Storage.Manager.default_config with Storage.Manager.low_water = 0 }
-    "watermarks must satisfy 1 <= low <= high"
+    { Storage.Manager.default_config with Storage.Manager.segment_sectors = 32 }
+    "flash too small for the cleaning watermarks"
 
 let test_write_read_free_cycle () =
   let _engine, m, _ = make () in

@@ -1,25 +1,20 @@
-(* Differential test of the storage manager's two decision implementations.
+(* Differential test of the storage manager's decisions.
 
-   Two managers over identical (but separate) machines run the same
-   operation sequence: one with the [Scan] selector (the original
-   scan-per-decision implementation, kept as the executable reference) and
-   one with [Checked] (the indexed implementation, asserting equality with
-   the scans at every decision point internally).  Externally we compare
-   everything the manager exposes after every operation — so any
-   divergence pins down the exact step, and the indexed fast path is held
-   byte-identical to the reference across the whole policy grid. *)
+   The manager answers allocation and cleaning decisions from per-bank
+   indexes; {!Scan_oracle} recomputes each of them, and every count the
+   manager reports, by full scans over its segment array.  One manager
+   runs an operation sequence and the oracle checks it after every
+   operation, after an orderly flush, and after a crash and remount — so
+   any divergence pins down the exact step, across the whole policy grid.
+   The op stream lives in [Ops] so the crash-consistency harness drives
+   managers the same way. *)
 
 open Sim
 
-let mk ~selector ~cleaner ~wear ~banking ~buffer_blocks () =
-  let engine = Engine.create () in
-  let flash =
-    Device.Flash.create
-      (Device.Flash.config ~nbanks:2 ~endurance_override:60
-         ~size_bytes:(128 * 1024) ())
-  in
-  let dram = Device.Dram.create ~size_bytes:Units.mib ~battery_backed:true () in
-  let cfg =
+module Ops = struct
+  (* A small two-bank flash with a 60-erase endurance, so long streams
+     drive many cleanings, sector wear-out and segment retirement. *)
+  let config ?diff_log ~cleaner ~wear ~banking ~buffer_blocks () =
     {
       Storage.Manager.default_config with
       Storage.Manager.segment_sectors = 8;
@@ -32,109 +27,98 @@ let mk ~selector ~cleaner ~wear ~banking ~buffer_blocks () =
       cleaner;
       wear;
       banking;
-      selector;
+      diff_log;
     }
-  in
-  (engine, Storage.Manager.create cfg ~engine ~flash ~dram)
 
-type op = Write of int | Fresh | Free of int | Cold | Advance of int
+  let mk cfg =
+    let engine = Engine.create () in
+    let flash =
+      Device.Flash.create
+        (Device.Flash.config ~nbanks:2 ~endurance_override:60
+           ~size_bytes:(128 * 1024) ())
+    in
+    let dram = Device.Dram.create ~size_bytes:Units.mib ~battery_backed:true () in
+    (engine, Storage.Manager.create cfg ~engine ~flash ~dram)
 
-(* Interpret an int sequence as operations; both managers see the same
-   ops, so allocation returns the same handles on both sides. *)
-let op_of_int n =
-  match n mod 6 with
-  | 0 | 1 -> Write (n / 6)
-  | 2 -> Fresh
-  | 3 -> Free (n / 6)
-  | 4 -> Advance (1 + (n / 6 mod 20))
-  | _ -> Cold
+  type op = Write of int | Fresh | Free of int | Cold | Advance of int
 
-let compare_managers ~step a b =
-  let ctx fmt = Printf.ksprintf (fun s -> Printf.sprintf "step %d: %s" step s) fmt in
-  if Storage.Manager.stats a <> Storage.Manager.stats b then
-    Alcotest.failf "%s"
-      (ctx "stats diverged: scan %s / checked %s"
-         (Fmt.str "%a" Storage.Manager.pp_stats (Storage.Manager.stats a))
-         (Fmt.str "%a" Storage.Manager.pp_stats (Storage.Manager.stats b)));
-  if Storage.Manager.wear_evenness a <> Storage.Manager.wear_evenness b then
-    Alcotest.failf "%s" (ctx "wear evenness diverged");
-  if Storage.Manager.capacity_blocks a <> Storage.Manager.capacity_blocks b then
-    Alcotest.failf "%s" (ctx "capacity diverged");
-  List.iter
-    (fun blk ->
-      if Storage.Manager.segment_of_block a blk <> Storage.Manager.segment_of_block b blk
-      then Alcotest.failf "%s" (ctx "block %d placement diverged" blk);
-      if Storage.Manager.block_is_dirty a blk <> Storage.Manager.block_is_dirty b blk
-      then Alcotest.failf "%s" (ctx "block %d dirtiness diverged" blk))
-    (Storage.Manager.known_blocks a)
+  let op_of_int n =
+    match n mod 6 with
+    | 0 | 1 -> Write (n / 6)
+    | 2 -> Fresh
+    | 3 -> Free (n / 6)
+    | 4 -> Advance (1 + (n / 6 mod 20))
+    | _ -> Cold
 
-let run_diff ~ops ~cleaner ~wear ~banking ~buffer_blocks =
-  let ea, a = mk ~selector:Storage.Manager.Scan ~cleaner ~wear ~banking ~buffer_blocks ()
-  and eb, b =
-    mk ~selector:Storage.Manager.Checked ~cleaner ~wear ~banking ~buffer_blocks ()
-  in
-  (* Keep enough headroom that random fills never hit Out_of_space. *)
-  let cap = Storage.Manager.capacity_blocks a * 6 / 10 in
-  let live = ref [] in
-  let nlive = ref 0 in
-  let pick_live n = List.nth !live (n mod !nlive) in
-  let both f = f ea a; f eb b in
-  List.iteri
-    (fun step n ->
-      (match op_of_int n with
-      | Write k when !nlive > 0 ->
-        let blk = pick_live k in
-        both (fun _ m -> ignore (Storage.Manager.write_block m blk))
-      | Write _ | Fresh when !nlive < cap ->
-        let blk_a = Storage.Manager.alloc a in
-        let blk_b = Storage.Manager.alloc b in
-        assert (blk_a = blk_b);
-        both (fun _ m -> ignore (Storage.Manager.write_block m blk_a));
-        live := blk_a :: !live;
-        incr nlive
-      | Write _ | Fresh -> ()
-      | Free k when !nlive > 0 ->
-        let blk = pick_live k in
-        both (fun _ m -> Storage.Manager.free_block m blk);
-        live := List.filter (fun x -> x <> blk) !live;
-        decr nlive
-      | Free _ -> ()
-      | Cold when !nlive < cap ->
-        let blk_a = Storage.Manager.alloc a in
-        let blk_b = Storage.Manager.alloc b in
-        assert (blk_a = blk_b);
-        both (fun _ m -> Storage.Manager.load_cold m blk_a);
-        live := blk_a :: !live;
-        incr nlive
-      | Cold -> ()
-      | Advance ms ->
-        both (fun e _ ->
-            Engine.run_until e (Time.add (Engine.now e) (Time.span_ms (float_of_int ms)))));
-      compare_managers ~step a b)
-    ops;
+  (* A cheap deterministic op stream. *)
+  let lcg_ops ~seed ~len =
+    let s = ref seed in
+    List.init len (fun _ ->
+        s := ((!s * 1103515245) + 12345) land 0x3FFFFFFF;
+        !s mod 100_000)
+
+  (* Drive one manager through the op stream, calling [after] with the
+     step index after each op.  Deterministic in the stream, so managers
+     fed the same list allocate identical handles.  Fills stop at 60% of
+     capacity, so random streams never hit Out_of_space. *)
+  let run_ops ?(after = ignore) (engine, m) ops =
+    let cap = Storage.Manager.capacity_blocks m * 6 / 10 in
+    let live = ref [] in
+    let nlive = ref 0 in
+    List.iteri
+      (fun step n ->
+        (match op_of_int n with
+        | Write k when !nlive > 0 ->
+          ignore (Storage.Manager.write_block m (List.nth !live (k mod !nlive)))
+        | Write _ | Fresh when !nlive < cap ->
+          let b = Storage.Manager.alloc m in
+          ignore (Storage.Manager.write_block m b);
+          live := b :: !live;
+          incr nlive
+        | Write _ | Fresh -> ()
+        | Free k when !nlive > 0 ->
+          let b = List.nth !live (k mod !nlive) in
+          Storage.Manager.free_block m b;
+          live := List.filter (fun x -> x <> b) !live;
+          decr nlive
+        | Free _ -> ()
+        | Cold when !nlive < cap ->
+          let b = Storage.Manager.alloc m in
+          Storage.Manager.load_cold m b;
+          live := b :: !live;
+          incr nlive
+        | Cold -> ()
+        | Advance ms ->
+          Engine.run_until engine
+            (Time.add (Engine.now engine) (Time.span_ms (float_of_int ms))));
+        after step)
+      ops
+
+  (* The policy grid the differential tests sweep. *)
+  let cleaners = [ Storage.Cleaner.Greedy; Storage.Cleaner.Cost_benefit ]
+
+  let wears = Storage.Wear.[ None_; Dynamic; Static { spread_threshold = 5 } ]
+
+  let bankings = [ Storage.Banks.Unified; Storage.Banks.Partitioned { write_banks = 1 } ]
+end
+
+let expect_agreement cfg ~step m =
+  match Scan_oracle.check cfg m with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "step %d: %s" step msg
+
+let run_diff ~ops cfg =
+  let engine, m = Ops.mk cfg in
+  Ops.run_ops ~after:(fun step -> expect_agreement cfg ~step m) (engine, m) ops;
   (* Orderly shutdown and crash recovery must agree too. *)
-  let fa = Storage.Manager.flush_all a and fb = Storage.Manager.flush_all b in
-  if fa <> fb then Alcotest.fail "flush_all spans diverged";
-  compare_managers ~step:(List.length ops) a b;
-  let a', sa, ra = Storage.Manager.crash_and_remount a in
-  let b', sb, rb = Storage.Manager.crash_and_remount b in
-  if sa <> sb then Alcotest.fail "remount spans diverged";
-  if ra <> rb then Alcotest.fail "remount reports diverged";
-  if Storage.Manager.known_blocks a' <> Storage.Manager.known_blocks b' then
-    Alcotest.fail "recovered block sets diverged";
-  compare_managers ~step:(-1) a' b'
-
-(* A cheap deterministic op stream, long enough to drive many cleanings
-   (the 60-erase endurance also exercises sector wear-out and segment
-   retirement on both paths). *)
-let lcg_ops ~seed ~len =
-  let s = ref seed in
-  List.init len (fun _ ->
-      s := ((!s * 1103515245) + 12345) land 0x3FFFFFFF;
-      !s mod 100_000)
+  ignore (Storage.Manager.flush_all m);
+  expect_agreement cfg ~step:(List.length ops) m;
+  let m', _, _ = Storage.Manager.crash_and_remount m in
+  expect_agreement cfg ~step:(-1) m'
 
 let grid_case ~name ~seed ~len =
   Alcotest.test_case name `Slow (fun () ->
+      let ops = Ops.lcg_ops ~seed ~len in
       List.iter
         (fun cleaner ->
           List.iter
@@ -143,24 +127,95 @@ let grid_case ~name ~seed ~len =
                 (fun banking ->
                   List.iter
                     (fun buffer_blocks ->
-                      run_diff ~ops:(lcg_ops ~seed ~len) ~cleaner ~wear ~banking
-                        ~buffer_blocks)
+                      run_diff ~ops (Ops.config ~cleaner ~wear ~banking ~buffer_blocks ()))
                     [ 0; 8 ])
-                [ Storage.Banks.Unified; Storage.Banks.Partitioned { write_banks = 1 } ])
-            [
-              Storage.Wear.None_;
-              Storage.Wear.Dynamic;
-              Storage.Wear.Static { spread_threshold = 5 };
-            ])
-        [ Storage.Cleaner.Greedy; Storage.Cleaner.Cost_benefit ])
+                Ops.bankings)
+            Ops.wears)
+        Ops.cleaners)
 
 (* Random sequences on two contrasting corners of the grid. *)
 let prop_random_ops_agree ~name ~cleaner ~wear ~banking ~buffer_blocks =
   QCheck.Test.make ~name ~count:25
     QCheck.(list_of_size (Gen.int_range 30 150) (int_bound 99_999))
     (fun ops ->
-      run_diff ~ops ~cleaner ~wear ~banking ~buffer_blocks;
+      run_diff ~ops (Ops.config ~cleaner ~wear ~banking ~buffer_blocks ());
       true)
+
+(* The oracle has teeth: told the wrong policy, it must object at some
+   step.  A vacuous oracle (one that compared nothing, or compared the
+   manager with itself) would pass every other case here silently.  (A
+   wear-policy mismatch would not do: on this small flash the wear spread
+   stays under the relocation threshold and steady-state cleaning leaves a
+   single free segment, so Static and Dynamic pick alike for 420 ops.) *)
+let test_oracle_can_fail () =
+  let ops = Ops.lcg_ops ~seed:42 ~len:420 in
+  let cfg ?(banking = Storage.Banks.Unified) cleaner =
+    Ops.config ~cleaner ~wear:Storage.Wear.Dynamic ~banking ~buffer_blocks:8 ()
+  in
+  List.iter
+    (fun (what, manager_cfg, oracle_cfg) ->
+      let engine, m = Ops.mk manager_cfg in
+      let objected = ref false in
+      Ops.run_ops
+        ~after:(fun _ ->
+          if Result.is_error (Scan_oracle.check oracle_cfg m) then objected := true)
+        (engine, m) ops;
+      if not !objected then Alcotest.failf "the oracle never objected to %s" what)
+    Storage.Cleaner.
+      [
+        ("greedy checked as cost-benefit", cfg Greedy, cfg Cost_benefit);
+        ("cost-benefit checked as greedy", cfg Cost_benefit, cfg Greedy);
+        ( "partitioned banks checked as unified",
+          cfg ~banking:(Storage.Banks.Partitioned { write_banks = 1 }) Cost_benefit,
+          cfg Cost_benefit );
+      ]
+
+(* The oracle's queries only observe: a manager asked for its next free
+   pick and victim for every purpose after every op ends in exactly the
+   state of one never asked. *)
+let test_queries_only_observe () =
+  let ops = Ops.lcg_ops ~seed:7 ~len:420 in
+  let ask m =
+    List.iter
+      (fun purpose ->
+        List.iter
+          (fun restrict ->
+            ignore (Storage.Manager.next_free_segment m ~purpose ~restrict))
+          [ true; false ];
+        ignore (Storage.Manager.next_victim m ~purpose:(Some purpose)))
+      Scan_oracle.purposes;
+    ignore (Storage.Manager.next_victim m ~purpose:None)
+  in
+  List.iter
+    (fun cleaner ->
+      List.iter
+        (fun wear ->
+          let cfg =
+            Ops.config ~cleaner ~wear
+              ~banking:(Storage.Banks.Partitioned { write_banks = 1 })
+              ~buffer_blocks:8 ()
+          in
+          let ea, asked = Ops.mk cfg and eb, quiet = Ops.mk cfg in
+          Ops.run_ops ~after:(fun _ -> ask asked) (ea, asked) ops;
+          Ops.run_ops (eb, quiet) ops;
+          let ctx =
+            Storage.Cleaner.policy_name cleaner ^ "/" ^ Storage.Wear.policy_name wear
+          in
+          let module M = Storage.Manager in
+          if M.stats asked <> M.stats quiet then Alcotest.failf "%s: stats differ" ctx;
+          if M.wear_evenness asked <> M.wear_evenness quiet then
+            Alcotest.failf "%s: wear evenness differs" ctx;
+          if M.known_blocks asked <> M.known_blocks quiet then
+            Alcotest.failf "%s: block sets differ" ctx;
+          List.iter
+            (fun b ->
+              if M.location_of_block asked b <> M.location_of_block quiet b then
+                Alcotest.failf "%s: block %d placed differently" ctx b)
+            (M.known_blocks asked);
+          if not (Time.equal (Engine.now ea) (Engine.now eb)) then
+            Alcotest.failf "%s: engine time differs" ctx)
+        Ops.wears)
+    Ops.cleaners
 
 let suite =
   [
@@ -177,4 +232,6 @@ let suite =
          ~wear:(Storage.Wear.Static { spread_threshold = 4 })
          ~banking:(Storage.Banks.Partitioned { write_banks = 1 })
          ~buffer_blocks:0);
+    Alcotest.test_case "oracle objects to the wrong policy" `Quick test_oracle_can_fail;
+    Alcotest.test_case "decision queries only observe" `Quick test_queries_only_observe;
   ]
