@@ -3,7 +3,11 @@
    al.).  Shape to reproduce: the reduction climbs steeply to the 40-50%
    band around 1MB of buffer on a Sprite-calibrated workload, then
    flattens; a longer writeback delay absorbs more; cancelling deleted
-   data (short-lived files) is a large share of the savings. *)
+   data (short-lived files) is a large share of the savings.
+
+   Every reduction is recorded as an [e6_reduction_*] metric, plus
+   [e6_refresh_gain]: what restarting a block's deadline on rewrite (how
+   hot blocks stay in DRAM) adds at 1MB.  [main.exe --check] pins them. *)
 open Sim
 
 let buffer_config ~capacity_bytes ~delay_s ~refresh =
@@ -70,8 +74,9 @@ let run () =
         buffer_config ~capacity_bytes:(kib * 1024) ~delay_s:30.0 ~refresh:true
       in
       let run = run_with ~buffer ~seed:61 ~duration () in
-      curve :=
-        (Table.cell_bytes (kib * 1024), 100.0 *. reduction (snd run)) :: !curve;
+      let r = reduction (snd run) in
+      Common.put_metric (Printf.sprintf "e6_reduction_%dk" kib) r;
+      curve := (Table.cell_bytes (kib * 1024), 100.0 *. r) :: !curve;
       Table.add_row t (row_of ~label:(Table.cell_bytes (kib * 1024)) run))
     [ 0; 128; 256; 512; 1024; 2048; 4096; 8192 ];
   Table.print t;
@@ -88,24 +93,28 @@ let run () =
     (100.0 *. death.Trace.Stats.dead_fraction);
 
   let t2 = Table.create ~title:"ablations at 1MB of buffer" ~columns in
-  List.iter
-    (fun (label, delay_s, refresh) ->
-      let buffer = buffer_config ~capacity_bytes:Units.mib ~delay_s ~refresh in
-      Table.add_row t2 (row_of ~label (run_with ~buffer ~seed:61 ~duration ())))
-    [
-      ("5s delay", 5.0, true);
-      ("30s delay (default)", 30.0, true);
-      ("120s delay", 120.0, true);
-      ("30s, no deadline refresh", 30.0, false);
-    ];
-  (* Flush-policy ablation: capacity-threshold flushing on top of the
-     deadline. *)
-  List.iter
-    (fun (label, watermark) ->
-      let buffer = buffer_config ~capacity_bytes:Units.mib ~delay_s:30.0 ~refresh:true in
-      Table.add_row t2
-        (row_of ~label (run_with ~flush_watermark:watermark ~buffer ~seed:61 ~duration ())))
-    [ ("30s + flush at 50% full", 0.5); ("30s + flush at 80% full", 0.8) ];
+  let ablations =
+    List.map
+      (fun (label, tag, delay_s, refresh, flush_watermark) ->
+        let buffer = buffer_config ~capacity_bytes:Units.mib ~delay_s ~refresh in
+        let run = run_with ?flush_watermark ~buffer ~seed:61 ~duration () in
+        Table.add_row t2 (row_of ~label run);
+        let r = reduction (snd run) in
+        Common.put_metric ("e6_reduction_" ^ tag) r;
+        (tag, r))
+      [
+        ("5s delay", "delay5s", 5.0, true, None);
+        ("30s delay (default)", "delay30s", 30.0, true, None);
+        ("120s delay", "delay120s", 120.0, true, None);
+        ("30s, no deadline refresh", "norefresh", 30.0, false, None);
+        (* Flush-policy ablation: capacity-threshold flushing on top of
+           the deadline. *)
+        ("30s + flush at 50% full", "watermark50", 30.0, true, Some 0.5);
+        ("30s + flush at 80% full", "watermark80", 30.0, true, Some 0.8);
+      ]
+  in
+  Common.put_metric "e6_refresh_gain"
+    (List.assoc "delay30s" ablations -. List.assoc "norefresh" ablations);
   Table.print t2;
 
   let t3 = Table.create ~title:"1MB buffer across workloads" ~columns in
@@ -117,6 +126,8 @@ let run () =
       in
       let cfg = Ssmc.Config.solid_state ~flash_mb:24 ~dram_mb:16 ~manager:manager_cfg ~seed:62 () in
       let _m, result = Common.run_machine ~seed:62 ~cfg ~profile ~duration () in
-      Table.add_row t3 (row_of ~label:profile.Trace.Synth.name (result, Probe.snapshot ())))
+      let snap = Probe.snapshot () in
+      Common.put_metric ("e6_reduction_" ^ profile.Trace.Synth.name) (reduction snap);
+      Table.add_row t3 (row_of ~label:profile.Trace.Synth.name (result, snap)))
     Trace.Workloads.all;
   Table.print t3

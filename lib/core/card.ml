@@ -1,6 +1,6 @@
 open Sim
 
-type checkpoint = (string * int * Storage.Manager.block list) list
+type checkpoint = (string * int * (int * Storage.Manager.block) list) list
 
 type state = {
   manager : Storage.Manager.t;
@@ -141,7 +141,8 @@ let insert t =
   | Some entries ->
     List.iter
       (fun (path, size, blocks) ->
-        if List.for_all (Storage.Manager.block_exists manager) blocks then begin
+        if List.for_all (fun (_, b) -> Storage.Manager.block_exists manager b) blocks
+        then begin
           (* Recreate parent directories along the way. *)
           (match Fs.Path.parse path with
           | Ok components ->
@@ -155,7 +156,7 @@ let insert t =
             mkdirs "" components
           | Error _ -> ());
           match Fs.Memfs.adopt fs path ~size ~blocks with
-          | Ok () -> List.iter (fun b -> Hashtbl.replace adopted b ()) blocks
+          | Ok () -> List.iter (fun (_, b) -> Hashtbl.replace adopted b ()) blocks
           | Error _ -> ()
         end)
       entries);
@@ -169,7 +170,7 @@ let insert t =
       then begin
         let path = Printf.sprintf "/recovered-%d" !counter in
         incr counter;
-        match Fs.Memfs.adopt fs path ~size:bs ~blocks:[ b ] with
+        match Fs.Memfs.adopt fs path ~size:bs ~blocks:[ (0, b) ] with
         | Ok () -> ()
         | Error _ -> ()
       end)

@@ -361,7 +361,7 @@ let cold_crash t =
     | Some s, Mem fs -> (s, fs)
     | _ -> invalid_arg "Machine: fault injection requires solid-state storage"
   in
-  let files = Fs.Memfs.enumerate_sparse fs in
+  let files = Fs.Memfs.enumerate fs in
   let fresh_store, span, report = Storage.Store.crash_and_remount store in
   let fresh_fs = Fs.Memfs.create_fs_store ~store:fresh_store () in
   let lost = ref 0 in
@@ -375,7 +375,7 @@ let cold_crash t =
       if nlost > 0 then incr damaged;
       lost := !lost + nlost;
       mkdir_parents fresh_fs path;
-      match Fs.Memfs.adopt_sparse fresh_fs path ~size ~blocks:survivors with
+      match Fs.Memfs.adopt fresh_fs path ~size ~blocks:survivors with
       | Ok () -> ()
       | Error e -> Fmt.failwith "crash recovery: adopt %s: %a" path Fs.Fs_error.pp e)
     files;

@@ -419,38 +419,11 @@ let truncate_in t d name ~size =
   if size < 0 then Error Fs_error.Einval
   else truncate_leaf t ~size d.parent name (route_charge t d)
 
+(* Blocks are listed with their slot index: a file may have holes, and a
+   crash can lose blocks out of the middle of one, so a namespace rebuilt
+   from a dense block list would shift every block after a gap into the
+   wrong offset. *)
 let enumerate t =
-  let acc = ref [] in
-  let rec walk prefix node =
-    match node with
-    | File f ->
-      let blocks = ref [] in
-      Blockmap.iter_live (fun b -> blocks := b :: !blocks) f.map;
-      acc := (prefix, f.size, List.rev !blocks) :: !acc
-    | Dir table ->
-      Hashtbl.iter (fun name child -> walk (prefix ^ "/" ^ name) child) table
-  in
-  Hashtbl.iter (fun name child -> walk ("/" ^ name) child) t.root;
-  List.sort (fun (a, _, _) (b, _, _) -> String.compare a b) !acc
-
-let adopt t path ~size ~blocks =
-  List.iter
-    (fun b ->
-      if not (Storage.Store.block_exists t.store b) then
-        invalid_arg "Memfs.adopt: unknown block")
-    blocks;
-  let* _span = create t path in
-  let* f = lookup_file t path in
-  List.iteri (fun i b -> Blockmap.set f.map i b) blocks;
-  f.size <- size;
-  Ok ()
-
-(* Slot-indexed variants: a crash can lose arbitrary blocks out of the
-   middle of a file, and rebuilding the namespace through the dense
-   [enumerate]/[adopt] pair would silently shift every survivor into the
-   wrong offset.  These keep each block pinned to its slot. *)
-
-let enumerate_sparse t =
   let acc = ref [] in
   let rec walk prefix node =
     match node with
@@ -467,11 +440,11 @@ let enumerate_sparse t =
   Hashtbl.iter (fun name child -> walk ("/" ^ name) child) t.root;
   List.sort (fun (a, _, _) (b, _, _) -> String.compare a b) !acc
 
-let adopt_sparse t path ~size ~blocks =
+let adopt t path ~size ~blocks =
   List.iter
     (fun (_, b) ->
       if not (Storage.Store.block_exists t.store b) then
-        invalid_arg "Memfs.adopt_sparse: unknown block")
+        invalid_arg "Memfs.adopt: unknown block")
     blocks;
   let* _span = create t path in
   let* f = lookup_file t path in

@@ -73,27 +73,20 @@ val file_blocks : t -> string -> (Storage.Manager.block list, Fs_error.t) result
 (** The storage-manager blocks backing a file, for experiments that need to
     reason about placement. *)
 
-val enumerate : t -> (string * int * Storage.Manager.block list) list
-(** Every regular file: (path, size, backing blocks), sorted by path.
-    Used to checkpoint a namespace (removable cards) and by tools. *)
+val enumerate : t -> (string * int * (int * Storage.Manager.block) list) list
+(** Every regular file: (path, size, [(slot, block)] for each backing
+    block in slot order), sorted by path.  Slot indices keep holes — and
+    blocks a crash removed from the middle of a file — so a namespace
+    rebuilt by {!adopt} leaves every block at its original offset.  Used
+    to checkpoint a namespace (removable cards, cold restarts) and by
+    tools. *)
 
-val adopt : t -> string -> size:int -> blocks:Storage.Manager.block list ->
-  (unit, Fs_error.t) result
-(** Create a file over blocks that already hold its data (namespace
-    reconstruction after recovery).  The parent directory must exist.
-    @raise Invalid_argument if any block is unknown to the manager. *)
-
-val enumerate_sparse : t -> (string * int * (int * Storage.Manager.block) list) list
-(** Like {!enumerate} but each block carries its slot index, so holes — and
-    blocks a crash removed from the middle of a file — keep every survivor
-    at its original offset. *)
-
-val adopt_sparse :
+val adopt :
   t -> string -> size:int -> blocks:(int * Storage.Manager.block) list ->
   (unit, Fs_error.t) result
-(** Slot-indexed {!adopt}: each [(slot, block)] lands at exactly [slot].
-    The crash path rebuilds damaged files through this so surviving blocks
-    never shift position.
+(** Create a file over blocks that already hold its data (namespace
+    reconstruction after recovery): each [(slot, block)] lands at exactly
+    [slot].  The parent directory must exist.
     @raise Invalid_argument if any block is unknown to the manager. *)
 
 val check : t -> (unit, string) result

@@ -729,7 +729,7 @@ let stats (t : t) =
     blocks_flushed = flushed;
     blocks_cleaned = cleaned;
     cold_loads = sum (fun s -> s.Manager.cold_loads) - t.parity_cold + t.degraded_cold;
-    hot_retained = sum (fun s -> s.Manager.hot_retained);
+    hot_retained = 0;
     cleanings = sum (fun s -> s.Manager.cleanings);
     dirty_blocks;
     free_segments = sum (fun s -> s.Manager.free_segments);
@@ -875,7 +875,7 @@ let crash_and_remount t =
             done)
         cards;
       !ng
-    | Striping.Round_robin _ | Striping.Hashed -> next_global
+    | Striping.Round_robin _ -> next_global
   in
   (* Cards that lost never-flushed tail allocations restart their local
      cursor short of the global one; pad them so local handles stay a pure

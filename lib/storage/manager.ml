@@ -20,7 +20,6 @@ type probes = {
   p_flushed : Probe.counter;
   p_cleaned : Probe.counter;
   p_cold : Probe.counter;
-  p_hot_retained : Probe.counter;
   p_cleanings : Probe.counter;
   p_remounts : Probe.counter;
   p_busy_us : Probe.summary;
@@ -40,7 +39,6 @@ let make_probes ?card ~nbanks () =
     p_flushed = Probe.counter (l "blocks_flushed");
     p_cleaned = Probe.counter (l "blocks_cleaned");
     p_cold = Probe.counter (l "cold_loads");
-    p_hot_retained = Probe.counter (l "hot_retained");
     p_cleanings = Probe.counter (l "clean_ops");
     p_remounts = Probe.counter (l "remounts");
     p_busy_us = Probe.summary (l "busy_us");
@@ -54,7 +52,6 @@ type config = {
   cleaner : Cleaner.policy;
   wear : Wear.policy;
   banking : Banks.policy;
-  hot_threshold : float option;
   max_flush_batch : int;
   flush_spacing : Time.span;
   flush_watermark : float option;
@@ -68,7 +65,6 @@ let default_config =
     cleaner = Cleaner.Cost_benefit;
     wear = Wear.Dynamic;
     banking = Banks.Unified;
-    hot_threshold = None;
     max_flush_batch = 16;
     flush_spacing = Time.span_ms 100.0;
     flush_watermark = None;
@@ -77,11 +73,9 @@ let default_config =
 
 (* Demand cleaning runs while fewer than [low_water] segments are free.
    [min_segments] keeps a flash big enough to clean at that mark with
-   headroom to spare.  [heat_half_life] is the decay of the write counts
-   the hot-block migration reads. *)
+   headroom to spare. *)
 let low_water = 2
 let min_segments = 5
-let heat_half_life = Time.span_s 60.0
 
 type block = int
 
@@ -136,7 +130,6 @@ type t = {
   retired : bool array;
   segs_per_bank : int;
   buffer : Write_buffer.t;
-  heat : Heat.t;
   mutable meta : meta array; (* indexed by block id; [no_meta] = absent *)
   mutable next_block : block;
   mutable open_fresh : int option;
@@ -166,7 +159,6 @@ type t = {
   mutable c_flushed : int;
   mutable c_cleaned : int;
   mutable c_cold : int;
-  mutable c_hot_retained : int;
   mutable c_cleanings : int;
 }
 
@@ -324,7 +316,6 @@ let create ?card cfg ~engine ~flash ~dram =
       retired = Array.make nsegments false;
       segs_per_bank;
       buffer = Write_buffer.create cfg.buffer;
-      heat = Heat.create ~half_life:heat_half_life ();
       meta = Array.make (nsegments * cfg.segment_sectors) no_meta;
       next_block = 0;
       open_fresh = None;
@@ -349,7 +340,6 @@ let create ?card cfg ~engine ~flash ~dram =
       c_flushed = 0;
       c_cleaned = 0;
       c_cold = 0;
-      c_hot_retained = 0;
       c_cleanings = 0;
     }
   in
@@ -893,20 +883,7 @@ and timer_fired t =
     end
   in
   let cursor = ref now in
-  List.iter
-    (fun b ->
-      let retain =
-        match t.cfg.hot_threshold with
-        | Some threshold when Heat.is_hot t.heat ~now ~block:b ~threshold ->
-          Write_buffer.readmit t.buffer ~now ~block:b
-        | Some _ | None -> false
-      in
-      if retain then begin
-        t.c_hot_retained <- t.c_hot_retained + 1;
-        Probe.incr t.probes.p_hot_retained
-      end
-      else flush_block t ~cursor ~buffered:true b)
-    expired;
+  List.iter (flush_block t ~cursor ~buffered:true) expired;
   if expired <> [] then note_busy t ~start:now ~finish:!cursor;
   if expired <> [] && Probe.timeline_enabled () then
     Probe.span ~name:"write_buffer.flush_batch" ~cat:"storage"
@@ -967,7 +944,6 @@ let write_block_at t ~at b =
   let m = find_meta t b in
   t.c_writes <- t.c_writes + 1;
   Probe.incr t.probes.p_writes;
-  Heat.record_write t.heat ~now:at ~block:b;
   (match t.diff with
   | None -> kill_flash_copy t m
   | Some d -> (
@@ -1070,7 +1046,6 @@ let free_block t b =
      even a rollback copy left live while the block sat dirty — is
      obsoleted in place, so a crash cannot resurrect freed data. *)
   obsolete_header t ~block:b ~hdr_sector:m.hdr_sector;
-  Heat.forget t.heat ~block:b;
   t.meta.(b) <- no_meta
 
 let load_cold t b =
@@ -1136,7 +1111,7 @@ let stats t =
     blocks_flushed = t.c_flushed;
     blocks_cleaned = t.c_cleaned;
     cold_loads = t.c_cold;
-    hot_retained = t.c_hot_retained;
+    hot_retained = 0;
     cleanings = t.c_cleanings;
     dirty_blocks = Write_buffer.size t.buffer;
     free_segments = free_segment_count t;
@@ -1228,7 +1203,6 @@ let reset_traffic t =
   t.c_flushed <- 0;
   t.c_cleaned <- 0;
   t.c_cold <- 0;
-  t.c_hot_retained <- 0;
   t.c_cleanings <- 0;
   Write_buffer.reset_counters t.buffer;
   (match t.diff with Some d -> Diff_log.reset_counters d | None -> ());

@@ -8,8 +8,10 @@
     - buffering written data in battery-backed DRAM and flushing it to
       flash only after a writeback delay, so data that dies young never
       reaches flash;
-    - keeping frequently-written (hot) blocks in DRAM past their deadline
-      and read-mostly data in flash;
+    - keeping frequently-written (hot) blocks in DRAM and read-mostly data
+      in flash: a rewrite of a dirty block restarts its writeback deadline
+      ({!Write_buffer.config} [refresh_on_rewrite]), so a block rewritten
+      more often than the delay never reaches flash;
     - log-structured allocation of flash space in segments, with garbage
       collection by a pluggable victim-selection policy;
     - wear leveling across erase sectors;
@@ -32,10 +34,6 @@ type config = {
   cleaner : Cleaner.policy;
   wear : Wear.policy;
   banking : Banks.policy;
-  hot_threshold : float option;
-      (** Decayed-write-count (60 s half-life) above which a block is
-          retained in DRAM at its flush deadline; [None] disables
-          migration. *)
   max_flush_batch : int;
       (** Background flushes program at most this many blocks per timer
           firing, so foreground reads are never stuck behind an unbounded
@@ -59,8 +57,9 @@ type config = {
 
 val default_config : config
 (** 32-sector segments, the {!Write_buffer.default_config} buffer,
-    cost-benefit cleaning, dynamic wear leveling, unified banks,
-    migration off.
+    cost-benefit cleaning, dynamic wear leveling, unified banks.  Hot
+    blocks stay in DRAM because a rewrite restarts a buffered block's
+    deadline.
 
     Allocation and cleaning decisions are answered from incrementally
     maintained per-bank indexes (O(log n) each, O(1) counters for
@@ -176,7 +175,11 @@ type stats = {
   blocks_flushed : int;  (** Client blocks programmed into flash. *)
   blocks_cleaned : int;  (** Live blocks copied by the cleaner. *)
   cold_loads : int;
-  hot_retained : int;  (** Deadline flushes deferred because the block was hot. *)
+  hot_retained : int;
+      (** Always 0: a rewrite restarting the deadline is the only way a hot
+          block stays in DRAM, so no flush is ever deferred.  Kept because
+          the repository benchmark reads and pins it; it goes with the
+          next benchmark change. *)
   cleanings : int;  (** Victim segments cleaned. *)
   dirty_blocks : int;  (** Currently in the buffer. *)
   free_segments : int;

@@ -78,7 +78,7 @@ let parity_stats = function
   | Striped a -> (
     match Array.striping a with
     | Striping.Parity _ -> Some (Array.parity_stats a)
-    | Striping.Round_robin _ | Striping.Hashed -> None)
+    | Striping.Round_robin _ -> None)
 
 let crash_and_remount = function
   | Single m ->

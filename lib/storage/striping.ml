@@ -1,18 +1,15 @@
 type policy =
   | Round_robin of { strip_blocks : int }
-  | Hashed
   | Parity of { strip_blocks : int; rotate : bool }
 
 let policy_name = function
   | Round_robin _ -> "round-robin"
-  | Hashed -> "hashed"
   | Parity { rotate = true; _ } -> "parity-rotating"
   | Parity { rotate = false; _ } -> "parity-fixed"
 
 let pp_policy ppf = function
   | Round_robin { strip_blocks } ->
       Format.fprintf ppf "round-robin(strip=%d)" strip_blocks
-  | Hashed -> Format.fprintf ppf "hashed"
   | Parity { strip_blocks; rotate } ->
       Format.fprintf ppf "parity(strip=%d,%s)" strip_blocks
         (if rotate then "rotating" else "fixed")
@@ -33,10 +30,10 @@ let validate p ~ncards =
         Error
           (Printf.sprintf "parity needs >= 2 cards (1 data + 1 parity), got %d"
              ncards)
-    | Round_robin _ | Hashed | Parity _ -> Ok ()
+    | Round_robin _ | Parity _ -> Ok ()
 
-(* Handles are dense from 0, so [Hashed] is exactly round-robin with a
-   strip of one block; both directions stay pure integer arithmetic.
+(* Handles are dense from 0, so both directions stay pure integer
+   arithmetic.
 
    [Parity] reserves one strip per stripe for parity.  A stripe is [s]
    rows by [ncards] columns; each row holds [ncards - 1] data blocks plus
@@ -62,7 +59,6 @@ let parity_card_of_stripe ~ncards ~rotate k =
 
 let card_of p ~ncards ~block =
   match p with
-  | Hashed -> block mod ncards
   | Round_robin { strip_blocks = s } -> block / s mod ncards
   | Parity { strip_blocks = s; rotate } ->
       let sd = stripe_data ~ncards s in
@@ -72,7 +68,6 @@ let card_of p ~ncards ~block =
 
 let local_of p ~ncards ~block =
   match p with
-  | Hashed -> block / ncards
   | Round_robin { strip_blocks = s } ->
       (* Full stripes before this one contribute [s] blocks to every card;
          the current strip contributes the in-strip offset. *)
@@ -82,7 +77,6 @@ let local_of p ~ncards ~block =
 
 let global_of p ~ncards ~card ~local =
   match p with
-  | Hashed -> (local * ncards) + card
   | Round_robin { strip_blocks = s } ->
       (local / s * (s * ncards)) + (card * s) + (local mod s)
   | Parity { strip_blocks = s; rotate } ->
@@ -100,7 +94,6 @@ let global_of p ~ncards ~card ~local =
 
 let locals_before p ~ncards ~card g =
   match p with
-  | Hashed -> if g > card then (g - card + ncards - 1) / ncards else 0
   | Round_robin { strip_blocks = s } ->
       (* Whole stripes contribute [s] each; within the current stripe the
          card's strip is [card*s .. card*s + s). *)
@@ -127,7 +120,7 @@ let locals_before p ~ncards ~card g =
 
 let parity_slot p ~ncards ~block =
   match p with
-  | Round_robin _ | Hashed -> None
+  | Round_robin _ -> None
   | Parity { strip_blocks = s; rotate } ->
       let k = block / stripe_data ~ncards s in
       Some
@@ -136,14 +129,14 @@ let parity_slot p ~ncards ~block =
 
 let parity_card_of_local p ~ncards ~local =
   match p with
-  | Round_robin _ | Hashed ->
+  | Round_robin _ ->
       invalid_arg "Striping.parity_card_of_local: not a parity policy"
   | Parity { strip_blocks = s; rotate } ->
       parity_card_of_stripe ~ncards ~rotate (local / s)
 
 let parity_prealloc p ~ncards ~block =
   match p with
-  | Round_robin _ | Hashed -> None
+  | Round_robin _ -> None
   | Parity { strip_blocks = s; rotate } ->
       let sd = stripe_data ~ncards s in
       if block mod sd <> 0 then None
@@ -153,7 +146,7 @@ let parity_prealloc p ~ncards ~block =
 
 let min_global_cursor p ~ncards ~card ~local =
   match p with
-  | Round_robin _ | Hashed -> global_of p ~ncards ~card ~local + 1
+  | Round_robin _ -> global_of p ~ncards ~card ~local + 1
   | Parity { strip_blocks = s; rotate } ->
       let k = local / s in
       if card = parity_card_of_stripe ~ncards ~rotate k then

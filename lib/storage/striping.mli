@@ -12,8 +12,8 @@
 
     [Round_robin] with strip size [s] sends [s] consecutive handles to each
     card in turn (the PFS striping shape: sequential files spread across
-    every card at strip granularity).  [Hashed] is the modulo baseline —
-    equivalent to a strip size of 1.
+    every card at strip granularity); a strip of 1 is the modulo
+    placement.
 
     [Parity] adds redundancy (the RAID-4/5 shapes): each stripe of
     [s * (N-1)] data blocks is protected by a strip of [s] parity blocks
@@ -30,7 +30,6 @@
 
 type policy =
   | Round_robin of { strip_blocks : int }
-  | Hashed
   | Parity of { strip_blocks : int; rotate : bool }
 
 val policy_name : policy -> string

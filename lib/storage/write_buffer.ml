@@ -155,13 +155,6 @@ let take t ~block =
 
 let next_deadline t = Option.map fst (peek_live t)
 
-let readmit t ~now ~block =
-  if is_full t || Hashtbl.mem t.deadlines block then false
-  else begin
-    enqueue t ~block ~deadline:(Time.add now t.cfg.writeback_delay);
-    true
-  end
-
 let drain t =
   let rec go acc =
     match pop_live t ~keep_if:(fun _ -> true) with

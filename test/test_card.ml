@@ -73,6 +73,31 @@ let test_surprise_eject_loses_dirty_data () =
   Alcotest.(check int) "old files intact" 8192
     (ok (Fs.Memfs.file_size fs "/apps/organizer"))
 
+(* The checkpoint keeps each block's slot: a file whose only block sits
+   behind a hole comes back with the block at the same offset, not shifted
+   into the hole. *)
+let test_eject_keeps_sparse_slots () =
+  let engine, card = make () in
+  populate card;
+  let fs = Ssmc.Card.fs card in
+  ignore (ok (Fs.Memfs.create fs "/sparse"));
+  ignore (ok (Fs.Memfs.write fs "/sparse" ~offset:4096 ~bytes:512));
+  let namespace = Alcotest.(list (triple string int (list (pair int int)))) in
+  let before = Fs.Memfs.enumerate fs in
+  ignore (Ssmc.Card.eject card);
+  advance engine (Time.span_s 1.0);
+  ignore (Ssmc.Card.insert card);
+  let fs = Ssmc.Card.fs card in
+  Alcotest.check namespace "enumerate unchanged by eject and insert" before
+    (Fs.Memfs.enumerate fs);
+  let read_us offset =
+    Time.span_to_us (ok (Fs.Memfs.read fs "/sparse" ~offset ~bytes:512))
+  in
+  Alcotest.(check bool) "the block reads from flash at its offset" true
+    (read_us 4096 > 10.0);
+  Alcotest.(check bool) "the hole in front of it reads from DRAM" true
+    (read_us 0 < 10.0)
+
 let test_xip_from_card () =
   (* The OmniBook pattern: bundled software in the card, executed in
      place through the host's VM. *)
@@ -107,6 +132,8 @@ let suite =
   [
     Alcotest.test_case "orderly eject & reinsert" `Quick test_orderly_eject_and_reinsert;
     Alcotest.test_case "surprise eject loses dirty" `Quick test_surprise_eject_loses_dirty_data;
+    Alcotest.test_case "eject keeps sparse file slots" `Quick
+      test_eject_keeps_sparse_slots;
     Alcotest.test_case "XIP from card" `Quick test_xip_from_card;
     Alcotest.test_case "double operations rejected" `Quick test_double_operations_rejected;
   ]

@@ -3,7 +3,7 @@ open Sim
 (* A small machine: 256KB flash, 2 banks, 8-sector segments. *)
 let make ?(flash_kib = 256) ?(nbanks = 2) ?(buffer_blocks = 16) ?(delay = 30.0)
     ?(cleaner = Storage.Cleaner.Cost_benefit) ?(wear = Storage.Wear.Dynamic)
-    ?(banking = Storage.Banks.Unified) ?(endurance = 1_000) ?hot_threshold ?diff_log () =
+    ?(banking = Storage.Banks.Unified) ?(endurance = 1_000) ?diff_log () =
   let engine = Engine.create () in
   let flash =
     Device.Flash.create
@@ -24,7 +24,6 @@ let make ?(flash_kib = 256) ?(nbanks = 2) ?(buffer_blocks = 16) ?(delay = 30.0)
       cleaner;
       wear;
       banking;
-      hot_threshold;
       diff_log;
     }
   in
@@ -184,24 +183,43 @@ let test_flush_all () =
   Alcotest.(check int) "buffer empty" 0
     (Storage.Manager.stats m).Storage.Manager.dirty_blocks
 
-let test_hot_block_retention () =
-  let engine, m, flash = make ~delay:2.0 ~hot_threshold:3.0 () in
+(* Hot data stays in DRAM because a rewrite restarts the block's
+   deadline: rewritten every 1 s under a 2 s delay, a block never reaches
+   flash while the rewrites continue, and flushes one delay after the
+   last.  A block written once flushes at its deadline. *)
+let test_hot_blocks_stay_in_dram () =
+  let engine, m, flash = make ~delay:2.0 () in
   let hot = Storage.Manager.alloc m in
   let cold = Storage.Manager.alloc m in
   ignore (Storage.Manager.write_block m cold);
-  (* Keep the hot block hot across several deadlines. *)
-  for _ = 1 to 10 do
+  let on_flash b = Storage.Manager.segment_of_block m b <> None in
+  let at_ms ms = Time.of_ns (ms * 1_000_000) in
+  for i = 0 to 9 do
     ignore (Storage.Manager.write_block m hot);
-    advance engine (Time.span_s 1.0)
+    if i = 1 then begin
+      Engine.run_until engine (at_ms 1_999);
+      Alcotest.(check bool) "cold dirty just before its deadline" false (on_flash cold)
+    end;
+    Engine.run_until engine (at_ms ((i + 1) * 1_000));
+    if i = 1 then
+      Alcotest.(check bool) "cold flushed at its deadline" true (on_flash cold);
+    Alcotest.(check bool) (Printf.sprintf "hot dirty at %d s" (i + 1)) true
+      (Storage.Manager.block_is_dirty m hot);
+    Alcotest.(check bool) (Printf.sprintf "hot not on flash at %d s" (i + 1)) false
+      (on_flash hot)
   done;
-  advance engine (Time.span_s 4.0);
+  Alcotest.(check int) "only the cold block programmed" 1 (Device.Flash.programs flash);
+  (* The last rewrite was at 9 s, so the deadline is 11 s. *)
+  Engine.run_until engine (at_ms 10_999);
+  Alcotest.(check bool) "hot dirty just before the delay" true
+    (Storage.Manager.block_is_dirty m hot);
+  Engine.run_until engine (at_ms 11_000);
+  Alcotest.(check bool) "hot flushed one delay after the last rewrite" true
+    (on_flash hot);
   let stats = Storage.Manager.stats m in
-  Alcotest.(check bool) "hot retained at least once" true
-    (stats.Storage.Manager.hot_retained > 0);
-  Alcotest.(check int) "cold flushed" 1
-    (Device.Flash.programs flash - stats.Storage.Manager.blocks_cleaned
-    |> min (Device.Flash.programs flash));
-  ignore cold
+  Alcotest.(check int) "two flushes" 2 stats.Storage.Manager.blocks_flushed;
+  Alcotest.(check int) "nine rewrites absorbed" 9 stats.Storage.Manager.absorbed_writes;
+  Alcotest.(check int) "no retention bookkeeping" 0 stats.Storage.Manager.hot_retained
 
 let test_wear_leveling_reduces_spread () =
   (* Hammer a hot set; static leveling should keep the erase spread below
@@ -549,7 +567,7 @@ let suite =
     Alcotest.test_case "out of space" `Quick test_out_of_space;
     Alcotest.test_case "partitioned placement" `Quick test_load_cold_placement_partitioned;
     Alcotest.test_case "flush_all" `Quick test_flush_all;
-    Alcotest.test_case "hot retention" `Quick test_hot_block_retention;
+    Alcotest.test_case "hot blocks stay in DRAM" `Quick test_hot_blocks_stay_in_dram;
     Alcotest.test_case "wear leveling spread" `Slow test_wear_leveling_reduces_spread;
     Alcotest.test_case "watermark flush" `Quick test_watermark_flush;
     Alcotest.test_case "consistency mid-flight" `Quick test_consistency_mid_flight;

@@ -141,22 +141,35 @@ let test_enumerate_and_adopt () =
   ignore (ok (Fs.Memfs.write fs "/d/a" ~offset:0 ~bytes:1024));
   ignore (ok (Fs.Memfs.create fs "/b"));
   ignore (ok (Fs.Memfs.write fs "/b" ~offset:0 ~bytes:512));
+  (* A sparse file: its only block sits at slot 2, behind a hole. *)
+  ignore (ok (Fs.Memfs.create fs "/h"));
+  ignore (ok (Fs.Memfs.write fs "/h" ~offset:1024 ~bytes:512));
   let entries = Fs.Memfs.enumerate fs in
-  Alcotest.(check (list string)) "paths sorted" [ "/b"; "/d/a" ]
+  Alcotest.(check (list string)) "paths sorted" [ "/b"; "/d/a"; "/h" ]
     (List.map (fun (p, _, _) -> p) entries);
   let _, size_a, blocks_a = List.nth entries 1 in
   Alcotest.(check int) "size" 1024 size_a;
-  Alcotest.(check int) "two blocks" 2 (List.length blocks_a);
-  (* Adopt those blocks under a new name in a second namespace over the
+  Alcotest.(check (list int)) "two blocks at slots 0 and 1" [ 0; 1 ]
+    (List.map fst blocks_a);
+  let _, size_h, blocks_h = List.nth entries 2 in
+  Alcotest.(check (list int)) "hole kept" [ 2 ] (List.map fst blocks_h);
+  (* Adopt those blocks under new names in a second namespace over the
      same manager (what card insertion does). *)
   let fs2 = Fs.Memfs.create_fs ~manager:(Fs.Memfs.manager fs) () in
-  (match Fs.Memfs.adopt fs2 "/resurrected" ~size:1024 ~blocks:blocks_a with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "adopt: %a" Fs.Fs_error.pp e);
+  let adopt path size blocks =
+    match Fs.Memfs.adopt fs2 path ~size ~blocks with
+    | Ok () -> ()
+    | Error e -> Alcotest.failf "adopt: %a" Fs.Fs_error.pp e
+  in
+  adopt "/resurrected" 1024 blocks_a;
+  adopt "/sparse" size_h blocks_h;
   Alcotest.(check int) "adopted size" 1024 (ok (Fs.Memfs.file_size fs2 "/resurrected"));
+  Alcotest.(check bool) "blocks stay at their slots" true
+    (Fs.Memfs.enumerate fs2
+    = [ ("/resurrected", 1024, blocks_a); ("/sparse", size_h, blocks_h) ]);
   Alcotest.check_raises "unknown block rejected"
     (Invalid_argument "Memfs.adopt: unknown block") (fun () ->
-      ignore (Fs.Memfs.adopt fs2 "/bogus" ~size:512 ~blocks:[ 999_999 ]))
+      ignore (Fs.Memfs.adopt fs2 "/bogus" ~size:512 ~blocks:[ (0, 999_999) ]))
 
 (* Random operation sequences keep the FS and the storage manager consistent. *)
 let prop_random_ops_consistent =

@@ -1,5 +1,6 @@
 (* Sim.Probe: registry semantics, snapshot algebra, per-domain merging,
-   Chrome-trace emission, and the Machine.preload "start clean" contract. *)
+   Chrome-trace emission, the Machine.preload "start clean" contract, and
+   the telemetry of a faulted whole-machine replay. *)
 open Sim
 
 (* Every test leaves the probes as it found them: disabled and clean. *)
@@ -238,6 +239,72 @@ let test_preload_starts_clean () =
       dirty_then_preload (Ssmc.Config.solid_state ~seed:5 ());
       dirty_then_preload (Ssmc.Config.conventional ~seed:5 ()))
 
+(* --- A faulted replay, end to end -------------------------------------------- *)
+
+(* Five minutes of pim traffic with no backup battery and the primary
+   dying at 120 s: a cold restart.  The snapshot holds exactly this
+   replay's activity, because preload resets the domain's registry. *)
+let faulted_replay seed =
+  let trace =
+    Trace.Synth.generate_seq Trace.Workloads.pim ~rng:(Rng.create ~seed)
+      ~duration:(Time.span_s 300.0)
+  in
+  let machine = Ssmc.Machine.create (Ssmc.Config.solid_state ~backup_wh:0.0 ~seed ()) in
+  Ssmc.Machine.preload machine trace.Trace.Synth.stream_initial_files;
+  let faults =
+    Fault.schedule [ { Fault.kind = Fault.Battery_depletion; after = Time.span_s 120.0 } ]
+  in
+  ignore (Ssmc.Machine.run_seq ~faults machine trace.Trace.Synth.seq);
+  Probe.snapshot ()
+
+let test_faulted_replay_telemetry () =
+  with_probes ~timeline:true (fun () ->
+      let snap = faulted_replay 42 in
+      let trace =
+        Json.to_string (Probe.Timeline.to_chrome_json (Probe.Timeline.events ()))
+      in
+      let evs =
+        match Json.of_string trace with
+        | Ok doc -> (
+          match Json.member "traceEvents" doc with
+          | Some (Json.List evs) -> evs
+          | _ -> Alcotest.fail "no traceEvents list")
+        | Error e -> Alcotest.failf "trace JSON unparseable: %s" e
+      in
+      let field name ev =
+        match Json.member name ev with
+        | Some v -> v
+        | None -> Alcotest.failf "trace event without %S" name
+      in
+      Alcotest.(check bool) "events recorded" true (evs <> []);
+      let ts =
+        List.map
+          (fun ev ->
+            match field "ts" ev with
+            | Json.Number t -> t
+            | _ -> Alcotest.fail "non-numeric timestamp")
+          evs
+      in
+      Alcotest.(check bool) "timestamps never decrease" true (List.sort compare ts = ts);
+      Alcotest.(check bool) "phases are X or i" true
+        (List.for_all
+           (fun ev -> List.mem (field "ph" ev) [ Json.String "X"; Json.String "i" ])
+           evs);
+      let named n = List.exists (fun ev -> field "name" ev = Json.String n) evs in
+      Alcotest.(check bool) "fault event" true (named "fault");
+      Alcotest.(check bool) "remount event" true (named "manager.remount");
+      Alcotest.(check int) "machine.faults" 1 (cv snap "machine.faults");
+      Alcotest.(check int) "storage.manager.remounts" 1
+        (cv snap "storage.manager.remounts");
+      (* Each seed snapshots after its own replay; merged in seed order,
+         the totals cannot depend on which domain ran which seed. *)
+      let merged jobs =
+        Pool.run_map ~jobs faulted_replay [ 42; 43 ]
+        |> List.fold_left Probe.Snapshot.merge Probe.Snapshot.empty
+        |> Probe.Snapshot.to_json |> Json.to_string
+      in
+      Alcotest.(check string) "jobs 1 = jobs 2" (merged 1) (merged 2))
+
 let suite =
   [
     Alcotest.test_case "record and snapshot" `Quick test_record_and_snapshot;
@@ -252,4 +319,5 @@ let suite =
     Alcotest.test_case "timeline chrome JSON" `Quick test_timeline_chrome_json;
     QCheck_alcotest.to_alcotest prop_timeline_roundtrip;
     Alcotest.test_case "preload starts clean" `Quick test_preload_starts_clean;
+    Alcotest.test_case "faulted replay telemetry" `Quick test_faulted_replay_telemetry;
   ]

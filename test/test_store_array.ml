@@ -11,7 +11,6 @@ let policies =
     Storage.Striping.Round_robin { strip_blocks = 3 };
     Storage.Striping.Round_robin { strip_blocks = 4 };
     Storage.Striping.Round_robin { strip_blocks = 16 };
-    Storage.Striping.Hashed;
   ]
 
 (* Replay the allocation order and keep per-card counts: [local_of] must
@@ -67,7 +66,8 @@ let test_striping_validate () =
   in
   Alcotest.(check bool) "valid" true
     (ok (Storage.Striping.Round_robin { strip_blocks = 4 }) 2);
-  Alcotest.(check bool) "zero cards" false (ok Storage.Striping.Hashed 0);
+  Alcotest.(check bool) "zero cards" false
+    (ok (Storage.Striping.Round_robin { strip_blocks = 1 }) 0);
   Alcotest.(check bool) "zero strip" false
     (ok (Storage.Striping.Round_robin { strip_blocks = 0 }) 2);
   Alcotest.(check bool) "parity wants two cards" false
@@ -119,7 +119,7 @@ let striping_arbitrary =
         QCheck.Gen.map
           (fun s -> Storage.Striping.Round_robin { strip_blocks = s })
           (QCheck.Gen.int_range 1 8);
-        QCheck.Gen.return Storage.Striping.Hashed;
+        QCheck.Gen.return (Storage.Striping.Round_robin { strip_blocks = 1 });
         QCheck.Gen.map2
           (fun s rotate -> Storage.Striping.Parity { strip_blocks = s; rotate })
           (QCheck.Gen.int_range 1 8) QCheck.Gen.bool;
@@ -187,7 +187,7 @@ let striping_replay_property (policy, ncards, len) =
     | None -> (
       match policy with
       | S.Parity _ -> QCheck.Test.fail_reportf "no parity slot for g=%d" g
-      | S.Round_robin _ | S.Hashed -> ()));
+      | S.Round_robin _ -> ()));
     counts.(card) <- counts.(card) + 1
   done;
   true
