@@ -148,7 +148,7 @@ let trace_table () =
     match Ssmc.Machine.ffs machine with
     | Some ffs ->
       Table.cell_bytes
-        (Fs.Buffer_cache.size (Fs.Ffs.cache ffs)
+        (Storage.Buffer_cache.size (Fs.Ffs.cache ffs)
         * (Fs.Ffs.config ffs).Fs.Ffs.fs_block_bytes)
     | None -> "0B"
   in

@@ -77,7 +77,6 @@ let recordings_per_record () =
         | Sim.Probe.Snapshot.Counter c when not (List.mem name bulk_counters) ->
           acc + c
         | Sim.Probe.Snapshot.Counter _ -> acc
-        | Sim.Probe.Snapshot.Gauge _ -> acc + 1
         | Sim.Probe.Snapshot.Summary s -> acc + s.n
         | Sim.Probe.Snapshot.Histogram buckets ->
           acc + List.fold_left (fun a (_, _, c) -> a + c) 0 buckets)

@@ -258,11 +258,11 @@ let array_flush_table () =
      work itself splits across cards."
 
 (* The front cache on the array's hot paths.  Every [write_block] and
-   [free_block] invalidates the written handle and every cached read is a
-   lookup — each a single hash probe (invalidate and insert used to pay a
-   [find_opt] before their [remove]/[replace]).  One cycle per measured op
-   exercises all three paths: invalidate a resident handle, re-insert it
-   on the miss read, then hit it. *)
+   [free_block] forgets the written handle ([Buffer_cache.forget]: one
+   lookup and one remove) and every cached read is a [find]; a miss read
+   re-inserts the handle as a fresh node.  One cycle per measured op
+   exercises all three paths: forget a resident handle, re-insert it on
+   the miss read, then hit it. *)
 let front_cache_table () =
   let ops = 4000 in
   let nblocks = 128 in
@@ -310,8 +310,8 @@ let front_cache_table () =
   Table.add_row t [ Table.cell_i 256; Printf.sprintf "%.0f" words ];
   Table.print t;
   Common.note
-    "each front-cache touch is one hash probe; the cycle's budget is dominated \
-     by the write and miss-read themselves."
+    "the front cache is Storage.Buffer_cache used clean; the cycle's budget is \
+     dominated by the write and miss-read themselves."
 
 let run () =
   Common.section "storage manager: decision path, write buffer and array host costs";

@@ -201,6 +201,17 @@ let total_wait t = Time.span_ns t.wait_ns
 let read_wait t = Time.span_ns t.read_wait_ns
 let read_wait_us t = t.read_wait_hist
 
+let reset_stats t =
+  Stat.Counter.reset t.c_reads;
+  Stat.Counter.reset t.c_programs;
+  Stat.Counter.reset t.c_erases;
+  Stat.Counter.reset t.c_bytes_read;
+  Stat.Counter.reset t.c_bytes_programmed;
+  t.wait_ns <- 0;
+  t.read_wait_ns <- 0;
+  Stat.Histogram.reset t.read_wait_hist;
+  Power.Meter.reset t.meter
+
 let factory_reset t =
   (* Back to the state [create] built: pristine sectors, idle banks, zero
      meters.  The sector-state and bank arrays — the device's dominant
@@ -213,23 +224,4 @@ let factory_reset t =
       s.bad <- false)
     t.sectors;
   Array.fill t.bank_busy 0 (Array.length t.bank_busy) Time.zero;
-  t.wait_ns <- 0;
-  t.read_wait_ns <- 0;
-  Stat.Histogram.reset t.read_wait_hist;
-  Stat.Counter.reset t.c_reads;
-  Stat.Counter.reset t.c_programs;
-  Stat.Counter.reset t.c_erases;
-  Stat.Counter.reset t.c_bytes_read;
-  Stat.Counter.reset t.c_bytes_programmed;
-  Power.Meter.reset t.meter
-
-let reset_stats t =
-  Stat.Counter.reset t.c_reads;
-  Stat.Counter.reset t.c_programs;
-  Stat.Counter.reset t.c_erases;
-  Stat.Counter.reset t.c_bytes_read;
-  Stat.Counter.reset t.c_bytes_programmed;
-  t.wait_ns <- 0;
-  t.read_wait_ns <- 0;
-  Stat.Histogram.reset t.read_wait_hist;
-  Power.Meter.reset t.meter
+  reset_stats t

@@ -1,4 +1,5 @@
 open Sim
+module Buffer_cache = Storage.Buffer_cache
 
 type config = {
   fs_block_bytes : int;
@@ -182,6 +183,12 @@ let frag_bytes t = t.cfg.fs_block_bytes / t.cfg.frag_per_block
 
 let frags_needed t bytes = Units.ceil_div bytes (frag_bytes t)
 
+(* Take [n] of the free fragments of the fragment block at [addr]. *)
+let take_frags t ~cursor addr n =
+  Hashtbl.replace t.frag_free addr (Hashtbl.find t.frag_free addr - n);
+  (* The fragment map lives with the allocation bitmap. *)
+  access t ~cursor ~addr:(bitmap_block_of_data t (addr - t.data_start)) Write_delayed
+
 (* Allocate [n] fragments, sharing a partially-filled fragment block when
    one has room, else breaking a fresh block into fragments. *)
 let alloc_frags t ~cursor ~group n =
@@ -196,9 +203,7 @@ let alloc_frags t ~cursor ~group n =
   in
   match reuse with
   | Some addr ->
-    Hashtbl.replace t.frag_free addr (Hashtbl.find t.frag_free addr - n);
-    (* The fragment map lives with the allocation bitmap. *)
-    access t ~cursor ~addr:(bitmap_block_of_data t (addr - t.data_start)) Write_delayed;
+    take_frags t ~cursor addr n;
     Some addr
   | None -> begin
     match alloc_block t ~cursor ~group with
@@ -372,6 +377,23 @@ let bmap_assign t ~cursor ~inode ~group i addr =
     end
   end
 
+(* Give the inode a fresh [n]-fragment tail at map index [i], all or
+   nothing: when the map needs an indirect block the disk cannot supply,
+   the fragments go back before ENOSPC, so none are left without an
+   owner. *)
+let alloc_tail t ~cursor ~inode ~group i n =
+  match alloc_frags t ~cursor ~group n with
+  | None -> None
+  | Some addr ->
+    if bmap_assign t ~cursor ~inode ~group i addr then begin
+      inode.tail_frags <- n;
+      Some addr
+    end
+    else begin
+      free_frags t ~cursor addr n;
+      None
+    end
+
 (* Free an inode's fragment tail (if any) and clear its map slot. *)
 let drop_tail t ~cursor inode =
   if inode.tail_frags > 0 then begin
@@ -506,7 +528,8 @@ let create_fs ?(config = default_config) ~engine ~disk ~dram () =
       engine;
       disk;
       dram;
-      cache = Buffer_cache.create ~capacity_blocks:cfg.cache_blocks;
+      cache =
+        Buffer_cache.create ~probe:"fs.buffer_cache" ~capacity_blocks:cfg.cache_blocks;
       ptrs = Ffs_inode.ptrs_per_block ~block_bytes:cfg.fs_block_bytes;
       nblocks;
       data_start;
@@ -625,16 +648,19 @@ let write t path ~offset ~bytes =
              | Some addr ->
                if needed > inode.tail_frags then begin
                  (* Grow into a larger fragment run. *)
+                 let old = inode.tail_frags in
                  access t ~cursor ~addr Read;
-                 free_frags t ~cursor addr inode.tail_frags;
+                 free_frags t ~cursor addr old;
                  inode.tail_frags <- 0;
-                 match alloc_frags t ~cursor ~group needed with
-                 | Some naddr ->
-                   if not (bmap_assign t ~cursor ~inode ~group new_full naddr) then
-                     enospc ();
-                   inode.tail_frags <- needed;
-                   access t ~cursor ~addr:naddr Write_fresh
-                 | None -> enospc ()
+                 match alloc_tail t ~cursor ~inode ~group new_full needed with
+                 | Some naddr -> access t ~cursor ~addr:naddr Write_fresh
+                 | None ->
+                   (* No room anywhere, so the run just released is still
+                      free at [addr] (the map still points there): take it
+                      back and keep the old tail. *)
+                   take_frags t ~cursor addr old;
+                   inode.tail_frags <- old;
+                   enospc ()
                end
                else begin
                  access t ~cursor ~addr Read;
@@ -648,12 +674,8 @@ let write t path ~offset ~bytes =
                access t ~cursor ~addr Read;
                access t ~cursor ~addr Write_delayed
              | None -> begin
-               match alloc_frags t ~cursor ~group needed with
-               | Some addr ->
-                 if not (bmap_assign t ~cursor ~inode ~group new_full addr) then
-                   enospc ();
-                 inode.tail_frags <- needed;
-                 access t ~cursor ~addr Write_fresh
+               match alloc_tail t ~cursor ~inode ~group new_full needed with
+               | Some addr -> access t ~cursor ~addr Write_fresh
                | None -> enospc ()
              end
            end

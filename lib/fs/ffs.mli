@@ -47,7 +47,7 @@ val used_bytes : t -> int
 val data_blocks : t -> int
 (** Total data blocks the disk holds. *)
 
-val cache : t -> Buffer_cache.t
+val cache : t -> Storage.Buffer_cache.t
 
 val reset_counters : t -> unit
 (** Zero the buffer cache's hit/miss/writeback counters; part of

@@ -17,7 +17,6 @@
 type handle = { id : int; h_name : string }
 
 type counter = handle
-type gauge = handle
 type summary = handle
 type histogram = handle
 
@@ -54,7 +53,6 @@ let name_of_id id =
   n
 
 let counter = handle
-let gauge = handle
 let summary = handle
 let histogram = handle
 
@@ -66,7 +64,6 @@ let timeline_enabled () = Atomic.get timeline_on
 let set_timeline b = Atomic.set timeline_on b
 
 type ccell = { mutable c : int }
-type gcell = { mutable g : float }
 
 type scell = {
   mutable n : int;
@@ -78,7 +75,6 @@ type scell = {
 type cell =
   | Empty  (** Slot allocated but this domain never touched the metric. *)
   | Ccell of ccell
-  | Gcell of gcell
   | Scell of scell
   | Hcell of Stat.Histogram.t
 
@@ -140,15 +136,6 @@ let ccell st (h : counter) =
     c
   | _ -> kind_clash h.h_name
 
-let gcell st (h : gauge) =
-  match slot st h with
-  | Gcell g -> g
-  | Empty ->
-    let g = { g = 0.0 } in
-    st.cells.(h.id) <- Gcell g;
-    g
-  | _ -> kind_clash h.h_name
-
 let scell st (h : summary) =
   match slot st h with
   | Scell s -> s
@@ -177,12 +164,6 @@ let add h k =
   if Atomic.get metrics_on then begin
     let c = ccell (state ()) h in
     c.c <- c.c + k
-  end
-
-let set h v =
-  if Atomic.get metrics_on then begin
-    let g = gcell (state ()) h in
-    g.g <- v
   end
 
 let observe h v =
@@ -235,7 +216,6 @@ let instant ~name ~cat ?(tid = 0) ?(args = []) ~at () =
 module Snapshot = struct
   type value =
     | Counter of int
-    | Gauge of float
     | Summary of { n : int; sum : float; vmin : float; vmax : float }
     | Histogram of (float * float * int) list
 
@@ -277,7 +257,6 @@ module Snapshot = struct
   let merge_value a b =
     match (a, b) with
     | Counter x, Counter y -> Counter (x + y)
-    | Gauge _, Gauge y -> Gauge y
     | Summary a, Summary b ->
       Summary
         {
@@ -329,7 +308,6 @@ module Snapshot = struct
 
   let is_zero = function
     | Counter n -> n = 0
-    | Gauge _ -> true
     | Summary { n; _ } -> n = 0
     | Histogram buckets -> List.for_all (fun (_, _, c) -> c = 0) buckets
 
@@ -337,7 +315,6 @@ module Snapshot = struct
     let open Json in
     let value_json = function
       | Counter n -> int n
-      | Gauge g -> Obj [ ("gauge", number g) ]
       | Summary { n; sum; vmin; vmax } ->
         Obj
           [
@@ -376,7 +353,6 @@ let snapshot_state st =
         match cell with
         | Empty -> assert false
         | Ccell { c } -> Snapshot.Counter c
-        | Gcell { g } -> Snapshot.Gauge g
         | Scell { n; sum; vmin; vmax } -> Snapshot.Summary { n; sum; vmin; vmax }
         | Hcell h -> Snapshot.Histogram (Stat.Histogram.buckets h)
       in

@@ -1,8 +1,8 @@
 (** Unified observability: a named-metric registry plus an optional event
     timeline.
 
-    Simulation components register label-scoped metrics (counters, gauges,
-    latency summaries, histograms — e.g. ["storage.manager.clean_ops"]) and
+    Simulation components register label-scoped metrics (counters, latency
+    summaries, histograms — e.g. ["storage.manager.clean_ops"]) and
     record into them through handles.  Everything is disabled by default:
     each recording call is one atomic load and a branch, so instrumented hot
     paths cost nothing measurable until a harness opts in with
@@ -27,7 +27,6 @@
     cap are counted as dropped, never silently lost. *)
 
 type counter
-type gauge
 type summary
 type histogram
 
@@ -36,7 +35,6 @@ val counter : string -> counter
     create at module-load time and share across domains; the backing cell
     is interned per domain on first use. *)
 
-val gauge : string -> gauge
 val summary : string -> summary
 val histogram : string -> histogram
 
@@ -51,7 +49,6 @@ val set_timeline : bool -> unit
 
 val incr : counter -> unit
 val add : counter -> int -> unit
-val set : gauge -> float -> unit
 val observe : summary -> float -> unit
 val observe_hist : histogram -> float -> unit
 
@@ -76,7 +73,6 @@ val instant :
 module Snapshot : sig
   type value =
     | Counter of int
-    | Gauge of float
     | Summary of { n : int; sum : float; vmin : float; vmax : float }
     | Histogram of (float * float * int) list
         (** [(lo, hi, count)] per non-empty bucket, ascending — the
@@ -93,20 +89,17 @@ module Snapshot : sig
 
   val merge : t -> t -> t
   (** Pointwise combination: counters and histogram buckets add (exact,
-      integer), summaries pool (n and sum add, extrema widen), gauges keep
-      the right argument's value.  [merge] is commutative up to gauge
-      choice and float addition; on counters and histograms it is exact and
-      order-independent. *)
+      integer), summaries pool (n and sum add, extrema widen).  [merge] is
+      commutative up to float addition; on counters and histograms it is
+      exact and order-independent. *)
 
   val diff : later:t -> earlier:t -> t
   (** What happened between two snapshots of the same registry: counters
       and histogram buckets subtract (clamped at zero), summary [n]/[sum]
-      subtract (extrema cannot be un-observed and keep [later]'s), gauges
-      keep [later]'s value. *)
+      subtract (extrema cannot be un-observed and keep [later]'s). *)
 
   val is_zero : value -> bool
-  (** True for a zero counter, an empty summary or histogram, and any
-      gauge (gauges describe state, not accumulation). *)
+  (** True for a zero counter and an empty summary or histogram. *)
 
   val to_json : t -> Json.t
 end

@@ -43,8 +43,7 @@ type t = {
   striping : Striping.policy;
   config : Manager.config;  (* to mint a fresh manager on reinsert *)
   cards : Manager.t A.t;
-  front : Front_cache.t option;  (* [None] = cache off (capacity 0). *)
-  front_capacity : int;
+  front : Buffer_cache.t option;  (* [None] = cache off (capacity 0). *)
   dram : Device.Dram.t;
   engine : Engine.t;
   mutable next_global : int;
@@ -68,7 +67,8 @@ let manager t i = t.cards.(i)
 let dram t = t.dram
 let engine t = t.engine
 let block_bytes t = Manager.block_bytes t.cards.(0)
-let front_cache_capacity t = t.front_capacity
+let front_cache_capacity t =
+  match t.front with None -> 0 | Some fc -> Buffer_cache.capacity fc
 
 let card_of_block t b = Striping.card_of t.striping ~ncards:(ncards t) ~block:b
 let local_of_block t b = Striping.local_of t.striping ~ncards:(ncards t) ~block:b
@@ -95,8 +95,10 @@ let create ?(front_cache_blocks = 0) ~striping cfg ~engine ~flashes ~dram =
     cards;
     front =
       (if front_cache_blocks = 0 then None
-       else Some (Front_cache.create ~capacity_blocks:front_cache_blocks));
-    front_capacity = front_cache_blocks;
+       else
+         Some
+           (Buffer_cache.create ~probe:"storage.front_cache"
+              ~capacity_blocks:front_cache_blocks));
     dram;
     engine;
     next_global = 0;
@@ -197,8 +199,12 @@ let alloc t =
         (local_of_block t g));
   g
 
+(* The front cache holds clean blocks only, so an insert never evicts a
+   dirty victim: the returned write-back list is always empty. *)
+let front_insert fc b = ignore (Buffer_cache.insert fc ~key:b ~dirty:false : int list)
+
 let invalidate_front t b =
-  match t.front with None -> () | Some fc -> Front_cache.invalidate fc ~key:b
+  match t.front with None -> () | Some fc -> Buffer_cache.forget fc ~key:b
 
 let count_parity_read t = t.parity_reads <- t.parity_reads + 1
 
@@ -317,7 +323,7 @@ let read_block_at ?bytes t ~at b =
       let front_hit =
         match t.front with
         | None -> false
-        | Some fc -> Front_cache.lookup fc ~key:b = Front_cache.Hit
+        | Some fc -> Buffer_cache.find fc ~key:b = Buffer_cache.Hit
       in
       if front_hit then dram_read_at ?bytes t ~at
       else begin
@@ -325,9 +331,7 @@ let read_block_at ?bytes t ~at b =
         t.degraded_reads <- t.degraded_reads + 1;
         t.reconstructed_reads <- t.reconstructed_reads + 1;
         Probe.incr p_reconstructed;
-        (match t.front with
-        | Some fc -> Front_cache.insert fc ~key:b
-        | None -> ());
+        (match t.front with Some fc -> front_insert fc b | None -> ());
         fin
       end
   end
@@ -340,13 +344,13 @@ let read_block_at ?bytes t ~at b =
         (* Let the card raise its usual error without polluting the cache. *)
         Manager.read_block_at ?bytes m ~at l
       else begin
-        match Front_cache.lookup fc ~key:b with
-        | Front_cache.Hit -> dram_read_at ?bytes t ~at
-        | Front_cache.Miss ->
+        match Buffer_cache.find fc ~key:b with
+        | Buffer_cache.Hit -> dram_read_at ?bytes t ~at
+        | Buffer_cache.Miss ->
           let fin = Manager.read_block_at ?bytes m ~at l in
           (* Residency commits only now, after the card read returned —
              a raising read must not leave the handle resident. *)
-          Front_cache.insert fc ~key:b;
+          front_insert fc b;
           fin
       end
   end
@@ -654,9 +658,9 @@ let diff_stats (t : t) =
       | None, s | s, None -> s
       | Some a, Some b -> Some (Diff_log.add_stats a b))
     None t.cards
-let front_cache_hits t = match t.front with None -> 0 | Some fc -> Front_cache.hits fc
+let front_cache_hits t = match t.front with None -> 0 | Some fc -> Buffer_cache.hits fc
 let front_cache_misses t =
-  match t.front with None -> 0 | Some fc -> Front_cache.misses fc
+  match t.front with None -> 0 | Some fc -> Buffer_cache.misses fc
 
 (* A pending data slot's durable home is its parity block (the row can
    be reconstructed as long as the parity copy survives), so the
@@ -778,7 +782,7 @@ let reset_traffic (t : t) =
   t.degraded_cold <- 0;
   t.reconstructed_reads <- 0;
   t.rebuilt_blocks <- 0;
-  match t.front with None -> () | Some fc -> Front_cache.reset_counters fc
+  match t.front with None -> () | Some fc -> Buffer_cache.reset_counters fc
 
 (* --- Crash recovery ------------------------------------------------------- *)
 
@@ -833,7 +837,7 @@ let crash_and_remount t =
   in
   (* The front cache was DRAM: gone.  Reuse the object (counters are
      cumulative traffic, reset via [reset_traffic]) with residency wiped. *)
-  (match t.front with None -> () | Some fc -> Front_cache.clear fc);
+  (match t.front with None -> () | Some fc -> Buffer_cache.clear fc);
   (* Rebuild the global cursor: the highest surviving global handle is on
      whichever card kept the deepest local cursor.  (Not [global_of]: a
      parity slot has no global handle, but its existence still implies

@@ -10,9 +10,10 @@
     timer state, per card).  Busy time is accounted per card through each
     manager's ["storage.card<i>.busy_us"] probe summary.
 
-    In front of the cards sits an optional shared {!Front_cache}: a clean
-    DRAM LRU over global handles that serves cross-card hot reads without
-    touching any card.
+    In front of the cards sits an optional shared front cache, a
+    {!Buffer_cache} used clean: a DRAM LRU over global handles that serves
+    cross-card hot reads without touching any card.  Its counters record
+    under ["storage.front_cache.*"].
 
     Under a {!Striping.Parity} policy the array additionally maintains a
     parity strip per stripe (RAID-4/5 over removable cards): every client

@@ -86,17 +86,64 @@ let test_truncate () =
   Alcotest.(check int) "seven freed" (free0 - 1) (Fs.Ffs.free_blocks fs);
   Alcotest.(check int) "size" 4096 (ok (Fs.Ffs.file_size fs "/f"))
 
-let test_enospc () =
-  (* A tiny "disk": shrink capacity via a tiny Ffs on a custom spec. *)
+(* A tiny "disk": shrink capacity via a tiny Ffs on a custom spec. *)
+let make_tiny () =
   let spec = { Device.Specs.hp_kittyhawk with Device.Specs.k_capacity_bytes = 1024 * 1024 } in
   let engine = Engine.create () in
   let disk = Device.Disk.create ~spec ~rng:(Rng.create ~seed:1) () in
   let dram = Device.Dram.create ~size_bytes:Units.mib ~battery_backed:true () in
   let config = { Fs.Ffs.default_config with Fs.Ffs.ninodes = 64 } in
-  let fs = Fs.Ffs.create_fs ~config ~engine ~disk ~dram () in
+  Fs.Ffs.create_fs ~config ~engine ~disk ~dram ()
+
+let test_enospc () =
+  let fs = make_tiny () in
   ignore (ok (Fs.Ffs.create fs "/hog"));
   let result = Fs.Ffs.write fs "/hog" ~offset:0 ~bytes:(2 * 1024 * 1024) in
   Alcotest.check res "enospc" (Error Fs.Fs_error.Enospc) result
+
+let fsck fs =
+  match Fs.Ffs.check fs with Ok () -> () | Error msg -> Alcotest.failf "fsck: %s" msg
+
+let write_file fs path bytes =
+  ignore (ok (Fs.Ffs.create fs path));
+  ignore (ok (Fs.Ffs.write fs path ~offset:0 ~bytes))
+
+(* Use up every whole block; fragment blocks keep whatever room they had. *)
+let fill_disk fs =
+  ignore (ok (Fs.Ffs.create fs "/hog"));
+  Alcotest.check res "the hog fills the disk" (Error Fs.Fs_error.Enospc)
+    (Fs.Ffs.write fs "/hog" ~offset:0 ~bytes:(2 * 1024 * 1024));
+  Alcotest.(check int) "no whole block free" 0 (Fs.Ffs.free_blocks fs);
+  fsck fs
+
+let test_enospc_tail_needs_indirect () =
+  let fs = make_tiny () in
+  write_file fs "/f" (12 * 4096);
+  (* A one-fragment file: a shared fragment block with three free. *)
+  write_file fs "/g" 512;
+  fill_disk fs;
+  (* The fragments are found, but the tail of a 12-block file sits at map
+     index 12, behind a single-indirect block the disk cannot supply: the
+     fragments must go back before ENOSPC. *)
+  Alcotest.check res "enospc" (Error Fs.Fs_error.Enospc)
+    (Fs.Ffs.write fs "/f" ~offset:(12 * 4096) ~bytes:512);
+  fsck fs
+
+let test_enospc_tail_growth () =
+  let fs = make_tiny () in
+  (* Three files use all four fragments of one shared block. *)
+  write_file fs "/t" 512;
+  write_file fs "/u" 1536;
+  write_file fs "/v" 512;
+  fill_disk fs;
+  (* Growing /t's one-fragment tail to three releases its fragment first,
+     then finds no run of three anywhere: the released one must be taken
+     back, not left free while the map still points at it. *)
+  Alcotest.check res "enospc" (Error Fs.Fs_error.Enospc)
+    (Fs.Ffs.write fs "/t" ~offset:512 ~bytes:2048);
+  fsck fs;
+  ignore (ok (Fs.Ffs.unlink fs "/t"));
+  fsck fs
 
 let test_sync_pushes_dirty () =
   let engine, fs = make () in
@@ -127,9 +174,6 @@ let test_preload () =
   Alcotest.(check int) "size" 10_000 (ok (Fs.Ffs.file_size fs "/app"))
 
 (* --- Fragments (4.2BSD block/fragment allocation) ------------------------- *)
-
-let fsck fs =
-  match Fs.Ffs.check fs with Ok () -> () | Error msg -> Alcotest.failf "fsck: %s" msg
 
 let test_fragment_tail_allocation () =
   let _e, fs = make () in
@@ -248,6 +292,9 @@ let suite =
     Alcotest.test_case "unlink frees" `Quick test_unlink_frees_everything;
     Alcotest.test_case "truncate" `Quick test_truncate;
     Alcotest.test_case "enospc" `Quick test_enospc;
+    Alcotest.test_case "enospc: tail behind a missing indirect block" `Quick
+      test_enospc_tail_needs_indirect;
+    Alcotest.test_case "enospc: growing a fragment tail" `Quick test_enospc_tail_growth;
     Alcotest.test_case "sync" `Quick test_sync_pushes_dirty;
     Alcotest.test_case "update daemon" `Quick test_update_daemon_flushes;
     Alcotest.test_case "preload" `Quick test_preload;

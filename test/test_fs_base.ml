@@ -49,110 +49,114 @@ let prop_path_roundtrip =
 
 (* --- Buffer cache --------------------------------------------------------------- *)
 
+module Buffer_cache = Storage.Buffer_cache
+
+let fs_cache capacity_blocks = Buffer_cache.create ~probe:"fs.buffer_cache" ~capacity_blocks
+
 let test_cache_basic_lru () =
-  let c = Fs.Buffer_cache.create ~capacity_blocks:2 in
-  Alcotest.(check bool) "miss first" true (Fs.Buffer_cache.find c ~key:1 = Fs.Buffer_cache.Miss);
-  ignore (Fs.Buffer_cache.insert c ~key:1 ~dirty:false);
-  ignore (Fs.Buffer_cache.insert c ~key:2 ~dirty:false);
-  Alcotest.(check bool) "hit" true (Fs.Buffer_cache.find c ~key:1 = Fs.Buffer_cache.Hit);
+  let c = fs_cache 2 in
+  Alcotest.(check bool) "miss first" true (Buffer_cache.find c ~key:1 = Buffer_cache.Miss);
+  ignore (Buffer_cache.insert c ~key:1 ~dirty:false);
+  ignore (Buffer_cache.insert c ~key:2 ~dirty:false);
+  Alcotest.(check bool) "hit" true (Buffer_cache.find c ~key:1 = Buffer_cache.Hit);
   (* 2 is now LRU; inserting 3 evicts it. *)
-  ignore (Fs.Buffer_cache.insert c ~key:3 ~dirty:false);
-  Alcotest.(check bool) "lru evicted" false (Fs.Buffer_cache.contains c ~key:2);
-  Alcotest.(check bool) "recent kept" true (Fs.Buffer_cache.contains c ~key:1);
-  Alcotest.(check int) "hits" 1 (Fs.Buffer_cache.hits c);
-  Alcotest.(check int) "misses" 1 (Fs.Buffer_cache.misses c)
+  ignore (Buffer_cache.insert c ~key:3 ~dirty:false);
+  Alcotest.(check bool) "lru evicted" false (Buffer_cache.contains c ~key:2);
+  Alcotest.(check bool) "recent kept" true (Buffer_cache.contains c ~key:1);
+  Alcotest.(check int) "hits" 1 (Buffer_cache.hits c);
+  Alcotest.(check int) "misses" 1 (Buffer_cache.misses c)
 
 let test_cache_dirty_writeback () =
-  let c = Fs.Buffer_cache.create ~capacity_blocks:2 in
-  ignore (Fs.Buffer_cache.insert c ~key:1 ~dirty:true);
-  ignore (Fs.Buffer_cache.insert c ~key:2 ~dirty:false);
-  let victims = Fs.Buffer_cache.insert c ~key:3 ~dirty:false in
+  let c = fs_cache 2 in
+  ignore (Buffer_cache.insert c ~key:1 ~dirty:true);
+  ignore (Buffer_cache.insert c ~key:2 ~dirty:false);
+  let victims = Buffer_cache.insert c ~key:3 ~dirty:false in
   Alcotest.(check (list int)) "dirty victim returned" [ 1 ] victims;
-  Alcotest.(check int) "writeback counted" 1 (Fs.Buffer_cache.writebacks c);
+  Alcotest.(check int) "writeback counted" 1 (Buffer_cache.writebacks c);
   (* Clean evictions return nothing. *)
-  let victims2 = Fs.Buffer_cache.insert c ~key:4 ~dirty:false in
+  let victims2 = Buffer_cache.insert c ~key:4 ~dirty:false in
   Alcotest.(check (list int)) "clean eviction silent" [] victims2
 
 let test_cache_mark_dirty_and_take () =
-  let c = Fs.Buffer_cache.create ~capacity_blocks:4 in
-  ignore (Fs.Buffer_cache.insert c ~key:1 ~dirty:false);
-  ignore (Fs.Buffer_cache.insert c ~key:2 ~dirty:true);
-  Alcotest.(check bool) "mark resident" true (Fs.Buffer_cache.mark_dirty c ~key:1);
-  Alcotest.(check bool) "mark absent" false (Fs.Buffer_cache.mark_dirty c ~key:9);
-  let dirty = Fs.Buffer_cache.take_dirty c in
+  let c = fs_cache 4 in
+  ignore (Buffer_cache.insert c ~key:1 ~dirty:false);
+  ignore (Buffer_cache.insert c ~key:2 ~dirty:true);
+  Alcotest.(check bool) "mark resident" true (Buffer_cache.mark_dirty c ~key:1);
+  Alcotest.(check bool) "mark absent" false (Buffer_cache.mark_dirty c ~key:9);
+  let dirty = Buffer_cache.take_dirty c in
   Alcotest.(check (list int)) "oldest first" [ 1; 2 ] (List.sort compare dirty);
-  Alcotest.(check bool) "bits cleared" false (Fs.Buffer_cache.is_dirty c ~key:1);
-  Alcotest.(check bool) "still resident" true (Fs.Buffer_cache.contains c ~key:1)
+  Alcotest.(check bool) "bits cleared" false (Buffer_cache.is_dirty c ~key:1);
+  Alcotest.(check bool) "still resident" true (Buffer_cache.contains c ~key:1)
 
 let test_cache_forget () =
-  let c = Fs.Buffer_cache.create ~capacity_blocks:2 in
-  ignore (Fs.Buffer_cache.insert c ~key:1 ~dirty:true);
-  Fs.Buffer_cache.forget c ~key:1;
-  Alcotest.(check bool) "gone" false (Fs.Buffer_cache.contains c ~key:1);
+  let c = fs_cache 2 in
+  ignore (Buffer_cache.insert c ~key:1 ~dirty:true);
+  Buffer_cache.forget c ~key:1;
+  Alcotest.(check bool) "gone" false (Buffer_cache.contains c ~key:1);
   (* Forgotten dirty block never writes back. *)
-  ignore (Fs.Buffer_cache.insert c ~key:2 ~dirty:false);
-  ignore (Fs.Buffer_cache.insert c ~key:3 ~dirty:false);
-  let victims = Fs.Buffer_cache.insert c ~key:4 ~dirty:false in
+  ignore (Buffer_cache.insert c ~key:2 ~dirty:false);
+  ignore (Buffer_cache.insert c ~key:3 ~dirty:false);
+  let victims = Buffer_cache.insert c ~key:4 ~dirty:false in
   Alcotest.(check (list int)) "no stale writeback" [] victims
 
 let test_cache_zero_capacity () =
-  let c = Fs.Buffer_cache.create ~capacity_blocks:0 in
-  let victims = Fs.Buffer_cache.insert c ~key:1 ~dirty:true in
+  let c = fs_cache 0 in
+  let victims = Buffer_cache.insert c ~key:1 ~dirty:true in
   Alcotest.(check (list int)) "dirty passes through" [ 1 ] victims;
-  Alcotest.(check bool) "not retained" false (Fs.Buffer_cache.contains c ~key:1)
+  Alcotest.(check bool) "not retained" false (Buffer_cache.contains c ~key:1)
 
 (* The counting contract: find_or_insert records exactly one hit or one
    miss, where the old find-then-insert composition double-touched recency
    and let callers miscount. *)
 let test_cache_find_or_insert_counts_once () =
-  let c = Fs.Buffer_cache.create ~capacity_blocks:2 in
-  (match Fs.Buffer_cache.find_or_insert c ~key:1 ~dirty:false with
-  | Fs.Buffer_cache.Miss, victims ->
+  let c = fs_cache 2 in
+  (match Buffer_cache.find_or_insert c ~key:1 ~dirty:false with
+  | Buffer_cache.Miss, victims ->
     Alcotest.(check (list int)) "no victims in empty cache" [] victims
-  | Fs.Buffer_cache.Hit, _ -> Alcotest.fail "empty cache cannot hit");
-  Alcotest.(check int) "one miss" 1 (Fs.Buffer_cache.misses c);
-  Alcotest.(check int) "no hits" 0 (Fs.Buffer_cache.hits c);
-  (match Fs.Buffer_cache.find_or_insert c ~key:1 ~dirty:true with
-  | Fs.Buffer_cache.Hit, victims ->
+  | Buffer_cache.Hit, _ -> Alcotest.fail "empty cache cannot hit");
+  Alcotest.(check int) "one miss" 1 (Buffer_cache.misses c);
+  Alcotest.(check int) "no hits" 0 (Buffer_cache.hits c);
+  (match Buffer_cache.find_or_insert c ~key:1 ~dirty:true with
+  | Buffer_cache.Hit, victims ->
     Alcotest.(check (list int)) "hit returns no victims" [] victims
-  | Fs.Buffer_cache.Miss, _ -> Alcotest.fail "resident key must hit");
-  Alcotest.(check int) "one hit" 1 (Fs.Buffer_cache.hits c);
-  Alcotest.(check int) "still one miss" 1 (Fs.Buffer_cache.misses c);
+  | Buffer_cache.Miss, _ -> Alcotest.fail "resident key must hit");
+  Alcotest.(check int) "one hit" 1 (Buffer_cache.hits c);
+  Alcotest.(check int) "still one miss" 1 (Buffer_cache.misses c);
   (* The hit arm ORed the dirty bit in. *)
-  Alcotest.(check bool) "dirty after hit" true (Fs.Buffer_cache.is_dirty c ~key:1);
+  Alcotest.(check bool) "dirty after hit" true (Buffer_cache.is_dirty c ~key:1);
   (* The hit refreshed recency: 1 survives insertion of 2 and 3. *)
-  ignore (Fs.Buffer_cache.find_or_insert c ~key:2 ~dirty:false);
-  ignore (Fs.Buffer_cache.find_or_insert c ~key:3 ~dirty:false);
-  Alcotest.(check bool) "recency refreshed" true (Fs.Buffer_cache.contains c ~key:3);
-  Alcotest.(check int) "three misses total" 3 (Fs.Buffer_cache.misses c)
+  ignore (Buffer_cache.find_or_insert c ~key:2 ~dirty:false);
+  ignore (Buffer_cache.find_or_insert c ~key:3 ~dirty:false);
+  Alcotest.(check bool) "recency refreshed" true (Buffer_cache.contains c ~key:3);
+  Alcotest.(check int) "three misses total" 3 (Buffer_cache.misses c)
 
 let test_cache_reset_counters () =
-  let c = Fs.Buffer_cache.create ~capacity_blocks:1 in
-  ignore (Fs.Buffer_cache.find_or_insert c ~key:1 ~dirty:true);
-  ignore (Fs.Buffer_cache.find_or_insert c ~key:1 ~dirty:false);
-  ignore (Fs.Buffer_cache.find_or_insert c ~key:2 ~dirty:false);
+  let c = fs_cache 1 in
+  ignore (Buffer_cache.find_or_insert c ~key:1 ~dirty:true);
+  ignore (Buffer_cache.find_or_insert c ~key:1 ~dirty:false);
+  ignore (Buffer_cache.find_or_insert c ~key:2 ~dirty:false);
   Alcotest.(check bool) "counters non-zero" true
-    (Fs.Buffer_cache.hits c > 0 && Fs.Buffer_cache.misses c > 0
-    && Fs.Buffer_cache.writebacks c > 0);
-  Fs.Buffer_cache.reset_counters c;
-  Alcotest.(check int) "hits cleared" 0 (Fs.Buffer_cache.hits c);
-  Alcotest.(check int) "misses cleared" 0 (Fs.Buffer_cache.misses c);
-  Alcotest.(check int) "writebacks cleared" 0 (Fs.Buffer_cache.writebacks c);
-  Alcotest.(check bool) "residency kept" true (Fs.Buffer_cache.contains c ~key:2)
+    (Buffer_cache.hits c > 0 && Buffer_cache.misses c > 0
+    && Buffer_cache.writebacks c > 0);
+  Buffer_cache.reset_counters c;
+  Alcotest.(check int) "hits cleared" 0 (Buffer_cache.hits c);
+  Alcotest.(check int) "misses cleared" 0 (Buffer_cache.misses c);
+  Alcotest.(check int) "writebacks cleared" 0 (Buffer_cache.writebacks c);
+  Alcotest.(check bool) "residency kept" true (Buffer_cache.contains c ~key:2)
 
 let test_cache_reinsert_keeps_dirty () =
-  let c = Fs.Buffer_cache.create ~capacity_blocks:2 in
-  ignore (Fs.Buffer_cache.insert c ~key:1 ~dirty:true);
-  ignore (Fs.Buffer_cache.insert c ~key:1 ~dirty:false);
-  Alcotest.(check bool) "dirty bit sticky" true (Fs.Buffer_cache.is_dirty c ~key:1)
+  let c = fs_cache 2 in
+  ignore (Buffer_cache.insert c ~key:1 ~dirty:true);
+  ignore (Buffer_cache.insert c ~key:1 ~dirty:false);
+  Alcotest.(check bool) "dirty bit sticky" true (Buffer_cache.is_dirty c ~key:1)
 
 let prop_cache_never_exceeds_capacity =
   QCheck.Test.make ~name:"cache: size <= capacity" ~count:300
     QCheck.(pair (int_range 1 8) (list (pair (int_bound 30) bool)))
     (fun (cap, ops) ->
-      let c = Fs.Buffer_cache.create ~capacity_blocks:cap in
-      List.iter (fun (key, dirty) -> ignore (Fs.Buffer_cache.insert c ~key ~dirty)) ops;
-      Fs.Buffer_cache.size c <= cap)
+      let c = fs_cache cap in
+      List.iter (fun (key, dirty) -> ignore (Buffer_cache.insert c ~key ~dirty)) ops;
+      Buffer_cache.size c <= cap)
 
 (* --- Ffs inode math --------------------------------------------------------------- *)
 

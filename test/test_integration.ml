@@ -339,6 +339,37 @@ let test_rename_ffs_costs_io () =
   Alcotest.(check bool) "synchronous metadata writes" true (Time.span_to_ms span > 1.0);
   Alcotest.(check bool) "renamed" true (Fs.Ffs.exists fs "/g")
 
+(* --- The disk baseline on a full disk -------------------------------------------- *)
+
+(* Long engineering-style traces fill the conventional machine's 20 MB disk.
+   Writes then fail with ENOSPC, and each failed write must leave the file
+   system consistent: a fragment tail that cannot be placed may neither stay
+   allocated without an owner nor be released while the map still points at
+   it, or fsck fails and a later [free_frags] raises out of replay. *)
+let check_full_disk_replay profile ~seed ~minutes =
+  let trace =
+    Trace.Synth.generate profile ~rng:(Rng.create ~seed)
+      ~duration:(Time.span_s (60.0 *. minutes))
+  in
+  let machine = Ssmc.Machine.create (Ssmc.Config.conventional ~seed ()) in
+  Ssmc.Machine.preload machine trace.Trace.Synth.initial_files;
+  let result = Ssmc.Machine.run machine trace.Trace.Synth.records in
+  let label = Printf.sprintf "%s seed %d, %g min" profile.Trace.Synth.name seed minutes in
+  Alcotest.(check bool) (label ^ ": the disk filled") true
+    (result.Ssmc.Machine.op_errors > 0);
+  match Fs.Ffs.check (Option.get (Ssmc.Machine.ffs machine)) with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "%s: fsck: %s" label msg
+
+let test_full_disk_replay () =
+  check_full_disk_replay Trace.Workloads.engineering ~seed:1 ~minutes:30.0
+
+let test_full_disk_replay_long () =
+  List.iter
+    (fun seed -> check_full_disk_replay Trace.Workloads.engineering ~seed ~minutes:60.0)
+    [ 2; 3; 61 ];
+  check_full_disk_replay Trace.Workloads.compile ~seed:5 ~minutes:60.0
+
 let suite =
   [
     Alcotest.test_case "whole-machine determinism" `Slow test_whole_machine_determinism;
@@ -352,4 +383,7 @@ let suite =
     Alcotest.test_case "memfs/ffs equivalence" `Quick test_fs_equivalence;
     Alcotest.test_case "rename (memfs)" `Quick test_rename_memfs;
     Alcotest.test_case "rename (ffs) costs io" `Quick test_rename_ffs_costs_io;
+    Alcotest.test_case "full-disk ffs replay (30 min)" `Quick test_full_disk_replay;
+    Alcotest.test_case "full-disk ffs replays (60 min)" `Slow
+      test_full_disk_replay_long;
   ]

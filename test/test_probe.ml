@@ -15,11 +15,10 @@ let with_probes ?(timeline = false) f =
 
 let test_record_and_snapshot () =
   with_probes (fun () ->
-      let c = Probe.counter "t.c" and g = Probe.gauge "t.g" in
+      let c = Probe.counter "t.c" in
       let s = Probe.summary "t.s" and h = Probe.histogram "t.h" in
       Probe.incr c;
       Probe.add c 4;
-      Probe.set g 2.5;
       Probe.observe s 1.0;
       Probe.observe s 3.0;
       Probe.observe_hist h 10.0;
@@ -27,9 +26,6 @@ let test_record_and_snapshot () =
       let names = List.map fst snap in
       Alcotest.(check (list string)) "sorted by name" (List.sort compare names) names;
       Alcotest.(check int) "counter" 5 (Probe.Snapshot.counter_value snap "t.c");
-      (match Probe.Snapshot.find snap "t.g" with
-      | Some (Probe.Snapshot.Gauge v) -> Alcotest.(check (float 0.0)) "gauge" 2.5 v
-      | _ -> Alcotest.fail "gauge missing");
       (match Probe.Snapshot.find snap "t.s" with
       | Some (Probe.Snapshot.Summary { n; sum; vmin; vmax }) ->
         Alcotest.(check int) "summary n" 2 n;
@@ -56,7 +52,7 @@ let test_disabled_is_noop () =
 let test_kind_clash () =
   with_probes (fun () ->
       Probe.incr (Probe.counter "t.clash");
-      match Probe.set (Probe.gauge "t.clash") 1.0 with
+      match Probe.observe (Probe.summary "t.clash") 1.0 with
       | () -> Alcotest.fail "expected Invalid_argument on kind clash"
       | exception Invalid_argument _ -> ())
 
@@ -230,9 +226,9 @@ let dirty_then_preload cfg =
   | None -> ()
   | Some f ->
     let cache = Fs.Ffs.cache f in
-    Alcotest.(check int) "cache hits zero" 0 (Fs.Buffer_cache.hits cache);
-    Alcotest.(check int) "cache misses zero" 0 (Fs.Buffer_cache.misses cache);
-    Alcotest.(check int) "cache writebacks zero" 0 (Fs.Buffer_cache.writebacks cache)
+    Alcotest.(check int) "cache hits zero" 0 (Storage.Buffer_cache.hits cache);
+    Alcotest.(check int) "cache misses zero" 0 (Storage.Buffer_cache.misses cache);
+    Alcotest.(check int) "cache writebacks zero" 0 (Storage.Buffer_cache.writebacks cache)
 
 let test_preload_starts_clean () =
   with_probes (fun () ->

@@ -197,69 +197,76 @@ let qcheck_striping_roundtrip =
     (QCheck.Test.make ~name:"striping: random geometry replays (parity included)"
        ~count:300 striping_arbitrary striping_replay_property)
 
-(* --- Front cache: the Buffer_cache counting contract. ----------------------- *)
+(* --- Front cache: the array's clean use of Storage.Buffer_cache. ----------- *)
+
+module Bc = Storage.Buffer_cache
+
+let front_cache ~capacity_blocks =
+  Bc.create ~probe:"storage.front_cache" ~capacity_blocks
+
+(* One logical access, as the contract counts it. *)
+let touch c key = fst (Bc.find_or_insert c ~key ~dirty:false)
+
+(* The array's insert: clean, so it never evicts a victim to write back. *)
+let insert_clean c key =
+  Alcotest.(check (list int)) "clean insert returns no victims" []
+    (Bc.insert c ~key ~dirty:false)
 
 let test_front_cache_contract () =
-  let c = Storage.Front_cache.create ~capacity_blocks:2 in
-  Alcotest.(check bool) "miss on empty" true
-    (Storage.Front_cache.find_or_insert c ~key:1 = Storage.Front_cache.Miss);
-  Alcotest.(check bool) "hit after insert" true
-    (Storage.Front_cache.find_or_insert c ~key:1 = Storage.Front_cache.Hit);
-  ignore (Storage.Front_cache.find_or_insert c ~key:2);
+  let c = front_cache ~capacity_blocks:2 in
+  Alcotest.(check bool) "miss on empty" true (touch c 1 = Bc.Miss);
+  Alcotest.(check bool) "hit after insert" true (touch c 1 = Bc.Hit);
+  ignore (touch c 2);
   (* 1 is MRU (hit refreshed it), 2 next: inserting 3 evicts... touch 1
      first so 2 is the LRU victim. *)
-  ignore (Storage.Front_cache.find_or_insert c ~key:1);
-  ignore (Storage.Front_cache.find_or_insert c ~key:3);
-  Alcotest.(check bool) "LRU evicted" false (Storage.Front_cache.contains c ~key:2);
-  Alcotest.(check bool) "MRU survives" true (Storage.Front_cache.contains c ~key:1);
-  Alcotest.(check int) "size capped" 2 (Storage.Front_cache.size c);
-  Alcotest.(check int) "hits counted once each" 2 (Storage.Front_cache.hits c);
-  Alcotest.(check int) "misses counted once each" 3 (Storage.Front_cache.misses c);
-  (* [insert] counts nothing, [invalidate] removes. *)
-  Storage.Front_cache.insert c ~key:9;
-  Alcotest.(check int) "insert counts no hit" 2 (Storage.Front_cache.hits c);
-  Alcotest.(check int) "insert counts no miss" 3 (Storage.Front_cache.misses c);
-  Alcotest.(check bool) "insert resident" true (Storage.Front_cache.contains c ~key:9);
-  Storage.Front_cache.invalidate c ~key:9;
-  Alcotest.(check bool) "invalidated" false (Storage.Front_cache.contains c ~key:9);
+  ignore (touch c 1);
+  ignore (touch c 3);
+  Alcotest.(check bool) "LRU evicted" false (Bc.contains c ~key:2);
+  Alcotest.(check bool) "MRU survives" true (Bc.contains c ~key:1);
+  Alcotest.(check int) "size capped" 2 (Bc.size c);
+  Alcotest.(check int) "hits counted once each" 2 (Bc.hits c);
+  Alcotest.(check int) "misses counted once each" 3 (Bc.misses c);
+  (* [insert] counts nothing, [forget] removes. *)
+  insert_clean c 9;
+  Alcotest.(check int) "insert counts no hit" 2 (Bc.hits c);
+  Alcotest.(check int) "insert counts no miss" 3 (Bc.misses c);
+  Alcotest.(check bool) "insert resident" true (Bc.contains c ~key:9);
+  Bc.forget c ~key:9;
+  Alcotest.(check bool) "invalidated" false (Bc.contains c ~key:9);
   (* [clear] drops residency but keeps the counters (crash semantics). *)
-  Storage.Front_cache.clear c;
-  Alcotest.(check int) "clear keeps counters" 3 (Storage.Front_cache.misses c);
-  Alcotest.(check int) "clear drops residency" 0 (Storage.Front_cache.size c);
-  Storage.Front_cache.reset_counters c;
-  Alcotest.(check int) "reset zeroes hits" 0 (Storage.Front_cache.hits c);
-  Alcotest.(check int) "reset zeroes misses" 0 (Storage.Front_cache.misses c)
+  Bc.clear c;
+  Alcotest.(check int) "clear keeps counters" 3 (Bc.misses c);
+  Alcotest.(check int) "clear drops residency" 0 (Bc.size c);
+  Alcotest.(check bool) "cleared key misses" true (touch c 1 = Bc.Miss);
+  Alcotest.(check int) "clean cache never writes back" 0 (Bc.writebacks c);
+  Bc.reset_counters c;
+  Alcotest.(check int) "reset zeroes hits" 0 (Bc.hits c);
+  Alcotest.(check int) "reset zeroes misses" 0 (Bc.misses c)
 
 let test_front_cache_zero_capacity () =
-  let c = Storage.Front_cache.create ~capacity_blocks:0 in
-  Storage.Front_cache.insert c ~key:1;
-  Alcotest.(check bool) "miss, always" true
-    (Storage.Front_cache.find_or_insert c ~key:1 = Storage.Front_cache.Miss);
-  Alcotest.(check bool) "second lookup still a miss" true
-    (Storage.Front_cache.find_or_insert c ~key:1 = Storage.Front_cache.Miss);
-  Alcotest.(check int) "nothing retained" 0 (Storage.Front_cache.size c);
-  Alcotest.(check int) "both misses counted" 2 (Storage.Front_cache.misses c);
+  let c = front_cache ~capacity_blocks:0 in
+  insert_clean c 1;
+  Alcotest.(check bool) "miss, always" true (touch c 1 = Bc.Miss);
+  Alcotest.(check bool) "second lookup still a miss" true (touch c 1 = Bc.Miss);
+  Alcotest.(check int) "nothing retained" 0 (Bc.size c);
+  Alcotest.(check int) "both misses counted" 2 (Bc.misses c);
   Alcotest.check_raises "negative capacity"
-    (Invalid_argument "Front_cache.create: negative capacity") (fun () ->
-      ignore (Storage.Front_cache.create ~capacity_blocks:(-1)))
+    (Invalid_argument "Buffer_cache.create: negative capacity") (fun () ->
+      ignore (front_cache ~capacity_blocks:(-1)))
 
 let test_front_cache_lookup_commits_nothing () =
-  (* [lookup] is the read path's probe: a miss counts but must leave no
+  (* [find] is the read path's probe: a miss counts but must leave no
      residency behind — the entry is only inserted after the card read
      actually returns. *)
-  let c = Storage.Front_cache.create ~capacity_blocks:2 in
-  Alcotest.(check bool) "miss on empty" true
-    (Storage.Front_cache.lookup c ~key:7 = Storage.Front_cache.Miss);
-  Alcotest.(check bool) "miss committed nothing" false
-    (Storage.Front_cache.contains c ~key:7);
-  Alcotest.(check bool) "still a miss" true
-    (Storage.Front_cache.lookup c ~key:7 = Storage.Front_cache.Miss);
-  Alcotest.(check int) "both misses counted" 2 (Storage.Front_cache.misses c);
-  Storage.Front_cache.insert c ~key:7;
-  Alcotest.(check bool) "hit once the read completed" true
-    (Storage.Front_cache.lookup c ~key:7 = Storage.Front_cache.Hit);
-  Alcotest.(check int) "hit counted" 1 (Storage.Front_cache.hits c);
-  Alcotest.(check int) "insert itself uncounted" 2 (Storage.Front_cache.misses c)
+  let c = front_cache ~capacity_blocks:2 in
+  Alcotest.(check bool) "miss on empty" true (Bc.find c ~key:7 = Bc.Miss);
+  Alcotest.(check bool) "miss committed nothing" false (Bc.contains c ~key:7);
+  Alcotest.(check bool) "still a miss" true (Bc.find c ~key:7 = Bc.Miss);
+  Alcotest.(check int) "both misses counted" 2 (Bc.misses c);
+  insert_clean c 7;
+  Alcotest.(check bool) "hit once the read completed" true (Bc.find c ~key:7 = Bc.Hit);
+  Alcotest.(check int) "hit counted" 1 (Bc.hits c);
+  Alcotest.(check int) "insert itself uncounted" 2 (Bc.misses c)
 
 (* --- One-card byte-identity: bare manager vs 1-card array vs Store. --------- *)
 
