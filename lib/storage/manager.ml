@@ -144,10 +144,10 @@ type t = {
   durable : header array; (* indexed by sector; [no_header] = absent *)
   mutable next_version : int;
   (* Incrementally maintained segment-state indexes and counters.  The
-     indexes answer every allocation/cleaning decision in O(log n); the
-     counters replace O(#segments) rescans in stats and the maybe_clean
-     loop condition.  The differential tests hold both against full scans
-     of [segments]. *)
+     indexes answer every allocation/cleaning decision in O(log n), or
+     O(banks * nslots) for a cost-benefit victim; the counters replace
+     O(#segments) rescans in stats and the maybe_clean loop condition.
+     The differential tests hold both against full scans of [segments]. *)
   idx : Seg_index.t;
   wear_acc : Wear.acc;
   in_closed_idx : bool array;
@@ -326,7 +326,7 @@ let create ?card cfg ~engine ~flash ~dram =
       durable = Array.make (Device.Flash.nsectors flash) no_header;
       next_version = 0;
       idx =
-        Seg_index.create ~nbanks
+        Seg_index.create ~nbanks ~nsegments ~nslots:cfg.segment_sectors
           ~wear_keyed:(cfg.wear <> Wear.None_)
           ~track_live:(cfg.cleaner = Cleaner.Greedy)
           ~track_erase:(match cfg.wear with Wear.Static _ -> true | _ -> false)
@@ -506,33 +506,12 @@ let select_victim t ~now ~purpose =
       done;
       if !best_id < 0 then None else Some t.segments.(!best_id)
     | Cleaner.Cost_benefit ->
-      (* Within one last-touched group the age factor is shared, so only
-         the group's emptiest-lowest-id member can win; across groups,
-         walk oldest-first and stop once the group's score ceiling
-         (age + 1, utilization 0) can no longer beat the best so far.
-         Scores are computed by Cleaner.score itself, so the floats are
+      (* Scores are computed by Cleaner.score itself, so the floats are
          the reference's floats. *)
-      let best_id = ref (-1) in
-      let best_score = ref neg_infinity in
-      for bank = 0 to nbanks - 1 do
-        if bank_allowed_for t ~purpose ~bank then
-          Seg_index.iter_age_reps t.idx ~bank ~f:(fun ~lt_ns ~id ->
-              let lt = Time.of_ns lt_ns in
-              let age = Time.span_to_s (Time.diff (Time.max now lt) lt) in
-              if !best_id >= 0 && age +. 1.0 < !best_score then false
-              else begin
-                let s = Cleaner.score t.cfg.cleaner ~now t.segments.(id) in
-                if
-                  !best_id < 0 || s > !best_score
-                  || (s = !best_score && id < !best_id)
-                then begin
-                  best_id := id;
-                  best_score := s
-                end;
-                true
-              end)
-      done;
-      if !best_id < 0 then None else Some t.segments.(!best_id))
+      Seg_index.max_score_closed t.idx
+        ~allowed:(fun bank -> bank_allowed_for t ~purpose ~bank)
+        ~score:(fun id -> Cleaner.score t.cfg.cleaner ~now t.segments.(id))
+      |> Option.map (fun id -> t.segments.(id)))
 
 let next_free_segment t ~purpose ~restrict =
   Option.map Segment.id (pick_free t ~purpose ~restrict)
@@ -638,8 +617,10 @@ and clean_one t ~cursor ~purpose =
       (* The victim leaves the candidate structures now; the copy-out
          kills below adjust only the live-block counter. *)
       closed_index_remove t victim;
-      (* Don't clean a segment that frees nothing unless wear leveling
-         forced it (in which case it was returned by relocation_victim). *)
+      (* A full victim frees nothing and is cleaned all the same: full
+         segments are eligible ({!Cleaner.select}) and score 0, so one is
+         picked only when every candidate is full, or when static wear
+         leveling relocates it. *)
       t.c_cleanings <- t.c_cleanings + 1;
       Probe.incr t.probes.p_cleanings;
       let clean_start = !cursor in

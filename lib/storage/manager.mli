@@ -62,8 +62,8 @@ val default_config : config
     deadline.
 
     Allocation and cleaning decisions are answered from incrementally
-    maintained per-bank indexes (O(log n) each, O(1) counters for
-    statistics).  Whenever fewer than two segments are free, an
+    maintained per-bank indexes (O(log n) each, O(banks · nslots) for a
+    cost-benefit victim, O(1) counters for statistics).  Whenever fewer than two segments are free, an
     allocation first cleans until two are free again or no victim is
     left. *)
 

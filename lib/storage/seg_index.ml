@@ -55,10 +55,97 @@ module Bucketed = struct
     | Some (key, set) -> Some (key, Int_set.min_elt set)
 end
 
-(* Cost-benefit candidates: last-touched instant -> (live count -> ids).
-   Empty groups are removed eagerly so iteration visits only real
-   candidates. *)
-type age_bank = { mutable groups : Bucketed.t Int_map.t }
+(* Cost-benefit candidates: per bank and live count, a binary min-heap of
+   closed segment ids keyed by (last-touched ns, id), in an int array that
+   doubles when full and never shrinks, so updates allocate only while a
+   heap outgrows its largest size so far.  [pos] (the id's index within
+   its heap, or [-1]) and [lt] are indexed by segment id. *)
+type aged = {
+  nslots : int;
+  heaps : int array array; (* heap [h = bank * (nslots + 1) + live] *)
+  size : int array;
+  pos : int array;
+  lt : int array;
+}
+
+let aged_create ~nbanks ~nsegments ~nslots =
+  let nheaps = nbanks * (nslots + 1) in
+  {
+    nslots;
+    heaps = Array.make nheaps [||];
+    size = Array.make nheaps 0;
+    pos = Array.make nsegments (-1);
+    lt = Array.make nsegments 0;
+  }
+
+let heap_of a ~bank ~live =
+  if live < 0 || live > a.nslots then
+    invalid_arg (Printf.sprintf "Seg_index: live count %d out of range" live);
+  (bank * (a.nslots + 1)) + live
+
+(* Slots [i] and [j] of [heap] in (lt, id) order. *)
+let precedes a heap i j =
+  let x = heap.(i) and y = heap.(j) in
+  a.lt.(x) < a.lt.(y) || (a.lt.(x) = a.lt.(y) && x < y)
+
+let place a heap i id =
+  heap.(i) <- id;
+  a.pos.(id) <- i
+
+let swap a heap i j =
+  let x = heap.(i) in
+  place a heap i heap.(j);
+  place a heap j x
+
+let rec sift_up a heap i =
+  if i > 0 then begin
+    let parent = (i - 1) / 2 in
+    if precedes a heap i parent then begin
+      swap a heap i parent;
+      sift_up a heap parent
+    end
+  end
+
+let rec sift_down a heap ~n i =
+  let l = (2 * i) + 1 in
+  if l < n then begin
+    let c = if l + 1 < n && precedes a heap (l + 1) l then l + 1 else l in
+    if precedes a heap c i then begin
+      swap a heap c i;
+      sift_down a heap ~n c
+    end
+  end
+
+let aged_add a ~bank ~id ~live ~lt_ns =
+  let h = heap_of a ~bank ~live in
+  if a.pos.(id) >= 0 then
+    invalid_arg (Printf.sprintf "Seg_index: id %d already indexed by age" id);
+  let n = a.size.(h) in
+  if n = Array.length a.heaps.(h) then begin
+    let grown = Array.make (Int.max 4 (2 * n)) 0 in
+    Array.blit a.heaps.(h) 0 grown 0 n;
+    a.heaps.(h) <- grown
+  end;
+  a.lt.(id) <- lt_ns;
+  a.size.(h) <- n + 1;
+  place a a.heaps.(h) n id;
+  sift_up a a.heaps.(h) n
+
+let aged_remove a ~bank ~id ~live ~lt_ns =
+  let h = heap_of a ~bank ~live in
+  let heap = a.heaps.(h) in
+  let i = a.pos.(id) in
+  if i < 0 || i >= a.size.(h) || heap.(i) <> id || a.lt.(id) <> lt_ns then
+    invalid_arg
+      (Printf.sprintf "Seg_index: id %d not indexed at live %d, %d ns" id live lt_ns);
+  let n = a.size.(h) - 1 in
+  a.size.(h) <- n;
+  a.pos.(id) <- -1;
+  if i < n then begin
+    place a heap i heap.(n);
+    sift_down a heap ~n i;
+    sift_up a heap i
+  end
 
 type t = {
   nbanks : int;
@@ -69,11 +156,11 @@ type t = {
   free : Bucketed.t array;
   by_live : Bucketed.t array;
   by_erase : Bucketed.t array;
-  by_age : age_bank array;
+  by_age : aged;
   mutable free_total : int;
 }
 
-let create ~nbanks ~wear_keyed ~track_live ~track_erase ~track_age =
+let create ~nbanks ~nsegments ~nslots ~wear_keyed ~track_live ~track_erase ~track_age =
   if nbanks < 1 then invalid_arg "Seg_index.create: nbanks < 1";
   {
     nbanks;
@@ -84,7 +171,7 @@ let create ~nbanks ~wear_keyed ~track_live ~track_erase ~track_age =
     free = Array.init nbanks (fun _ -> Bucketed.create ());
     by_live = Array.init nbanks (fun _ -> Bucketed.create ());
     by_erase = Array.init nbanks (fun _ -> Bucketed.create ());
-    by_age = Array.init nbanks (fun _ -> { groups = Int_map.empty });
+    by_age = aged_create ~nbanks ~nsegments ~nslots;
     free_total = 0;
   }
 
@@ -92,9 +179,10 @@ let clear t =
   for bank = 0 to t.nbanks - 1 do
     t.free.(bank) <- Bucketed.create ();
     t.by_live.(bank) <- Bucketed.create ();
-    t.by_erase.(bank) <- Bucketed.create ();
-    t.by_age.(bank).groups <- Int_map.empty
+    t.by_erase.(bank) <- Bucketed.create ()
   done;
+  Array.fill t.by_age.size 0 (Array.length t.by_age.size) 0;
+  Array.fill t.by_age.pos 0 (Array.length t.by_age.pos) (-1);
   t.free_total <- 0
 
 let wear_keyed t = t.wear_keyed
@@ -130,38 +218,17 @@ let most_worn_free t ~bank =
 
 (* --- Closed (victim) side ------------------------------------------------- *)
 
-let age_add t ~bank ~id ~live ~lt_ns =
-  let ab = t.by_age.(bank) in
-  let group =
-    match Int_map.find_opt lt_ns ab.groups with
-    | Some g -> g
-    | None ->
-      let g = Bucketed.create () in
-      ab.groups <- Int_map.add lt_ns g ab.groups;
-      g
-  in
-  Bucketed.add group ~key:live id
-
-let age_remove t ~bank ~id ~live ~lt_ns =
-  let ab = t.by_age.(bank) in
-  match Int_map.find_opt lt_ns ab.groups with
-  | None ->
-    invalid_arg (Printf.sprintf "Seg_index: no age group at %d ns for id %d" lt_ns id)
-  | Some group ->
-    Bucketed.remove group ~key:live id;
-    if Bucketed.size group = 0 then ab.groups <- Int_map.remove lt_ns ab.groups
-
 let add_closed t ~bank ~id ~live ~erase ~lt_ns =
   check_bank t bank;
   if t.track_live then Bucketed.add t.by_live.(bank) ~key:live id;
   if t.track_erase then Bucketed.add t.by_erase.(bank) ~key:erase id;
-  if t.track_age then age_add t ~bank ~id ~live ~lt_ns
+  if t.track_age then aged_add t.by_age ~bank ~id ~live ~lt_ns
 
 let remove_closed t ~bank ~id ~live ~erase ~lt_ns =
   check_bank t bank;
   if t.track_live then Bucketed.remove t.by_live.(bank) ~key:live id;
   if t.track_erase then Bucketed.remove t.by_erase.(bank) ~key:erase id;
-  if t.track_age then age_remove t ~bank ~id ~live ~lt_ns
+  if t.track_age then aged_remove t.by_age ~bank ~id ~live ~lt_ns
 
 let closed_live_changed t ~bank ~id ~old_live ~new_live ~lt_ns =
   check_bank t bank;
@@ -170,8 +237,8 @@ let closed_live_changed t ~bank ~id ~old_live ~new_live ~lt_ns =
     Bucketed.add t.by_live.(bank) ~key:new_live id
   end;
   if t.track_age then begin
-    age_remove t ~bank ~id ~live:old_live ~lt_ns;
-    age_add t ~bank ~id ~live:new_live ~lt_ns
+    aged_remove t.by_age ~bank ~id ~live:old_live ~lt_ns;
+    aged_add t.by_age ~bank ~id ~live:new_live ~lt_ns
   end
 
 let least_live_closed t ~bank =
@@ -182,14 +249,52 @@ let coldest_closed t ~bank =
   check_bank t bank;
   Bucketed.min_entry t.by_erase.(bank)
 
-let iter_age_reps t ~bank ~f =
+(* The lowest id, [best] or below, among the nodes of the subtree at [i]
+   (of a heap holding [n] ids) whose score is [s].  Scores never rise
+   from parent to child, so the nodes tying the root form a subtree
+   around it: each path stops at its first lower score. *)
+let rec lowest_tied heap ~n ~score ~s i best =
+  if i >= n then best
+  else begin
+    let id = heap.(i) in
+    if score id <> (s : float) then best
+    else begin
+      let best = lowest_tied heap ~n ~score ~s ((2 * i) + 1) (Int.min id best) in
+      lowest_tied heap ~n ~score ~s ((2 * i) + 2) best
+    end
+  end
+
+let max_score_closed t ~allowed ~score =
+  let a = t.by_age in
+  let best_id = ref (-1) in
+  let best = ref neg_infinity in
+  (* Live-major, so the full-segment heaps, which all score 0, come last
+     and are walked only when no bank holds anything better. *)
+  for live = 0 to a.nslots do
+    for bank = 0 to t.nbanks - 1 do
+      let h = (bank * (a.nslots + 1)) + live in
+      let n = a.size.(h) in
+      if n > 0 && allowed bank then begin
+        let heap = a.heaps.(h) in
+        let s = score heap.(0) in
+        if s >= !best then begin
+          let id =
+            lowest_tied heap ~n ~score ~s 1 (lowest_tied heap ~n ~score ~s 2 heap.(0))
+          in
+          if s > !best || id < !best_id then begin
+            best := s;
+            best_id := id
+          end
+        end
+      end
+    done
+  done;
+  if !best_id < 0 then None else Some !best_id
+
+let closed_by_age t ~bank ~live =
   check_bank t bank;
-  let rec go seq =
-    match seq () with
-    | Seq.Nil -> ()
-    | Seq.Cons ((lt_ns, group), rest) -> (
-      match Bucketed.min_entry group with
-      | None -> go rest (* unreachable: empty groups are removed eagerly *)
-      | Some (_live, id) -> if f ~lt_ns ~id then go rest)
-  in
-  go (Int_map.to_seq t.by_age.(bank).groups)
+  let a = t.by_age in
+  let h = heap_of a ~bank ~live in
+  Array.init a.size.(h) (fun i ->
+      let id = a.heaps.(h).(i) in
+      (a.lt.(id), id))

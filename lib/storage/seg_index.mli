@@ -4,24 +4,34 @@
     ({!Wear.pick_free} plus the least-busy-bank restriction), which closed
     segment to clean ({!Cleaner.select}, {!Wear.relocation_victim}) — were
     originally full scans over the segment array on every call.  This
-    module keeps the same decisions available as O(log n) lookups over
-    structures updated at each segment state transition:
+    module keeps the same decisions available from structures updated at
+    each segment state transition:
 
     - per bank, the {e free} segments bucketed by wear key (erase count,
       or a constant under first-fit allocation), so least-worn / most-worn
       / first-fit picks are a [min_binding] away;
     - per bank, the {e closed} segments bucketed by live-block count
-      (greedy victim selection), by erase count (static wear-leveling
-      relocation), and grouped by last-touched time with a live-count
-      bucket per group (cost-benefit victim selection: within one age
-      group relative scores are constant, so only each group's
-      emptiest-lowest-id member can ever win).
+      (greedy victim selection) and by erase count (static wear-leveling
+      relocation);
+    - per bank and per live count [0 .. nslots], an indexed binary
+      min-heap of the closed segments keyed by (last-touched instant, id),
+      for cost-benefit victim selection.  At a fixed live count the score
+      [age * (1-u)/(1+u)] never rises as the last-touched instant grows,
+      so each heap's root is its bucket's best candidate: a pick scores at
+      most [banks * (nslots + 1)] roots, plus the nodes that tie a root's
+      score, and costs O(banks · nslots) however many segments there are.
+      The heaps live in int arrays that double when full and never
+      shrink, beside id-indexed position and key arrays sized at
+      {!create}: adding, removing and re-bucketing a segment is
+      O(log n) and allocates nothing once each heap has reached its
+      largest size.
 
-    Buckets are [Map]/[Set] based, so every entry point is O(log n) and
+    Buckets are [Map]/[Set] based, so their entry points are O(log n) and
     min/max queries return the {e lowest segment id} within the extreme
-    bucket — matching the first-in-id-order tie-breaking of the scans.
-    The scans live in [test/scan_oracle.ml], the oracle the differential
-    tests check the manager's decisions against after every operation.
+    bucket — matching the first-in-id-order tie-breaking of the scans;
+    the cost-benefit pick breaks equal scores the same way.  The scans
+    live in [test/scan_oracle.ml], the oracle the differential tests check
+    the manager's decisions against after every operation.
 
     This module is pure bookkeeping over [(bank, id, key)] integers; it
     never touches devices or segments.  {!Manager} owns the hook points
@@ -54,6 +64,8 @@ type t
 
 val create :
   nbanks:int ->
+  nsegments:int ->
+  nslots:int ->
   wear_keyed:bool ->
   track_live:bool ->
   track_erase:bool ->
@@ -63,7 +75,8 @@ val create :
     (wear-leveling allocation) or [0] (first-fit, so the min entry is
     simply the lowest free id).  The three [track_*] flags enable the
     closed-segment structures a given policy pair actually consults;
-    disabled structures cost nothing to maintain. *)
+    disabled structures cost nothing to maintain.  Under [track_age], ids
+    run over [0 .. nsegments - 1] and live counts over [0 .. nslots]. *)
 
 val clear : t -> unit
 (** Empty every structure (before a full reindex). *)
@@ -91,10 +104,12 @@ val most_worn_free : t -> bank:int -> (int * int) option
 
 val add_closed : t -> bank:int -> id:int -> live:int -> erase:int -> lt_ns:int -> unit
 (** Index a segment that just transitioned to Closed.  [lt_ns] is its
-    last-touched instant in nanoseconds (the cost-benefit age key). *)
+    last-touched instant in nanoseconds (the cost-benefit age key).
+    @raise Invalid_argument if the id is already indexed. *)
 
 val remove_closed :
   t -> bank:int -> id:int -> live:int -> erase:int -> lt_ns:int -> unit
+(** @raise Invalid_argument if the id is not indexed under these keys. *)
 
 val closed_live_changed :
   t -> bank:int -> id:int -> old_live:int -> new_live:int -> lt_ns:int -> unit
@@ -108,9 +123,16 @@ val coldest_closed : t -> bank:int -> (int * int) option
 (** [(erase count, id)] of the least-worn closed segment in the bank
     (static wear-leveling relocation candidate). *)
 
-val iter_age_reps : t -> bank:int -> f:(lt_ns:int -> id:int -> bool) -> unit
-(** Visit one cost-benefit candidate per distinct last-touched instant,
-    oldest first: the emptiest (then lowest-id) member of each age group,
-    the only member that can maximize [age * (1-u)/(1+u)] within the
-    group.  [f] returns [false] to stop early (callers cut off once the
-    group-age upper bound can no longer beat the best score so far). *)
+val max_score_closed : t -> allowed:(int -> bool) -> score:(int -> float) -> int option
+(** The cost-benefit victim: over the banks [b] with [allowed b], the
+    closed segment with the highest [score id], lowest id on equal
+    scores; [None] when there is none.  Exact for any [score] that, at a
+    fixed live count, never rises as the last-touched instant grows — as
+    {!Cleaner.score} under cost-benefit.  [score] is called only on each
+    (bank, live) heap's root and on the nodes that tie a root's score. *)
+
+val closed_by_age : t -> bank:int -> live:int -> (int * int) array
+(** The cost-benefit heap of the bank's closed segments with [live] live
+    blocks, as [(lt_ns, id)] pairs in array order: index 0 is the root and
+    the children of [i] are [2i + 1] and [2i + 2].  Empty unless
+    [track_age].  For tests. *)

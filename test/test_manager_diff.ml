@@ -217,6 +217,92 @@ let test_queries_only_observe () =
         Ops.wears)
     Ops.cleaners
 
+(* Cost-benefit ties, on a one-bank 32-segment flash with write-through
+   writes, checked against the oracle after every op.  Time moves 1 ms
+   after each op unless the case holds it still. *)
+let tie_case ~wear =
+  let cfg =
+    Ops.config ~cleaner:Storage.Cleaner.Cost_benefit ~wear ~banking:Storage.Banks.Unified
+      ~buffer_blocks:0 ()
+  in
+  let engine = Engine.create () in
+  let flash =
+    Device.Flash.create (Device.Flash.config ~nbanks:1 ~size_bytes:(128 * 1024) ())
+  in
+  let dram = Device.Dram.create ~size_bytes:Units.mib ~battery_backed:true () in
+  let m = Storage.Manager.create cfg ~engine ~flash ~dram in
+  let step = ref 0 in
+  let op ?(advance = true) f =
+    f ();
+    if advance then
+      Engine.run_until engine (Time.add (Engine.now engine) (Time.span_ms 1.0));
+    incr step;
+    expect_agreement cfg ~step:!step m
+  in
+  (m, op, cfg.Storage.Manager.segment_sectors)
+
+let blocks_in m seg blocks =
+  List.filter (fun b -> Storage.Manager.segment_of_block m b = Some seg) blocks
+
+(* Every closed segment full and the lowest id the youngest: all score 0,
+   so the victim is segment 0, not the oldest full segment at the root of
+   the full-segment heap.  First-fit allocation hands the cleaned segment
+   0 back to the next fresh write. *)
+let test_all_full_lowest_id_youngest () =
+  let m, op, nslots = tie_case ~wear:Storage.Wear.None_ in
+  let module M = Storage.Manager in
+  let write () =
+    let b = M.alloc m in
+    op (fun () -> ignore (M.write_block m b));
+    b
+  in
+  let nsegs = M.nsegments m in
+  let filled = List.init ((nsegs - 2) * nslots) (fun _ -> write ()) in
+  List.iter (fun b -> op (fun () -> M.free_block m b)) (blocks_in m 0 filled);
+  (* One segment's writes use the last spare; the next acquisition cleans
+     the empty segment 0 and reopens it. *)
+  let refill = List.init (2 * nslots) (fun _ -> write ()) in
+  Alcotest.(check int) "segment 0 refilled" nslots (List.length (blocks_in m 0 refill));
+  let module Seg = Storage.Segment in
+  let segs = M.segments m in
+  Array.iter
+    (fun seg ->
+      if Seg.state seg = Seg.Closed then
+        Alcotest.(check int) "closed segments are full" nslots (Seg.live_count seg);
+      if Time.( < ) (Seg.last_touched segs.(0)) (Seg.last_touched seg) then
+        Alcotest.failf "segment %d is younger than segment 0" (Seg.id seg))
+    segs;
+  Alcotest.(check (option int)) "victim" (Some 0) (M.next_victim m ~purpose:None)
+
+(* Segments closing at one instant with equal live counts: cold loads fill
+   segments 0-3 at one instant, then kills move 3, 2 and 1 (in that order)
+   into one live-count bucket, then 3 and 2 into the next.  The lowest id
+   of each tied group wins. *)
+let test_same_instant_closes () =
+  let m, op, nslots = tie_case ~wear:Storage.Wear.Dynamic in
+  let module M = Storage.Manager in
+  let loaded =
+    List.init (4 * nslots) (fun _ ->
+        let b = M.alloc m in
+        op ~advance:false (fun () -> M.load_cold m b);
+        b)
+  in
+  let lts =
+    List.init 4 (fun i -> Storage.Segment.last_touched (M.segments m).(i))
+    |> List.sort_uniq Time.compare
+  in
+  Alcotest.(check int) "segments 0-3 closed at one instant" 1 (List.length lts);
+  let live = ref loaded in
+  let kill seg =
+    let b = List.hd (blocks_in m seg !live) in
+    live := List.filter (( <> ) b) !live;
+    op (fun () -> M.free_block m b)
+  in
+  List.iter kill [ 3; 2; 1 ];
+  Alcotest.(check (option int)) "one kill each" (Some 1) (M.next_victim m ~purpose:None);
+  List.iter kill [ 3; 2 ];
+  Alcotest.(check (option int)) "two kills each" (Some 2) (M.next_victim m ~purpose:None)
+
 let suite =
   [
     grid_case ~name:"scan vs indexed: policy grid" ~seed:42 ~len:420;
@@ -234,4 +320,8 @@ let suite =
          ~buffer_blocks:0);
     Alcotest.test_case "oracle objects to the wrong policy" `Quick test_oracle_can_fail;
     Alcotest.test_case "decision queries only observe" `Quick test_queries_only_observe;
+    Alcotest.test_case "cost-benefit tie: all full, lowest id youngest" `Quick
+      test_all_full_lowest_id_youngest;
+    Alcotest.test_case "cost-benefit tie: same-instant closes" `Quick
+      test_same_instant_closes;
   ]

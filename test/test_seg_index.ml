@@ -77,43 +77,194 @@ let prop_bucketed_matches_model =
       && B.min_entry b = extreme min
       && B.max_entry b = extreme max)
 
-let test_age_reps_order_and_cutoff () =
-  let idx =
-    I.create ~nbanks:1 ~wear_keyed:true ~track_live:false ~track_erase:false
-      ~track_age:true
+(* The cost-benefit heaps.  Two banks of six ids (bank = id / 6) and
+   four-slot segments, so live counts run 0..4. *)
+let heap_banks = 2
+let heap_ids = 12
+let heap_nslots = 4
+
+let aged_index () =
+  I.create ~nbanks:heap_banks ~nsegments:heap_ids ~nslots:heap_nslots ~wear_keyed:true
+    ~track_live:false ~track_erase:false ~track_age:true
+
+let raises_invalid f =
+  match f () with () -> false | exception Invalid_argument _ -> true
+
+(* A score of the cost-benefit shape: at a fixed live count it never rises
+   as the last-touched instant grows.  [quantum] coarsens the age so that
+   different instants tie. *)
+let heap_score ~now ~quantum (lt, live) =
+  float_of_int ((Int.max 0 (now - lt) / quantum) + 1)
+  *. float_of_int (heap_nslots - live)
+  /. float_of_int (heap_nslots + live)
+
+(* Model-based check: random adds, removes and live-count changes against
+   a list of (id, live, lt) entries.  After every op each (bank, live)
+   heap holds exactly the model's entries, its root is their minimum
+   (lt, id), every parent precedes its children, and the pick agrees with
+   a scan of the model over random bank subsets; misuse raises and
+   changes nothing. *)
+let prop_heaps_match_model =
+  QCheck.Test.make ~name:"seg_index: age heaps match naive model" ~count:300
+    QCheck.(
+      list
+        (quad (int_bound 3) (int_bound (heap_ids - 1)) (int_bound heap_nslots)
+           (int_bound 5)))
+    (fun ops ->
+      let idx = aged_index () in
+      let model = ref [] in
+      let find id = List.find_opt (fun (i, _, _) -> i = id) !model in
+      let bank id = id / 6 in
+      let check_heaps () =
+        for b = 0 to heap_banks - 1 do
+          for live = 0 to heap_nslots do
+            let heap = I.closed_by_age idx ~bank:b ~live in
+            let expected =
+              List.filter_map
+                (fun (id, l, lt) ->
+                  if bank id = b && l = live then Some (lt, id) else None)
+                !model
+              |> List.sort compare
+            in
+            if List.sort compare (Array.to_list heap) <> expected then
+              QCheck.Test.fail_reportf "bank %d live %d: wrong members" b live;
+            (match expected with
+            | [] -> ()
+            | least :: _ ->
+              if heap.(0) <> least then
+                QCheck.Test.fail_reportf "bank %d live %d: root is not the minimum" b
+                  live);
+            Array.iteri
+              (fun i node ->
+                if i > 0 && compare heap.((i - 1) / 2) node >= 0 then
+                  QCheck.Test.fail_reportf
+                    "bank %d live %d: parent of %d does not precede it" b live i)
+              heap
+          done
+        done
+      in
+      let check_pick ~now ~quantum ~mask =
+        let allowed b = mask land (1 lsl b) <> 0 in
+        let score = heap_score ~now ~quantum in
+        let scan =
+          List.fold_left
+            (fun best (id, live, lt) ->
+              if not (allowed (bank id)) then best
+              else
+                let s = score (lt, live) in
+                match best with
+                | Some (bid, bs) when bs > s || (bs = s && bid < id) -> best
+                | Some _ | None -> Some (id, s))
+            None !model
+          |> Option.map fst
+        in
+        let lookup id =
+          match find id with Some (_, live, lt) -> score (lt, live) | None -> nan
+        in
+        if I.max_score_closed idx ~allowed ~score:lookup <> scan then
+          QCheck.Test.fail_reportf
+            "pick differs from the scan (now %d, quantum %d, banks %d)" now quantum mask
+      in
+      List.iter
+        (fun (kind, id, live, t) ->
+          let lt = 10 * t in
+          (match (kind, find id) with
+          | 0, None ->
+            I.add_closed idx ~bank:(bank id) ~id ~live ~erase:0 ~lt_ns:lt;
+            model := (id, live, lt) :: !model
+          | 0, Some (_, l, x) ->
+            if
+              not
+                (raises_invalid (fun () ->
+                     I.add_closed idx ~bank:(bank id) ~id ~live:l ~erase:0 ~lt_ns:x))
+            then QCheck.Test.fail_reportf "double add of %d accepted" id
+          | 1, Some (_, l, x) ->
+            I.remove_closed idx ~bank:(bank id) ~id ~live:l ~erase:0 ~lt_ns:x;
+            model := List.filter (fun (i, _, _) -> i <> id) !model
+          | (1 | 2 | 3), None ->
+            if
+              not
+                (raises_invalid (fun () ->
+                     I.remove_closed idx ~bank:(bank id) ~id ~live ~erase:0 ~lt_ns:lt))
+            then QCheck.Test.fail_reportf "remove of absent %d accepted" id
+          | 2, Some (_, l, x) ->
+            I.closed_live_changed idx ~bank:(bank id) ~id ~old_live:l ~new_live:live
+              ~lt_ns:x;
+            model := (id, live, x) :: List.filter (fun (i, _, _) -> i <> id) !model
+          | _, Some (_, l, x) ->
+            (* A wrong live count or last-touched instant. *)
+            let wrong_live = (l + 1) mod (heap_nslots + 1) in
+            if
+              not
+                (raises_invalid (fun () ->
+                     I.remove_closed idx ~bank:(bank id) ~id ~live:wrong_live ~erase:0
+                       ~lt_ns:x)
+                && raises_invalid (fun () ->
+                       I.remove_closed idx ~bank:(bank id) ~id ~live:l ~erase:0
+                         ~lt_ns:(x + 1)))
+            then QCheck.Test.fail_reportf "remove of %d under wrong keys accepted" id
+          | _, None -> ());
+          check_heaps ();
+          List.iter
+            (fun (now, quantum, mask) -> check_pick ~now ~quantum ~mask)
+            [ (60, 1, 3); (60, 25, 3); (20, 1, 1); (35, 40, 2); (0, 1, 3) ])
+        ops;
+      true)
+
+let test_heap_misuse_raises () =
+  let idx = aged_index () in
+  I.add_closed idx ~bank:0 ~id:3 ~live:2 ~erase:0 ~lt_ns:100;
+  let raises what f = Alcotest.(check bool) what true (raises_invalid f) in
+  raises "double add" (fun () ->
+      I.add_closed idx ~bank:0 ~id:3 ~live:2 ~erase:0 ~lt_ns:100);
+  raises "double add under other keys" (fun () ->
+      I.add_closed idx ~bank:0 ~id:3 ~live:1 ~erase:0 ~lt_ns:50);
+  raises "remove with the wrong live count" (fun () ->
+      I.remove_closed idx ~bank:0 ~id:3 ~live:1 ~erase:0 ~lt_ns:100);
+  raises "remove with the wrong lt" (fun () ->
+      I.remove_closed idx ~bank:0 ~id:3 ~live:2 ~erase:0 ~lt_ns:99);
+  raises "live change from the wrong count" (fun () ->
+      I.closed_live_changed idx ~bank:0 ~id:3 ~old_live:3 ~new_live:2 ~lt_ns:100);
+  raises "live count beyond nslots" (fun () ->
+      I.add_closed idx ~bank:0 ~id:4 ~live:(heap_nslots + 1) ~erase:0 ~lt_ns:0);
+  raises "remove of an absent id" (fun () ->
+      I.remove_closed idx ~bank:0 ~id:5 ~live:2 ~erase:0 ~lt_ns:100);
+  (* None of that disturbed the entry. *)
+  Alcotest.(check (array (pair int int)))
+    "entry intact" [| (100, 3) |]
+    (I.closed_by_age idx ~bank:0 ~live:2);
+  I.remove_closed idx ~bank:0 ~id:3 ~live:2 ~erase:0 ~lt_ns:100;
+  Alcotest.(check (array (pair int int)))
+    "removed" [||]
+    (I.closed_by_age idx ~bank:0 ~live:2)
+
+(* Ties the root alone gets wrong.  Bank 0: full segments all score 0,
+   so the lowest id wins however young it is.  Bank 1: a coarse age makes
+   two instants score alike, so the younger, lower id wins. *)
+let test_pick_walks_ties () =
+  let idx = aged_index () in
+  let full = heap_nslots in
+  let entries =
+    [ (4, full, 10); (5, full, 20); (1, full, 30); (2, full, 40); (0, full, 90) ]
+    @ [ (9, 1, 10); (7, 1, 12); (6, 1, 30) ]
   in
-  (* Three age groups; the middle one holds a tie on the live count. *)
-  I.add_closed idx ~bank:0 ~id:5 ~live:3 ~erase:0 ~lt_ns:200;
-  I.add_closed idx ~bank:0 ~id:1 ~live:6 ~erase:0 ~lt_ns:100;
-  I.add_closed idx ~bank:0 ~id:7 ~live:2 ~erase:0 ~lt_ns:200;
-  I.add_closed idx ~bank:0 ~id:2 ~live:2 ~erase:0 ~lt_ns:200;
-  I.add_closed idx ~bank:0 ~id:9 ~live:0 ~erase:0 ~lt_ns:300;
-  let seen = ref [] in
-  I.iter_age_reps idx ~bank:0 ~f:(fun ~lt_ns ~id ->
-      seen := (lt_ns, id) :: !seen;
-      true);
-  Alcotest.(check (list (pair int int)))
-    "oldest first, emptiest-lowest-id rep per group"
-    [ (100, 1); (200, 2); (300, 9) ]
-    (List.rev !seen);
-  (* Early cutoff stops the walk. *)
-  let seen = ref [] in
-  I.iter_age_reps idx ~bank:0 ~f:(fun ~lt_ns ~id ->
-      seen := (lt_ns, id) :: !seen;
-      false);
-  Alcotest.(check (list (pair int int))) "stops on false" [ (100, 1) ] (List.rev !seen);
-  (* A live-count change moves the representative. *)
-  I.closed_live_changed idx ~bank:0 ~id:7 ~old_live:2 ~new_live:1 ~lt_ns:200;
-  let seen = ref [] in
-  I.iter_age_reps idx ~bank:0 ~f:(fun ~lt_ns:_ ~id ->
-      seen := id :: !seen;
-      true);
-  Alcotest.(check (list int)) "rep follows live counts" [ 1; 7; 9 ] (List.rev !seen)
+  List.iter
+    (fun (id, live, lt) -> I.add_closed idx ~bank:(id / 6) ~id ~live ~erase:0 ~lt_ns:lt)
+    entries;
+  let score id =
+    let _, live, lt = List.find (fun (i, _, _) -> i = id) entries in
+    heap_score ~now:100 ~quantum:25 (lt, live)
+  in
+  let pick bank = I.max_score_closed idx ~allowed:(fun b -> b = bank) ~score in
+  Alcotest.(check (option int)) "full: the youngest, lowest id" (Some 0) (pick 0);
+  Alcotest.(check (option int)) "equal floats: the lower id" (Some 7) (pick 1);
+  Alcotest.(check (option int)) "both banks: any positive score beats full" (Some 7)
+    (I.max_score_closed idx ~allowed:(fun _ -> true) ~score)
 
 let test_free_side_counters () =
   let idx =
-    I.create ~nbanks:2 ~wear_keyed:true ~track_live:true ~track_erase:true
-      ~track_age:false
+    I.create ~nbanks:2 ~nsegments:16 ~nslots:8 ~wear_keyed:true ~track_live:true
+      ~track_erase:true ~track_age:false
   in
   I.add_free idx ~bank:0 ~key:3 ~id:0;
   I.add_free idx ~bank:0 ~key:3 ~id:1;
@@ -133,6 +284,8 @@ let suite =
     Alcotest.test_case "bucketed tie -> lowest id" `Quick test_bucketed_tie_lowest_id;
     Alcotest.test_case "bucketed misuse raises" `Quick test_bucketed_misuse_raises;
     QCheck_alcotest.to_alcotest prop_bucketed_matches_model;
-    Alcotest.test_case "age reps order & cutoff" `Quick test_age_reps_order_and_cutoff;
+    QCheck_alcotest.to_alcotest prop_heaps_match_model;
+    Alcotest.test_case "heap misuse raises" `Quick test_heap_misuse_raises;
+    Alcotest.test_case "cost-benefit pick walks ties" `Quick test_pick_walks_ties;
     Alcotest.test_case "free side counters" `Quick test_free_side_counters;
   ]
