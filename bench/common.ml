@@ -15,8 +15,8 @@ let note fmt = Fmt.pr ("  " ^^ fmt ^^ "@.")
 
 (* Machine-readable results: experiments record their headline numbers
    here and the harness drains them per experiment for --json output.  A
-   queue, so take_metrics preserves insertion order by construction — the
-   CI smoke diffs two runs' JSON, which needs a stable metric order.  Call
+   queue, so take_metrics preserves insertion order by construction —
+   --check compares two runs' metrics and renders them in that order.  Call
    put_metric only from the main domain (record pool results after the
    parallel phase, not inside work items). *)
 let metrics : (string * float) Queue.t = Queue.create ()

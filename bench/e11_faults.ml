@@ -6,8 +6,9 @@
    is bounded at every instant by the write-buffer occupancy (the paper's
    reason to bound the writeback delay), and a cold restart loses at most
    that bound, then remounts by scanning flash headers in time linear in
-   the sector count.  The invariant checks below are hard failures: CI
-   runs this experiment, so a recovery regression fails the build. *)
+   the sector count.  The invariant checks below are hard failures:
+   --check runs this experiment in dune runtest, so a recovery regression
+   fails tier 1. *)
 open Sim
 
 let invariant cond fmt =

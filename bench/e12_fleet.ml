@@ -7,7 +7,8 @@
 
    Mechanically it is also the scale benchmark: devices stream through
    [Ssmc.Fleet] in shards, so peak heap is O(shard x jobs) no matter how
-   large N is (the CI bounded-memory check pins this via the CLI), and
+   large N is (test_fleet.ml's "live heap flat in fleet size" holds this),
+   and
    the whole report is byte-identical at any --jobs (pinned by the e12_*
    snapshot diff).  Every device also takes one random power event, so
    fleet aggregation composes with the E11 fault machinery. *)
@@ -43,7 +44,7 @@ let run () =
     if Quantiles.count sketch = 0 then 0.0 else Quantiles.quantile sketch p
   in
   (* Deterministic headline metrics carry the e12_ prefix: pinned by the
-     snapshot and compared across job counts in CI.  Wall-clock metrics
+     snapshot and compared across job counts by --check.  Wall-clock metrics
      carry the fleet_ prefix and are excluded from those diffs. *)
   Common.put_metric "e12_devices" (float_of_int r.Ssmc.Fleet.devices);
   Common.put_metric "e12_out_of_space" (float_of_int r.Ssmc.Fleet.out_of_space);
@@ -80,4 +81,6 @@ let run () =
     (q r.Ssmc.Fleet.wear_max_erases 0.99)
     (100.0 *. float_of_int r.Ssmc.Fleet.past_wearout /. float_of_int devices)
     spec.Ssmc.Fleet.wearout_horizon_years;
-  Common.note "aggregates byte-identical at any --jobs and --fleet-shard (CI-pinned)"
+  Common.note
+    "aggregates byte-identical at any --jobs and --fleet-shard (pinned by --check and \
+     test_fleet.ml)"

@@ -298,7 +298,7 @@ let run () =
   Common.put_metric "e13_read_scaling_4v1" scaling;
   Common.put_metric "e13_cards1_equiv" (if equiv then 1.0 else 0.0);
   Common.note
-    "erase-heavy read throughput at 4 cards is %.1fx one card (CI asserts >= 2x); \
+    "erase-heavy read throughput at 4 cards is %.1fx one card (--check asserts >= 2x); \
      cards=1 through the store wrapper is %s to the bare manager."
     scaling
     (if equiv then "byte-identical" else "NOT IDENTICAL (bug)");

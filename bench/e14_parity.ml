@@ -172,7 +172,7 @@ let run_point ({ parity; _ } as cell) =
     p_rebuilt = rebuilt;
   }
 
-(* The file-system-level degraded-equivalence pin the CI stanza asserts:
+(* The file-system-level degraded-equivalence pin --check asserts:
    a 3-card parity machine loses a card without warning mid-life; the
    namespace and every file's contents must read back identically while
    degraded, and the reinserted card must rebuild to a healthy array. *)
@@ -314,7 +314,7 @@ let run () =
   Common.note
     "3-card write-heavy: parity flushes %.2fx the blocks of the plain stripe (the \
      RAID small-write premium), and a surprise eject keeps %.0f%% of the working \
-     set readable (CI asserts survival = 1 and penalty > 1)."
+     set readable (--check asserts survival = 1 and penalty > 1)."
     penalty (100.0 *. survival);
   Common.note
     "machine-level degraded equivalence (namespace + every file's contents \

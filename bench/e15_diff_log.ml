@@ -231,7 +231,7 @@ let run () =
   Common.put_metric "e15_tradeoff_monotone" (if monotone then 1.0 else 0.0);
   Common.note
     "overwrite-heavy (95%%): deltas at merge=4 program %.2fx less than full-page \
-     rewrites (CI asserts >= 1.3x); the merge knob trades write traffic for read \
+     rewrites (--check asserts >= 1.3x); the merge knob trades write traffic for read \
      latency monotonically: %s."
     reduction
     (if monotone then "holds" else "VIOLATED (bug)");

@@ -89,7 +89,7 @@ let cleaner_table () =
   (* Counters come from the probe registry: churn's reset_traffic clears
      this worker domain's probes after the fill phase, so the snapshot
      taken inside the work item holds exactly this cell's rewrite traffic
-     (identical values to Manager.stats — the CI snapshot pins them). *)
+     (identical values to Manager.stats — the QUICK snapshot pins them). *)
   let cells =
     Pool.run_map
       (fun (utilization, cleaner) ->

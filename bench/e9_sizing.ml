@@ -65,8 +65,8 @@ let table_for profile =
                Float.log10 (Float.max 1.0 p.Ssmc.Sizing.mean_write_us) ))
        points);
   (* Headline metrics for --json: every point's mean write latency plus
-     the knee.  Deterministic at any --jobs, which the CI smoke asserts by
-     diffing two runs. *)
+     the knee.  Deterministic at any --jobs, which the E9 row of --check
+     asserts by comparing runs at jobs 1 and 2. *)
   List.iter
     (fun (p : Ssmc.Sizing.point) ->
       Common.put_metric

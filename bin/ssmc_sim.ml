@@ -8,8 +8,7 @@ open Cmdliner
 
 (* Fleet mode: N heterogeneous devices streamed through the pool in
    bounded memory (Ssmc.Fleet).  Prints the fleet report plus one
-   machine-parsable line -- devices/s and the process's peak heap -- that
-   CI's bounded-memory check greps for. *)
+   machine-parsable line: devices/s and the process's peak heap. *)
 let run_fleet ~devices ~shard ~faults_per_device ~duration ~seed ~metrics_json
     ~verbose =
   let spec =

@@ -16,7 +16,8 @@ type storage =
       cards : int;
           (** PCMCIA flash cards behind a striped {!Storage.Array}.
               [cards = 1] mounts the manager directly — byte-identical to
-              the pre-array machine (enforced by test and CI). *)
+              the pre-array machine (held by [test_store_array.ml] and the
+              [e13_cards1_equiv] row of [bench/main.exe --check]). *)
       striping : Storage.Striping.policy;  (** Ignored when [cards = 1]. *)
       front_cache_blocks : int;
           (** Shared front cache over the array; 0 = off.  Ignored when

@@ -13,7 +13,8 @@
     reduced to a small {!device_report}, and
     released before the next shard starts.  Peak memory is therefore
     O(shard × jobs), never O(N) — a million devices fit in the heap a few
-    dozen would otherwise need.
+    dozen would otherwise need ([test_fleet.ml] holds the live heap of 80
+    devices within 1.3× that of 8).
 
     Per-device results fold into fleet-level aggregates in device-index
     order: scalar {!Sim.Stat.Summary}s, streaming {!Sim.Stat.Quantiles}
@@ -21,7 +22,8 @@
     lifetime), and merged {!Sim.Probe} snapshots.  Because work items share
     nothing, the pool preserves submission order, and the fold order is
     fixed, the whole {!report} is byte-identical at any job count and any
-    shard size — enforced in CI next to the other determinism pins. *)
+    shard size — held by [test_fleet.ml] and by the E12 row of
+    [bench/main.exe --check]. *)
 
 (** One hardware model in the product line: a weighted configuration
     template.  [v_mix] optionally overrides the fleet-wide workload mix —

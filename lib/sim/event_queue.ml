@@ -8,8 +8,6 @@ type 'a entry = 'a Timing_wheel.entry = {
 type handle = H : 'a entry -> handle
 type kind = Heap | Wheel
 
-let kind_name = function Heap -> "heap" | Wheel -> "wheel"
-
 exception Empty
 
 (* --- Binary min-heap ------------------------------------------------------

@@ -19,8 +19,6 @@ type handle
 
 type kind = Heap | Wheel
 
-val kind_name : kind -> string
-
 val create : ?kind:kind -> unit -> 'a t
 (** A fresh queue; [kind] defaults to [Heap], which accepts adds at any
     instant.  Choose [Wheel] only for engine-shaped workloads where

@@ -2,7 +2,8 @@
 
    The fast path is the disabled one: every recording entry point loads one
    atomic flag and branches away, so instrumentation can sit on simulator
-   hot paths permanently (the probe micro-benchmark in bench/ pins this).
+   hot paths permanently (test_probe.ml holds it: dormant calls allocate
+   nothing, and a replay makes a bounded number of them per record).
 
    When enabled, each domain accumulates into its own DLS-held state — no
    locks, no sharing, no cross-domain interference — and registers that

@@ -6,7 +6,9 @@
     record into them through handles.  Everything is disabled by default:
     each recording call is one atomic load and a branch, so instrumented hot
     paths cost nothing measurable until a harness opts in with
-    {!set_metrics} / {!set_timeline}.
+    {!set_metrics} / {!set_timeline}.  A float argument computed at the call
+    site is boxed before the call, though, so a hot path that computes a
+    value only for a probe guards the call with {!metrics_enabled}.
 
     {2 Domains}
 

@@ -36,9 +36,10 @@
 
     With one card, an identity striping, and the front cache off, every
     operation forwards verbatim to the single manager — the array is
-    byte-identical to the pre-array path (pinned by test and in CI); with
-    a non-parity striping the array is byte-identical to the pre-parity
-    path (same pin). *)
+    byte-identical to the pre-array path (held by [test_store_array.ml]
+    and the [e13_cards1_equiv] floor of [bench/main.exe --check]); with a
+    non-parity striping the array is byte-identical to the pre-parity
+    path (held by the E13 QUICK snapshot [--check] compares). *)
 
 type t
 

@@ -173,9 +173,11 @@ let card t = t.card
 
 (* Busy-time accounting: every client-visible operation observes the span
    it occupied the card (including bank-queue waits), so an array's
-   per-card utilization falls out of one summary per card. *)
+   per-card utilization falls out of one summary per card.  Guarded so a
+   dormant probe does not cost a boxed float on every client op. *)
 let note_busy t ~start ~finish =
-  Probe.observe t.probes.p_busy_us (Time.span_to_us (Time.diff finish start))
+  if Probe.metrics_enabled () then
+    Probe.observe t.probes.p_busy_us (Time.span_to_us (Time.diff finish start))
 
 (* Timeline spans carry the card position when the manager is part of an
    array; standalone managers emit exactly the historical span args. *)

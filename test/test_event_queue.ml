@@ -1,6 +1,7 @@
 open Sim
 
 let t ns = Time.of_ns ns
+let kind_name = function Event_queue.Heap -> "heap" | Event_queue.Wheel -> "wheel"
 
 let test_empty () =
   let q : int Event_queue.t = Event_queue.create () in
@@ -108,10 +109,7 @@ let prop_cancel_removes =
    top one). *)
 
 let prop_matches_model kind =
-  let name =
-    Printf.sprintf "event_queue(%s): matches reference model"
-      (Event_queue.kind_name kind)
-  in
+  let name = Printf.sprintf "event_queue(%s): matches reference model" (kind_name kind) in
   QCheck.Test.make ~name ~count:300
     QCheck.(list (triple (int_bound 2) (int_bound 11) (int_bound 40)))
     (fun ops ->
@@ -213,7 +211,7 @@ let test_popped_payloads_collectible () =
         if Weak.check weak i then incr retained
       done;
       Alcotest.(check int)
-        (Printf.sprintf "no payloads retained (%s)" (Event_queue.kind_name kind))
+        (Printf.sprintf "no payloads retained (%s)" (kind_name kind))
         0 !retained)
     [ Event_queue.Heap; Event_queue.Wheel ]
 

@@ -81,6 +81,55 @@ let test_validate_rejects () =
     (Invalid_argument "Fleet.run: devices < 1") (fun () ->
       ignore (Ssmc.Fleet.run (bad 0 4)))
 
+(* --- Bounded memory ------------------------------------------------------ *)
+
+(* The fleet streams devices shard by shard and releases each shard's
+   machines before the next starts, so live heap depends on the shard size
+   and the job count, never on the fleet size.  One tiny model keeps a
+   device to milliseconds; the live heap is read after a full major
+   collection at every shard boundary. *)
+let tiny =
+  {
+    Ssmc.Fleet.v_weight = 1.0;
+    v_name = "tiny-4";
+    v_flash_mb = 4;
+    v_dram_mb = 1;
+    v_nbanks = 2;
+    v_flash_spec = Device.Specs.intel_flash;
+    v_endurance_override = None;
+    v_buffer_kb = None;
+    v_mix = Some [ (1.0, Trace.Workloads.pim) ];
+  }
+
+let peak_live_words ~jobs ~devices =
+  let spec =
+    Ssmc.Fleet.spec ~devices ~shard:4 ~base_seed:5 ~duration:(Time.span_s 2.0)
+      ~variants:[ tiny ] ()
+  in
+  let peak = ref 0 in
+  let on_shard ~done_devices:_ ~total:_ =
+    Gc.full_major ();
+    peak := max !peak (Gc.stat ()).Gc.live_words
+  in
+  let report = Ssmc.Fleet.run ~jobs ~on_shard spec in
+  Alcotest.(check int) "no device out of space" 0 report.Ssmc.Fleet.out_of_space;
+  !peak
+
+let test_memory_flat_in_fleet_size () =
+  List.iter
+    (fun jobs ->
+      let small = peak_live_words ~jobs ~devices:8 in
+      let large = peak_live_words ~jobs ~devices:80 in
+      let ratio = float_of_int large /. float_of_int small in
+      Printf.printf "jobs %d: peak live words %d (8 devices) -> %d (80), %.2fx\n" jobs
+        small large ratio;
+      if ratio > 1.3 then
+        Alcotest.failf
+          "jobs %d: 10x the devices grew peak live heap %.2fx (%d -> %d words); at most \
+           1.3x"
+          jobs ratio small large)
+    [ 1; 2 ]
+
 (* --- Machine.recycle = Machine.create ----------------------------------- *)
 
 let run_workload machine records =
@@ -142,6 +191,8 @@ let suite =
     Alcotest.test_case "simulate_device matches run" `Quick
       test_simulate_device_matches_run;
     Alcotest.test_case "validate rejects bad specs" `Quick test_validate_rejects;
+    Alcotest.test_case "live heap flat in fleet size" `Quick
+      test_memory_flat_in_fleet_size;
     Alcotest.test_case "recycle identical to create" `Quick test_recycle_identity;
     Alcotest.test_case "recycle falls back on shape mismatch" `Quick
       test_recycle_shape_mismatch_falls_back;

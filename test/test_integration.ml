@@ -170,6 +170,49 @@ let test_streaming_replay_equivalence () =
         (Fs.Memfs.metadata_bytes (fs_of m)))
     [ ("seq-of-list", via_seq_of_list); ("end-to-end stream", via_stream) ]
 
+(* --- A streamed replay holds a bounded window of its trace ------------------------- *)
+
+let test_streaming_window_bounded () =
+  (* [run_seq] pulls its stream a chunk at a time, so the records forced
+     from the stream run ahead of the records applied by about one chunk
+     however long the trace is: a replay's memory does not grow with its
+     trace.  Sampled every 512 forced records, with the applied count read
+     from the [machine.ops] counter. *)
+  let metrics_were = Probe.metrics_enabled () in
+  Probe.set_metrics true;
+  Fun.protect
+    ~finally:(fun () ->
+      Probe.reset ();
+      Probe.set_metrics metrics_were)
+    (fun () ->
+      let trace =
+        Trace.Synth.generate_seq Trace.Workloads.engineering ~rng:(Rng.create ~seed:71)
+          ~duration:(Time.span_s 1200.0)
+      in
+      let machine =
+        Ssmc.Machine.create (Ssmc.Config.solid_state ~flash_mb:64 ~seed:71 ())
+      in
+      Ssmc.Machine.preload machine trace.Trace.Synth.stream_initial_files;
+      let forced = ref 0 and ahead = ref 0 in
+      let rec counted records () =
+        match records () with
+        | Seq.Nil -> Seq.Nil
+        | Seq.Cons (r, rest) ->
+          incr forced;
+          if !forced mod 512 = 0 then begin
+            let snap = Probe.snapshot () in
+            ahead := max !ahead (!forced - Probe.Snapshot.counter_value snap "machine.ops")
+          end;
+          Seq.Cons (r, counted rest)
+      in
+      let result = Ssmc.Machine.run_seq machine (counted trace.Trace.Synth.seq) in
+      let bound = 2 * Trace.Replay.Compiled.chunk_records in
+      Printf.printf "%d records; at most %d forced ahead of the replay\n" !forced !ahead;
+      Alcotest.(check int) "every record applied" !forced result.Ssmc.Machine.ops_applied;
+      if !ahead > bound then
+        Alcotest.failf "%d records forced ahead of the replay (of %d); at most %d" !ahead
+          !forced bound)
+
 (* --- A streamed trace replays like a precompiled one ------------------------------ *)
 
 let test_compiled_replay_equivalence () =
@@ -376,6 +419,7 @@ let suite =
     Alcotest.test_case "trace file roundtrip" `Quick test_trace_file_roundtrip_same_result;
     Alcotest.test_case "streaming replay equivalence" `Quick
       test_streaming_replay_equivalence;
+    Alcotest.test_case "streaming window bounded" `Quick test_streaming_window_bounded;
     Alcotest.test_case "compiled replay equivalence" `Quick
       test_compiled_replay_equivalence;
     Alcotest.test_case "battery exhaustion mid-run" `Slow test_battery_exhaustion_mid_run;

@@ -301,6 +301,82 @@ let test_faulted_replay_telemetry () =
       in
       Alcotest.(check string) "jobs 1 = jobs 2" (merged 1) (merged 2))
 
+(* --- What dormant telemetry costs ---------------------------------------------- *)
+
+(* A recording call with metrics off is one atomic load and a branch: no
+   allocation.  The floats are boxed up front; a caller that passes a
+   freshly computed float boxes it before the call (2 words each in a
+   build without flambda), which is why hot call sites guard on
+   [Probe.metrics_enabled] when the value exists only for the probe. *)
+let test_dormant_calls_allocate_nothing () =
+  Probe.set_metrics false;
+  Probe.set_timeline false;
+  let c = Probe.counter "t.dormant_c" and s = Probe.summary "t.dormant_s" in
+  let h = Probe.histogram "t.dormant_h" in
+  let v = Sys.opaque_identity 123.0 in
+  let words f =
+    let before = Gc.minor_words () in
+    for _ = 1 to 10_000 do
+      f ()
+    done;
+    Gc.minor_words () -. before
+  in
+  List.iter
+    (fun (name, f) -> Alcotest.(check (float 0.0)) (name ^ ": minor words") 0.0 (words f))
+    [
+      ("incr", fun () -> Probe.incr c);
+      ("add", fun () -> Probe.add c 7);
+      ("observe", fun () -> Probe.observe s v);
+      ("observe_hist", fun () -> Probe.observe_hist h v);
+    ]
+
+(* The other factor of the dormant cost: how many recording calls one
+   trace record makes.  Counted on a 60 s engineering replay with metrics
+   on, where a counter's value is its call count and a summary's [n] and a
+   histogram's bucket total are theirs.  The byte and fetch counters add
+   many units per call; each is counted through the per-op counter
+   incremented on the same branch. *)
+let bulk_counters =
+  [
+    ("device.flash.bytes_read", "device.flash.reads");
+    ("device.flash.bytes_programmed", "device.flash.programs");
+    ("device.dram.bytes_read", "device.dram.reads");
+    ("device.dram.bytes_written", "device.dram.writes");
+    ("vm.exec.fetches", "vm.exec.launches");
+  ]
+
+let test_calls_per_record () =
+  with_probes (fun () ->
+      let trace =
+        Trace.Synth.generate_seq Trace.Workloads.engineering ~rng:(Rng.create ~seed:3)
+          ~duration:(Time.span_s 60.0)
+      in
+      let machine = Ssmc.Machine.create (Ssmc.Config.solid_state ~seed:5 ()) in
+      Ssmc.Machine.preload machine trace.Trace.Synth.stream_initial_files;
+      let result = Ssmc.Machine.run_seq machine trace.Trace.Synth.seq in
+      let snap = Probe.snapshot () in
+      let calls =
+        List.fold_left
+          (fun acc (name, v) ->
+            match v with
+            | Probe.Snapshot.Counter n -> (
+              match List.assoc_opt name bulk_counters with
+              | Some per_op -> acc + Probe.Snapshot.counter_value snap per_op
+              | None -> acc + n)
+            | Probe.Snapshot.Summary { n; _ } -> acc + n
+            | Probe.Snapshot.Histogram buckets ->
+              List.fold_left (fun a (_, _, n) -> a + n) acc buckets)
+          0 snap
+      in
+      let records = result.Ssmc.Machine.ops_applied in
+      let per_record = float_of_int calls /. float_of_int records in
+      let ceiling = 46.5 in
+      Printf.printf "%d probe calls over %d records: %.2f per record\n" calls records
+        per_record;
+      if per_record > ceiling then
+        Alcotest.failf "%.2f probe calls per record (%d over %d); the ceiling is %.1f"
+          per_record calls records ceiling)
+
 let suite =
   [
     Alcotest.test_case "record and snapshot" `Quick test_record_and_snapshot;
@@ -316,4 +392,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_timeline_roundtrip;
     Alcotest.test_case "preload starts clean" `Quick test_preload_starts_clean;
     Alcotest.test_case "faulted replay telemetry" `Quick test_faulted_replay_telemetry;
+    Alcotest.test_case "dormant calls allocate nothing" `Quick
+      test_dormant_calls_allocate_nothing;
+    Alcotest.test_case "calls per record: ceiling" `Quick test_calls_per_record;
   ]
