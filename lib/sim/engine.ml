@@ -5,10 +5,7 @@ type t = {
 
 and callback = t -> unit
 
-(* The agenda is a timing wheel: the engine never schedules in the past,
-   which is the wheel's one constraint. *)
-let create () =
-  { clock = Time.zero; agenda = Event_queue.create ~kind:Event_queue.Wheel () }
+let create () = { clock = Time.zero; agenda = Event_queue.create () }
 
 let now t = t.clock
 
@@ -36,46 +33,24 @@ let schedule_every t ~every ?until f =
 let cancel t handle = Event_queue.cancel t.agenda handle
 
 (* The innermost simulation loop: peek the timestamp (an unboxed int), then
-   take the payload, so delivering an event allocates nothing.  Events
-   sharing a timestamp are delivered as one batch — the clock is written
-   once per group, and the wheel extracts the whole group in one touch
-   (callbacks scheduling more work at the current instant extend the
-   batch, preserving per-event semantics). *)
-let deliver_group t at =
-  t.clock <- at;
-  let more = ref true in
-  while !more do
-    let f = Event_queue.pop_exn t.agenda in
-    f t;
-    if
-      Event_queue.is_empty t.agenda
-      || not (Time.equal (Event_queue.peek_time_exn t.agenda) at)
-    then more := false
-  done
-
-let step t =
-  if Event_queue.is_empty t.agenda then false
-  else begin
-    deliver_group t (Event_queue.peek_time_exn t.agenda);
-    true
+   take the payload, so delivering an event allocates nothing.  The agenda
+   orders events by (instant, insertion), so events a callback schedules
+   at the current instant run after those already there, in this call. *)
+let rec deliver t limit =
+  if not (Event_queue.is_empty t.agenda) then begin
+    let at = Event_queue.peek_time_exn t.agenda in
+    if Time.( <= ) at limit then begin
+      t.clock <- at;
+      let f = Event_queue.pop_exn t.agenda in
+      f t;
+      deliver t limit
+    end
   end
 
 let run_until t limit =
-  let running = ref true in
-  while !running do
-    if Event_queue.is_empty t.agenda then running := false
-    else begin
-      let at = Event_queue.peek_time_exn t.agenda in
-      if Time.( <= ) at limit then deliver_group t at else running := false
-    end
-  done;
+  deliver t limit;
   if Time.( < ) t.clock limit then t.clock <- limit
 
-let run t = while step t do () done
-
-let advance_to t at = if Time.( < ) t.clock at then begin
-    (* Deliver any events that should have fired before [at] first. *)
-    run_until t at
-  end
+let run t = deliver t (Time.of_ns max_int)
 
 let pending t = Event_queue.length t.agenda

@@ -8,8 +8,7 @@
 type t
 
 val create : unit -> t
-(** A fresh engine with the clock at {!Time.zero} and an empty agenda (a
-    {!Event_queue.Wheel}). *)
+(** A fresh engine with the clock at {!Time.zero} and an empty agenda. *)
 
 val now : t -> Time.t
 (** The current simulated instant. *)
@@ -31,23 +30,16 @@ val schedule_every :
 
 val cancel : t -> Event_queue.handle -> unit
 
-val step : t -> bool
-(** Execute every event at the earliest pending instant (one clock write
-    per same-timestamp group, including events the callbacks add at that
-    instant).  Returns [false] if the agenda was empty (and the clock did
-    not move). *)
-
 val run_until : t -> Time.t -> unit
-(** Execute every event scheduled strictly before or at the given instant,
-    then advance the clock to exactly that instant. *)
+(** Execute every event scheduled at or before the given instant, in
+    (instant, insertion) order, including events the callbacks add within
+    the window; then advance the clock to exactly that instant.  An
+    instant before the clock runs nothing and leaves the clock where it
+    is. *)
 
 val run : t -> unit
-(** Execute events until the agenda drains. *)
-
-val advance_to : t -> Time.t -> unit
-(** Move the clock forward without running events — used by sequential
-    (trace-replay) drivers that interleave with the agenda by hand.  A no-op
-    if the instant is in the past. *)
+(** Execute events until the agenda drains; the clock stops at the last
+    event's instant. *)
 
 val pending : t -> int
 (** Number of events on the agenda. *)

@@ -1,144 +1,113 @@
-type 'a entry = 'a Timing_wheel.entry = {
+(* A binary min-heap of entries ordered by (instant, insertion sequence).
+   Cancellation is lazy: a cancelled entry stays in the heap until it
+   reaches the root, where [drop_cancelled] discards it.  [pending] is
+   cleared by both [cancel] and a pop, so cancelling a fired handle is a
+   no-op too. *)
+
+type 'a entry = {
   at : Time.t;
-  seq : int;
+  seq : int;  (* Tie-break: equal instants deliver in [seq] order. *)
   payload : 'a;
-  mutable cancelled : bool;
+  mutable pending : bool;
 }
 
 type handle = H : 'a entry -> handle
-type kind = Heap | Wheel
+
+type 'a t = {
+  mutable heap : 'a entry array;
+  (* [heap] slots >= [size] hold the dummy entry; they are never read. *)
+  mutable size : int;  (* entries in [heap], cancelled ones included *)
+  mutable live : int;  (* entries still pending *)
+  mutable next_seq : int;
+}
 
 exception Empty
 
-(* --- Binary min-heap ------------------------------------------------------
+(* Vacated cells are reset to this shared dummy so popped entries, and
+   the payload closures they hold, do not stay reachable from the heap
+   until a later add overwrites the slot.  Its payload is never read:
+   every read is bounded by [size]. *)
+let shared_dummy : unit entry =
+  { at = Time.zero; seq = min_int; payload = (); pending = false }
 
-   The original implementation, kept as the reference structure: no
-   constraints on insertion order, O(log n) add/pop.  Vacated cells are
-   reset to the shared dummy so popped payload closures are not retained
-   until a later add overwrites the slot. *)
+let dummy : 'a. unit -> 'a entry = fun () -> Obj.magic shared_dummy
+let create () = { heap = [||]; size = 0; live = 0; next_seq = 0 }
 
-module Heap_impl = struct
-  type 'a t = {
-    mutable heap : 'a entry array;
-    (* [heap] slots >= [size] hold the dummy entry; they are never read. *)
-    mutable size : int;
-  }
+let entry_before a b =
+  let c = Time.compare a.at b.at in
+  if c <> 0 then c < 0 else a.seq < b.seq
 
-  let create () = { heap = [||]; size = 0 }
+let swap t i j =
+  let tmp = t.heap.(i) in
+  t.heap.(i) <- t.heap.(j);
+  t.heap.(j) <- tmp
 
-  let entry_before a b =
-    let c = Time.compare a.at b.at in
-    if c <> 0 then c < 0 else a.seq < b.seq
-
-  let swap t i j =
-    let tmp = t.heap.(i) in
-    t.heap.(i) <- t.heap.(j);
-    t.heap.(j) <- tmp
-
-  let rec sift_up t i =
-    if i > 0 then begin
-      let parent = (i - 1) / 2 in
-      if entry_before t.heap.(i) t.heap.(parent) then begin
-        swap t i parent;
-        sift_up t parent
-      end
+let rec sift_up t i =
+  if i > 0 then begin
+    let parent = (i - 1) / 2 in
+    if entry_before t.heap.(i) t.heap.(parent) then begin
+      swap t i parent;
+      sift_up t parent
     end
+  end
 
-  let rec sift_down t i =
-    let l = (2 * i) + 1 and r = (2 * i) + 2 in
-    let smallest = ref i in
-    if l < t.size && entry_before t.heap.(l) t.heap.(!smallest) then smallest := l;
-    if r < t.size && entry_before t.heap.(r) t.heap.(!smallest) then smallest := r;
-    if !smallest <> i then begin
-      swap t i !smallest;
-      sift_down t !smallest
-    end
+let rec sift_down t i =
+  let l = (2 * i) + 1 and r = (2 * i) + 2 in
+  let smallest = ref i in
+  if l < t.size && entry_before t.heap.(l) t.heap.(!smallest) then smallest := l;
+  if r < t.size && entry_before t.heap.(r) t.heap.(!smallest) then smallest := r;
+  if !smallest <> i then begin
+    swap t i !smallest;
+    sift_down t !smallest
+  end
 
-  let grow t =
-    let cap = Array.length t.heap in
-    if t.size = cap then begin
-      let ncap = if cap = 0 then 16 else 2 * cap in
-      let nheap = Array.make ncap (Timing_wheel.dummy ()) in
-      Array.blit t.heap 0 nheap 0 t.size;
-      t.heap <- nheap
-    end
-
-  let add t entry =
-    grow t;
-    t.heap.(t.size) <- entry;
-    t.size <- t.size + 1;
-    sift_up t (t.size - 1)
-
-  let remove_min t =
-    let entry = t.heap.(0) in
-    t.size <- t.size - 1;
-    if t.size > 0 then begin
-      t.heap.(0) <- t.heap.(t.size);
-      sift_down t 0
-    end;
-    t.heap.(t.size) <- Timing_wheel.dummy ();
-    entry
-
-  (* Discard cancelled entries sitting at the root. *)
-  let rec drop_cancelled t =
-    if t.size > 0 && t.heap.(0).cancelled then begin
-      ignore (remove_min t);
-      drop_cancelled t
-    end
-
-  let pop_exn t =
-    drop_cancelled t;
-    if t.size = 0 then raise Empty else remove_min t
-
-  let peek_exn t =
-    drop_cancelled t;
-    if t.size = 0 then raise Empty else t.heap.(0)
-
-  let clear t =
-    t.heap <- [||];
-    t.size <- 0
-end
-
-(* --- The kind-dispatching queue ------------------------------------------- *)
-
-type 'a impl = Heap_q of 'a Heap_impl.t | Wheel_q of 'a Timing_wheel.t
-
-type 'a t = {
-  impl : 'a impl;
-  mutable next_seq : int;
-  mutable live : int;
-}
-
-let create ?(kind = Heap) () =
-  let impl =
-    match kind with
-    | Heap -> Heap_q (Heap_impl.create ())
-    | Wheel -> Wheel_q (Timing_wheel.create ())
-  in
-  { impl; next_seq = 0; live = 0 }
+let grow t =
+  let cap = Array.length t.heap in
+  if t.size = cap then begin
+    let nheap = Array.make (if cap = 0 then 16 else 2 * cap) (dummy ()) in
+    Array.blit t.heap 0 nheap 0 t.size;
+    t.heap <- nheap
+  end
 
 let add t ~at payload =
-  let entry = { at; seq = t.next_seq; payload; cancelled = false } in
+  let entry = { at; seq = t.next_seq; payload; pending = true } in
   t.next_seq <- t.next_seq + 1;
   t.live <- t.live + 1;
-  (match t.impl with
-  | Heap_q h -> Heap_impl.add h entry
-  | Wheel_q w -> Timing_wheel.add w entry);
+  grow t;
+  t.heap.(t.size) <- entry;
+  t.size <- t.size + 1;
+  sift_up t (t.size - 1);
   H entry
 
 let cancel t (H entry) =
-  if not entry.cancelled then begin
-    entry.cancelled <- true;
+  if entry.pending then begin
+    entry.pending <- false;
     t.live <- t.live - 1
+  end
+
+let remove_min t =
+  let entry = t.heap.(0) in
+  t.size <- t.size - 1;
+  if t.size > 0 then begin
+    t.heap.(0) <- t.heap.(t.size);
+    sift_down t 0
+  end;
+  t.heap.(t.size) <- dummy ();
+  entry
+
+(* Discard cancelled entries sitting at the root, so the root is the
+   earliest pending entry.  Only called with [live > 0]. *)
+let rec drop_cancelled t =
+  if not t.heap.(0).pending then begin
+    ignore (remove_min t);
+    drop_cancelled t
   end
 
 let pop_entry_exn t =
   if t.live = 0 then raise Empty;
-  let entry =
-    match t.impl with
-    | Heap_q h -> Heap_impl.pop_exn h
-    | Wheel_q w -> Timing_wheel.pop_exn w
-  in
+  drop_cancelled t;
+  let entry = remove_min t in
+  entry.pending <- false;
   t.live <- t.live - 1;
   entry
 
@@ -153,17 +122,9 @@ let pop t =
 
 let peek_time_exn t =
   if t.live = 0 then raise Empty;
-  match t.impl with
-  | Heap_q h -> (Heap_impl.peek_exn h).at
-  | Wheel_q w -> (Timing_wheel.peek_exn w).at
+  drop_cancelled t;
+  t.heap.(0).at
 
 let peek_time t = if t.live = 0 then None else Some (peek_time_exn t)
 let length t = t.live
 let is_empty t = t.live = 0
-
-let clear t =
-  (match t.impl with Heap_q h -> Heap_impl.clear h | Wheel_q w -> Timing_wheel.clear w);
-  (* Reset the tie-break counter too: a cleared queue replays a fresh
-     run's delivery order exactly. *)
-  t.next_seq <- 0;
-  t.live <- 0

@@ -1,33 +1,20 @@
-(** A priority queue of timestamped events.
+(** A priority queue of timestamped events: a binary min-heap.
 
     Events with equal timestamps are delivered in insertion order (FIFO),
-    which keeps simulations deterministic.  Events can be cancelled in O(1)
-    (lazy deletion).
-
-    Two interchangeable structures implement the queue, selected at
-    creation: a binary min-heap (the reference: O(log n), no insertion
-    constraints) and a hierarchical {!Timing_wheel} (O(1) for the
-    near-FIFO instant distributions replay produces, but adds must not
-    land before the last popped instant — the engine's scheduling rule
-    already guarantees that).  The engine always runs on the wheel; the
-    test suite checks both kinds against a reference model. *)
+    which keeps simulations deterministic.  Adds may land at any instant,
+    including ones before the last popped event.  Events can be cancelled
+    in O(1) (lazy deletion); add and pop are O(log n). *)
 
 type 'a t
 
 type handle
 (** Identifies a scheduled event for cancellation. *)
 
-type kind = Heap | Wheel
-
-val create : ?kind:kind -> unit -> 'a t
-(** A fresh queue; [kind] defaults to [Heap], which accepts adds at any
-    instant.  Choose [Wheel] only for engine-shaped workloads where
-    instants never precede the last delivery. *)
+val create : unit -> 'a t
+(** A fresh, empty queue. *)
 
 val add : 'a t -> at:Time.t -> 'a -> handle
-(** Schedule a payload at an instant.
-    @raise Invalid_argument under [Wheel] if [at] precedes the
-    instant of the last popped event. *)
+(** Schedule a payload at an instant. *)
 
 val cancel : 'a t -> handle -> unit
 (** Cancelling an already-fired or already-cancelled event is a no-op. *)
@@ -54,11 +41,6 @@ val peek_time_exn : 'a t -> Time.t
     @raise Empty when the queue has no live events. *)
 
 val length : 'a t -> int
-(** Number of live (non-cancelled) events. *)
+(** Number of live (non-cancelled, not yet popped) events. *)
 
 val is_empty : 'a t -> bool
-
-val clear : 'a t -> unit
-(** Drop every pending event (and the queue's references to their
-    payloads), and reset the FIFO tie-break counter so a reused queue
-    reproduces a fresh one's delivery order exactly. *)

@@ -50,8 +50,8 @@ let p_cancelled = Probe.counter "storage.write_buffer.cancelled"
    rebuild the queue: pop everything in delivery order and re-add only
    the entries the table still agrees with.  Popped order is preserved,
    so same-deadline FIFO ties break exactly as before — delivery is
-   unchanged, and the cost is amortized O(1) per enqueue.  (The queue is
-   Heap-kind, which accepts re-adds at any instant.) *)
+   unchanged, and the cost is amortized O(1) per enqueue.  (Event_queue
+   accepts adds at instants it has already popped.) *)
 let compact t =
   let rec collect acc =
     match Event_queue.pop t.queue with

@@ -4,7 +4,8 @@ let test_initial_state () =
   let e = Engine.create () in
   Alcotest.(check int) "clock at zero" 0 (Time.to_ns (Engine.now e));
   Alcotest.(check int) "no events" 0 (Engine.pending e);
-  Alcotest.(check bool) "step on empty" false (Engine.step e)
+  Engine.run e;
+  Alcotest.(check int) "run on empty leaves the clock" 0 (Time.to_ns (Engine.now e))
 
 let test_event_order_and_clock () =
   let e = Engine.create () in
@@ -55,7 +56,9 @@ let test_run_until () =
   Alcotest.(check int) "clock advanced exactly" 25 (Time.to_ns (Engine.now e));
   Engine.run_until e (Time.of_ns 100);
   Alcotest.(check (list int)) "rest delivered" [ 10; 20; 30; 40 ] (List.rev !fired);
-  Alcotest.(check int) "clock at limit" 100 (Time.to_ns (Engine.now e))
+  Alcotest.(check int) "clock at limit" 100 (Time.to_ns (Engine.now e));
+  Engine.run_until e (Time.of_ns 10);
+  Alcotest.(check int) "no backwards motion" 100 (Time.to_ns (Engine.now e))
 
 let test_cancel () =
   let e = Engine.create () in
@@ -103,7 +106,7 @@ let test_schedule_every_zero_period () =
     (Invalid_argument "Engine.schedule_every: zero period") (fun () ->
       Engine.schedule_every e ~every:Time.span_zero (fun _ -> ()))
 
-let test_step_delivers_timestamp_group () =
+let test_run_until_delivers_whole_group () =
   let e = Engine.create () in
   let log = ref [] in
   List.iter
@@ -112,10 +115,10 @@ let test_step_delivers_timestamp_group () =
   ignore (Engine.schedule e ~at:(Time.of_ns 9) (fun _ -> log := 9 :: !log));
   ignore
     (Engine.schedule e ~at:(Time.of_ns 5) (fun e ->
-         (* Extending the batch at the current instant stays in-batch. *)
+         (* An event added at the current instant runs in the same call. *)
          ignore (Engine.schedule e ~at:(Engine.now e) (fun _ -> log := 4 :: !log));
          log := 3 :: !log));
-  Alcotest.(check bool) "one step" true (Engine.step e);
+  Engine.run_until e (Time.of_ns 5);
   Alcotest.(check (list int))
     "whole group, including same-instant adds" [ 1; 2; 3; 4 ] (List.rev !log);
   Alcotest.(check int) "clock at the group instant" 5 (Time.to_ns (Engine.now e));
@@ -144,6 +147,6 @@ let suite =
       test_schedule_every_until_inclusive;
     Alcotest.test_case "zero period" `Quick test_schedule_every_zero_period;
     Alcotest.test_case "same-instant FIFO" `Quick test_same_instant_fifo;
-    Alcotest.test_case "step delivers timestamp group" `Quick
-      test_step_delivers_timestamp_group;
+    Alcotest.test_case "run_until delivers whole group" `Quick
+      test_run_until_delivers_whole_group;
   ]

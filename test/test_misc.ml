@@ -4,17 +4,6 @@ open Sim
 let test_vfs_path_of_file_id () =
   Alcotest.(check string) "mapping" "/data/f17" (Fs.Vfs.path_of_file_id 17)
 
-let test_engine_advance_to () =
-  let e = Engine.create () in
-  let fired = ref false in
-  ignore (Engine.schedule e ~at:(Time.of_ns 50) (fun _ -> fired := true));
-  Engine.advance_to e (Time.of_ns 100);
-  Alcotest.(check int) "clock moved" 100 (Time.to_ns (Engine.now e));
-  Alcotest.(check bool) "due events delivered" true !fired;
-  (* Advancing into the past is a no-op. *)
-  Engine.advance_to e (Time.of_ns 10);
-  Alcotest.(check int) "no backwards motion" 100 (Time.to_ns (Engine.now e))
-
 let test_flash_wear_summary () =
   let f =
     Device.Flash.create
@@ -170,7 +159,6 @@ let test_card_eject_report_pp () =
 let suite =
   [
     Alcotest.test_case "vfs path mapping" `Quick test_vfs_path_of_file_id;
-    Alcotest.test_case "engine advance_to" `Quick test_engine_advance_to;
     Alcotest.test_case "flash wear summary" `Quick test_flash_wear_summary;
     Alcotest.test_case "trends configuration cost" `Quick test_trends_configuration_cost;
     Alcotest.test_case "machine manual account" `Quick test_machine_manual_account;
