@@ -79,8 +79,8 @@ let write_checkpoint t st =
      [sectors] erase+program cycles on bank 0's first sectors. *)
   for s = 0 to sectors - 1 do
     (match Device.Flash.read t.card_flash ~now:!cursor ~sector:s ~bytes:16 with
-    | Ok op -> cursor := op.Device.Flash.finish
-    | Error _ -> ());
+    | finish -> cursor := finish
+    | exception Device.Flash.Error Device.Flash.Bad_sector -> ());
     cursor := Time.add !cursor (Time.span_scale Device.Specs.(intel_flash.f_erase) 1.0);
     cursor :=
       Time.add !cursor

@@ -35,7 +35,6 @@ type t = {
   c_bytes_programmed : Stat.Counter.t;
   mutable wait_ns : int;
   mutable read_wait_ns : int;
-  read_wait_hist : Stat.Histogram.t;
 }
 
 let create cfg =
@@ -64,7 +63,6 @@ let create cfg =
     c_bytes_programmed = Stat.Counter.create ();
     wait_ns = 0;
     read_wait_ns = 0;
-    read_wait_hist = Stat.Histogram.create ();
   }
 
 let nbanks t = t.cfg.nbanks
@@ -79,12 +77,9 @@ let bank_of_sector t sector =
   if sector < 0 || sector >= nsectors t then invalid_arg "Flash.bank_of_sector";
   sector / t.cfg.sectors_per_bank
 
-type op = { start : Time.t; finish : Time.t }
-
-let waited ~now op = Time.diff op.start now
-let latency ~now op = Time.diff op.finish now
-
 type error = Bad_sector | Overwrite_without_erase
+
+exception Error of error
 
 let pp_error ppf = function
   | Bad_sector -> Fmt.string ppf "bad sector (worn out)"
@@ -99,7 +94,8 @@ let op_name = function
   | `Program -> "flash.program"
   | `Erase -> "flash.erase"
 
-(* Serialize the request behind its bank and account time and energy. *)
+(* Serialize the request behind its bank, account time and energy, and
+   return the completion instant. *)
 let service t ~now ~sector ~op dur =
   let bank = bank_of_sector t sector in
   let start = Time.max now t.bank_busy.(bank) in
@@ -108,16 +104,14 @@ let service t ~now ~sector ~op dur =
   let w = Time.span_to_ns (Time.diff start now) in
   t.wait_ns <- t.wait_ns + w;
   (match op with
-  | `Read ->
-    t.read_wait_ns <- t.read_wait_ns + w;
-    Stat.Histogram.observe t.read_wait_hist (float_of_int w /. 1e3)
+  | `Read -> t.read_wait_ns <- t.read_wait_ns + w
   | `Program | `Erase -> ());
   if Probe.timeline_enabled () then
     Probe.span ~name:(op_name op) ~cat:"flash" ~tid:bank
       ~args:[ ("sector", string_of_int sector) ]
       ~start ~finish ();
   Power.Meter.charge_power t.meter ~watts:t.active_w dur;
-  { start; finish }
+  finish
 
 let check_bytes t bytes =
   if bytes < 0 || bytes > sector_bytes t then invalid_arg "Flash: bytes out of range"
@@ -131,45 +125,39 @@ let p_bytes_programmed = Probe.counter "device.flash.bytes_programmed"
 let read t ~now ~sector ~bytes =
   check_bytes t bytes;
   let s = state t sector in
-  if s.bad then Error Bad_sector
-  else begin
-    let dur = Specs.access_time t.cfg.spec.Specs.f_read ~bytes in
-    let op = service t ~now ~sector ~op:`Read dur in
-    Stat.Counter.incr t.c_reads;
-    Stat.Counter.add t.c_bytes_read bytes;
-    Probe.incr p_reads;
-    Probe.add p_bytes_read bytes;
-    Ok op
-  end
+  if s.bad then raise (Error Bad_sector);
+  let dur = Specs.access_time t.cfg.spec.Specs.f_read ~bytes in
+  let finish = service t ~now ~sector ~op:`Read dur in
+  Stat.Counter.incr t.c_reads;
+  Stat.Counter.add t.c_bytes_read bytes;
+  Probe.incr p_reads;
+  Probe.add p_bytes_read bytes;
+  finish
 
 let program t ~now ~sector ~bytes =
   check_bytes t bytes;
   let s = state t sector in
-  if s.bad then Error Bad_sector
-  else if s.programmed + bytes > sector_bytes t then Error Overwrite_without_erase
-  else begin
-    let dur = Specs.access_time t.cfg.spec.Specs.f_write ~bytes in
-    let op = service t ~now ~sector ~op:`Program dur in
-    s.programmed <- s.programmed + bytes;
-    Stat.Counter.incr t.c_programs;
-    Stat.Counter.add t.c_bytes_programmed bytes;
-    Probe.incr p_programs;
-    Probe.add p_bytes_programmed bytes;
-    Ok op
-  end
+  if s.bad then raise (Error Bad_sector);
+  if s.programmed + bytes > sector_bytes t then raise (Error Overwrite_without_erase);
+  let dur = Specs.access_time t.cfg.spec.Specs.f_write ~bytes in
+  let finish = service t ~now ~sector ~op:`Program dur in
+  s.programmed <- s.programmed + bytes;
+  Stat.Counter.incr t.c_programs;
+  Stat.Counter.add t.c_bytes_programmed bytes;
+  Probe.incr p_programs;
+  Probe.add p_bytes_programmed bytes;
+  finish
 
 let erase t ~now ~sector =
   let s = state t sector in
-  if s.bad then Error Bad_sector
-  else begin
-    let op = service t ~now ~sector ~op:`Erase t.cfg.spec.Specs.f_erase in
-    s.erase_count <- s.erase_count + 1;
-    s.programmed <- 0;
-    if s.erase_count >= t.endurance then s.bad <- true;
-    Stat.Counter.incr t.c_erases;
-    Probe.incr p_erases;
-    Ok op
-  end
+  if s.bad then raise (Error Bad_sector);
+  let finish = service t ~now ~sector ~op:`Erase t.cfg.spec.Specs.f_erase in
+  s.erase_count <- s.erase_count + 1;
+  s.programmed <- 0;
+  if s.erase_count >= t.endurance then s.bad <- true;
+  Stat.Counter.incr t.c_erases;
+  Probe.incr p_erases;
+  finish
 
 let bank_busy_until t ~bank =
   if bank < 0 || bank >= nbanks t then invalid_arg "Flash.bank_busy_until";
@@ -199,7 +187,6 @@ let bytes_read t = Stat.Counter.value t.c_bytes_read
 let bytes_programmed t = Stat.Counter.value t.c_bytes_programmed
 let total_wait t = Time.span_ns t.wait_ns
 let read_wait t = Time.span_ns t.read_wait_ns
-let read_wait_us t = t.read_wait_hist
 
 let reset_stats t =
   Stat.Counter.reset t.c_reads;
@@ -209,7 +196,6 @@ let reset_stats t =
   Stat.Counter.reset t.c_bytes_programmed;
   t.wait_ns <- 0;
   t.read_wait_ns <- 0;
-  Stat.Histogram.reset t.read_wait_hist;
   Power.Meter.reset t.meter
 
 let factory_reset t =

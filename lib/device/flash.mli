@@ -50,39 +50,36 @@ val endurance : t -> int
 
 (** {1 Operations}
 
-    Operations take the current simulated instant and return when the device
-    completed the request.  A request to a busy bank waits for the bank. *)
-
-type op = {
-  start : Sim.Time.t;  (** When the bank began servicing the request. *)
-  finish : Sim.Time.t;  (** When the request completed. *)
-}
-
-val waited : now:Sim.Time.t -> op -> Sim.Time.span
-(** Queueing delay suffered before service began. *)
-
-val latency : now:Sim.Time.t -> op -> Sim.Time.span
-(** Total time from issue to completion. *)
+    Operations take the current simulated instant and return the instant
+    the device completed the request (an unboxed [int]; nothing is
+    allocated).  A request to a busy bank waits for the bank. *)
 
 type error =
   | Bad_sector  (** The sector wore out and is unusable. *)
   | Overwrite_without_erase
       (** Programming more bytes than the sector has erased capacity left. *)
 
+exception Error of error
+(** Raised, with no device state changed, by a request the device
+    refuses. *)
+
 val pp_error : Format.formatter -> error -> unit
 
-val read : t -> now:Sim.Time.t -> sector:int -> bytes:int -> (op, error) result
-(** Read [bytes] from a sector.  Fails only on a bad sector.
+val read : t -> now:Sim.Time.t -> sector:int -> bytes:int -> Sim.Time.t
+(** Read [bytes] from a sector.
+    @raise Error [Bad_sector] on a worn-out sector, the only failure.
     @raise Invalid_argument if the sector is out of range or
     [bytes] exceeds the sector size. *)
 
-val program : t -> now:Sim.Time.t -> sector:int -> bytes:int -> (op, error) result
-(** Program [bytes] of erased space in the sector. *)
+val program : t -> now:Sim.Time.t -> sector:int -> bytes:int -> Sim.Time.t
+(** Program [bytes] of erased space in the sector.
+    @raise Error [Bad_sector] or [Overwrite_without_erase]. *)
 
-val erase : t -> now:Sim.Time.t -> sector:int -> (op, error) result
+val erase : t -> now:Sim.Time.t -> sector:int -> Sim.Time.t
 (** Erase the sector, recycling its programmed space and consuming one
     endurance cycle.  The erase that exhausts the endurance budget still
-    succeeds; the sector is bad afterwards. *)
+    succeeds; the sector is bad afterwards.
+    @raise Error [Bad_sector] on a sector that is already bad. *)
 
 val bank_busy_until : t -> bank:int -> Sim.Time.t
 
@@ -112,9 +109,6 @@ val total_wait : t -> Sim.Time.span
 
 val read_wait : t -> Sim.Time.span
 (** The queued-behind-busy-bank time suffered by reads alone. *)
-
-val read_wait_us : t -> Sim.Stat.Histogram.t
-(** Distribution of per-read queueing delays, in microseconds. *)
 
 val reset_stats : t -> unit
 (** Clears traffic counters and energy; wear state is preserved. *)

@@ -1,34 +1,37 @@
 open Sim
 
 let watts_of_mw mw = mw /. 1000.0
-let joules ~watts d = watts *. Time.span_to_s d
 
 module Meter = struct
-  type t = {
-    label : string;
-    mutable active : float;
-    mutable background : float;
-  }
+  (* All-float, so both sums are stored flat and updated in place: a
+     charge allocates nothing. *)
+  type sums = { mutable active : float; mutable background : float }
+  type t = { label : string; j : sums }
 
-  let create ~label = { label; active = 0.0; background = 0.0 }
+  let create ~label = { label; j = { active = 0.0; background = 0.0 } }
   let label t = t.label
 
   let charge t ~joules =
     if joules < 0.0 then invalid_arg "Power.Meter.charge: negative";
-    t.active <- t.active +. joules
+    t.j.active <- t.j.active +. joules
 
-  let charge_power t ~watts d = charge t ~joules:(joules ~watts d)
+  (* Energy is [watts *. Time.span_to_s d], written out in the two charges
+     below: a float returned from a call, or passed to one, is boxed. *)
+  let charge_power t ~watts d =
+    let joules = watts *. (float_of_int (Time.span_to_ns d) /. 1e9) in
+    if joules < 0.0 then invalid_arg "Power.Meter.charge: negative";
+    t.j.active <- t.j.active +. joules
 
   let charge_background t ~watts d =
-    let j = joules ~watts d in
+    let j = watts *. (float_of_int (Time.span_to_ns d) /. 1e9) in
     if j < 0.0 then invalid_arg "Power.Meter.charge_background: negative";
-    t.background <- t.background +. j
+    t.j.background <- t.j.background +. j
 
-  let active_joules t = t.active
-  let background_joules t = t.background
-  let total_joules t = t.active +. t.background
+  let active_joules t = t.j.active
+  let background_joules t = t.j.background
+  let total_joules t = t.j.active +. t.j.background
 
   let reset t =
-    t.active <- 0.0;
-    t.background <- 0.0
+    t.j.active <- 0.0;
+    t.j.background <- 0.0
 end

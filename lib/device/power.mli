@@ -28,5 +28,3 @@ module Meter : sig
 end
 
 val watts_of_mw : float -> float
-val joules : watts:float -> Sim.Time.span -> float
-(** Energy drawn at constant power over a duration. *)

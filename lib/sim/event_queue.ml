@@ -6,12 +6,14 @@
 
 type 'a entry = {
   at : Time.t;
-  seq : int;  (* Tie-break: equal instants deliver in [seq] order. *)
+  mutable seq : int;
+      (* Tie-break: equal instants deliver in [seq] order.  Keys are unique,
+         so delivery order never depends on the heap's layout. *)
   payload : 'a;
   mutable pending : bool;
 }
 
-type handle = H : 'a entry -> handle
+type handle = H : 'a entry -> handle [@@unboxed]
 
 type 'a t = {
   mutable heap : 'a entry array;
@@ -113,18 +115,43 @@ let pop_entry_exn t =
 
 let pop_exn t = (pop_entry_exn t).payload
 
-let pop t =
-  if t.live = 0 then None
-  else begin
-    let entry = pop_entry_exn t in
-    Some (entry.at, entry.payload)
-  end
-
-let peek_time_exn t =
+(* The root once it is the earliest live entry. *)
+let min_exn t =
   if t.live = 0 then raise Empty;
   drop_cancelled t;
-  t.heap.(0).at
+  t.heap.(0)
 
-let peek_time t = if t.live = 0 then None else Some (peek_time_exn t)
+let peek_time_exn t = (min_exn t).at
+let peek_exn t = (min_exn t).payload
+
+(* A fresh sequence number puts the root behind every entry at its
+   instant, exactly where a pop and re-add would put it. *)
+let requeue_exn t =
+  let entry = min_exn t in
+  entry.seq <- t.next_seq;
+  t.next_seq <- t.next_seq + 1;
+  sift_down t 0
+
+let filter_inplace t keep =
+  let kept = ref 0 in
+  for i = 0 to t.size - 1 do
+    let entry = t.heap.(i) in
+    if entry.pending && keep entry.at entry.payload then begin
+      t.heap.(!kept) <- entry;
+      incr kept
+    end
+    else if entry.pending then begin
+      entry.pending <- false;
+      t.live <- t.live - 1
+    end
+  done;
+  for i = !kept to t.size - 1 do
+    t.heap.(i) <- dummy ()
+  done;
+  t.size <- !kept;
+  for i = (t.size / 2) - 1 downto 0 do
+    sift_down t i
+  done
+
 let length t = t.live
 let is_empty t = t.live = 0

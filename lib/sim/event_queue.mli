@@ -3,12 +3,18 @@
     Events with equal timestamps are delivered in insertion order (FIFO),
     which keeps simulations deterministic.  Adds may land at any instant,
     including ones before the last popped event.  Events can be cancelled
-    in O(1) (lazy deletion); add and pop are O(log n). *)
+    in O(1) (lazy deletion); add and pop are O(log n).
+
+    Reads allocate nothing: check {!is_empty}, read {!peek_time_exn} (an
+    unboxed instant) or {!peek_exn}, then take the payload with
+    {!pop_exn}.  An option or tuple result would box on every call, which
+    the simulation engine would pay once per event. *)
 
 type 'a t
 
 type handle
-(** Identifies a scheduled event for cancellation. *)
+(** Identifies a scheduled event for cancellation.  Unboxed: {!add}
+    allocates the queue entry and nothing else. *)
 
 val create : unit -> 'a t
 (** A fresh, empty queue. *)
@@ -19,18 +25,7 @@ val add : 'a t -> at:Time.t -> 'a -> handle
 val cancel : 'a t -> handle -> unit
 (** Cancelling an already-fired or already-cancelled event is a no-op. *)
 
-val pop : 'a t -> (Time.t * 'a) option
-(** Remove and return the earliest live event, or [None] if empty. *)
-
-val peek_time : 'a t -> Time.t option
-(** The timestamp of the earliest live event. *)
-
 exception Empty
-
-(** Allocation-free variants for hot loops: {!peek_time} and {!pop} box
-    their results ([Some], a tuple) on every call, which the simulation
-    engine pays once per event.  Pattern: check {!is_empty}, read
-    {!peek_time_exn}, then take the payload with {!pop_exn}. *)
 
 val pop_exn : 'a t -> 'a
 (** Remove the earliest live event and return its payload.
@@ -39,6 +34,23 @@ val pop_exn : 'a t -> 'a
 val peek_time_exn : 'a t -> Time.t
 (** The timestamp of the earliest live event, unboxed.
     @raise Empty when the queue has no live events. *)
+
+val peek_exn : 'a t -> 'a
+(** The payload of the earliest live event, left in the queue.
+    @raise Empty when the queue has no live events. *)
+
+val requeue_exn : 'a t -> unit
+(** Move the earliest live event behind every other event at its instant,
+    in place: delivery order is then exactly what popping it and adding
+    its payload back at the same instant would give, but nothing is
+    allocated and its handle stays valid.
+    @raise Empty when the queue has no live events. *)
+
+val filter_inplace : 'a t -> (Time.t -> 'a -> bool) -> unit
+(** Drop every event for which the predicate is false (and every
+    cancelled one) and rebuild the heap in place, in O(n).  Survivors keep
+    their relative delivery order; a dropped event's handle behaves as if
+    cancelled. *)
 
 val length : 'a t -> int
 (** Number of live (non-cancelled, not yet popped) events. *)

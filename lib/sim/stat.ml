@@ -9,8 +9,9 @@ module Counter = struct
 end
 
 module Summary = struct
-  type t = {
-    mutable count : int;
+  (* The float accumulators live in an all-float record, stored flat and
+     updated in place: observing allocates nothing. *)
+  type acc = {
     mutable mean : float;
     mutable m2 : float;
     mutable min : float;
@@ -18,39 +19,45 @@ module Summary = struct
     mutable total : float;
   }
 
+  type t = { mutable count : int; f : acc }
+
   let create () =
-    { count = 0; mean = 0.0; m2 = 0.0; min = infinity; max = neg_infinity; total = 0.0 }
+    {
+      count = 0;
+      f = { mean = 0.0; m2 = 0.0; min = infinity; max = neg_infinity; total = 0.0 };
+    }
 
   let observe t x =
     t.count <- t.count + 1;
-    let delta = x -. t.mean in
-    t.mean <- t.mean +. (delta /. float_of_int t.count);
-    t.m2 <- t.m2 +. (delta *. (x -. t.mean));
-    if x < t.min then t.min <- x;
-    if x > t.max then t.max <- x;
-    t.total <- t.total +. x
+    let f = t.f in
+    let delta = x -. f.mean in
+    f.mean <- f.mean +. (delta /. float_of_int t.count);
+    f.m2 <- f.m2 +. (delta *. (x -. f.mean));
+    if x < f.min then f.min <- x;
+    if x > f.max then f.max <- x;
+    f.total <- f.total +. x
 
   let count t = t.count
-  let mean t = if t.count = 0 then 0.0 else t.mean
-  let variance t = if t.count < 2 then 0.0 else t.m2 /. float_of_int (t.count - 1)
+  let mean t = if t.count = 0 then 0.0 else t.f.mean
+  let variance t = if t.count < 2 then 0.0 else t.f.m2 /. float_of_int (t.count - 1)
   let stddev t = sqrt (variance t)
-  let min t = if t.count = 0 then None else Some t.min
-  let max t = if t.count = 0 then None else Some t.max
-  let total t = t.total
+  let min t = if t.count = 0 then None else Some t.f.min
+  let max t = if t.count = 0 then None else Some t.f.max
+  let total t = t.f.total
 
   let reset t =
     t.count <- 0;
-    t.mean <- 0.0;
-    t.m2 <- 0.0;
-    t.min <- infinity;
-    t.max <- neg_infinity;
-    t.total <- 0.0
+    t.f.mean <- 0.0;
+    t.f.m2 <- 0.0;
+    t.f.min <- infinity;
+    t.f.max <- neg_infinity;
+    t.f.total <- 0.0
 
   let pp ppf t =
     if t.count = 0 then Fmt.string ppf "(empty)"
     else
       Fmt.pf ppf "n=%d mean=%.3g sd=%.3g min=%.3g max=%.3g" t.count (mean t)
-        (stddev t) t.min t.max
+        (stddev t) t.f.min t.f.max
 end
 
 module Quantiles = struct
@@ -199,13 +206,11 @@ module Histogram = struct
      holds [2^(i-1), 2^i).  62 buckets cover the full positive int range. *)
   let nbuckets = 64
 
-  type t = {
-    counts : int array;
-    mutable count : int;
-    mutable sum : float;
-  }
+  (* All-float, so the sum is stored flat and updated in place. *)
+  type sum = { mutable sum : float }
+  type t = { counts : int array; mutable count : int; s : sum }
 
-  let create () = { counts = Array.make nbuckets 0; count = 0; sum = 0.0 }
+  let create () = { counts = Array.make nbuckets 0; count = 0; s = { sum = 0.0 } }
 
   let bucket_of x =
     if x < 1.0 then 0
@@ -217,14 +222,16 @@ module Histogram = struct
   let bounds i =
     if i = 0 then (0.0, 1.0) else (Float.pow 2.0 (float_of_int (i - 1)), Float.pow 2.0 (float_of_int i))
 
-  let observe t x =
-    let x = if x < 0.0 then 0.0 else x in
-    t.counts.(bucket_of x) <- t.counts.(bucket_of x) + 1;
+  (* [x] reaches [bucket_of] as the caller boxed it: a float computed here
+     and passed on would be boxed again. *)
+  let record t b x =
+    t.counts.(b) <- t.counts.(b) + 1;
     t.count <- t.count + 1;
-    t.sum <- t.sum +. x
+    t.s.sum <- t.s.sum +. x
 
+  let observe t x = if x < 0.0 then record t 0 0.0 else record t (bucket_of x) x
   let count t = t.count
-  let mean t = if t.count = 0 then 0.0 else t.sum /. float_of_int t.count
+  let mean t = if t.count = 0 then 0.0 else t.s.sum /. float_of_int t.count
 
   let quantile t q =
     if q < 0.0 || q > 1.0 then invalid_arg "Histogram.quantile";
@@ -262,11 +269,11 @@ module Histogram = struct
       t.counts.(i) <- t.counts.(i) + b.counts.(i)
     done;
     t.count <- a.count + b.count;
-    t.sum <- a.sum +. b.sum;
+    t.s.sum <- a.s.sum +. b.s.sum;
     t
 
   let reset t =
     Array.fill t.counts 0 nbuckets 0;
     t.count <- 0;
-    t.sum <- 0.0
+    t.s.sum <- 0.0
 end

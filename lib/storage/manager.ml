@@ -136,6 +136,10 @@ type t = {
   mutable open_clean : int option;
   mutable open_cold : int option;
   mutable timer : (Event_queue.handle * Time.t) option;
+  (* The writeback timer's callback, built once per manager by {!create}. *)
+  mutable on_timer : Engine.t -> unit;
+  (* Blocks one timer firing flushes, filled in deadline order. *)
+  batch : block array;
   mutable cleaning : bool;  (** Re-entrancy guard for the cleaner. *)
   (* Sector headers: which logical block a sector holds, its write version,
      and whether it is still live.  Conceptually part of flash (it survives
@@ -278,7 +282,9 @@ let rebuild_indexes t =
         | Segment.Open -> ())
     t.segments
 
-let create ?card cfg ~engine ~flash ~dram =
+(* A manager without its timer callback; {!create} below adds it once
+   [timer_fired] exists. *)
+let make ?card cfg ~engine ~flash ~dram =
   if cfg.segment_sectors <= 0 then invalid_arg "Manager.create: segment_sectors <= 0";
   if cfg.segment_sectors > Device.Flash.sectors_per_bank flash then
     invalid_arg "Manager.create: segment does not fit in a bank";
@@ -324,6 +330,8 @@ let create ?card cfg ~engine ~flash ~dram =
       open_clean = None;
       open_cold = None;
       timer = None;
+      on_timer = ignore;
+      batch = Array.make (max 0 cfg.max_flush_batch) 0;
       cleaning = false;
       durable = Array.make (Device.Flash.nsectors flash) no_header;
       next_version = 0;
@@ -364,9 +372,18 @@ let kill_flash_copy t m =
     m.loc <- Blank
   | Blank | Buffered -> ()
 
-let or_device_failure = function
-  | Ok op -> op
-  | Error e -> Fmt.failwith "Manager: unexpected flash failure: %a" Device.Flash.pp_error e
+(* Worn segments are retired before reuse, so the device refusing a
+   read or program is a bug. *)
+let device_failure e =
+  Fmt.failwith "Manager: unexpected flash failure: %a" Device.Flash.pp_error e
+
+let flash_read t ~now ~sector ~bytes =
+  try Device.Flash.read t.flash ~now ~sector ~bytes
+  with Device.Flash.Error e -> device_failure e
+
+let flash_program t ~now ~sector ~bytes =
+  try Device.Flash.program t.flash ~now ~sector ~bytes
+  with Device.Flash.Error e -> device_failure e
 
 (* Clear a block's previous header's liveness bit in place, if it still
    exists and still belongs to this block (cleaning may have erased the
@@ -534,27 +551,27 @@ let program_append t seg ~cursor ~block ~bytes =
     t.n_live_blocks <- t.n_live_blocks + 1;
     Segment.touch seg ~at:(Engine.now t.engine);
     if Segment.state seg = Segment.Closed then closed_index_add t seg;
-    let prog =
-      or_device_failure
-        (Device.Flash.program t.flash ~now:!cursor
-           ~sector:(Segment.sector_of_slot seg slot) ~bytes)
-    in
-    cursor := prog.Device.Flash.finish;
+    cursor := flash_program t ~now:!cursor ~sector:(Segment.sector_of_slot seg slot) ~bytes;
     Probe.incr t.probes.p_bank_programs.(bank_of_segment t (Segment.id seg));
     slot
 
+let open_segment t = function
+  | Banks.Fresh_write -> t.open_fresh
+  | Banks.Clean_out -> t.open_clean
+  | Banks.Cold_load -> t.open_cold
+
+let set_open_segment t purpose seg =
+  match purpose with
+  | Banks.Fresh_write -> t.open_fresh <- seg
+  | Banks.Clean_out -> t.open_clean <- seg
+  | Banks.Cold_load -> t.open_cold <- seg
+
 let rec ensure_open t ~purpose ~cursor =
-  let slot_ref, set =
-    match purpose with
-    | Banks.Fresh_write -> (t.open_fresh, fun v -> t.open_fresh <- v)
-    | Banks.Clean_out -> (t.open_clean, fun v -> t.open_clean <- v)
-    | Banks.Cold_load -> (t.open_cold, fun v -> t.open_cold <- v)
-  in
-  match slot_ref with
+  match open_segment t purpose with
   | Some i when Segment.state t.segments.(i) = Segment.Open -> t.segments.(i)
   | Some _ | None ->
     let seg = acquire t ~purpose ~cursor in
-    set (Some (Segment.id seg));
+    set_open_segment t purpose (Some (Segment.id seg));
     seg
 
 and acquire t ~purpose ~cursor =
@@ -654,11 +671,7 @@ and clean_one t ~cursor ~purpose =
           let nbytes =
             match role with `Delta (_, dl) -> dl.Diff_log.d_bytes | `Base _ | `Whole -> bytes
           in
-          let read_op =
-            or_device_failure
-              (Device.Flash.read t.flash ~now:!cursor ~sector ~bytes:nbytes)
-          in
-          cursor := read_op.Device.Flash.finish;
+          cursor := flash_read t ~now:!cursor ~sector ~bytes:nbytes;
           let out = ensure_open t ~purpose:Banks.Clean_out ~cursor in
           let out_slot = program_append t out ~cursor ~block:b ~bytes:nbytes in
           let out_sector = Segment.sector_of_slot out out_slot in
@@ -693,11 +706,11 @@ and clean_one t ~cursor ~purpose =
         let sector = Segment.sector_of_slot victim slot in
         t.durable.(sector) <- no_header;
         match Device.Flash.erase t.flash ~now:!cursor ~sector with
-        | Ok op ->
-          cursor := op.Device.Flash.finish;
+        | finish ->
+          cursor := finish;
           Probe.incr t.probes.p_bank_erases.(victim_bank)
-        | Error Device.Flash.Bad_sector -> ()
-        | Error e ->
+        | exception Device.Flash.Error Device.Flash.Bad_sector -> ()
+        | exception Device.Flash.Error e ->
           Fmt.failwith "Manager: erase failed: %a" Device.Flash.pp_error e
       done;
       Wear.acc_bump t.wear_acc ~old_count:erases_before
@@ -778,12 +791,7 @@ let merge_chain t d ~cursor b =
     match Diff_log.base d ~block:b with Some p -> p | None -> assert false
   in
   let full = block_bytes t in
-  let read sector nbytes =
-    let op =
-      or_device_failure (Device.Flash.read t.flash ~now:!cursor ~sector ~bytes:nbytes)
-    in
-    cursor := op.Device.Flash.finish
-  in
+  let read sector nbytes = cursor := flash_read t ~now:!cursor ~sector ~bytes:nbytes in
   read (Segment.sector_of_slot t.segments.(bseg) bslot) full;
   List.iter
     (fun (dl : Diff_log.delta) -> read dl.Diff_log.d_sector dl.Diff_log.d_bytes)
@@ -818,10 +826,14 @@ let flush_block t ~cursor ~buffered b =
 
 (* --- Writeback timer ------------------------------------------------------ *)
 
+let schedule_timer t ~at =
+  let handle = Engine.schedule t.engine ~at t.on_timer in
+  t.timer <- Some (handle, at)
+
 let rec arm_timer t =
-  match Write_buffer.next_deadline t.buffer with
-  | None -> ()
-  | Some deadline ->
+  match Write_buffer.next_deadline_exn t.buffer with
+  | exception Not_found -> ()
+  | deadline ->
     let need_schedule =
       match t.timer with
       | Some (_, at) -> Time.( < ) deadline at
@@ -829,9 +841,7 @@ let rec arm_timer t =
     in
     if need_schedule then begin
       (match t.timer with Some (h, _) -> Engine.cancel t.engine h | None -> ());
-      let at = Time.max deadline (Engine.now t.engine) in
-      let handle = Engine.schedule t.engine ~at (fun _ -> timer_fired t) in
-      t.timer <- Some (handle, at)
+      schedule_timer t ~at:(Time.max deadline (Engine.now t.engine))
     end
 
 and over_watermark t =
@@ -842,46 +852,53 @@ and over_watermark t =
     && float_of_int (Write_buffer.size t.buffer)
        >= w *. float_of_int (Write_buffer.capacity t.buffer)
 
+(* Fill [t.batch] from index [n] with blocks whose deadline has passed, in
+   deadline order, up to [max_flush_batch]; returns the new fill. *)
+and take_expired t ~now n =
+  if n >= t.cfg.max_flush_batch then n
+  else
+    match Write_buffer.take_expired_exn t.buffer ~now with
+    | exception Not_found -> n
+    | b ->
+      t.batch.(n) <- b;
+      take_expired t ~now (n + 1)
+
+(* Capacity-threshold policy: above the watermark, fill the rest of the
+   batch ahead of the deadlines, oldest first. *)
+and take_over_watermark t n =
+  if over_watermark t && n < t.cfg.max_flush_batch then
+    match Write_buffer.oldest_exn t.buffer with
+    | b when Write_buffer.take t.buffer ~block:b ->
+      t.batch.(n) <- b;
+      take_over_watermark t (n + 1)
+    | _ | (exception Not_found) -> n
+  else n
+
 and timer_fired t =
   t.timer <- None;
   let now = Engine.now t.engine in
-  let expired = Write_buffer.take_expired ~limit:t.cfg.max_flush_batch t.buffer ~now in
-  (* Capacity-threshold policy: above the watermark, flush ahead of the
-     deadlines, oldest first. *)
-  let expired =
-    if List.length expired >= t.cfg.max_flush_batch then expired
-    else begin
-      let extra = ref [] in
-      while
-        over_watermark t
-        && List.length expired + List.length !extra < t.cfg.max_flush_batch
-        &&
-        match Write_buffer.oldest t.buffer with
-        | Some b -> Write_buffer.take t.buffer ~block:b && (extra := b :: !extra; true)
-        | None -> false
-      do
-        ()
-      done;
-      expired @ List.rev !extra
-    end
-  in
+  let n = take_over_watermark t (take_expired t ~now 0) in
   let cursor = ref now in
-  List.iter (flush_block t ~cursor ~buffered:true) expired;
-  if expired <> [] then note_busy t ~start:now ~finish:!cursor;
-  if expired <> [] && Probe.timeline_enabled () then
+  for i = 0 to n - 1 do
+    flush_block t ~cursor ~buffered:true t.batch.(i)
+  done;
+  if n > 0 then note_busy t ~start:now ~finish:!cursor;
+  if n > 0 && Probe.timeline_enabled () then
     Probe.span ~name:"write_buffer.flush_batch" ~cat:"storage"
-      ~args:(card_args t [ ("blocks", string_of_int (List.length expired)) ])
+      ~args:(card_args t [ ("blocks", string_of_int n) ])
       ~start:now ~finish:!cursor ();
   (* If a backlog remains, continue only after the device digested this
      batch and a spacing gap — pacing bounds how much bank time queued
      writeback can steal from foreground reads. *)
-  match Write_buffer.next_deadline t.buffer with
-  | Some d when Time.( <= ) d now || over_watermark t ->
-    ignore d;
-    let at = Time.max (Time.add now t.cfg.flush_spacing) !cursor in
-    let handle = Engine.schedule t.engine ~at (fun _ -> timer_fired t) in
-    t.timer <- Some (handle, at)
-  | Some _ | None -> arm_timer t
+  match Write_buffer.next_deadline_exn t.buffer with
+  | d when Time.( <= ) d now || over_watermark t ->
+    schedule_timer t ~at:(Time.max (Time.add now t.cfg.flush_spacing) !cursor)
+  | _ | (exception Not_found) -> arm_timer t
+
+let create ?card cfg ~engine ~flash ~dram =
+  let t = make ?card cfg ~engine ~flash ~dram in
+  t.on_timer <- (fun _ -> timer_fired t);
+  t
 
 (* --- Client operations ---------------------------------------------------- *)
 
@@ -923,6 +940,19 @@ let detach t =
 let flush_now t ~cursor b =
   if Write_buffer.take t.buffer ~block:b then flush_block t ~cursor ~buffered:true b
 
+(* Put the block in the buffer, evicting the oldest dirty block
+   synchronously while the buffer is full; returns the client's cursor. *)
+let rec admit t ~at ~cursor m b =
+  match Write_buffer.write t.buffer ~now:at ~block:b with
+  | Write_buffer.Absorbed | Write_buffer.Admitted ->
+    m.loc <- Buffered;
+    cursor
+  | Write_buffer.Needs_eviction ->
+    (* Full implies non-empty, so there is a victim. *)
+    let cursor = ref cursor in
+    flush_now t ~cursor (Write_buffer.oldest_exn t.buffer);
+    admit t ~at ~cursor:!cursor m b
+
 let write_block_at t ~at b =
   let m = find_meta t b in
   t.c_writes <- t.c_writes + 1;
@@ -937,42 +967,33 @@ let write_block_at t ~at b =
     | Flashed { seg; slot } ->
       if not (Diff_log.has_chain d ~block:b) then Diff_log.begin_chain d ~block:b ~seg ~slot
     | Blank | Buffered -> ()));
-  let cursor = ref at in
   let dram_latency = Device.Dram.write t.dram ~bytes:(block_bytes t) in
-  cursor := Time.add !cursor dram_latency;
-  if Write_buffer.capacity t.buffer = 0 then begin
-    (* Write-through: straight to flash; the client eats the program time. *)
-    flush_block t ~cursor ~buffered:false b
-  end
-  else begin
-    let rec admit () =
-      match Write_buffer.write t.buffer ~now:at ~block:b with
-      | Write_buffer.Absorbed | Write_buffer.Admitted -> m.loc <- Buffered
-      | Write_buffer.Needs_eviction -> begin
-        match Write_buffer.oldest t.buffer with
-        | Some victim ->
-          flush_now t ~cursor victim;
-          admit ()
-        | None -> assert false (* full implies non-empty *)
-      end
-    in
-    admit ();
-    (if over_watermark t then begin
-       (* Pull the next flush forward to now. *)
-       let now_t = Engine.now t.engine in
-       let need =
-         match t.timer with Some (_, at) -> Time.( < ) now_t at | None -> true
-       in
-       if need then begin
-         (match t.timer with Some (h, _) -> Engine.cancel t.engine h | None -> ());
-         let handle = Engine.schedule t.engine ~at:now_t (fun _ -> timer_fired t) in
-         t.timer <- Some (handle, now_t)
-       end
-     end);
-    arm_timer t
-  end;
-  note_busy t ~start:at ~finish:!cursor;
-  !cursor
+  let finish =
+    if Write_buffer.capacity t.buffer = 0 then begin
+      (* Write-through: straight to flash; the client eats the program time. *)
+      let cursor = ref (Time.add at dram_latency) in
+      flush_block t ~cursor ~buffered:false b;
+      !cursor
+    end
+    else begin
+      let finish = admit t ~at ~cursor:(Time.add at dram_latency) m b in
+      (if over_watermark t then begin
+         (* Pull the next flush forward to now. *)
+         let now_t = Engine.now t.engine in
+         let need =
+           match t.timer with Some (_, at) -> Time.( < ) now_t at | None -> true
+         in
+         if need then begin
+           (match t.timer with Some (h, _) -> Engine.cancel t.engine h | None -> ());
+           schedule_timer t ~at:now_t
+         end
+       end);
+      arm_timer t;
+      finish
+    end
+  in
+  note_busy t ~start:at ~finish;
+  finish
 
 let write_block t b =
   let now = Engine.now t.engine in
@@ -987,8 +1008,7 @@ let read_block_at ?bytes t ~at b =
   | Blank | Buffered -> Time.add at (Device.Dram.read t.dram ~bytes)
   | Flashed { seg; slot } ->
     let sector = Segment.sector_of_slot t.segments.(seg) slot in
-    let op = or_device_failure (Device.Flash.read t.flash ~now:at ~sector ~bytes) in
-    let finish = op.Device.Flash.finish in
+    let finish = flash_read t ~now:at ~sector ~bytes in
     (* Chain reassembly: the base page read above plus every delta record,
        cursor-threaded — the read-latency side of the diff-log trade. *)
     let finish =
@@ -997,12 +1017,7 @@ let read_block_at ?bytes t ~at b =
         Diff_log.note_reassembly d;
         List.fold_left
           (fun fin (dl : Diff_log.delta) ->
-            let op =
-              or_device_failure
-                (Device.Flash.read t.flash ~now:fin ~sector:dl.Diff_log.d_sector
-                   ~bytes:dl.Diff_log.d_bytes)
-            in
-            op.Device.Flash.finish)
+            flash_read t ~now:fin ~sector:dl.Diff_log.d_sector ~bytes:dl.Diff_log.d_bytes)
           finish (Diff_log.deltas d ~block:b)
       | Some _ | None -> finish
     in
@@ -1232,11 +1247,11 @@ let crash_and_remount t =
   let scanned = ref 0 in
   for sector = 0 to Device.Flash.nsectors t.flash - 1 do
     match Device.Flash.read t.flash ~now:!cursor ~sector ~bytes:16 with
-    | Ok op ->
+    | finish ->
       incr scanned;
-      cursor := op.Device.Flash.finish
-    | Error Device.Flash.Bad_sector -> ()
-    | Error e -> Fmt.failwith "remount: %a" Device.Flash.pp_error e
+      cursor := finish
+    | exception Device.Flash.Error Device.Flash.Bad_sector -> ()
+    | exception Device.Flash.Error e -> Fmt.failwith "remount: %a" Device.Flash.pp_error e
   done;
   (* Newest live version of each block's base page wins; headers obsoleted
      in place (superseded or deleted data) never come back.  Delta headers

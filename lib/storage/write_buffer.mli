@@ -29,8 +29,7 @@ type t
 val create : config -> t
 (** A zero [capacity_blocks] is legal and means write-through: {!write}
     always answers [Needs_eviction] without touching any state, nothing is
-    ever buffered, and no flush deadline ever exists ({!next_deadline} is
-    [None], {!drain} is empty).
+    ever buffered, and no flush deadline ever exists.
     @raise Invalid_argument on a negative capacity. *)
 
 val config : t -> config
@@ -47,24 +46,41 @@ val write : t -> now:Sim.Time.t -> block:int -> admit
 (** Record a write.  [Absorbed]: the block was already dirty — no new
     traffic.  [Admitted]: inserted.  [Needs_eviction]: the buffer is full
     and nothing was inserted; evict, then retry.  With zero capacity,
-    always [Needs_eviction]. *)
+    always [Needs_eviction].  Block ids are dense from zero (a manager's
+    handles): the deadline table is an array indexed by block.
+    @raise Invalid_argument on a negative block. *)
 
 val remove : t -> block:int -> bool
 (** Drop a block (its data died: deleted or truncated away).  True if it
     was dirty — a flush avoided. *)
 
-val take_expired : ?limit:int -> t -> now:Sim.Time.t -> int list
-(** Remove and return blocks whose deadline has passed, in deadline order,
-    at most [limit] of them (unbounded by default). *)
-
-val oldest : t -> int option
-(** The block with the earliest deadline — the eviction victim. *)
-
 val take : t -> block:int -> bool
 (** Remove a specific block (used when evicting or force-flushing);
     true if present. *)
 
-val next_deadline : t -> Sim.Time.t option
+(** {1 Deadline order}
+
+    Nothing here allocates.  The peeks ({!oldest_exn},
+    {!next_deadline_exn}) discard stale queue entries at the head and
+    then move the earliest block behind the blocks that share its
+    deadline, so repeated peeks visit same-deadline blocks in turn;
+    {!take_expired_exn} discards stale entries only while they are due.
+    Which entries are discarded when is observable through
+    {!pending_entries}, and through the order in which a block removed and
+    re-admitted at an equal deadline is delivered. *)
+
+val oldest_exn : t -> int
+(** The block with the earliest deadline — the eviction victim.
+    @raise Not_found when no block is dirty. *)
+
+val next_deadline_exn : t -> Sim.Time.t
+(** The earliest deadline.
+    @raise Not_found when no block is dirty. *)
+
+val take_expired_exn : t -> now:Sim.Time.t -> int
+(** Remove and return the block with the earliest deadline at or before
+    [now]; repeated calls return expired blocks in deadline order.
+    @raise Not_found when no dirty block's deadline has passed. *)
 
 val drain : t -> int list
 (** Remove and return everything, in deadline order ([flush_all]). *)

@@ -2,30 +2,38 @@ open Sim
 
 let t ns = Time.of_ns ns
 
+(* One pop through the allocation-free forms: [None] when empty. *)
+let pop q =
+  if Event_queue.is_empty q then None
+  else begin
+    let at = Event_queue.peek_time_exn q in
+    Some (at, Event_queue.pop_exn q)
+  end
+
 let test_empty () =
   let q : int Event_queue.t = Event_queue.create () in
   Alcotest.(check bool) "empty" true (Event_queue.is_empty q);
   Alcotest.(check int) "length 0" 0 (Event_queue.length q);
-  Alcotest.(check bool) "pop none" true (Event_queue.pop q = None);
-  Alcotest.(check bool) "peek none" true (Event_queue.peek_time q = None)
+  Alcotest.check_raises "pop none" Event_queue.Empty (fun () ->
+      ignore (Event_queue.pop_exn q));
+  Alcotest.check_raises "peek none" Event_queue.Empty (fun () ->
+      ignore (Event_queue.peek_time_exn q))
 
 let test_ordering () =
   let q = Event_queue.create () in
   ignore (Event_queue.add q ~at:(t 30) "c");
   ignore (Event_queue.add q ~at:(t 10) "a");
   ignore (Event_queue.add q ~at:(t 20) "b");
-  let pop () = Option.get (Event_queue.pop q) in
-  let at1, v1 = pop () in
-  Alcotest.(check int) "first time" 10 (Time.to_ns at1);
-  Alcotest.(check string) "first value" "a" v1;
-  Alcotest.(check string) "second" "b" (snd (pop ()));
-  Alcotest.(check string) "third" "c" (snd (pop ()));
+  Alcotest.(check int) "first time" 10 (Time.to_ns (Event_queue.peek_time_exn q));
+  Alcotest.(check string) "first value" "a" (Event_queue.pop_exn q);
+  Alcotest.(check string) "second" "b" (Event_queue.pop_exn q);
+  Alcotest.(check string) "third" "c" (Event_queue.pop_exn q);
   Alcotest.(check bool) "drained" true (Event_queue.is_empty q)
 
 let test_fifo_for_equal_times () =
   let q = Event_queue.create () in
   List.iter (fun v -> ignore (Event_queue.add q ~at:(t 5) v)) [ "x"; "y"; "z" ];
-  let order = List.init 3 (fun _ -> snd (Option.get (Event_queue.pop q))) in
+  let order = List.init 3 (fun _ -> Event_queue.pop_exn q) in
   Alcotest.(check (list string)) "insertion order preserved" [ "x"; "y"; "z" ] order
 
 let test_cancel () =
@@ -35,7 +43,7 @@ let test_cancel () =
   ignore (Event_queue.add q ~at:(t 3) "c");
   Event_queue.cancel q h1;
   Alcotest.(check int) "live after cancel" 2 (Event_queue.length q);
-  Alcotest.(check string) "cancelled entry skipped" "b" (snd (Option.get (Event_queue.pop q)));
+  Alcotest.(check string) "cancelled entry skipped" "b" (Event_queue.pop_exn q);
   (* Cancelling twice or after firing is a no-op. *)
   Event_queue.cancel q h1;
   Event_queue.cancel q h2;
@@ -47,16 +55,16 @@ let test_cancel_head_updates_peek () =
   ignore (Event_queue.add q ~at:(t 9) "tail");
   Event_queue.cancel q h;
   Alcotest.(check int) "peek skips cancelled head" 9
-    (Time.to_ns (Option.get (Event_queue.peek_time q)))
+    (Time.to_ns (Event_queue.peek_time_exn q))
 
 let test_interleaved_add_pop () =
   let q = Event_queue.create () in
   ignore (Event_queue.add q ~at:(t 10) 10);
   ignore (Event_queue.add q ~at:(t 5) 5);
-  Alcotest.(check int) "min first" 5 (snd (Option.get (Event_queue.pop q)));
+  Alcotest.(check int) "min first" 5 (Event_queue.pop_exn q);
   ignore (Event_queue.add q ~at:(t 1) 1);
-  Alcotest.(check int) "new min" 1 (snd (Option.get (Event_queue.pop q)));
-  Alcotest.(check int) "remaining" 10 (snd (Option.get (Event_queue.pop q)))
+  Alcotest.(check int) "new min" 1 (Event_queue.pop_exn q);
+  Alcotest.(check int) "remaining" 10 (Event_queue.pop_exn q)
 
 let prop_pop_sorted =
   QCheck.Test.make ~name:"event_queue: pops are time-sorted" ~count:300
@@ -65,7 +73,7 @@ let prop_pop_sorted =
       let q = Event_queue.create () in
       List.iteri (fun i at -> ignore (Event_queue.add q ~at:(t at) i)) times;
       let rec drain acc =
-        match Event_queue.pop q with
+        match pop q with
         | Some (at, _) -> drain (Time.to_ns at :: acc)
         | None -> List.rev acc
       in
@@ -84,7 +92,7 @@ let prop_cancel_removes =
           if keep then kept := i :: !kept else Event_queue.cancel q h)
         entries;
       let rec drain acc =
-        match Event_queue.pop q with
+        match pop q with
         | Some (_, v) -> drain (v :: acc)
         | None -> acc
       in
@@ -93,18 +101,20 @@ let prop_cancel_removes =
 
 (* --- Model check -------------------------------------------------------------
 
-   Random add/cancel/pop interleavings against a naive insertion-ordered
-   reference (mirrors test_seg_index's model-based approach).  Instants
-   come from a small range, so ties are common and many adds land before
-   the last popped instant, as the write buffer's [compact] re-adds do.
-   Some cancels target handles that already fired or were cancelled.
-   After every operation the queue's length must match the model's.
-   Peeks are an operation of their own, so a pop can follow a cancel
-   without a peek tidying the root in between. *)
+   Random add/cancel/pop/requeue/filter interleavings against a naive
+   insertion-ordered reference (mirrors test_seg_index's model-based
+   approach).  Instants come from a small range, so ties are common and
+   many adds land before the last popped instant.  Some cancels target
+   handles that already fired or were cancelled.  A requeue moves the
+   earliest entry to the back of the model's insertion order; a filter
+   drops the entries whose id shares [x]'s parity.  After every operation
+   the queue's length must match the model's.  Peeks are an operation of
+   their own, so a pop can follow a cancel without a peek tidying the root
+   in between. *)
 
 let prop_matches_model =
   QCheck.Test.make ~name:"event_queue(heap): matches reference model" ~count:300
-    QCheck.(list (triple (int_bound 6) (int_bound 63) small_nat))
+    QCheck.(list (triple (int_bound 8) (int_bound 63) small_nat))
     (fun ops ->
       let q = Event_queue.create () in
       (* Alive entries in insertion order: (at_ns, id, handle). *)
@@ -126,13 +136,28 @@ let prop_matches_model =
       let remove id = model := List.filter (fun (_, i, _) -> i <> id) !model in
       let ok = ref true in
       let do_peek () =
-        if
-          Option.map Time.to_ns (Event_queue.peek_time q)
-          <> Option.map (fun (at, _, _) -> at) (expected_min ())
-        then ok := false
+        match expected_min () with
+        | None -> if not (Event_queue.is_empty q) then ok := false
+        | Some (at, id, _) ->
+          if Time.to_ns (Event_queue.peek_time_exn q) <> at || Event_queue.peek_exn q <> id
+          then ok := false
+      in
+      let do_requeue () =
+        match expected_min () with
+        | None -> ()
+        | Some ((_, id, _) as e) ->
+          Event_queue.requeue_exn q;
+          remove id;
+          model := !model @ [ e ]
+      in
+      let do_filter x =
+        let keep id = id land 1 <> x land 1 in
+        Event_queue.filter_inplace q (fun _ id -> keep id);
+        List.iter (fun (_, id, h) -> if not (keep id) then dead := h :: !dead) !model;
+        model := List.filter (fun (_, id, _) -> keep id) !model
       in
       let do_pop () =
-        match (Event_queue.pop q, expected_min ()) with
+        match (pop q, expected_min ()) with
         | None, None -> ()
         | Some (at, v), Some (eat, eid, h) ->
           if Time.to_ns at <> eat || v <> eid then ok := false
@@ -162,7 +187,9 @@ let prop_matches_model =
             let n = List.length !dead in
             if n > 0 then Event_queue.cancel q (List.nth !dead (x mod n))
           | 4 | 5 -> do_pop ()
-          | _ -> do_peek ());
+          | 6 -> do_peek ()
+          | 7 -> do_requeue ()
+          | _ -> do_filter x);
           if Event_queue.length q <> List.length !model then ok := false)
         ops;
       while !ok && not (Event_queue.is_empty q) do
@@ -183,7 +210,7 @@ let test_popped_payloads_collectible () =
     ignore (Event_queue.add q ~at:(t i) payload)
   done;
   while not (Event_queue.is_empty q) do
-    ignore (Event_queue.pop q)
+    ignore (Event_queue.pop_exn q)
   done;
   Gc.full_major ();
   let retained = ref 0 in

@@ -5,9 +5,11 @@ let make ?(nbanks = 2) ?(endurance = 5) ?(size_kib = 64) () =
     (Device.Flash.config ~nbanks ~endurance_override:endurance
        ~size_bytes:(size_kib * 1024) ())
 
-let ok = function
-  | Ok op -> op
-  | Error e -> Alcotest.failf "unexpected flash error: %a" Device.Flash.pp_error e
+(* The error a refused request raised, [None] when it completed. *)
+let refused f =
+  match f () with
+  | (_ : Time.t) -> None
+  | exception Device.Flash.Error e -> Some e
 
 let t0 = Time.zero
 
@@ -24,36 +26,36 @@ let test_geometry () =
 
 let test_program_requires_erased_space () =
   let f = make () in
-  ignore (ok (Device.Flash.program f ~now:t0 ~sector:0 ~bytes:512));
-  (match Device.Flash.program f ~now:t0 ~sector:0 ~bytes:1 with
-  | Error Device.Flash.Overwrite_without_erase -> ()
-  | Ok _ -> Alcotest.fail "overwrite allowed"
-  | Error e -> Alcotest.failf "wrong error: %a" Device.Flash.pp_error e);
+  ignore (Device.Flash.program f ~now:t0 ~sector:0 ~bytes:512);
+  (match refused (fun () -> Device.Flash.program f ~now:t0 ~sector:0 ~bytes:1) with
+  | Some Device.Flash.Overwrite_without_erase -> ()
+  | None -> Alcotest.fail "overwrite allowed"
+  | Some e -> Alcotest.failf "wrong error: %a" Device.Flash.pp_error e);
   (* Partial programming of remaining erased bytes is fine. *)
   let f2 = make () in
-  ignore (ok (Device.Flash.program f2 ~now:t0 ~sector:0 ~bytes:200));
-  ignore (ok (Device.Flash.program f2 ~now:t0 ~sector:0 ~bytes:312));
+  ignore (Device.Flash.program f2 ~now:t0 ~sector:0 ~bytes:200);
+  ignore (Device.Flash.program f2 ~now:t0 ~sector:0 ~bytes:312);
   Alcotest.(check int) "fully programmed" 512 (Device.Flash.programmed_bytes f2 ~sector:0)
 
 let test_erase_recycles () =
   let f = make () in
-  ignore (ok (Device.Flash.program f ~now:t0 ~sector:3 ~bytes:512));
-  ignore (ok (Device.Flash.erase f ~now:t0 ~sector:3));
+  ignore (Device.Flash.program f ~now:t0 ~sector:3 ~bytes:512);
+  ignore (Device.Flash.erase f ~now:t0 ~sector:3);
   Alcotest.(check int) "programmed reset" 0 (Device.Flash.programmed_bytes f ~sector:3);
   Alcotest.(check int) "erase counted" 1 (Device.Flash.erase_count f ~sector:3);
-  ignore (ok (Device.Flash.program f ~now:t0 ~sector:3 ~bytes:512))
+  ignore (Device.Flash.program f ~now:t0 ~sector:3 ~bytes:512)
 
 let test_wear_out () =
   let f = make ~endurance:3 () in
   for _ = 1 to 3 do
-    ignore (ok (Device.Flash.erase f ~now:t0 ~sector:0))
+    ignore (Device.Flash.erase f ~now:t0 ~sector:0)
   done;
   Alcotest.(check bool) "bad after endurance erases" true (Device.Flash.is_bad f ~sector:0);
-  (match Device.Flash.erase f ~now:t0 ~sector:0 with
-  | Error Device.Flash.Bad_sector -> ()
+  (match refused (fun () -> Device.Flash.erase f ~now:t0 ~sector:0) with
+  | Some Device.Flash.Bad_sector -> ()
   | _ -> Alcotest.fail "erase of bad sector should fail");
-  (match Device.Flash.read f ~now:t0 ~sector:0 ~bytes:1 with
-  | Error Device.Flash.Bad_sector -> ()
+  (match refused (fun () -> Device.Flash.read f ~now:t0 ~sector:0 ~bytes:1) with
+  | Some Device.Flash.Bad_sector -> ()
   | _ -> Alcotest.fail "read of bad sector should fail");
   Alcotest.(check int) "bad count" 1 (Device.Flash.bad_sectors f);
   Alcotest.(check int) "capacity shrinks" ((128 - 1) * 512)
@@ -62,36 +64,44 @@ let test_wear_out () =
 let test_timing_matches_spec () =
   let f = make () in
   let now = Time.of_ns 1_000 in
-  let op = ok (Device.Flash.read f ~now ~sector:0 ~bytes:512) in
+  let finish = Device.Flash.read f ~now ~sector:0 ~bytes:512 in
   (* 250ns fixed + 100ns/B * 512 = 51.45us *)
-  Alcotest.(check int) "read latency" 51_450
-    (Time.span_to_ns (Device.Flash.latency ~now op));
-  let op2 = ok (Device.Flash.program f ~now:(Time.of_ns 200_000) ~sector:1 ~bytes:512) in
+  Alcotest.(check int) "read latency" 51_450 (Time.span_to_ns (Time.diff finish now));
+  let now2 = Time.of_ns 200_000 in
+  let finish2 = Device.Flash.program f ~now:now2 ~sector:1 ~bytes:512 in
   (* 4us + 10us/B*512 = 5.124ms *)
   Alcotest.(check int) "program latency" 5_124_000
-    (Time.span_to_ns
-       (Device.Flash.latency ~now:(Time.of_ns 200_000) op2))
+    (Time.span_to_ns (Time.diff finish2 now2))
 
 let test_bank_contention () =
   let f = make () in
   (* A program occupies bank 0; a read to bank 0 waits, bank 1 does not. *)
-  let prog = ok (Device.Flash.program f ~now:t0 ~sector:0 ~bytes:512) in
-  let read_same = ok (Device.Flash.read f ~now:t0 ~sector:1 ~bytes:512) in
-  Alcotest.(check bool) "same-bank read waited" true
-    (Time.span_to_ns (Device.Flash.waited ~now:t0 read_same) > 0);
+  (* Waits are read off the device totals: a read's own wait is the growth
+     of [total_wait] across it. *)
+  let wait_of f op =
+    let before = Time.span_to_ns (Device.Flash.total_wait f) in
+    let finish = op () in
+    (finish, Time.span_to_ns (Device.Flash.total_wait f) - before)
+  in
+  let read_time =
+    Time.span_to_ns (Device.Specs.access_time Device.Specs.intel_flash.f_read ~bytes:512)
+  in
+  let prog, prog_wait = wait_of f (fun () -> Device.Flash.program f ~now:t0 ~sector:0 ~bytes:512) in
+  let read_same, same_wait = wait_of f (fun () -> Device.Flash.read f ~now:t0 ~sector:1 ~bytes:512) in
+  Alcotest.(check int) "program found the bank idle" 0 prog_wait;
+  Alcotest.(check bool) "same-bank read waited" true (same_wait > 0);
   Alcotest.(check bool) "read starts after program" true
-    Time.(prog.Device.Flash.finish <= read_same.Device.Flash.start);
-  let read_other = ok (Device.Flash.read f ~now:t0 ~sector:64 ~bytes:512) in
-  Alcotest.(check int) "other bank no wait" 0
-    (Time.span_to_ns (Device.Flash.waited ~now:t0 read_other));
+    (Time.to_ns prog <= Time.to_ns read_same - read_time);
+  let _, other_wait = wait_of f (fun () -> Device.Flash.read f ~now:t0 ~sector:64 ~bytes:512) in
+  Alcotest.(check int) "other bank no wait" 0 other_wait;
   Alcotest.(check bool) "wait accounted" true
     (Time.span_to_ns (Device.Flash.read_wait f) > 0)
 
 let test_traffic_counters () =
   let f = make () in
-  ignore (ok (Device.Flash.read f ~now:t0 ~sector:0 ~bytes:100));
-  ignore (ok (Device.Flash.program f ~now:t0 ~sector:0 ~bytes:200));
-  ignore (ok (Device.Flash.erase f ~now:t0 ~sector:0));
+  ignore (Device.Flash.read f ~now:t0 ~sector:0 ~bytes:100);
+  ignore (Device.Flash.program f ~now:t0 ~sector:0 ~bytes:200);
+  ignore (Device.Flash.erase f ~now:t0 ~sector:0);
   Alcotest.(check int) "reads" 1 (Device.Flash.reads f);
   Alcotest.(check int) "programs" 1 (Device.Flash.programs f);
   Alcotest.(check int) "erases" 1 (Device.Flash.erases f);
@@ -117,8 +127,8 @@ let prop_state_machine =
         (fun (sector, bytes) ->
           let bytes = min bytes 512 in
           match Device.Flash.program f ~now:t0 ~sector ~bytes with
-          | Ok _ | Error Device.Flash.Overwrite_without_erase -> ()
-          | Error Device.Flash.Bad_sector -> ())
+          | _ | (exception Device.Flash.Error Device.Flash.Overwrite_without_erase) -> ()
+          | exception Device.Flash.Error Device.Flash.Bad_sector -> ())
         ops;
       List.for_all
         (fun sector -> Device.Flash.programmed_bytes f ~sector <= 512)
