@@ -58,7 +58,9 @@ let ops_of_store store =
     alloc = (fun () -> Storage.Store.alloc store);
     load_cold = Storage.Store.load_cold store;
     write = (fun b -> ignore (Storage.Store.write_block store b));
-    read_at = (fun ~at b -> Storage.Store.read_block_at store ~at b);
+    read_at =
+      (let bytes = Storage.Store.block_bytes store in
+       fun ~at b -> Storage.Store.read_block_at ~bytes store ~at b);
     flush = (fun () -> ignore (Storage.Store.flush_all store));
     reset = (fun () -> Storage.Store.reset_traffic store);
   }
@@ -68,7 +70,9 @@ let ops_of_manager m =
     alloc = (fun () -> Storage.Manager.alloc m);
     load_cold = Storage.Manager.load_cold m;
     write = (fun b -> ignore (Storage.Manager.write_block m b));
-    read_at = (fun ~at b -> Storage.Manager.read_block_at m ~at b);
+    read_at =
+      (let bytes = Storage.Manager.block_bytes m in
+       fun ~at b -> Storage.Manager.read_block_at ~bytes m ~at b);
     flush = (fun () -> ignore (Storage.Manager.flush_all m));
     reset = (fun () -> Storage.Manager.reset_traffic m);
   }

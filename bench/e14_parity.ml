@@ -80,6 +80,7 @@ let drive_steady ~engine ~a ~workload =
   let wlat = Stat.Histogram.create () in
   let wcursor = ref (Engine.now engine) in
   let rcursor = ref (Engine.now engine) in
+  let bytes = Storage.Array.block_bytes a in
   let lcg s = ((s * 1103515245) + 12345) land 0x3FFFFFFF in
   let wstate = ref 4242 and rstate = ref 777 in
   for _round = 1 to rounds do
@@ -96,7 +97,7 @@ let drive_steady ~engine ~a ~workload =
       rstate := lcg !rstate;
       let b = cold.(!rstate mod Array.length cold) in
       let at = Time.max !rcursor (Engine.now engine) in
-      rcursor := Storage.Array.read_block_at a ~at b
+      rcursor := Storage.Array.read_block_at ~bytes a ~at b
     done;
     Engine.run_until engine (Time.max !wcursor !rcursor)
   done;
@@ -127,9 +128,10 @@ let drive_eject_rebuild ~engine ~a ~live =
   in
   (* Touch a sample of the survivors so reconstruction actually runs. *)
   let rcursor = ref (Engine.now engine) in
+  let bytes = Storage.Array.block_bytes a in
   for i = 0 to 63 do
     let b = live.(i * 17 mod Array.length live) in
-    rcursor := Storage.Array.read_block_at a ~at:!rcursor b
+    rcursor := Storage.Array.read_block_at ~bytes a ~at:!rcursor b
   done;
   let wcursor = ref !rcursor in
   for i = 0 to 63 do

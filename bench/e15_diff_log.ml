@@ -79,6 +79,7 @@ let run_point cell =
   let fresh = Queue.create () in
   let wcursor = ref (Engine.now engine) in
   let rcursor = ref (Engine.now engine) in
+  let bytes = Storage.Manager.block_bytes m in
   let nwrites = ref 0 in
   for _round = 1 to rounds do
     for _ = 1 to writes_per_round do
@@ -105,7 +106,7 @@ let run_point cell =
       rstate := lcg !rstate;
       let b = churn.(!rstate mod churn_blocks) in
       let at = Time.max !rcursor (Engine.now engine) in
-      rcursor := Storage.Manager.read_block_at m ~at b
+      rcursor := Storage.Manager.read_block_at ~bytes m ~at b
     done;
     Engine.run_until engine (Time.max !wcursor !rcursor)
   done;
@@ -119,7 +120,7 @@ let run_point cell =
   Array.iter
     (fun b ->
       let at = !qcursor in
-      let fin = Storage.Manager.read_block_at m ~at b in
+      let fin = Storage.Manager.read_block_at ~bytes m ~at b in
       let us = Time.span_to_us (Time.diff fin at) in
       Stat.Histogram.observe rlat us;
       rsum := !rsum +. us;

@@ -88,7 +88,10 @@ let run () =
   let engine2, manager2, _vm2, blocks2 = build () in
   let copy_start = Engine.now engine2 in
   let cursor = ref copy_start in
-  Array.iter (fun b -> cursor := Storage.Manager.read_block_at manager2 ~at:!cursor b) blocks2;
+  let bytes = Storage.Manager.block_bytes manager2 in
+  Array.iter
+    (fun b -> cursor := Storage.Manager.read_block_at ~bytes manager2 ~at:!cursor b)
+    blocks2;
   let dram2 = Storage.Manager.dram manager2 in
   let copy_in = Device.Dram.write dram2 ~bytes:file_bytes in
   let setup = Time.span_add (Time.diff !cursor copy_start) copy_in in

@@ -15,10 +15,6 @@ module Blockmap = struct
   (* Unboxed lookup: the handle, or [no_block] for a hole / out of range. *)
   let find t i = if i < t.len then t.slots.(i) else no_block
 
-  let get t i =
-    let b = find t i in
-    if b = no_block then None else Some b
-
   let ensure t n =
     if n > Array.length t.slots then begin
       let cap = max 8 (max n (2 * Array.length t.slots)) in
@@ -33,17 +29,17 @@ module Blockmap = struct
     ensure t (i + 1);
     t.slots.(i) <- b
 
-  (* Shrink to [n] slots, returning the dropped live handles. *)
-  let crop t n =
+  (* Shrink to [n] slots, handing each dropped live handle to [f] in
+     ascending slot order.  A slot is emptied before [f] sees its handle,
+     so a raising [f] leaves a valid, partly cropped map. *)
+  let crop t n f =
     let n = max n 0 in
-    let dropped = ref [] in
-    for i = t.len - 1 downto n do
+    for i = n to t.len - 1 do
       let b = t.slots.(i) in
-      if b <> no_block then dropped := b :: !dropped;
-      t.slots.(i) <- no_block
+      t.slots.(i) <- no_block;
+      if b <> no_block then f b
     done;
-    if n < t.len then t.len <- n;
-    !dropped
+    if n < t.len then t.len <- n
 
   let iter_live f t =
     for i = 0 to t.len - 1 do
@@ -221,7 +217,7 @@ let truncate_leaf t ~size table name charge =
   match Hashtbl.find table name with
   | File f ->
     let keep = Units.ceil_div size (block_bytes t) in
-    List.iter (Storage.Store.free_block t.store) (Blockmap.crop f.map keep);
+    Blockmap.crop f.map keep (Storage.Store.free_block t.store);
     f.size <- min f.size size;
     Ok (Time.span_add charge (meta_write t))
   | Dir _ -> Error Fs_error.Eisdir

@@ -32,16 +32,14 @@ module Blockmap : sig
   (** The handle at a slot, or {!no_block} for a hole or an index at or
       beyond {!length}.  Allocation-free. *)
 
-  val get : t -> int -> Storage.Manager.block option
-  (** Boxing variant of {!find}. *)
-
   val set : t -> int -> Storage.Manager.block -> unit
   (** Store a handle, growing the map as needed (intermediate slots become
       holes).  @raise Invalid_argument on a negative handle. *)
 
-  val crop : t -> int -> Storage.Manager.block list
-  (** [crop t n] shrinks to [n] slots and returns the dropped live handles
-      in ascending slot order.  Negative [n] behaves as [0]. *)
+  val crop : t -> int -> (Storage.Manager.block -> unit) -> unit
+  (** [crop t n f] shrinks to [n] slots and hands each dropped live handle
+      to [f] (a truncate's free), in ascending slot order, building no
+      list.  Negative [n] behaves as [0]. *)
 
   val iter_live : (Storage.Manager.block -> unit) -> t -> unit
 end

@@ -33,6 +33,9 @@ let shared_dummy : unit entry =
   { at = Time.zero; seq = min_int; payload = (); pending = false }
 
 let dummy : 'a. unit -> 'a entry = fun () -> Obj.magic shared_dummy
+
+(* Never pending, so cancelling it is a no-op. *)
+let none = H shared_dummy
 let create () = { heap = [||]; size = 0; live = 0; next_seq = 0 }
 
 let entry_before a b =

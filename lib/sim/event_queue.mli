@@ -16,6 +16,11 @@ type handle
 (** Identifies a scheduled event for cancellation.  Unboxed: {!add}
     allocates the queue entry and nothing else. *)
 
+val none : handle
+(** A handle that names no event: cancelling it, on any queue, is a
+    no-op.  A holder keeps it where it would otherwise keep [None], so a
+    handle field costs no option box. *)
+
 val create : unit -> 'a t
 (** A fresh, empty queue. *)
 

@@ -33,7 +33,7 @@ type rebuilding = {
   r_st : slot_status A.t;
   r_len : int;  (* slots the rebuild covers; later allocs are live on the fresh manager *)
   mutable r_cursor : int;  (* slots below this are already rebuilt *)
-  mutable r_ev : Event_queue.handle option;
+  mutable r_ev : Event_queue.handle;  (* [Event_queue.none] between steps *)
   r_started : Time.t;
 }
 
@@ -119,14 +119,15 @@ let capacity_blocks t =
 
 (* --- Parity plumbing ------------------------------------------------------ *)
 
-let parity_slot t b = Striping.parity_slot t.striping ~ncards:(ncards t) ~block:b
+(* The card holding the parity of [b]'s row, at [b]'s own local; -1
+   without parity. *)
+let parity_card t b = Striping.parity_card t.striping ~ncards:(ncards t) ~block:b
 
 (* Does the manager hold actual content for this local — a buffered copy
    or a flash copy?  (A Blank block exists but contributes nothing to
    parity and costs nothing to read.) *)
 let has_data m l =
-  Manager.block_exists m l
-  && (Manager.block_is_dirty m l || Manager.segment_of_block m l <> None)
+  Manager.block_exists m l && (Manager.block_is_dirty m l || Manager.has_flash_copy m l)
 
 (* Is [(card, local)] currently served by the array's degraded
    bookkeeping rather than the card's manager?  Under [Degraded] every
@@ -212,34 +213,53 @@ let count_parity_write t =
   t.parity_writes <- t.parity_writes + 1;
   Probe.incr p_parity_writes
 
+(* Read local [l] from every card but [skip] and [skip'] that holds data
+   there, whole blocks (the XOR needs every sector), one read after
+   another from [at]: summed cost, the degraded penalty.  Reconstruction
+   and rebuild read the whole row but the missing card ([skip' = skip]);
+   a degraded write reads the data mates only, so it skips the parity
+   card too.  A loop over the cards, so nothing is allocated. *)
+let read_row t ~at ~skip ~skip' ~l =
+  let cursor = ref at in
+  for c = 0 to ncards t - 1 do
+    let m = t.cards.(c) in
+    if c <> skip && c <> skip' && has_data m l then begin
+      count_parity_read t;
+      cursor := Manager.read_block_at ~bytes:(block_bytes t) m ~at:!cursor l
+    end
+  done;
+  !cursor
+
 (* Parity read-modify-write (the RAID small-write penalty): the parity
    delta needs the old data and the old parity, so a rewrite costs up to
-   two extra reads plus the extra parity program.  The parity block's
-   metadata may be missing after a crash (parity never gets a global
-   handle, so remount padding skips over unlushed parity slots); it is
-   revived in place — the new parity supersedes whatever was lost. *)
-let rmw_write t ~at b ~c ~l ~pc ~pl =
+   two extra reads plus the extra parity program.  Data and parity share
+   local [l].  The parity block's metadata may be missing after a crash
+   (parity never gets a global handle, so remount padding skips over
+   unflushed parity slots); it is revived in place — the new parity
+   supersedes whatever was lost. *)
+let rmw_write t ~at b ~c ~l ~pc =
   let m = t.cards.(c) and pm = t.cards.(pc) in
   if not (Manager.block_exists m l) then
     invalid_arg (Printf.sprintf "Array.write_block: unknown block %d" b);
+  let bytes = block_bytes t in
   let r1 =
     if has_data m l then begin
       count_parity_read t;
-      Manager.read_block_at m ~at l
+      Manager.read_block_at ~bytes m ~at l
     end
     else at
   in
-  if not (Manager.block_exists pm pl) then Manager.revive_block pm pl;
+  if not (Manager.block_exists pm l) then Manager.revive_block pm l;
   let r2 =
-    if has_data pm pl then begin
+    if has_data pm l then begin
       count_parity_read t;
-      Manager.read_block_at pm ~at pl
+      Manager.read_block_at ~bytes pm ~at l
     end
     else at
   in
   let w_data = Manager.write_block_at m ~at:r1 l in
   count_parity_write t;
-  let w_parity = Manager.write_block_at pm ~at:(Time.max r1 r2) pl in
+  let w_parity = Manager.write_block_at pm ~at:(Time.max r1 r2) l in
   Time.max w_data w_parity
 
 (* Write to a block whose card is out: the data cannot land anywhere, so
@@ -247,69 +267,44 @@ let rmw_write t ~at b ~c ~l ~pc ~pl =
    data with every surviving data mate of the row (the old parity is not
    needed).  The newest version now lives, reconstructibly, in the parity
    equation; mate reads are threaded (summed), the degraded-write cost. *)
-let degraded_data_write t ~at ~skip ~l ~pc ~pl =
-  let cursor = ref at in
-  A.iteri
-    (fun c' m ->
-      if c' <> skip && c' <> pc && has_data m l then begin
-        count_parity_read t;
-        cursor := Manager.read_block_at m ~at:!cursor l
-      end)
-    t.cards;
+let degraded_data_write t ~at ~skip ~l ~pc =
+  let cursor = read_row t ~at ~skip ~skip':pc ~l in
   let pm = t.cards.(pc) in
-  if not (Manager.block_exists pm pl) then Manager.revive_block pm pl;
+  if not (Manager.block_exists pm l) then Manager.revive_block pm l;
   count_parity_write t;
   t.degraded_writes <- t.degraded_writes + 1;
-  Manager.write_block_at pm ~at:!cursor pl
+  Manager.write_block_at pm ~at:cursor l
 
 let write_block_at t ~at b =
   invalidate_front t b;
   let c = card_of_block t b in
   let l = local_of_block t b in
-  match parity_slot t b with
-  | None -> Manager.write_block_at t.cards.(c) ~at l
-  | Some (pc, pl) ->
-    if slot_pending t c l then begin
-      (match pending_status t l with
-      | Absent ->
-        invalid_arg (Printf.sprintf "Array.write_block: unknown block %d" b)
-      | Blank_slot | Data_slot -> ());
-      set_pending_status t l Data_slot;
-      degraded_data_write t ~at ~skip:c ~l ~pc ~pl
-    end
-    else if slot_pending t pc pl then begin
-      (* The parity strip is on the missing (or not-yet-rebuilt) card:
-         plain data write, and mark the parity slot stale so the rebuild
-         reconstructs it from the row's data. *)
-      let fin = Manager.write_block_at t.cards.(c) ~at l in
-      set_pending_status t pl Data_slot;
-      fin
-    end
-    else rmw_write t ~at b ~c ~l ~pc ~pl
+  let pc = parity_card t b in
+  if pc < 0 then Manager.write_block_at t.cards.(c) ~at l
+  else if slot_pending t c l then begin
+    (match pending_status t l with
+    | Absent -> invalid_arg (Printf.sprintf "Array.write_block: unknown block %d" b)
+    | Blank_slot | Data_slot -> ());
+    set_pending_status t l Data_slot;
+    degraded_data_write t ~at ~skip:c ~l ~pc
+  end
+  else if slot_pending t pc l then begin
+    (* The parity strip is on the missing (or not-yet-rebuilt) card:
+       plain data write, and mark the parity slot stale so the rebuild
+       reconstructs it from the row's data. *)
+    let fin = Manager.write_block_at t.cards.(c) ~at l in
+    set_pending_status t l Data_slot;
+    fin
+  end
+  else rmw_write t ~at b ~c ~l ~pc
 
 let write_block t b =
   let now = Engine.now t.engine in
   Time.diff (write_block_at t ~at:now b) now
 
-let dram_read_at ?bytes t ~at =
-  let bytes = Option.value bytes ~default:(block_bytes t) in
-  Time.add at (Device.Dram.read t.dram ~bytes)
+let dram_read_at t ~at ~bytes = Time.add at (Device.Dram.read t.dram ~bytes)
 
-(* Reconstruct local [l] of card [skip] by reading the row's surviving
-   members (whole blocks — the XOR needs every sector) in sequence:
-   summed cost, the degraded-read penalty. *)
-let reconstruct_read_at t ~at ~skip ~l =
-  let cursor = ref at in
-  A.iteri
-    (fun c' m ->
-      if c' <> skip && has_data m l then begin
-        count_parity_read t;
-        cursor := Manager.read_block_at m ~at:!cursor l
-      end)
-    t.cards;
-  !cursor
-
-let read_block_at ?bytes t ~at b =
+let read_block_at ~bytes t ~at b =
   let c = card_of_block t b in
   let l = local_of_block t b in
   if slot_pending t c l then begin
@@ -318,16 +313,17 @@ let read_block_at ?bytes t ~at b =
     | Blank_slot ->
       (* Never-written block: nothing to fetch from any card. *)
       t.degraded_reads <- t.degraded_reads + 1;
-      dram_read_at ?bytes t ~at
+      dram_read_at t ~at ~bytes
     | Data_slot ->
       let front_hit =
         match t.front with
         | None -> false
         | Some fc -> Buffer_cache.find fc ~key:b = Buffer_cache.Hit
       in
-      if front_hit then dram_read_at ?bytes t ~at
+      if front_hit then dram_read_at t ~at ~bytes
       else begin
-        let fin = reconstruct_read_at t ~at ~skip:c ~l in
+        (* Reconstruct from the row's surviving members. *)
+        let fin = read_row t ~at ~skip:c ~skip':c ~l in
         t.degraded_reads <- t.degraded_reads + 1;
         t.reconstructed_reads <- t.reconstructed_reads + 1;
         Probe.incr p_reconstructed;
@@ -338,16 +334,16 @@ let read_block_at ?bytes t ~at b =
   else begin
     let m = t.cards.(c) in
     match t.front with
-    | None -> Manager.read_block_at ?bytes m ~at l
+    | None -> Manager.read_block_at ~bytes m ~at l
     | Some fc ->
       if not (Manager.block_exists m l) then
         (* Let the card raise its usual error without polluting the cache. *)
-        Manager.read_block_at ?bytes m ~at l
+        Manager.read_block_at ~bytes m ~at l
       else begin
         match Buffer_cache.find fc ~key:b with
-        | Buffer_cache.Hit -> dram_read_at ?bytes t ~at
+        | Buffer_cache.Hit -> dram_read_at t ~at ~bytes
         | Buffer_cache.Miss ->
-          let fin = Manager.read_block_at ?bytes m ~at l in
+          let fin = Manager.read_block_at ~bytes m ~at l in
           (* Residency commits only now, after the card read returned —
              a raising read must not leave the handle resident. *)
           front_insert fc b;
@@ -356,16 +352,17 @@ let read_block_at ?bytes t ~at b =
   end
 
 let read_block ?bytes t b =
+  let bytes = match bytes with Some n -> n | None -> block_bytes t in
   let now = Engine.now t.engine in
-  Time.diff (read_block_at ?bytes t ~at:now b) now
+  Time.diff (read_block_at ~bytes t ~at:now b) now
 
 let free_block t b =
   invalidate_front t b;
   let c = card_of_block t b in
   let l = local_of_block t b in
-  match parity_slot t b with
-  | None -> Manager.free_block t.cards.(c) l
-  | Some (pc, pl) ->
+  let pc = parity_card t b in
+  if pc < 0 then Manager.free_block t.cards.(c) l
+  else begin
     (* Free is an uncharged metadata operation on a single manager; under
        parity it additionally rewrites the parity block (removing the
        freed block's contribution) but reads nothing — the delta is
@@ -381,35 +378,36 @@ let free_block t b =
       in
       set_pending_status t l Absent;
       let pm = t.cards.(pc) in
-      if was = Data_slot && Manager.block_exists pm pl then begin
+      if was = Data_slot && Manager.block_exists pm l then begin
         count_parity_write t;
-        ignore (Manager.write_block pm pl)
+        ignore (Manager.write_block pm l)
       end
     end
-    else if slot_pending t pc pl then begin
+    else if slot_pending t pc l then begin
       Manager.free_block t.cards.(c) l;
-      set_pending_status t pl Data_slot
+      set_pending_status t l Data_slot
     end
     else begin
       let had = has_data t.cards.(c) l in
       Manager.free_block t.cards.(c) l;
       if had then begin
         let pm = t.cards.(pc) in
-        if not (Manager.block_exists pm pl) then Manager.revive_block pm pl;
+        if not (Manager.block_exists pm l) then Manager.revive_block pm l;
         count_parity_write t;
-        ignore (Manager.write_block pm pl)
+        ignore (Manager.write_block pm l)
       end
     end
+  end
 
 let load_cold t b =
   let c = card_of_block t b in
   let l = local_of_block t b in
-  match parity_slot t b with
-  | None -> Manager.load_cold t.cards.(c) l
-  | Some (pc, pl) ->
-    if slot_pending t pc pl then begin
+  let pc = parity_card t b in
+  if pc < 0 then Manager.load_cold t.cards.(c) l
+  else begin
+    if slot_pending t pc l then begin
       Manager.load_cold t.cards.(c) l;
-      set_pending_status t pl Data_slot
+      set_pending_status t l Data_slot
     end
     else begin
       (* The first cold touch of a row also cold-loads its parity block —
@@ -419,10 +417,10 @@ let load_cold t b =
       then
         invalid_arg (Printf.sprintf "Array.load_cold: unknown block %d" b);
       let pm = t.cards.(pc) in
-      if not (has_data pm pl) then begin
-        if not (Manager.block_exists pm pl) then Manager.revive_block pm pl;
+      if not (has_data pm l) then begin
+        if not (Manager.block_exists pm l) then Manager.revive_block pm l;
         t.parity_cold <- t.parity_cold + 1;
-        Manager.load_cold pm pl
+        Manager.load_cold pm l
       end;
       if slot_pending t c l then begin
         (match pending_status t l with
@@ -434,6 +432,7 @@ let load_cold t b =
       end
       else Manager.load_cold t.cards.(c) l
     end
+  end
 
 let flush_all t =
   (* One contiguous drain per card — flushed sectors are grouped by
@@ -513,15 +512,14 @@ let default_rebuild_batch = 32
 let default_rebuild_spacing = Time.span_ms 1.0
 
 let rec schedule_rebuild t (r : rebuilding) ~batch ~spacing ~at =
-  r.r_ev <-
-    Some (Engine.schedule t.engine ~at (fun _ -> rebuild_step t r ~batch ~spacing))
+  r.r_ev <- Engine.schedule t.engine ~at (fun _ -> rebuild_step t r ~batch ~spacing)
 
 (* One rebuild quantum: reconstruct up to [batch] slots onto the fresh
    card, then yield the engine back to foreground traffic and reschedule.
    Slots that already exist on the fresh manager (the crash-recovered
    prefix of an interrupted rebuild) are skipped. *)
 and rebuild_step t (r : rebuilding) ~batch ~spacing =
-  r.r_ev <- None;
+  r.r_ev <- Event_queue.none;
   let fresh = t.cards.(r.r_card) in
   let now = Engine.now t.engine in
   let cursor = ref now in
@@ -534,13 +532,7 @@ and rebuild_step t (r : rebuilding) ~batch ~spacing =
       if not (Manager.block_exists fresh l) then Manager.revive_block fresh l
     | Data_slot ->
       if not (Manager.block_exists fresh l) then begin
-        A.iteri
-          (fun c' m ->
-            if c' <> r.r_card && has_data m l then begin
-              count_parity_read t;
-              cursor := Manager.read_block_at m ~at:!cursor l
-            end)
-          t.cards;
+        cursor := read_row t ~at:!cursor ~skip:r.r_card ~skip':r.r_card ~l;
         Manager.revive_block fresh l;
         t.parity_cold <- t.parity_cold + 1;
         Manager.load_cold fresh l;
@@ -586,7 +578,7 @@ let reinsert_card ?(batch = default_rebuild_batch)
       r_st = d.st;
       r_len = d.st_len;
       r_cursor = 0;
-      r_ev = None;
+      r_ev = Event_queue.none;
       r_started = Engine.now t.engine;
     }
   in
@@ -698,11 +690,11 @@ let client_gauges (t : t) =
           | Data_slot ->
             let pm = parity_home_manager t l in
             if Manager.block_is_dirty pm l then incr dirty
-            else if Manager.segment_of_block pm l <> None then incr live
+            else if Manager.has_flash_copy pm l then incr live
           | Blank_slot | Absent -> ())
         else if Manager.block_exists m l then
           if Manager.block_is_dirty m l then incr dirty
-          else if Manager.segment_of_block m l <> None then incr live
+          else if Manager.has_flash_copy m l then incr live
     done
   done;
   (!live, !dirty)
@@ -806,12 +798,9 @@ let crash_and_remount t =
   (* A rebuild in flight holds an engine event over the pre-crash array:
      cancel it; the remounted array reschedules its own. *)
   (match t.health with
-  | Rebuilding r -> (
-    match r.r_ev with
-    | Some ev ->
-      Engine.cancel t.engine ev;
-      r.r_ev <- None
-    | None -> ())
+  | Rebuilding r ->
+    Engine.cancel t.engine r.r_ev;
+    r.r_ev <- Event_queue.none
   | _ -> ());
   let missing = match t.health with Degraded d -> Some d.missing | _ -> None in
   (* Every present card remounts from its own headers; the scans overlap
@@ -928,7 +917,7 @@ let crash_and_remount t =
             r_st = st;
             r_len;
             r_cursor = 0;
-            r_ev = None;
+            r_ev = Event_queue.none;
             r_started = Engine.now t.engine;
           }
   in

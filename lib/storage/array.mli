@@ -82,7 +82,7 @@ val alloc : t -> Manager.block
 val write_block : t -> Manager.block -> Sim.Time.span
 val write_block_at : t -> at:Sim.Time.t -> Manager.block -> Sim.Time.t
 val read_block : ?bytes:int -> t -> Manager.block -> Sim.Time.span
-val read_block_at : ?bytes:int -> t -> at:Sim.Time.t -> Manager.block -> Sim.Time.t
+val read_block_at : bytes:int -> t -> at:Sim.Time.t -> Manager.block -> Sim.Time.t
 (** A front-cache hit is served at DRAM read cost without touching the
     block's card; a miss reads through the card and makes the handle
     resident only after the read returns (a raising read leaves nothing

@@ -11,7 +11,10 @@
     returns a victim, and writes and frees {!forget} the handle.
 
     This module is the pure replacement structure; device charging is the
-    caller's job. *)
+    caller's job.  Every access is allocation-free: the LRU list lives in
+    int arrays sized to the capacity, found through an open-addressing
+    index.  Keys are block numbers: every keyed operation raises
+    [Invalid_argument] on a negative key. *)
 
 type t
 
@@ -54,10 +57,8 @@ val find_or_insert : t -> key:int -> dirty:bool -> lookup * int list
     as {!insert} would.  Counts exactly one hit or one miss and refreshes
     recency exactly once, whatever the outcome — immune to the
     [find]-then-[insert] double-touch.  Returns the outcome and the dirty
-    victims (always [[]] on a hit). *)
-
-val mark_dirty : t -> key:int -> bool
-(** Returns false if the block is not resident. *)
+    victims (always [[]] on a hit); a hit or a miss without dirty victims
+    allocates nothing. *)
 
 val is_dirty : t -> key:int -> bool
 val contains : t -> key:int -> bool

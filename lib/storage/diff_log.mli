@@ -49,13 +49,24 @@ val create : config -> t
 val config : t -> config
 
 val has_chain : t -> block:int -> bool
-val base : t -> block:int -> (int * int) option
-(** The chained block's base-page [(segment, slot)], if it has a chain. *)
 
-val deltas : t -> block:int -> delta list
-(** The chain's delta records, position-ascending; [[]] without a chain. *)
+(** {2 Chain reads}
+
+    Allocation-free: the base page's coordinates and the deltas by
+    position, never an option or a list.  Each raises [Invalid_argument]
+    when the block has no chain. *)
+
+val base_seg : t -> block:int -> int
+val base_slot : t -> block:int -> int
+(** The chained block's base page: its segment and slot. *)
+
+val delta : t -> block:int -> int -> delta
+(** [delta t ~block i]: the record at position [i], [0 <= i <]
+    {!chain_length}. *)
 
 val chain_length : t -> block:int -> int
+(** Delta records in the block's chain; 0 without a chain. *)
+
 val next_pos : t -> block:int -> int
 (** The position the next {!push_delta} should use (= current length). *)
 
@@ -85,7 +96,7 @@ val drop : t -> block:int -> unit
     freed).  No-op if it has none. *)
 
 val iter_chains : t -> f:(block:int -> ndeltas:int -> unit) -> unit
-(** Visit every chained block (unspecified order). *)
+(** Visit every chained block, in ascending block order. *)
 
 (** {1 Traffic counters}
 

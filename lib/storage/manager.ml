@@ -77,15 +77,22 @@ let default_config =
 let low_water = 2
 let min_segments = 5
 
+(* [timer_at] with no timer armed: later than any deadline. *)
+let no_timer = Time.of_ns max_int
+
 type block = int
 
-type loc =
-  | Blank  (** Allocated, no data anywhere yet. *)
-  | Buffered  (** Dirty in the DRAM write buffer. *)
-  | Flashed of { seg : int; slot : int }
+(* Where a block's current data lives, in one int, so that no state
+   change allocates: [blank] (allocated, no data anywhere yet),
+   [buffered] (dirty in the DRAM write buffer), or, when non-negative, the
+   log position [seg * segment_sectors + slot] of its flash copy. *)
+let blank = -2
+let buffered = -1
+
+type where = Blank | Buffered | Flashed
 
 type meta = {
-  mutable loc : loc;
+  mutable loc : int;
   (* Sector holding this block's newest durable header, -1 if none.  It can
      trail [loc]: a rewritten-but-dirty block keeps its old on-flash header
      live so a crash rolls back to the previous version instead of losing
@@ -110,7 +117,9 @@ type header = { h_block : int; h_version : int; mutable h_live : bool; h_pos : i
    resizes dominated preload.  The sentinels are never mutated: every
    mutation goes through a record a successful lookup returned ([find_meta]
    raises on the sentinel, [obsolete_header] guards on [h_block]). *)
-let no_meta : meta = { loc = Blank; hdr_sector = min_int }
+let no_meta : meta = { loc = blank; hdr_sector = min_int }
+
+let where m = if m.loc >= 0 then Flashed else if m.loc = buffered then Buffered else Blank
 
 let no_header : header =
   { h_block = min_int; h_version = min_int; h_live = false; h_pos = -1 }
@@ -135,7 +144,10 @@ type t = {
   mutable open_fresh : int option;
   mutable open_clean : int option;
   mutable open_cold : int option;
-  mutable timer : (Event_queue.handle * Time.t) option;
+  (* The armed writeback timer and its instant: [Event_queue.none] and
+     [no_timer] when none is armed. *)
+  mutable timer : Event_queue.handle;
+  mutable timer_at : Time.t;
   (* The writeback timer's callback, built once per manager by {!create}. *)
   mutable on_timer : Engine.t -> unit;
   (* Blocks one timer firing flushes, filled in deadline order. *)
@@ -189,6 +201,10 @@ let card_args t args =
   match t.card with
   | None -> args
   | Some c -> ("card", string_of_int c) :: args
+
+let set_flashed t m ~seg ~slot = m.loc <- (seg * t.cfg.segment_sectors) + slot
+let loc_seg t m = m.loc / t.cfg.segment_sectors
+let loc_slot t m = m.loc mod t.cfg.segment_sectors
 
 let find_meta t b =
   let m = if b >= 0 && b < Array.length t.meta then t.meta.(b) else no_meta in
@@ -329,7 +345,8 @@ let make ?card cfg ~engine ~flash ~dram =
       open_fresh = None;
       open_clean = None;
       open_cold = None;
-      timer = None;
+      timer = Event_queue.none;
+      timer_at = no_timer;
       on_timer = ignore;
       batch = Array.make (max 0 cfg.max_flush_batch) 0;
       cleaning = false;
@@ -366,10 +383,10 @@ let kill_slot t ~seg ~slot =
 
 (* Kill a block's flash copy (data superseded or freed). *)
 let kill_flash_copy t m =
-  match m.loc with
-  | Flashed { seg; slot } ->
-    kill_slot t ~seg ~slot;
-    m.loc <- Blank
+  match where m with
+  | Flashed ->
+    kill_slot t ~seg:(loc_seg t m) ~slot:(loc_slot t m);
+    m.loc <- blank
   | Blank | Buffered -> ()
 
 (* Worn segments are retired before reuse, so the device refusing a
@@ -409,11 +426,9 @@ let record_header t m ~sector ~block =
    that pointer tracks the block's base header (the rollback anchor), and
    a chain keeps base plus every delta live at once.  [prev_sector]
    obsoletes the delta's own superseded copy when the cleaner relocates
-   it. *)
+   it; it is -1 for a fresh delta. *)
 let record_delta_header t ~sector ~block ~pos ~prev_sector =
-  (match prev_sector with
-  | Some s -> obsolete_header t ~block ~hdr_sector:s
-  | None -> ());
+  obsolete_header t ~block ~hdr_sector:prev_sector;
   let version = t.next_version in
   t.next_version <- version + 1;
   t.durable.(sector) <- { h_block = block; h_version = version; h_live = true; h_pos = pos }
@@ -540,20 +555,39 @@ let next_victim t ~purpose =
 
 (* --- Log appends, segment acquisition, cleaning -------------------------- *)
 
+(* What a live slot [(seg, slot)] holds for block [b]: [role_whole] (the
+   block's only copy), [role_base] (its chain's base page) or, as a
+   non-negative position, one of its chain's delta records. *)
+let role_whole = -2
+let role_base = -1
+
+let rec delta_at d b ~seg ~slot i =
+  if i >= Diff_log.chain_length d ~block:b then role_whole
+  else
+    let dl = Diff_log.delta d ~block:b i in
+    if dl.Diff_log.d_seg = seg && dl.Diff_log.d_slot = slot then i
+    else delta_at d b ~seg ~slot (i + 1)
+
+let chain_role t ~seg ~slot b =
+  match t.diff with
+  | Some d when Diff_log.has_chain d ~block:b ->
+    if Diff_log.base_seg d ~block:b = seg && Diff_log.base_slot d ~block:b = slot then
+      role_base
+    else delta_at d b ~seg ~slot 0
+  | Some _ | None -> role_whole
+
 (* Append [block] to the open segment [seg] and program its sector with
    [bytes] on the cursor: the one place the log grows, and so the one
    place segments fill, get touched, and turn Closed (where they become
    victim candidates).  Returns the slot. *)
 let program_append t seg ~cursor ~block ~bytes =
-  match Segment.append seg ~block with
-  | None -> assert false (* callers hold an Open (non-full) segment *)
-  | Some slot ->
-    t.n_live_blocks <- t.n_live_blocks + 1;
-    Segment.touch seg ~at:(Engine.now t.engine);
-    if Segment.state seg = Segment.Closed then closed_index_add t seg;
-    cursor := flash_program t ~now:!cursor ~sector:(Segment.sector_of_slot seg slot) ~bytes;
-    Probe.incr t.probes.p_bank_programs.(bank_of_segment t (Segment.id seg));
-    slot
+  let slot = Segment.append seg ~block in
+  t.n_live_blocks <- t.n_live_blocks + 1;
+  Segment.touch seg ~at:(Engine.now t.engine);
+  if Segment.state seg = Segment.Closed then closed_index_add t seg;
+  cursor := flash_program t ~now:!cursor ~sector:(Segment.sector_of_slot seg slot) ~bytes;
+  Probe.incr t.probes.p_bank_programs.(bank_of_segment t (Segment.id seg));
+  slot
 
 let open_segment t = function
   | Banks.Fresh_write -> t.open_fresh
@@ -652,48 +686,36 @@ and clean_one t ~cursor ~purpose =
       List.iter
         (fun (slot, b) ->
           let sector = Segment.sector_of_slot victim slot in
-          let role =
-            match t.diff with
-            | Some d when Diff_log.has_chain d ~block:b -> (
-              match Diff_log.base d ~block:b with
-              | Some (bs, bl) when bs = Segment.id victim && bl = slot -> `Base d
-              | Some _ | None -> (
-                match
-                  List.find_opt
-                    (fun (dl : Diff_log.delta) ->
-                      dl.Diff_log.d_seg = Segment.id victim && dl.Diff_log.d_slot = slot)
-                    (Diff_log.deltas d ~block:b)
-                with
-                | Some dl -> `Delta (d, dl)
-                | None -> `Whole))
-            | Some _ | None -> `Whole
-          in
+          let role = chain_role t ~seg:(Segment.id victim) ~slot b in
           let nbytes =
-            match role with `Delta (_, dl) -> dl.Diff_log.d_bytes | `Base _ | `Whole -> bytes
+            match t.diff with
+            | Some d when role >= 0 -> (Diff_log.delta d ~block:b role).Diff_log.d_bytes
+            | Some _ | None -> bytes
           in
           cursor := flash_read t ~now:!cursor ~sector ~bytes:nbytes;
           let out = ensure_open t ~purpose:Banks.Clean_out ~cursor in
           let out_slot = program_append t out ~cursor ~block:b ~bytes:nbytes in
           let out_sector = Segment.sector_of_slot out out_slot in
-          (match role with
-          | `Whole ->
-            let m = find_meta t b in
-            record_header t m ~sector:out_sector ~block:b;
-            m.loc <- Flashed { seg = Segment.id out; slot = out_slot }
-          | `Base d ->
+          (match t.diff with
+          | Some d when role = role_base ->
             let m = find_meta t b in
             record_header t m ~sector:out_sector ~block:b;
             Diff_log.rebase d ~block:b ~seg:(Segment.id out) ~slot:out_slot;
             (* While the block sits dirty its loc stays Buffered; the
                chain table alone tracks where the base went. *)
-            (match m.loc with
-            | Flashed _ -> m.loc <- Flashed { seg = Segment.id out; slot = out_slot }
+            (match where m with
+            | Flashed -> set_flashed t m ~seg:(Segment.id out) ~slot:out_slot
             | Buffered | Blank -> ())
-          | `Delta (d, dl) ->
-            record_delta_header t ~sector:out_sector ~block:b ~pos:dl.Diff_log.d_pos
-              ~prev_sector:(Some dl.Diff_log.d_sector);
-            Diff_log.relocate_delta d ~block:b ~pos:dl.Diff_log.d_pos
-              ~seg:(Segment.id out) ~slot:out_slot ~sector:out_sector);
+          | Some d when role >= 0 ->
+            let dl = Diff_log.delta d ~block:b role in
+            record_delta_header t ~sector:out_sector ~block:b ~pos:role
+              ~prev_sector:dl.Diff_log.d_sector;
+            Diff_log.relocate_delta d ~block:b ~pos:role ~seg:(Segment.id out)
+              ~slot:out_slot ~sector:out_sector
+          | Some _ | None ->
+            let m = find_meta t b in
+            record_header t m ~sector:out_sector ~block:b;
+            set_flashed t m ~seg:(Segment.id out) ~slot:out_slot);
           Segment.kill victim ~slot;
           note_kill t victim;
           t.c_cleaned <- t.c_cleaned + 1;
@@ -749,7 +771,7 @@ let append_full t ~purpose ~cursor b =
   let slot = program_append t seg ~cursor ~block:b ~bytes:(block_bytes t) in
   let m = find_meta t b in
   record_header t m ~sector:(Segment.sector_of_slot seg slot) ~block:b;
-  m.loc <- Flashed { seg = Segment.id seg; slot }
+  set_flashed t m ~seg:(Segment.id seg) ~slot
 
 (* Program an overwrite as a delta record against the chain's base page:
    one log slot, but only [delta_bytes] of program traffic.  The block's
@@ -761,25 +783,34 @@ let append_delta t d ~cursor b ~bseg ~bslot =
   let slot = program_append t seg ~cursor ~block:b ~bytes:nbytes in
   let sector = Segment.sector_of_slot seg slot in
   let pos = Diff_log.next_pos d ~block:b in
-  record_delta_header t ~sector ~block:b ~pos ~prev_sector:None;
+  record_delta_header t ~sector ~block:b ~pos ~prev_sector:(-1);
   Diff_log.push_delta d ~block:b ~pos ~seg:(Segment.id seg) ~slot ~sector ~bytes:nbytes;
   Diff_log.note_delta_programmed d ~bytes:nbytes;
-  (find_meta t b).loc <- Flashed { seg = bseg; slot = bslot }
+  set_flashed t (find_meta t b) ~seg:bseg ~slot:bslot
 
 (* Retire a block's chain: kill the base page's slot and every delta
    record's slot, obsolete the delta headers, and forget the chain.  The
    base header is the block's own ([m.hdr_sector]); the caller supersedes
    it (merge) or obsoletes it (free). *)
 let drop_chain t d ~block =
-  (match Diff_log.base d ~block with
-  | Some (seg, slot) -> kill_slot t ~seg ~slot
-  | None -> assert false);
-  List.iter
-    (fun (dl : Diff_log.delta) ->
-      kill_slot t ~seg:dl.Diff_log.d_seg ~slot:dl.Diff_log.d_slot;
-      obsolete_header t ~block ~hdr_sector:dl.Diff_log.d_sector)
-    (Diff_log.deltas d ~block);
+  kill_slot t ~seg:(Diff_log.base_seg d ~block) ~slot:(Diff_log.base_slot d ~block);
+  for i = 0 to Diff_log.chain_length d ~block - 1 do
+    let dl = Diff_log.delta d ~block i in
+    kill_slot t ~seg:dl.Diff_log.d_seg ~slot:dl.Diff_log.d_slot;
+    obsolete_header t ~block ~hdr_sector:dl.Diff_log.d_sector
+  done;
   Diff_log.drop d ~block
+
+(* Read a chain's delta records in position order from [finish]: the
+   reassembly a chained read or a merge pays after the base page. *)
+let read_deltas t d ~block finish =
+  let finish = ref finish in
+  for i = 0 to Diff_log.chain_length d ~block - 1 do
+    let dl = Diff_log.delta d ~block i in
+    finish :=
+      flash_read t ~now:!finish ~sector:dl.Diff_log.d_sector ~bytes:dl.Diff_log.d_bytes
+  done;
+  !finish
 
 (* Fold a chain back into a single full base page: read base + deltas
    (the reassembly cost), retire every chain slot and delta header, then
@@ -787,15 +818,13 @@ let drop_chain t d ~block =
    cursor right after the delta that tripped the threshold, so merges
    ride the writeback timer's pacing like any other flush work. *)
 let merge_chain t d ~cursor b =
-  let bseg, bslot =
-    match Diff_log.base d ~block:b with Some p -> p | None -> assert false
+  let base =
+    Segment.sector_of_slot
+      t.segments.(Diff_log.base_seg d ~block:b)
+      (Diff_log.base_slot d ~block:b)
   in
-  let full = block_bytes t in
-  let read sector nbytes = cursor := flash_read t ~now:!cursor ~sector ~bytes:nbytes in
-  read (Segment.sector_of_slot t.segments.(bseg) bslot) full;
-  List.iter
-    (fun (dl : Diff_log.delta) -> read dl.Diff_log.d_sector dl.Diff_log.d_bytes)
-    (Diff_log.deltas d ~block:b);
+  cursor := flash_read t ~now:!cursor ~sector:base ~bytes:(block_bytes t);
+  cursor := read_deltas t d ~block:b !cursor;
   (* Retire the chain before acquiring the output segment, so a cleaning
      pass the allocation may trigger never copies slots we are folding. *)
   drop_chain t d ~block:b;
@@ -808,10 +837,8 @@ let merge_chain t d ~cursor b =
 let append_block t ~purpose ~cursor b =
   match t.diff with
   | Some d when Diff_log.has_chain d ~block:b ->
-    let bseg, bslot =
-      match Diff_log.base d ~block:b with Some p -> p | None -> assert false
-    in
-    append_delta t d ~cursor b ~bseg ~bslot;
+    append_delta t d ~cursor b ~bseg:(Diff_log.base_seg d ~block:b)
+      ~bslot:(Diff_log.base_slot d ~block:b);
     if Diff_log.should_merge d ~block:b then merge_chain t d ~cursor b
   | Some _ | None -> append_full t ~purpose ~cursor b
 
@@ -827,20 +854,20 @@ let flush_block t ~cursor ~buffered b =
 (* --- Writeback timer ------------------------------------------------------ *)
 
 let schedule_timer t ~at =
-  let handle = Engine.schedule t.engine ~at t.on_timer in
-  t.timer <- Some (handle, at)
+  t.timer <- Engine.schedule t.engine ~at t.on_timer;
+  t.timer_at <- at
+
+let cancel_timer t =
+  Engine.cancel t.engine t.timer;
+  t.timer <- Event_queue.none;
+  t.timer_at <- no_timer
 
 let rec arm_timer t =
   match Write_buffer.next_deadline_exn t.buffer with
   | exception Not_found -> ()
   | deadline ->
-    let need_schedule =
-      match t.timer with
-      | Some (_, at) -> Time.( < ) deadline at
-      | None -> true
-    in
-    if need_schedule then begin
-      (match t.timer with Some (h, _) -> Engine.cancel t.engine h | None -> ());
+    if Time.( < ) deadline t.timer_at then begin
+      Engine.cancel t.engine t.timer;
       schedule_timer t ~at:(Time.max deadline (Engine.now t.engine))
     end
 
@@ -875,7 +902,8 @@ and take_over_watermark t n =
   else n
 
 and timer_fired t =
-  t.timer <- None;
+  t.timer <- Event_queue.none;
+  t.timer_at <- no_timer;
   let now = Engine.now t.engine in
   let n = take_over_watermark t (take_expired t ~now 0) in
   let cursor = ref now in
@@ -905,7 +933,7 @@ let create ?card cfg ~engine ~flash ~dram =
 let alloc t =
   let b = t.next_block in
   t.next_block <- b + 1;
-  set_meta t b { loc = Blank; hdr_sector = -1 };
+  set_meta t b { loc = blank; hdr_sector = -1 };
   b
 
 let next_fresh_block t = t.next_block
@@ -926,14 +954,13 @@ let revive_block t b =
          t.next_block);
   if block_exists t b then
     invalid_arg (Printf.sprintf "Manager.revive_block: block %d already exists" b);
-  set_meta t b { loc = Blank; hdr_sector = -1 }
+  set_meta t b { loc = blank; hdr_sector = -1 }
 
 (* The card is leaving the machine: cancel the pending writeback timer and
    drop the buffer, so the dormant manager can never program a device that
    is no longer there.  Returns how many dirty blocks the drop lost. *)
 let detach t =
-  (match t.timer with Some (h, _) -> Engine.cancel t.engine h | None -> ());
-  t.timer <- None;
+  cancel_timer t;
   List.length (Write_buffer.drain t.buffer)
 
 (* Flush one specific dirty block synchronously (eviction path). *)
@@ -945,7 +972,7 @@ let flush_now t ~cursor b =
 let rec admit t ~at ~cursor m b =
   match Write_buffer.write t.buffer ~now:at ~block:b with
   | Write_buffer.Absorbed | Write_buffer.Admitted ->
-    m.loc <- Buffered;
+    m.loc <- buffered;
     cursor
   | Write_buffer.Needs_eviction ->
     (* Full implies non-empty, so there is a victim. *)
@@ -963,9 +990,10 @@ let write_block_at t ~at b =
     (* Keep the flash copy live: it becomes (or already is) the base page
        the overwrite will flush a delta against.  A crash before that
        flush rolls the block back to base + already-flushed deltas. *)
-    match m.loc with
-    | Flashed { seg; slot } ->
-      if not (Diff_log.has_chain d ~block:b) then Diff_log.begin_chain d ~block:b ~seg ~slot
+    match where m with
+    | Flashed ->
+      if not (Diff_log.has_chain d ~block:b) then
+        Diff_log.begin_chain d ~block:b ~seg:(loc_seg t m) ~slot:(loc_slot t m)
     | Blank | Buffered -> ()));
   let dram_latency = Device.Dram.write t.dram ~bytes:(block_bytes t) in
   let finish =
@@ -980,11 +1008,8 @@ let write_block_at t ~at b =
       (if over_watermark t then begin
          (* Pull the next flush forward to now. *)
          let now_t = Engine.now t.engine in
-         let need =
-           match t.timer with Some (_, at) -> Time.( < ) now_t at | None -> true
-         in
-         if need then begin
-           (match t.timer with Some (h, _) -> Engine.cancel t.engine h | None -> ());
+         if Time.( < ) now_t t.timer_at then begin
+           Engine.cancel t.engine t.timer;
            schedule_timer t ~at:now_t
          end
        end);
@@ -999,15 +1024,14 @@ let write_block t b =
   let now = Engine.now t.engine in
   Time.diff (write_block_at t ~at:now b) now
 
-let read_block_at ?bytes t ~at b =
+let read_block_at ~bytes t ~at b =
   let m = find_meta t b in
-  let bytes = Option.value bytes ~default:(block_bytes t) in
   t.c_reads <- t.c_reads + 1;
   Probe.incr t.probes.p_reads;
-  match m.loc with
+  match where m with
   | Blank | Buffered -> Time.add at (Device.Dram.read t.dram ~bytes)
-  | Flashed { seg; slot } ->
-    let sector = Segment.sector_of_slot t.segments.(seg) slot in
+  | Flashed ->
+    let sector = Segment.sector_of_slot t.segments.(loc_seg t m) (loc_slot t m) in
     let finish = flash_read t ~now:at ~sector ~bytes in
     (* Chain reassembly: the base page read above plus every delta record,
        cursor-threaded — the read-latency side of the diff-log trade. *)
@@ -1015,30 +1039,28 @@ let read_block_at ?bytes t ~at b =
       match t.diff with
       | Some d when Diff_log.has_chain d ~block:b ->
         Diff_log.note_reassembly d;
-        List.fold_left
-          (fun fin (dl : Diff_log.delta) ->
-            flash_read t ~now:fin ~sector:dl.Diff_log.d_sector ~bytes:dl.Diff_log.d_bytes)
-          finish (Diff_log.deltas d ~block:b)
+        read_deltas t d ~block:b finish
       | Some _ | None -> finish
     in
     note_busy t ~start:at ~finish;
     finish
 
 let read_block ?bytes t b =
+  let bytes = match bytes with Some n -> n | None -> block_bytes t in
   let now = Engine.now t.engine in
-  Time.diff (read_block_at ?bytes t ~at:now b) now
+  Time.diff (read_block_at ~bytes t ~at:now b) now
 
 let free_block t b =
   let m = find_meta t b in
-  (match m.loc with
+  (match where m with
   | Buffered -> ignore (Write_buffer.remove t.buffer ~block:b)
-  | Flashed _ | Blank -> ());
+  | Flashed | Blank -> ());
   (match t.diff with
   | Some d when Diff_log.has_chain d ~block:b ->
     (* The whole chain dies with the block: base page (live even while
        the block sat dirty) and every delta record and header. *)
     drop_chain t d ~block:b;
-    m.loc <- Blank
+    m.loc <- blank
   | Some _ | None -> kill_flash_copy t m);
   (* Deletion is durable: whatever header the block still has on flash —
      even a rollback copy left live while the block sat dirty — is
@@ -1048,9 +1070,9 @@ let free_block t b =
 
 let load_cold t b =
   let m = find_meta t b in
-  (match m.loc with
+  (match where m with
   | Blank -> ()
-  | Buffered | Flashed _ -> invalid_arg "Manager.load_cold: block already has data");
+  | Buffered | Flashed -> invalid_arg "Manager.load_cold: block already has data");
   let cursor = ref (Engine.now t.engine) in
   append_block t ~purpose:Banks.Cold_load ~cursor b;
   t.c_cold <- t.c_cold + 1;
@@ -1097,7 +1119,7 @@ let resident_blocks t =
     Diff_log.iter_chains d ~f:(fun ~block ~ndeltas ->
         extra :=
           !extra + ndeltas
-          + (match (find_meta t block).loc with Buffered -> 1 | Blank | Flashed _ -> 0));
+          + (match where (find_meta t block) with Buffered -> 1 | Blank | Flashed -> 0));
     phys - !extra
 
 let stats t =
@@ -1139,20 +1161,27 @@ let wear_evenness t = Wear.evenness_of_acc t.wear_acc
    newest data sits dirty in DRAM, so placement introspection reports the
    base — that is the copy a crash rolls back to, and the placement the
    crash harness asserts survives a remount. *)
-let chain_base t b =
-  match t.diff with Some d -> Diff_log.base d ~block:b | None -> None
-
 let segment_of_block t b =
-  match (find_meta t b).loc with
-  | Flashed { seg; _ } -> Some seg
-  | Buffered -> Option.map fst (chain_base t b)
-  | Blank -> None
+  let m = find_meta t b in
+  match (where m, t.diff) with
+  | Flashed, _ -> Some (loc_seg t m)
+  | Buffered, Some d when Diff_log.has_chain d ~block:b ->
+    Some (Diff_log.base_seg d ~block:b)
+  | (Buffered | Blank), _ -> None
+
+let has_flash_copy t b =
+  match (where (find_meta t b), t.diff) with
+  | Flashed, _ -> true
+  | Buffered, Some d -> Diff_log.has_chain d ~block:b
+  | (Buffered | Blank), _ -> false
 
 let location_of_block t b =
-  match (find_meta t b).loc with
-  | Flashed { seg; slot } -> Some (seg, slot)
-  | Buffered -> chain_base t b
-  | Blank -> None
+  let m = find_meta t b in
+  match (where m, t.diff) with
+  | Flashed, _ -> Some (loc_seg t m, loc_slot t m)
+  | Buffered, Some d when Diff_log.has_chain d ~block:b ->
+    Some (Diff_log.base_seg d ~block:b, Diff_log.base_slot d ~block:b)
+  | (Buffered | Blank), _ -> None
 
 let buffer_pending_entries t = Write_buffer.pending_entries t.buffer
 
@@ -1182,7 +1211,7 @@ let segment_snapshots t =
     t.segments
 
 let block_is_dirty t b =
-  match (find_meta t b).loc with Buffered -> true | Blank | Flashed _ -> false
+  match where (find_meta t b) with Buffered -> true | Blank | Flashed -> false
 
 let known_blocks t =
   let acc = ref [] in
@@ -1226,8 +1255,7 @@ let crash_and_remount t =
   (* Power is gone: the dead manager must never touch the (shared) flash
      again.  Cancel its pending writeback timer and discard the DRAM
      buffer's contents — that is exactly the data the crash loses. *)
-  (match t.timer with Some (h, _) -> Engine.cancel t.engine h | None -> ());
-  t.timer <- None;
+  cancel_timer t;
   ignore (Write_buffer.drain t.buffer);
   let fresh = create ?card:t.card t.cfg ~engine:t.engine ~flash:t.flash ~dram:t.dram in
   (* Deep-copy the headers: they model on-flash state shared by old and new
@@ -1332,9 +1360,8 @@ let crash_and_remount t =
           let h = fresh.durable.(sector) in
           (* A hole would mean appends were not sequential. *)
           assert (h != no_header);
-          (match Segment.append seg ~block:h.h_block with
-          | Some s -> assert (s = slot)
-          | None -> assert false);
+          let s = Segment.append seg ~block:h.h_block in
+          assert (s = slot);
           (* Even a dead header pins its block id: a resurrected id would
              otherwise collide with it on the next remount. *)
           max_block := max !max_block h.h_block;
@@ -1346,8 +1373,9 @@ let crash_and_remount t =
             | None -> false
           in
           if winning then
-            set_meta fresh h.h_block
-              { loc = Flashed { seg = Segment.id seg; slot }; hdr_sector = sector }
+            let m = { loc = blank; hdr_sector = sector } in
+            set_flashed fresh m ~seg:(Segment.id seg) ~slot;
+            set_meta fresh h.h_block m
           else if h.h_pos >= 0 && Hashtbl.mem accepted sector then begin
             (* An accepted chain member: the slot stays live; the chain
                table entry is registered once every segment is rebuilt. *)
@@ -1381,8 +1409,10 @@ let crash_and_remount t =
   | Some d ->
     Hashtbl.iter
       (fun block lst ->
-        (match (find_meta fresh block).loc with
-        | Flashed { seg; slot } -> Diff_log.begin_chain d ~block ~seg ~slot
+        let m = find_meta fresh block in
+        (match where m with
+        | Flashed ->
+          Diff_log.begin_chain d ~block ~seg:(loc_seg fresh m) ~slot:(loc_slot fresh m)
         | Blank | Buffered -> assert false);
         List.iter
           (fun (pos, seg, slot, sector) ->

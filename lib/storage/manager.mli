@@ -146,8 +146,10 @@ val read_block : ?bytes:int -> t -> block -> Sim.Time.span
     The [_at] variants take an explicit issue time and return the
     completion time, for threading through a loop. *)
 
-val read_block_at : ?bytes:int -> t -> at:Sim.Time.t -> block -> Sim.Time.t
-(** @raise Invalid_argument if [at] is before the engine's clock would
+val read_block_at : bytes:int -> t -> at:Sim.Time.t -> block -> Sim.Time.t
+(** Read [bytes] of the block, as {!read_block} does.  [bytes] is
+    required: an optional argument would box [Some n] at every call.
+    @raise Invalid_argument if [at] is before the engine's clock would
     allow scheduling semantics to hold (it never is in practice: pass the
     previous completion). *)
 
@@ -234,6 +236,11 @@ val engine : t -> Sim.Engine.t
 val nsegments : t -> int
 val segment_of_block : t -> block -> int option
 (** The segment holding the block's flash copy, if flushed. *)
+
+val has_flash_copy : t -> block -> bool
+(** [segment_of_block t b <> None], without the option: does the block
+    have a flash copy (its base page, for a chained block sitting
+    dirty)? *)
 
 val location_of_block : t -> block -> (int * int) option
 (** The exact [(segment, slot)] of the block's flash copy, if flushed —

@@ -2,10 +2,13 @@
 module Array = Stdlib.Array
 type state = Free | Open | Closed
 
+(* Block handles are non-negative. *)
+let empty = -1
+
 type t = {
   id : int;
   first_sector : int;
-  slots : int option array;  (** [Some block] = live block in this slot. *)
+  slots : int array;  (** The live block in each slot, [empty] if none. *)
   mutable state : state;
   mutable next_slot : int;
   mutable live : int;
@@ -17,7 +20,7 @@ let create ~id ~first_sector ~nslots =
   {
     id;
     first_sector;
-    slots = Array.make nslots None;
+    slots = Array.make nslots empty;
     state = Free;
     next_slot = 0;
     live = 0;
@@ -38,34 +41,29 @@ let open_ t =
   | Free -> t.state <- Open
   | Open | Closed -> invalid_arg "Segment.open_: not free"
 
+(* A full segment is Closed, so the state check also refuses a full one. *)
 let append t ~block =
   (match t.state with
   | Open -> ()
   | Free | Closed -> invalid_arg "Segment.append: not open");
-  if t.next_slot >= nslots t then None
-  else begin
-    let slot = t.next_slot in
-    t.slots.(slot) <- Some block;
-    t.next_slot <- slot + 1;
-    t.live <- t.live + 1;
-    if t.next_slot = nslots t then t.state <- Closed;
-    Some slot
-  end
+  let slot = t.next_slot in
+  t.slots.(slot) <- block;
+  t.next_slot <- slot + 1;
+  t.live <- t.live + 1;
+  if t.next_slot = nslots t then t.state <- Closed;
+  slot
 
 let kill t ~slot =
   if slot < 0 || slot >= nslots t then invalid_arg "Segment.kill: slot out of range";
-  match t.slots.(slot) with
-  | None -> invalid_arg "Segment.kill: slot empty"
-  | Some _ ->
-    t.slots.(slot) <- None;
-    t.live <- t.live - 1
+  if t.slots.(slot) = empty then invalid_arg "Segment.kill: slot empty";
+  t.slots.(slot) <- empty;
+  t.live <- t.live - 1
 
 let live_blocks t =
   let acc = ref [] in
   for slot = nslots t - 1 downto 0 do
-    match t.slots.(slot) with
-    | Some block -> acc := (slot, block) :: !acc
-    | None -> ()
+    let block = t.slots.(slot) in
+    if block <> empty then acc := (slot, block) :: !acc
   done;
   !acc
 
@@ -80,7 +78,7 @@ let close t =
 
 let reset_to_free t =
   if t.live > 0 then invalid_arg "Segment.reset_to_free: live blocks remain";
-  Array.fill t.slots 0 (nslots t) None;
+  Array.fill t.slots 0 (nslots t) empty;
   t.next_slot <- 0;
   t.state <- Free
 

@@ -32,10 +32,10 @@ val sector_of_slot : t -> int -> int
 val open_ : t -> unit
 (** Transition Free -> Open.  @raise Invalid_argument otherwise. *)
 
-val append : t -> block:int -> int option
-(** Claim the next slot for a (live) block; returns the slot, or [None] if
-    the segment is full.  A full segment transitions to Closed
-    automatically.  @raise Invalid_argument unless Open. *)
+val append : t -> block:int -> int
+(** Claim the next slot for a (live) block; returns the slot.  A full
+    segment transitions to Closed automatically, so a segment that is
+    Open always has a slot.  @raise Invalid_argument unless Open. *)
 
 val kill : t -> slot:int -> unit
 (** Mark the block in [slot] dead (superseded or freed).

@@ -23,10 +23,10 @@ let read_block ?bytes t b =
   | Single m -> Manager.read_block ?bytes m b
   | Striped a -> Array.read_block ?bytes a b
 
-let read_block_at ?bytes t ~at b =
+let read_block_at ~bytes t ~at b =
   match t with
-  | Single m -> Manager.read_block_at ?bytes m ~at b
-  | Striped a -> Array.read_block_at ?bytes a ~at b
+  | Single m -> Manager.read_block_at ~bytes m ~at b
+  | Striped a -> Array.read_block_at ~bytes a ~at b
 
 let free_block t b =
   match t with Single m -> Manager.free_block m b | Striped a -> Array.free_block a b

@@ -13,7 +13,9 @@ val alloc : t -> Manager.block
 val write_block : t -> Manager.block -> Sim.Time.span
 val write_block_at : t -> at:Sim.Time.t -> Manager.block -> Sim.Time.t
 val read_block : ?bytes:int -> t -> Manager.block -> Sim.Time.span
-val read_block_at : ?bytes:int -> t -> at:Sim.Time.t -> Manager.block -> Sim.Time.t
+val read_block_at : bytes:int -> t -> at:Sim.Time.t -> Manager.block -> Sim.Time.t
+(** [bytes] is required, as on {!Manager.read_block_at}. *)
+
 val free_block : t -> Manager.block -> unit
 val load_cold : t -> Manager.block -> unit
 val flush_all : t -> Sim.Time.span

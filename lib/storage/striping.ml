@@ -118,14 +118,11 @@ let locals_before p ~ncards ~card g =
           let j = if card < pc then card else card - 1 in
           full + max 0 (min s (r - (j * s)))
 
-let parity_slot p ~ncards ~block =
+let parity_card p ~ncards ~block =
   match p with
-  | Round_robin _ -> None
+  | Round_robin _ -> -1
   | Parity { strip_blocks = s; rotate } ->
-      let k = block / stripe_data ~ncards s in
-      Some
-        ( parity_card_of_stripe ~ncards ~rotate k,
-          (k * s) + (block mod s) )
+      parity_card_of_stripe ~ncards ~rotate (block / stripe_data ~ncards s)
 
 let parity_card_of_local p ~ncards ~local =
   match p with

@@ -63,12 +63,12 @@ val locals_before : policy -> ncards:int -> card:int -> int -> int
     (blocks that died before ever reaching flash); the array uses this to
     re-align every card's cursor with the recovered global one. *)
 
-(** {1 Parity geometry} — all [None]/raising for non-parity policies. *)
+(** {1 Parity geometry} — [-1], [None] or raising for non-parity policies. *)
 
-val parity_slot : policy -> ncards:int -> block:int -> (int * int) option
-(** The [(card, local)] of the parity block covering [block]'s row.  The
-    local equals [local_of block] — a row occupies the same local on
-    every card. *)
+val parity_card : policy -> ncards:int -> block:int -> int
+(** The card holding the parity block that covers [block]'s row, or [-1]
+    for a policy without parity.  The parity block sits at [block]'s own
+    local ({!local_of}): a row occupies the same local on every card. *)
 
 val parity_card_of_local : policy -> ncards:int -> local:int -> int
 (** Which card holds the parity strip of the stripe containing [local]

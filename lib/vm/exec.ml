@@ -80,7 +80,10 @@ let launch vm program ~text_blocks strategy =
     let read_source i =
       let before = !cursor in
       for j = i * blocks_per_page to min ((i + 1) * blocks_per_page) (Array.length text_blocks) - 1 do
-        cursor := Storage.Manager.read_block_at manager ~at:!cursor text_blocks.(j)
+        cursor :=
+          Storage.Manager.read_block_at
+            ~bytes:(Storage.Manager.block_bytes manager)
+            manager ~at:!cursor text_blocks.(j)
       done;
       Time.diff !cursor before
     in

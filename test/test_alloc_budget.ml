@@ -5,7 +5,9 @@
    The per-block path allocates nothing in steady state from the write
    buffer down: the device models, their energy meters and the statistics
    accumulators are held at 0 words per call, and the write buffer at its
-   queue entry per enqueue and 0 otherwise.
+   queue entry per enqueue and 0 otherwise.  So is the array path above
+   it: the front cache's lookups, inserts and forgets, parity routing, and
+   block reads through an array (front-cache hit or miss) or one card.
 
    The cleaning ceiling runs a churn-shaped storage-manager workload —
    4 banks filled to 85% with cold data, then 1 s rounds of 96 Zipf(1.0)
@@ -74,8 +76,8 @@ let churn_words ~mib =
 
 let test_cleaning_ceiling () =
   let small, small_pick = churn_words ~mib:8 and large, large_pick = churn_words ~mib:32 in
-  let ceiling = 33.7 and gap = 10.0 and growth = 1.15 in
-  Printf.printf "minor words/op: %.1f (8 MB), %.1f (32 MB)\n" small large;
+  let ceiling = 26.5 and gap = 10.0 and growth = 1.15 in
+  Printf.printf "minor words/op: %.2f (8 MB), %.2f (32 MB)\n" small large;
   Printf.printf "minor words/next_victim: %.1f (8 MB), %.1f (32 MB)\n" small_pick
     large_pick;
   let broken =
@@ -111,9 +113,9 @@ let storage_config ~capacity_blocks ~delay_s =
   }
 
 let check_ceiling what ~ceiling words =
-  Printf.printf "%s: %.1f minor words\n" what words;
+  Printf.printf "%s: %.2f minor words\n" what words;
   if words > ceiling then
-    Alcotest.failf "%s: %.1f minor words; the ceiling is %.1f" what words ceiling
+    Alcotest.failf "%s: %.2f minor words; the ceiling is %.2f" what words ceiling
 
 (* Write-through rewrites on a 2 MB card (512 segments) filled to 85%,
    spread over every live block by an LCG: each write acquires space and,
@@ -175,7 +177,7 @@ let test_drain_ceiling () =
         let w = drain_words_per_flush ncards in
         check_ceiling (Printf.sprintf "%d-card drain, per flush" ncards) ~ceiling w;
         w)
-      [ (1, 2089.0); (2, 2137.0); (4, 2189.0) ]
+      [ (1, 1574.0); (2, 1622.0); (4, 1674.0) ]
   in
   let w1 = List.hd words and w4 = List.nth words 2 in
   if w4 > 1.10 *. w1 then
@@ -209,7 +211,7 @@ let test_front_cache_ceiling () =
     ignore (Storage.Array.read_block a b)
   done;
   let words = (Gc.minor_words () -. before) /. float_of_int ops in
-  check_ceiling "front cache forget + insert + hit, per cycle" ~ceiling:24.5 words
+  check_ceiling "front cache forget + insert + hit, per cycle" ~ceiling:0.35 words
 
 (* --- Leaf calls ------------------------------------------------------------ *)
 
@@ -259,6 +261,80 @@ let test_leaf_calls () =
       ("Stat.Summary.observe", fun _ -> Stat.Summary.observe summary v);
       ("Stat.Histogram.observe", fun _ -> Stat.Histogram.observe hist v);
     ]
+
+(* The array path's per-block calls, at 0 words each: the front cache's
+   lookups, inserts and forgets on hits and misses (a miss into the full
+   256-block cache evicts its LRU block), parity routing, block reads
+   through a 4-card parity array with that cache in front, and reads
+   through a one-card store. *)
+let test_block_path_calls () =
+  let module BC = Storage.Buffer_cache in
+  let n = 256 in
+  let fc = BC.create ~probe:"budget.front_cache" ~capacity_blocks:n in
+  for key = 0 to n - 1 do
+    ignore (BC.insert fc ~key ~dirty:false)
+  done;
+  (* Keys never seen before: each insert of one misses. *)
+  let fresh = ref 1_000_000 in
+  let next_fresh () =
+    incr fresh;
+    !fresh
+  in
+  let cache =
+    [
+      ("Buffer_cache.find, hit", fun i -> ignore (BC.find fc ~key:(i mod n)));
+      ( "Buffer_cache.insert, hit",
+        fun i -> ignore (BC.insert fc ~key:(i mod n) ~dirty:false) );
+      ( "Buffer_cache.find_or_insert, hit",
+        fun i -> ignore (BC.find_or_insert fc ~key:(i mod n) ~dirty:false) );
+      ("Buffer_cache.find, miss", fun i -> ignore (BC.find fc ~key:(n + i)));
+      ("Buffer_cache.forget, miss", fun i -> BC.forget fc ~key:(n + i));
+      ( "Buffer_cache.insert, miss",
+        fun _ -> ignore (BC.insert fc ~key:(next_fresh ()) ~dirty:false) );
+      ( "Buffer_cache.find_or_insert, miss",
+        fun _ -> ignore (BC.find_or_insert fc ~key:(next_fresh ()) ~dirty:false) );
+      ( "Buffer_cache.forget, hit (after an insert)",
+        fun _ ->
+          let key = next_fresh () in
+          ignore (BC.insert fc ~key ~dirty:false);
+          BC.forget fc ~key );
+    ]
+  in
+  let parity = Storage.Striping.Parity { strip_blocks = 4; rotate = true } in
+  let engine = Engine.create () in
+  let cfg = storage_config ~capacity_blocks:1024 ~delay_s:60.0 in
+  let a =
+    Storage.Array.create ~front_cache_blocks:n ~striping:parity cfg ~engine
+      ~flashes:(Array.init 4 (fun _ -> flash_mib 4))
+      ~dram:(dram_mib 8)
+  in
+  let single =
+    Storage.Store.Single (Mgr.create cfg ~engine ~flash:(flash_mib 4) ~dram:(dram_mib 8))
+  in
+  let nblocks = 4 * n in
+  let in_array = Array.init nblocks (fun _ -> Storage.Array.alloc a) in
+  let in_single = Array.init nblocks (fun _ -> Storage.Store.alloc single) in
+  Array.iter (Storage.Array.load_cold a) in_array;
+  Array.iter (Storage.Store.load_cold single) in_single;
+  Engine.run_until engine (Time.add (Engine.now engine) (Time.span_s 60.0));
+  let bytes = Storage.Array.block_bytes a and at = Engine.now engine in
+  check_words
+  @@ List.map
+       (fun (what, f) -> (what, 0.0, per_call f))
+       (cache
+       @ [
+           ( "Striping.parity_card",
+             fun i -> ignore (Storage.Striping.parity_card parity ~ncards:4 ~block:i) );
+           ( "Array.read_block_at, front-cache hit",
+             fun _ -> ignore (Storage.Array.read_block_at ~bytes a ~at in_array.(0)) );
+           ( "Array.read_block_at, front-cache miss",
+             fun i ->
+               ignore (Storage.Array.read_block_at ~bytes a ~at in_array.(i mod nblocks)) );
+           ( "Store.read_block_at ~bytes, one card",
+             fun i ->
+               let b = in_single.(i mod nblocks) in
+               ignore (Storage.Store.read_block_at ~bytes single ~at b) );
+         ])
 
 (* A 512-block buffer, grown to its working size by one full cycle before
    anything is measured: an admit or a refresh then allocates exactly its
@@ -348,11 +424,11 @@ let replay_words_per_record ~parity =
   words /. float_of_int c.Trace.Replay.Compiled.n
 
 let test_replay_ceiling () =
-  check_ceiling "engineering replay, one card, per record" ~ceiling:107.6
+  check_ceiling "engineering replay, one card, per record" ~ceiling:70.8
     (replay_words_per_record ~parity:false)
 
 let test_parity_replay_ceiling () =
-  check_ceiling "engineering replay, 4-card parity array, per record" ~ceiling:867.5
+  check_ceiling "engineering replay, 4-card parity array, per record" ~ceiling:460.1
     (replay_words_per_record ~parity:true)
 
 let suite =
@@ -364,6 +440,8 @@ let suite =
       test_drain_ceiling;
     Alcotest.test_case "front-cache cycle words: ceiling" `Quick test_front_cache_ceiling;
     Alcotest.test_case "leaf device and stat calls: 0 words" `Quick test_leaf_calls;
+    Alcotest.test_case "front cache, parity routing and block reads: 0 words" `Quick
+      test_block_path_calls;
     Alcotest.test_case "write buffer: entry per enqueue, 0 otherwise" `Quick
       test_write_buffer_ops;
     Alcotest.test_case "one-card replay words/record: ceiling" `Quick test_replay_ceiling;

@@ -57,6 +57,22 @@ let test_cancel_head_updates_peek () =
   Alcotest.(check int) "peek skips cancelled head" 9
     (Time.to_ns (Event_queue.peek_time_exn q))
 
+(* [none] names no event: cancelling it on a queue with live events, the
+   same-instant ties included, leaves the length and the delivery order
+   alone. *)
+let test_cancel_none () =
+  let q = Event_queue.create () in
+  List.iter
+    (fun (ns, v) -> ignore (Event_queue.add q ~at:(t ns) v))
+    [ (5, "b"); (1, "a"); (5, "c"); (9, "d") ];
+  Event_queue.cancel q Event_queue.none;
+  Alcotest.(check int) "length unchanged" 4 (Event_queue.length q);
+  ignore (Event_queue.pop_exn q);
+  Event_queue.cancel q Event_queue.none;
+  Alcotest.(check int) "length unchanged after a pop" 3 (Event_queue.length q);
+  let order = List.init 3 (fun _ -> Event_queue.pop_exn q) in
+  Alcotest.(check (list string)) "delivery order unchanged" [ "b"; "c"; "d" ] order
+
 let test_interleaved_add_pop () =
   let q = Event_queue.create () in
   ignore (Event_queue.add q ~at:(t 10) 10);
@@ -228,6 +244,7 @@ let suite =
     Alcotest.test_case "FIFO for equal times" `Quick test_fifo_for_equal_times;
     Alcotest.test_case "cancel" `Quick test_cancel;
     Alcotest.test_case "cancel head" `Quick test_cancel_head_updates_peek;
+    Alcotest.test_case "cancel none" `Quick test_cancel_none;
     Alcotest.test_case "interleaved add/pop" `Quick test_interleaved_add_pop;
     QCheck_alcotest.to_alcotest prop_pop_sorted;
     QCheck_alcotest.to_alcotest prop_cancel_removes;

@@ -81,8 +81,8 @@ let test_cache_mark_dirty_and_take () =
   let c = fs_cache 4 in
   ignore (Buffer_cache.insert c ~key:1 ~dirty:false);
   ignore (Buffer_cache.insert c ~key:2 ~dirty:true);
-  Alcotest.(check bool) "mark resident" true (Buffer_cache.mark_dirty c ~key:1);
-  Alcotest.(check bool) "mark absent" false (Buffer_cache.mark_dirty c ~key:9);
+  Alcotest.(check (list int)) "mark resident" [] (Buffer_cache.insert c ~key:1 ~dirty:true);
+  Alcotest.(check bool) "mark absent" false (Buffer_cache.is_dirty c ~key:9);
   let dirty = Buffer_cache.take_dirty c in
   Alcotest.(check (list int)) "oldest first" [ 1; 2 ] (List.sort compare dirty);
   Alcotest.(check bool) "bits cleared" false (Buffer_cache.is_dirty c ~key:1);
@@ -158,6 +158,88 @@ let prop_cache_never_exceeds_capacity =
       List.iter (fun (key, dirty) -> ignore (Buffer_cache.insert c ~key ~dirty)) ops;
       Buffer_cache.size c <= cap)
 
+(* --- Buffer cache against its oracle ----------------------------------------
+
+   The production cache against [Buffer_cache_oracle] (the Hashtbl and
+   linked-node implementation it replaced), op for op on random traces:
+   finds, clean and dirty inserts, finds-or-inserts, forgets, clears and
+   dirty sweeps.  After every op the results must agree, and so must
+   [size], [contains] and [is_dirty] for every key and the hit, miss and
+   writeback counters.  A third of the ops re-insert the key forgotten
+   last, and keys are drawn from about twice the capacity, so the index's
+   probe runs collide, wrap past the table's end and shift back on every
+   kind of deletion. *)
+
+module BO = Buffer_cache_oracle
+
+(* [None], or the first mismatch of the trace seeded [seed]. *)
+let cache_oracle_mismatch ~capacity ~seed ~ops =
+  let rng = Sim.Rng.create ~seed in
+  let nkeys = max 4 ((2 * capacity) + Sim.Rng.int rng (capacity + 4)) in
+  let c = Buffer_cache.create ~probe:"test.buffer_cache" ~capacity_blocks:capacity in
+  let o = BO.create ~probe:"test.buffer_cache_oracle" ~capacity_blocks:capacity in
+  let mismatch = ref None and i = ref 0 and forgotten = ref 0 in
+  let check what agree =
+    if Option.is_none !mismatch && not agree then
+      mismatch :=
+        Some (Printf.sprintf "capacity %d, seed %d, op %d: %s" capacity seed !i what)
+  in
+  let same a b = (a = Buffer_cache.Hit) = (b = BO.Hit) in
+  let find_or_insert key ~dirty =
+    let r, v = Buffer_cache.find_or_insert c ~key ~dirty in
+    let r', v' = BO.find_or_insert o ~key ~dirty in
+    check "find_or_insert" (same r r' && v = v')
+  in
+  while !i < ops && Option.is_none !mismatch do
+    let key = Sim.Rng.int rng nkeys and dirty = Sim.Rng.bool rng in
+    (match Sim.Rng.int rng 100 with
+    | k when k < 15 -> check "find" (same (Buffer_cache.find c ~key) (BO.find o ~key))
+    | k when k < 35 ->
+      check "insert" (Buffer_cache.insert c ~key ~dirty = BO.insert o ~key ~dirty)
+    | k when k < 55 -> find_or_insert key ~dirty
+    | k when k < 70 ->
+      Buffer_cache.forget c ~key;
+      BO.forget o ~key;
+      forgotten := key
+    | k when k < 92 ->
+      if Sim.Rng.bool rng then find_or_insert !forgotten ~dirty
+      else
+        check "re-insert"
+          (Buffer_cache.insert c ~key:!forgotten ~dirty
+          = BO.insert o ~key:!forgotten ~dirty)
+    | k when k < 98 -> check "take_dirty" (Buffer_cache.take_dirty c = BO.take_dirty o)
+    | _ ->
+      Buffer_cache.clear c;
+      BO.clear o);
+    check "size" (Buffer_cache.size c = BO.size o);
+    for key = 0 to nkeys - 1 do
+      check "contains" (Buffer_cache.contains c ~key = BO.contains o ~key);
+      check "is_dirty" (Buffer_cache.is_dirty c ~key = BO.is_dirty o ~key)
+    done;
+    check "counters"
+      (Buffer_cache.hits c = BO.hits o
+      && Buffer_cache.misses c = BO.misses o
+      && Buffer_cache.writebacks c = BO.writebacks o);
+    incr i
+  done;
+  !mismatch
+
+let test_cache_matches_oracle () =
+  List.iter
+    (fun (capacity, traces, ops) ->
+      for seed = 1 to traces do
+        match cache_oracle_mismatch ~capacity ~seed ~ops with
+        | None -> ()
+        | Some what -> Alcotest.failf "differs from the oracle at %s" what
+      done)
+    [ (0, 20, 300); (1, 100, 500); (2, 100, 500); (5, 100, 1000); (256, 3, 3000) ]
+
+let test_cache_negative_key () =
+  let c = fs_cache 4 in
+  Alcotest.check_raises "negative key rejected"
+    (Invalid_argument "Buffer_cache: negative key") (fun () ->
+      ignore (Buffer_cache.insert c ~key:(-1) ~dirty:false))
+
 (* --- Ffs inode math --------------------------------------------------------------- *)
 
 let ptrs = Fs.Ffs_inode.ptrs_per_block ~block_bytes:4096 (* 512 *)
@@ -219,6 +301,9 @@ let suite =
     Alcotest.test_case "cache reset_counters" `Quick test_cache_reset_counters;
     Alcotest.test_case "cache sticky dirty" `Quick test_cache_reinsert_keeps_dirty;
     QCheck_alcotest.to_alcotest prop_cache_never_exceeds_capacity;
+    Alcotest.test_case "cache matches the oracle op for op" `Quick
+      test_cache_matches_oracle;
+    Alcotest.test_case "cache rejects negative keys" `Quick test_cache_negative_key;
     Alcotest.test_case "inode classify boundaries" `Quick test_classify_boundaries;
     Alcotest.test_case "inode depths" `Quick test_depths;
     Alcotest.test_case "inode max blocks" `Quick test_max_blocks;

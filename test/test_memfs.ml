@@ -221,21 +221,26 @@ let test_blockmap_edges () =
   let m = create () in
   Alcotest.(check int) "empty length" 0 (length m);
   Alcotest.(check int) "find on empty" no_block (find m 0);
-  Alcotest.(check (option int)) "get on empty" None (get m 5);
+  Alcotest.(check int) "find beyond an empty map" no_block (find m 5);
   set m 3 42;
   Alcotest.(check int) "length grows past holes" 4 (length m);
   Alcotest.(check int) "intermediate slot is a hole" no_block (find m 1);
-  Alcotest.(check (option int)) "get boxes the handle" (Some 42) (get m 3);
+  Alcotest.(check int) "find returns the handle" 42 (find m 3);
   Alcotest.(check int) "beyond length" no_block (find m 100);
   Alcotest.check_raises "negative handle rejected"
     (Invalid_argument "Blockmap.set: negative block") (fun () -> set m 0 (-2));
-  Alcotest.(check (list int)) "crop beyond length drops nothing" [] (crop m 10);
+  let cropped n =
+    let dropped = ref [] in
+    crop m n (fun b -> dropped := b :: !dropped);
+    List.rev !dropped
+  in
+  Alcotest.(check (list int)) "crop beyond length drops nothing" [] (cropped 10);
   Alcotest.(check int) "crop beyond length keeps length" 4 (length m);
-  Alcotest.(check (list int)) "negative crop drops all live" [ 42 ] (crop m (-3));
+  Alcotest.(check (list int)) "negative crop drops all live" [ 42 ] (cropped (-3));
   Alcotest.(check int) "negative crop empties" 0 (length m)
 
 (* Random set/crop interleavings agree with a hashtable model, slot for
-   slot, including the dropped-handle lists crop reports. *)
+   slot, including the dropped handles crop hands out, in order. *)
 let prop_blockmap_model =
   QCheck.Test.make ~name:"memfs: blockmap matches its model" ~count:300
     QCheck.(
@@ -254,7 +259,9 @@ let prop_blockmap_model =
           end
           else begin
             let n = i - 2 (* exercise negative crops too *) in
-            let dropped = Fs.Memfs.Blockmap.crop m n in
+            let dropped = ref [] in
+            Fs.Memfs.Blockmap.crop m n (fun b -> dropped := b :: !dropped);
+            let dropped = List.rev !dropped in
             let floor = max n 0 in
             let expect =
               List.init (max 0 (!model_len - floor)) (fun k -> floor + k)

@@ -16,8 +16,8 @@ let test_open_append_close_cycle () =
   let s = make ~n:2 () in
   Storage.Segment.open_ s;
   Alcotest.(check bool) "open" true (Storage.Segment.state s = Storage.Segment.Open);
-  Alcotest.(check bool) "append 1" true (Storage.Segment.append s ~block:10 = Some 0);
-  Alcotest.(check bool) "append 2" true (Storage.Segment.append s ~block:11 = Some 1);
+  Alcotest.(check bool) "append 1" true (Storage.Segment.append s ~block:10 = 0);
+  Alcotest.(check bool) "append 2" true (Storage.Segment.append s ~block:11 = 1);
   Alcotest.(check bool) "auto-closed when full" true
     (Storage.Segment.state s = Storage.Segment.Closed);
   Alcotest.(check int) "live" 2 (Storage.Segment.live_count s);

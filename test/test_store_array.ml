@@ -87,13 +87,13 @@ let test_parity_placement () =
     [ 0; 0; 1; 1; 0; 0; 1; 1; 0; 0; 1; 1 ] (cards fixed 12);
   List.iter
     (fun g ->
-      match Storage.Striping.parity_slot fixed ~ncards:3 ~block:g with
-      | Some (pc, pl) ->
-        Alcotest.(check int) "fixed parity pinned on card N-1" 2 pc;
-        Alcotest.(check int) "parity local row-aligned with the data"
-          (Storage.Striping.local_of fixed ~ncards:3 ~block:g)
-          pl
-      | None -> Alcotest.fail "parity policy must name a parity slot")
+      let pc = Storage.Striping.parity_card fixed ~ncards:3 ~block:g in
+      Alcotest.(check int) "fixed parity pinned on card N-1" 2 pc;
+      (* The parity block sits at the data's local: that local's parity
+         card is this row's. *)
+      Alcotest.(check int) "parity local row-aligned with the data" pc
+        (Storage.Striping.parity_card_of_local fixed ~ncards:3
+           ~local:(Storage.Striping.local_of fixed ~ncards:3 ~block:g)))
     (List.init 12 Fun.id);
   let rot = Storage.Striping.Parity { strip_blocks = 2; rotate = true } in
   Alcotest.(check (list int)) "RAID-5 shape: data steps around the parity card"
@@ -175,19 +175,23 @@ let striping_replay_property (policy, ncards, len) =
       QCheck.Test.fail_reportf "global_of fails to invert g=%d" g;
     if S.min_global_cursor policy ~ncards ~card ~local <> g + 1 then
       QCheck.Test.fail_reportf "data slot (%d,%d): wrong min cursor" card local;
-    (match S.parity_slot policy ~ncards ~block:g with
-    | Some (pc, pl) ->
-      if pc = card then
-        QCheck.Test.fail_reportf "g=%d landed on its own parity card" g;
-      if pl <> local then
-        QCheck.Test.fail_reportf "g=%d: parity local %d not row-aligned with %d" g
-          pl local;
-      if S.parity_card_of_local policy ~ncards ~local <> pc then
-        QCheck.Test.fail_reportf "g=%d: parity_card_of_local disagrees" g
-    | None -> (
-      match policy with
-      | S.Parity _ -> QCheck.Test.fail_reportf "no parity slot for g=%d" g
-      | S.Round_robin _ -> ()));
+    (let pc = S.parity_card policy ~ncards ~block:g in
+     match policy with
+     | S.Parity _ ->
+       if pc < 0 || pc >= ncards then
+         QCheck.Test.fail_reportf "g=%d: parity card %d out of range" g pc;
+       if pc = card then
+         QCheck.Test.fail_reportf "g=%d landed on its own parity card" g;
+       (* The parity block sits at the data's local [local]. *)
+       if S.parity_card_of_local policy ~ncards ~local <> pc then
+         QCheck.Test.fail_reportf "g=%d: parity local not row-aligned with %d" g local;
+       (match S.global_of policy ~ncards ~card:pc ~local with
+       | exception Invalid_argument _ -> ()
+       | g' ->
+         QCheck.Test.fail_reportf "g=%d: parity slot (%d,%d) claims global %d" g pc
+           local g')
+     | S.Round_robin _ ->
+       if pc <> -1 then QCheck.Test.fail_reportf "g=%d: round-robin parity card %d" g pc);
     counts.(card) <- counts.(card) + 1
   done;
   true
