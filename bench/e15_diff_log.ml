@@ -49,8 +49,7 @@ let mk_manager { merge_len; _ } =
         };
       diff_log =
         Option.map
-          (fun merge_len ->
-            { Storage.Diff_log.default_config with Storage.Diff_log.delta_bytes; merge_len })
+          (fun merge_len -> { Storage.Diff_log.delta_bytes; merge_len })
           merge_len;
     }
   in

@@ -218,22 +218,6 @@ let config_of_variant v ~seed =
     ~nbanks:v.v_nbanks ~flash_spec:v.v_flash_spec
     ?endurance_override:v.v_endurance_override ?manager ~seed ()
 
-(* One machine allocation per worker domain, recycled across the shard
-   churn.  Safe because [Machine.recycle] is pinned byte-identical to a
-   fresh [create] by the test suite — a cache hit cannot change results. *)
-let machine_slot : Machine.t option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let obtain_machine cfg =
-  let slot = Domain.DLS.get machine_slot in
-  let machine =
-    match !slot with
-    | Some old -> Machine.recycle old cfg
-    | None -> Machine.create cfg
-  in
-  slot := Some machine;
-  machine
-
 let out_of_space_report ~index ~variant ~workload =
   {
     d_index = index;
@@ -255,9 +239,9 @@ let out_of_space_report ~index ~variant ~workload =
     d_files_damaged = 0;
   }
 
-(* The full per-device path: pick hardware and workload, build (or
-   recycle) the machine, stream the generated trace through it, reduce to
-   scalars.  Returns the probe snapshot alongside so [run] can fold
+(* The full per-device path: pick hardware and workload, build the
+   machine, stream the generated trace through it, reduce to scalars.
+   Returns the probe snapshot alongside so [run] can fold
    fleet-wide metrics; the snapshot is empty unless the harness enabled
    metrics. *)
 let simulate_device_full s ~index =
@@ -276,7 +260,7 @@ let simulate_device_full s ~index =
   let cfg = config_of_variant variant ~seed:machine_seed in
   let workload = profile.Trace.Synth.name in
   try
-    let machine = obtain_machine cfg in
+    let machine = Machine.create cfg in
     let stream =
       Trace.Synth.generate_seq profile
         ~rng:(device_rng s ~index ~stream:stream_trace)
@@ -343,9 +327,7 @@ let simulate_device_full s ~index =
     (report, Probe.snapshot ())
   with Storage.Manager.Out_of_space ->
     (* The workload outgrew the model's flash: a real fleet datum, not a
-       crash.  The machine may be mid-operation; drop the cached instance
-       so the next device starts from a clean build. *)
-    Domain.DLS.get machine_slot := None;
+       crash. *)
     (out_of_space_report ~index ~variant:variant.v_name ~workload,
      Probe.snapshot ())
 

@@ -8,13 +8,12 @@
     per-device workloads drawn from a {!Trace.Workloads} mix, per-device
     randomness from index-keyed {!Sim.Rng.split_ix2} seed families) and
     streams them through the {!Sim.Pool} Domain pool in sharded batches:
-    each device is constructed (recycling allocations via
-    {!Machine.recycle}), its trace streamed through {!Machine.run_seq},
-    reduced to a small {!device_report}, and
-    released before the next shard starts.  Peak memory is therefore
-    O(shard × jobs), never O(N) — a million devices fit in the heap a few
-    dozen would otherwise need ([test_fleet.ml] holds the live heap of 80
-    devices within 1.3× that of 8).
+    each device is built by {!Machine.create}, its trace streamed through
+    {!Machine.run_seq}, reduced to a small {!device_report}, and released
+    before the next shard starts.  Peak memory is therefore O(shard ×
+    jobs), never O(N) — a million devices fit in the heap a few dozen would
+    otherwise need ([test_fleet.ml] holds the live heap of 80 devices
+    within 1.3× that of 8, and checks that no machine outlives {!run}).
 
     Per-device results fold into fleet-level aggregates in device-index
     order: scalar {!Sim.Stat.Summary}s, streaming {!Sim.Stat.Quantiles}

@@ -22,14 +22,10 @@ type t = {
   mutable errors : int;
 }
 
-(* The solid-state assembly, shared by [create] (fresh flash devices) and
-   [recycle] (factory-reset flash devices): everything except the flash
-   arrays is built from scratch, so a recycled machine is observationally
-   identical to a fresh one.  A single card mounts its manager directly
-   ([Store.Single]) — exactly the pre-array machine; two or more cards go
-   behind a striped [Storage.Array]. *)
-let assemble_solid (cfg : Config.t) ~manager_cfg ~striping ~front_cache_blocks
-    ~flashes =
+(* A single card mounts its manager directly ([Store.Single]) — exactly
+   the pre-array machine; two or more cards go behind a striped
+   [Storage.Array]. *)
+let create (cfg : Config.t) =
   let engine = Engine.create () in
   let rng = Rng.create ~seed:cfg.Config.seed in
   let dram =
@@ -39,120 +35,58 @@ let assemble_solid (cfg : Config.t) ~manager_cfg ~striping ~front_cache_blocks
   let battery =
     Device.Battery.of_watt_hours ~backup_wh:cfg.Config.backup_wh cfg.Config.battery_wh
   in
-  let store =
-    if Array.length flashes = 1 then
-      Storage.Store.Single
-        (Storage.Manager.create manager_cfg ~engine ~flash:flashes.(0) ~dram)
-    else
-      Storage.Store.Striped
-        (Storage.Array.create ~front_cache_blocks ~striping manager_cfg ~engine
-           ~flashes ~dram)
+  let flashes, disk, store, fs =
+    match cfg.Config.storage with
+    | Config.Solid_state
+        {
+          flash_bytes;
+          nbanks;
+          flash_spec;
+          endurance_override;
+          manager;
+          cards;
+          striping;
+          front_cache_blocks;
+        } ->
+      if cards < 1 then invalid_arg "Machine.create: cards must be at least 1";
+      let flashes =
+        Array.init cards (fun _ ->
+            Device.Flash.create
+              (Device.Flash.config ~spec:flash_spec ~nbanks ?endurance_override
+                 ~size_bytes:flash_bytes ()))
+      in
+      let store =
+        if cards = 1 then
+          Storage.Store.Single
+            (Storage.Manager.create manager ~engine ~flash:flashes.(0) ~dram)
+        else
+          Storage.Store.Striped
+            (Storage.Array.create ~front_cache_blocks ~striping manager ~engine
+               ~flashes ~dram)
+      in
+      (flashes, None, Some store, Mem (Fs.Memfs.create_fs_store ~store ()))
+    | Config.Conventional { disk_spec; spindown_timeout; ffs } ->
+      let disk =
+        Device.Disk.create ~spec:disk_spec ?spindown_timeout ~rng:(Rng.split rng) ()
+      in
+      let fs = Fs.Ffs.create_fs ~config:ffs ~engine ~disk ~dram () in
+      ([||], Some disk, None, Disk_fs fs)
   in
-  let memfs = Fs.Memfs.create_fs_store ~store () in
   {
     cfg;
     engine;
     rng;
     dram;
     flashes;
-    disk = None;
-    store = Some store;
-    fs = Mem memfs;
+    disk;
+    store;
+    fs;
     fs_gen = 0;
     battery;
     last_account = Time.zero;
     accounted_j = 0.0;
     errors = 0;
   }
-
-let create (cfg : Config.t) =
-  match cfg.Config.storage with
-  | Config.Solid_state
-      {
-        flash_bytes;
-        nbanks;
-        flash_spec;
-        endurance_override;
-        manager;
-        cards;
-        striping;
-        front_cache_blocks;
-      } ->
-    if cards < 1 then invalid_arg "Machine.create: cards must be at least 1";
-    let flashes =
-      Array.init cards (fun _ ->
-          Device.Flash.create
-            (Device.Flash.config ~spec:flash_spec ~nbanks ?endurance_override
-               ~size_bytes:flash_bytes ()))
-    in
-    assemble_solid cfg ~manager_cfg:manager ~striping ~front_cache_blocks ~flashes
-  | Config.Conventional { disk_spec; spindown_timeout; ffs } ->
-    let engine = Engine.create () in
-    let rng = Rng.create ~seed:cfg.Config.seed in
-    let dram =
-      Device.Dram.create ~size_bytes:cfg.Config.dram_bytes
-        ~battery_backed:cfg.Config.battery_backed_dram ()
-    in
-    let battery =
-      Device.Battery.of_watt_hours ~backup_wh:cfg.Config.backup_wh
-        cfg.Config.battery_wh
-    in
-    let disk =
-      Device.Disk.create ~spec:disk_spec ?spindown_timeout ~rng:(Rng.split rng) ()
-    in
-    let fs = Fs.Ffs.create_fs ~config:ffs ~engine ~disk ~dram () in
-    {
-      cfg;
-      engine;
-      rng;
-      dram;
-      flashes = [||];
-      disk = Some disk;
-      store = None;
-      fs = Disk_fs fs;
-      fs_gen = 0;
-      battery;
-      last_account = Time.zero;
-      accounted_j = 0.0;
-      errors = 0;
-    }
-
-let recycle old (cfg : Config.t) =
-  match cfg.Config.storage with
-  | Config.Solid_state
-      {
-        flash_bytes;
-        nbanks;
-        flash_spec;
-        endurance_override;
-        manager;
-        cards;
-        striping;
-        front_cache_blocks;
-      }
-    when cards >= 1 && Array.length old.flashes = cards ->
-    let desired =
-      Device.Flash.config ~spec:flash_spec ~nbanks ?endurance_override
-        ~size_bytes:flash_bytes ()
-    in
-    let matches flash =
-      let endurance_matches =
-        match endurance_override with
-        | Some e -> Device.Flash.endurance flash = e && e > 0
-        | None -> Device.Flash.endurance flash = flash_spec.Device.Specs.f_endurance
-      in
-      Device.Flash.nbanks flash = desired.Device.Flash.nbanks
-      && Device.Flash.sectors_per_bank flash = desired.Device.Flash.sectors_per_bank
-      && Device.Flash.spec flash = desired.Device.Flash.spec
-      && endurance_matches
-    in
-    if Array.for_all matches old.flashes then begin
-      Array.iter Device.Flash.factory_reset old.flashes;
-      assemble_solid cfg ~manager_cfg:manager ~striping ~front_cache_blocks
-        ~flashes:old.flashes
-    end
-    else create cfg
-  | Config.Solid_state _ | Config.Conventional _ -> create cfg
 
 let config t = t.cfg
 let engine t = t.engine

@@ -8,18 +8,9 @@
 type t
 
 val create : Config.t -> t
-
-val recycle : t -> Config.t -> t
-(** [recycle old cfg] is a machine observationally identical to
-    [create cfg] — byte-identical run results for a fixed seed, which the
-    test suite asserts — but allocation-lean: when [old]'s flash device has
-    exactly the geometry, spec, and endurance [cfg] asks for, its
-    per-sector arrays are factory-reset ({!Device.Flash.factory_reset})
-    and reused instead of reallocated.  Built for shard-churning fleet
-    sweeps ({!Fleet}) that construct and release one machine per simulated
-    device.  [old] is dead afterwards when reuse happened: its manager and
-    file system still point at the recycled flash.  Falls back to a plain
-    [create] when the shapes differ or either machine is conventional. *)
+(** A fresh machine: new devices, storage, file system and battery.  The
+    one constructor; fleet devices, sweep points and replicated runs are
+    all built here. *)
 
 val config : t -> Config.t
 val engine : t -> Sim.Engine.t

@@ -70,7 +70,6 @@ let sectors_per_bank t = t.cfg.sectors_per_bank
 let nsectors t = Array.length t.sectors
 let sector_bytes t = t.cfg.spec.Specs.f_sector_bytes
 let size_bytes t = nsectors t * sector_bytes t
-let spec t = t.cfg.spec
 let endurance t = t.endurance
 
 let bank_of_sector t sector =
@@ -200,9 +199,7 @@ let reset_stats t =
 
 let factory_reset t =
   (* Back to the state [create] built: pristine sectors, idle banks, zero
-     meters.  The sector-state and bank arrays — the device's dominant
-     allocation — are reused in place, which is the point: shard-churning
-     fleet drivers recycle one device across many simulated machines. *)
+     meters — the blank card a parity array rebuilds onto. *)
   Array.iter
     (fun s ->
       s.erase_count <- 0;

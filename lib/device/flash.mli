@@ -45,7 +45,6 @@ val sector_bytes : t -> int
 val size_bytes : t -> int
 val bank_of_sector : t -> int -> int
 val sectors_per_bank : t -> int
-val spec : t -> Specs.flash_spec
 val endurance : t -> int
 
 (** {1 Operations}
@@ -115,9 +114,8 @@ val reset_stats : t -> unit
 
 val factory_reset : t -> unit
 (** Restore the device to the state {!create} built it in — pristine wear,
-    no programmed bytes, idle banks, zero counters and meters — reusing
-    the per-sector arrays in place.  A factory-reset device is
-    observationally identical to a freshly created one, which lets
-    shard-churning drivers ({!Ssmc.Fleet}) recycle the allocation across
-    simulated machines; {!Ssmc.Machine.recycle}'s equivalence test pins
-    the identity. *)
+    no programmed bytes, idle banks, zero counters and meters.  A
+    factory-reset device is observationally identical to a freshly
+    created one; {!Storage.Array.reinsert_card} relies on that to serve a
+    reinserted card as a blank replacement, and [test_flash.ml] pins the
+    identity. *)

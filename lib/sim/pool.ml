@@ -57,9 +57,10 @@ let worker pool () =
   in
   loop ()
 
-let create ?jobs () =
-  let jobs = match jobs with Some j -> j | None -> default_jobs () in
-  if jobs < 1 then invalid_arg "Pool.create: jobs < 1";
+(* The submitting domain also executes work, so a pool of size [jobs]
+   holds [jobs - 1] Domains. *)
+let create jobs =
+  if jobs < 1 then invalid_arg "Pool.run_map: jobs < 1";
   let pool =
     {
       jobs;
@@ -73,8 +74,6 @@ let create ?jobs () =
   pool.workers <- List.init (jobs - 1) (fun _ -> Domain.spawn (worker pool));
   pool
 
-let jobs t = t.jobs
-
 let shutdown t =
   Mutex.lock t.mutex;
   let workers = t.workers in
@@ -84,101 +83,62 @@ let shutdown t =
   Mutex.unlock t.mutex;
   List.iter Domain.join workers
 
-let with_pool ?jobs f =
-  let pool = create ?jobs () in
-  Fun.protect ~finally:(fun () -> shutdown pool) (fun () -> f pool)
+(* --- Mapping ---------------------------------------------------------------- *)
 
-(* --- Indexed execution ------------------------------------------------------ *)
-
-(* Run [f 0 .. f (n-1)], each exactly once, on up to [t.jobs] domains (the
-   caller included), returning only when all are done.  Workers claim
-   [chunk] consecutive indices per trip to the shared cursor. *)
-let run_indexed ?(chunk = 1) t ~n f =
-  if chunk < 1 then invalid_arg "Pool.run_indexed: chunk < 1";
-  if t.stop then invalid_arg "Pool: pool is shut down";
-  if n > 0 then begin
-    if t.jobs = 1 || n = 1 then
-      for i = 0 to n - 1 do
-        f i
-      done
-    else begin
-      let cursor = Atomic.make 0 in
-      let remaining = Atomic.make n in
-      let finished = Mutex.create () in
-      let all_done = Condition.create () in
-      (* First failure by submission index, so re-raising is deterministic. *)
-      let failure : (int * exn * Printexc.raw_backtrace) option ref = ref None in
-      let record_failure i exn bt =
-        Mutex.lock finished;
-        (match !failure with
-        | Some (j, _, _) when j <= i -> ()
-        | _ -> failure := Some (i, exn, bt));
-        Mutex.unlock finished
-      in
-      let work () =
-        let continue = ref true in
-        while !continue do
-          let lo = Atomic.fetch_and_add cursor chunk in
-          if lo >= n then continue := false
-          else begin
-            let hi = min (lo + chunk) n in
-            for i = lo to hi - 1 do
-              (try f i
-               with exn -> record_failure i exn (Printexc.get_raw_backtrace ()));
-              if Atomic.fetch_and_add remaining (-1) = 1 then begin
-                Mutex.lock finished;
-                Condition.broadcast all_done;
-                Mutex.unlock finished
-              end
-            done
-          end
-        done
-      in
-      let helpers = min (t.jobs - 1) (n - 1) in
-      Mutex.lock t.mutex;
-      for _ = 1 to helpers do
-        Queue.push work t.pending
-      done;
-      Condition.broadcast t.has_work;
-      Mutex.unlock t.mutex;
-      work ();
+(* [List.map f items] on up to [t.jobs] domains (the caller included),
+   returning only when every item is done. *)
+let map t f items =
+  if t.jobs = 1 || List.compare_length_with items 1 <= 0 then List.map f items
+  else begin
+    let input = Array.of_list items in
+    let n = Array.length input in
+    let out = Array.make n None in
+    let cursor = Atomic.make 0 in
+    let remaining = Atomic.make n in
+    let finished = Mutex.create () in
+    let all_done = Condition.create () in
+    (* First failure by submission index, so re-raising is deterministic. *)
+    let failure : (int * exn * Printexc.raw_backtrace) option ref = ref None in
+    let record_failure i exn bt =
       Mutex.lock finished;
-      while Atomic.get remaining > 0 do
-        Condition.wait all_done finished
-      done;
-      Mutex.unlock finished;
-      match !failure with
-      | Some (_, exn, bt) -> Printexc.raise_with_backtrace exn bt
-      | None -> ()
-    end
+      (match !failure with
+      | Some (j, _, _) when j <= i -> ()
+      | _ -> failure := Some (i, exn, bt));
+      Mutex.unlock finished
+    in
+    let work () =
+      let continue = ref true in
+      while !continue do
+        let i = Atomic.fetch_and_add cursor 1 in
+        if i >= n then continue := false
+        else begin
+          (try out.(i) <- Some (f input.(i))
+           with exn -> record_failure i exn (Printexc.get_raw_backtrace ()));
+          if Atomic.fetch_and_add remaining (-1) = 1 then begin
+            Mutex.lock finished;
+            Condition.broadcast all_done;
+            Mutex.unlock finished
+          end
+        end
+      done
+    in
+    let helpers = min (t.jobs - 1) (n - 1) in
+    Mutex.lock t.mutex;
+    for _ = 1 to helpers do
+      Queue.push work t.pending
+    done;
+    Condition.broadcast t.has_work;
+    Mutex.unlock t.mutex;
+    work ();
+    Mutex.lock finished;
+    while Atomic.get remaining > 0 do
+      Condition.wait all_done finished
+    done;
+    Mutex.unlock finished;
+    match !failure with
+    | Some (_, exn, bt) -> Printexc.raise_with_backtrace exn bt
+    | None -> Array.to_list (Array.map (function Some v -> v | None -> assert false) out)
   end
-
-(* --- Maps -------------------------------------------------------------------- *)
-
-let map_array ?chunk t f items =
-  let n = Array.length items in
-  if t.jobs = 1 then Array.map f items
-  else begin
-    let out = Array.make n None in
-    run_indexed ?chunk t ~n (fun i -> out.(i) <- Some (f items.(i)));
-    Array.map (function Some v -> v | None -> assert false) out
-  end
-
-let mapi ?chunk t f items =
-  if t.jobs = 1 then List.mapi f items
-  else begin
-    let arr = Array.of_list items in
-    let n = Array.length arr in
-    let out = Array.make n None in
-    run_indexed ?chunk t ~n (fun i -> out.(i) <- Some (f i arr.(i)));
-    Array.to_list (Array.map (function Some v -> v | None -> assert false) out)
-  end
-
-let map ?chunk t f items =
-  if t.jobs = 1 then List.map f items else mapi ?chunk t (fun _ x -> f x) items
-
-let map_reduce ?chunk t ~map:fm ~combine ~init items =
-  List.fold_left combine init (map ?chunk t fm items)
 
 (* --- Ambient pool ------------------------------------------------------------- *)
 
@@ -198,18 +158,14 @@ let ambient_pool () =
   | Some pool when pool.jobs = want -> pool
   | existing ->
     Option.iter shutdown existing;
-    let pool = create ~jobs:want () in
+    let pool = create want in
     ambient := Some pool;
     pool
 
-let run_mapi ?jobs ?chunk f items =
+let run_map ?jobs f items =
   match jobs with
-  | None -> mapi ?chunk (ambient_pool ()) f items
-  | Some 1 -> List.mapi f items
-  | Some j -> with_pool ~jobs:j (fun pool -> mapi ?chunk pool f items)
-
-let run_map ?jobs ?chunk f items =
-  match jobs with
-  | None -> map ?chunk (ambient_pool ()) f items
+  | None -> map (ambient_pool ()) f items
   | Some 1 -> List.map f items
-  | Some j -> with_pool ~jobs:j (fun pool -> map ?chunk pool f items)
+  | Some j ->
+    let pool = create j in
+    Fun.protect ~finally:(fun () -> shutdown pool) (fun () -> map pool f items)

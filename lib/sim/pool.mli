@@ -1,4 +1,4 @@
-(** A fixed-size Domain pool for deterministic parallel sweeps.
+(** A Domain pool for deterministic parallel sweeps.
 
     The simulator's experiments are grids of mutually independent points —
     budget splits, policy × utilization products, per-device machine runs,
@@ -19,10 +19,6 @@
     once the batch has drained; when several items fail, the one with the
     smallest index wins, so failures are deterministic too. *)
 
-type t
-(** A pool of worker domains of fixed size.  The submitting domain also
-    executes work, so a pool of size [jobs] holds [jobs - 1] Domains. *)
-
 val default_jobs : unit -> int
 (** The ambient parallelism: the last {!set_default_jobs}, else the
     [SSMC_JOBS] environment variable, else
@@ -33,56 +29,12 @@ val set_default_jobs : int -> unit
     the ambient pool on its next use if the size changed.
     @raise Invalid_argument if the argument is [< 1]. *)
 
-val create : ?jobs:int -> unit -> t
-(** A fresh pool of [jobs] (default {!default_jobs}) workers.
+val run_map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
+(** [run_map f items] ≡ [List.map f items], computed on up to
+    {!default_jobs} domains, the caller included.  Those domains form the
+    ambient pool: created on first use, reused by later calls of the same
+    size, and joined at exit, so one [--jobs]/[SSMC_JOBS] setting governs
+    the whole run.  [~jobs] overrides the size for this call alone: a
+    transient pool, joined before the call returns ([~jobs:1] maps
+    directly, spawning nothing).
     @raise Invalid_argument if [jobs < 1]. *)
-
-val jobs : t -> int
-
-val shutdown : t -> unit
-(** Stop and join the worker domains.  Idempotent; using the pool
-    afterwards raises [Invalid_argument]. *)
-
-val with_pool : ?jobs:int -> (t -> 'a) -> 'a
-(** [create], run, then [shutdown] (also on exception). *)
-
-(** {1 Mapping}
-
-    All functions preserve submission order and are observationally
-    equivalent to their sequential [List]/[Array] counterparts. [?chunk]
-    (default 1) hands each worker [chunk] consecutive indices at a time —
-    raise it when items are tiny so the per-item dispatch cost amortizes. *)
-
-val map : ?chunk:int -> t -> ('a -> 'b) -> 'a list -> 'b list
-(** [map pool f items] ≡ [List.map f items]. *)
-
-val mapi : ?chunk:int -> t -> (int -> 'a -> 'b) -> 'a list -> 'b list
-(** [mapi pool f items] ≡ [List.mapi f items]. *)
-
-val map_array : ?chunk:int -> t -> ('a -> 'b) -> 'a array -> 'b array
-(** [map_array pool f items] ≡ [Array.map f items]. *)
-
-val map_reduce :
-  ?chunk:int ->
-  t ->
-  map:('a -> 'b) ->
-  combine:('acc -> 'b -> 'acc) ->
-  init:'acc ->
-  'a list ->
-  'acc
-(** Parallel [map], then a sequential in-order fold of [combine] on the
-    submitting domain — deterministic even for non-associative [combine]. *)
-
-(** {1 Ambient pool}
-
-    The process-wide pool sized by {!default_jobs}, created lazily and
-    reused across calls (and torn down at exit).  This is what the
-    experiment hot paths use, so one [--jobs]/[SSMC_JOBS] setting governs
-    the whole run. *)
-
-val run_map : ?jobs:int -> ?chunk:int -> ('a -> 'b) -> 'a list -> 'b list
-(** [run_map f items] maps on the ambient pool.  [~jobs] overrides the
-    ambient size for this call alone (a transient pool; [~jobs:1] is a
-    direct sequential map). *)
-
-val run_mapi : ?jobs:int -> ?chunk:int -> (int -> 'a -> 'b) -> 'a list -> 'b list

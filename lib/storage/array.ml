@@ -700,7 +700,8 @@ let client_gauges (t : t) =
   (!live, !dirty)
 
 let stats (t : t) =
-  let sum f = A.fold_left (fun acc m -> acc + f (Manager.stats m)) 0 t.cards in
+  let per_card = A.map Manager.stats t.cards in
+  let sum f = A.fold_left (fun acc s -> acc + f s) 0 per_card in
   (* The per-card sums include parity maintenance and reconstruction
      traffic; subtract what the array itself issued and add back the
      client operations that never reached a card (front-cache hits,

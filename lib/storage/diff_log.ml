@@ -1,10 +1,9 @@
 type config = {
   delta_bytes : int;
   merge_len : int;
-  merge_bytes : int;
 }
 
-let default_config = { delta_bytes = 64; merge_len = 4; merge_bytes = max_int }
+let default_config = { delta_bytes = 64; merge_len = 4 }
 
 type delta = {
   mutable d_seg : int;
@@ -25,14 +24,12 @@ type chain = {
      array rarely grows past its first size. *)
   mutable c_deltas : delta array;
   mutable c_len : int;
-  mutable c_bytes : int;
 }
 
 (* The chain table is dense-keyed by block id, like the manager's block
    metadata, with absence a shared sentinel compared by physical identity
    and never mutated: a lookup is one bounds check and one load. *)
-let no_chain =
-  { c_base_seg = -1; c_base_slot = -1; c_deltas = [||]; c_len = 0; c_bytes = 0 }
+let no_chain = { c_base_seg = -1; c_base_slot = -1; c_deltas = [||]; c_len = 0 }
 
 type t = {
   cfg : config;
@@ -47,7 +44,6 @@ type t = {
 let create cfg =
   if cfg.delta_bytes < 1 then invalid_arg "Diff_log.create: delta_bytes < 1";
   if cfg.merge_len < 1 then invalid_arg "Diff_log.create: merge_len < 1";
-  if cfg.merge_bytes < 1 then invalid_arg "Diff_log.create: merge_bytes < 1";
   {
     cfg;
     chains = Array.make 1024 no_chain;
@@ -91,7 +87,7 @@ let begin_chain t ~block ~seg ~slot =
     t.chains <- bigger
   end;
   t.chains.(block) <-
-    { c_base_seg = seg; c_base_slot = slot; c_deltas = [||]; c_len = 0; c_bytes = 0 };
+    { c_base_seg = seg; c_base_slot = slot; c_deltas = [||]; c_len = 0 };
   t.nchains <- t.nchains + 1
 
 let push_delta t ~block ~pos ~seg ~slot ~sector ~bytes =
@@ -107,12 +103,11 @@ let push_delta t ~block ~pos ~seg ~slot ~sector ~bytes =
     c.c_deltas <- bigger
   end;
   c.c_deltas.(c.c_len) <- d;
-  c.c_len <- c.c_len + 1;
-  c.c_bytes <- c.c_bytes + bytes
+  c.c_len <- c.c_len + 1
 
 let should_merge t ~block =
   let c = find t block in
-  c != no_chain && (c.c_len >= t.cfg.merge_len || c.c_bytes >= t.cfg.merge_bytes)
+  c != no_chain && c.c_len >= t.cfg.merge_len
 
 let rebase t ~block ~seg ~slot =
   let c = chain_exn t ~block ~op:"rebase" in

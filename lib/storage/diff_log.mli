@@ -6,8 +6,8 @@
     record against the block's durable {e base} page.  Deltas chain in
     overwrite order; a read reassembles the block by reading the base
     page plus every delta in the chain (summed cost), and once a chain
-    passes the configured length/size threshold it is merged back into a
-    single full base page.
+    reaches the configured length it is merged back into a single full
+    base page.
 
     This module is the pure bookkeeping: which blocks have chains, where
     their base pages and delta records live, and when a chain is due for
@@ -25,13 +25,10 @@ type config = {
   merge_len : int;
       (** Merge a chain back into a full base page once it holds this
           many deltas. *)
-  merge_bytes : int;
-      (** ... or once the chain's summed delta bytes reach this
-          (whichever threshold trips first). *)
 }
 
 val default_config : config
-(** 64-byte deltas, merge at 4 deltas, byte threshold effectively off. *)
+(** 64-byte deltas, merge at 4 deltas. *)
 
 (** One delta record's location.  Coordinates are mutable because the
     cleaner relocates delta records like any other live slot. *)
@@ -82,7 +79,7 @@ val push_delta :
     @raise Invalid_argument without a chain or on a position gap. *)
 
 val should_merge : t -> block:int -> bool
-(** Has the chain reached either merge threshold? *)
+(** Has the chain reached [merge_len] deltas? *)
 
 val rebase : t -> block:int -> seg:int -> slot:int -> unit
 (** The cleaner moved the base page; update its coordinates. *)

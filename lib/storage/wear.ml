@@ -138,11 +138,3 @@ let relocation_victim policy ~erase_count ~eligible segments =
             | Some b when erase_count b <= erase_count seg -> best
             | Some _ | None -> Some seg)
         None segments
-
-let lifetime_writes ~endurance ~total_sectors ~max_erases ~total_erases =
-  if max_erases = 0 then infinity
-  else begin
-    let mean = float_of_int total_erases /. float_of_int total_sectors in
-    let skew = float_of_int max_erases /. Float.max mean 1e-9 in
-    float_of_int endurance *. float_of_int total_sectors /. skew
-  end

@@ -88,11 +88,3 @@ val spread_exceeds : evenness -> spread_threshold:int -> bool
 (** The [Static] relocation trigger: [max - mean > threshold].  Max minus
     mean rather than max minus min, so one never-erased outlier segment
     cannot keep forced relocation running forever. *)
-
-val lifetime_writes :
-  endurance:int -> total_sectors:int -> max_erases:int -> total_erases:int -> float
-(** Estimated total sector-erases the device can sustain before its first
-    sector dies, extrapolating the observed wear skew: with perfectly even
-    wear this is [endurance * total_sectors]; skew divides it by
-    [max_erases / mean_erases].  Returns [infinity] when nothing was erased
-    yet. *)

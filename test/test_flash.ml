@@ -116,6 +116,73 @@ let test_bytes_bounds () =
   Alcotest.check_raises "oversized read" (Invalid_argument "Flash: bytes out of range")
     (fun () -> ignore (Device.Flash.read f ~now:t0 ~sector:0 ~bytes:513))
 
+(* [Array.reinsert_card] hands a factory-reset device to a fresh manager
+   as a blank replacement card, so after the reset the device must be
+   indistinguishable from a new one: wear, programmed bytes, bank
+   timelines, counters and meters all back to zero. *)
+let test_factory_reset_is_fresh () =
+  let used = make ~endurance:3 () in
+  for _ = 1 to 3 do
+    ignore (Device.Flash.erase used ~now:t0 ~sector:5)
+  done;
+  ignore (Device.Flash.program used ~now:t0 ~sector:0 ~bytes:512);
+  ignore (Device.Flash.program used ~now:t0 ~sector:64 ~bytes:300);
+  ignore (Device.Flash.read used ~now:t0 ~sector:65 ~bytes:100);
+  Device.Flash.charge_idle used (Time.span_s 1.0);
+  Alcotest.(check bool) "worn before the reset" true (Device.Flash.is_bad used ~sector:5);
+  Device.Flash.factory_reset used;
+  (* The same reads, programs and erases from instant 0; a refused
+     request finishes at -1. *)
+  let drive f =
+    let at ns op =
+      match op (Time.of_ns ns) with
+      | finish -> Time.to_ns finish
+      | exception Device.Flash.Error _ -> -1
+    in
+    let finishes =
+      [
+        at 0 (fun now -> Device.Flash.program f ~now ~sector:0 ~bytes:512);
+        at 0 (fun now -> Device.Flash.read f ~now ~sector:1 ~bytes:512);
+        at 0 (fun now -> Device.Flash.program f ~now ~sector:64 ~bytes:300);
+        at 10_000 (fun now -> Device.Flash.read f ~now ~sector:65 ~bytes:100);
+        at 20_000 (fun now -> Device.Flash.erase f ~now ~sector:5);
+        at 30_000 (fun now -> Device.Flash.erase f ~now ~sector:0);
+        at 40_000 (fun now -> Device.Flash.program f ~now ~sector:0 ~bytes:128);
+      ]
+    in
+    Device.Flash.charge_idle f (Time.span_s 0.5);
+    finishes
+  in
+  let fresh = make ~endurance:3 () in
+  let got = drive used and want = drive fresh in
+  Alcotest.(check (list int)) "finish instants" want got;
+  let per_sector g f = List.init (Device.Flash.nsectors f) (fun sector -> g f ~sector) in
+  Alcotest.(check (list int)) "erase counts"
+    (per_sector Device.Flash.erase_count fresh)
+    (per_sector Device.Flash.erase_count used);
+  Alcotest.(check (list int)) "programmed bytes"
+    (per_sector Device.Flash.programmed_bytes fresh)
+    (per_sector Device.Flash.programmed_bytes used);
+  Alcotest.(check int) "bad sectors" 0 (Device.Flash.bad_sectors used);
+  let counters f =
+    [
+      Device.Flash.reads f;
+      Device.Flash.programs f;
+      Device.Flash.erases f;
+      Device.Flash.bytes_read f;
+      Device.Flash.bytes_programmed f;
+      Time.span_to_ns (Device.Flash.total_wait f);
+      Time.span_to_ns (Device.Flash.read_wait f);
+    ]
+  in
+  Alcotest.(check (list int)) "counters" (counters fresh) (counters used);
+  let joules f =
+    let m = Device.Flash.meter f in
+    (Device.Power.Meter.active_joules m, Device.Power.Meter.background_joules m)
+  in
+  Alcotest.(check (pair (float 0.0) (float 0.0))) "meter joules" (joules fresh)
+    (joules used)
+
 (* Random interleavings never violate the page state machine. *)
 let prop_state_machine =
   QCheck.Test.make ~name:"flash: programmed bytes never exceed sector size" ~count:100
@@ -153,6 +220,8 @@ let suite =
     Alcotest.test_case "timing" `Quick test_timing_matches_spec;
     Alcotest.test_case "bank contention" `Quick test_bank_contention;
     Alcotest.test_case "traffic counters" `Quick test_traffic_counters;
+    Alcotest.test_case "factory reset behaves like a fresh device" `Quick
+      test_factory_reset_is_fresh;
     Alcotest.test_case "bounds" `Quick test_bytes_bounds;
     QCheck_alcotest.to_alcotest prop_state_machine;
     QCheck_alcotest.to_alcotest prop_erase_counts_monotone;

@@ -1,6 +1,6 @@
 (* Fleet-scale simulation: determinism across job counts and shard
-   sizes, fault composition, and the Machine.recycle = Machine.create
-   identity the fleet's allocation reuse depends on. *)
+   sizes, fault composition, and bounded memory: live heap flat in the
+   fleet size, and no machine kept alive once a run returns. *)
 open Sim
 
 (* A small but heterogeneous fleet: cheap enough for the suite, yet it
@@ -130,57 +130,39 @@ let test_memory_flat_in_fleet_size () =
           jobs ratio small large)
     [ 1; 2 ]
 
-(* --- Machine.recycle = Machine.create ----------------------------------- *)
+(* Every device's machine is garbage once its report is folded, so a run
+   leaves the live heap where it found it.  A run of the tiny model first
+   warms whatever the fleet path sets up once; the 64 MB model then makes
+   one retained machine stand out. *)
+let big = { tiny with Ssmc.Fleet.v_name = "big-64"; v_flash_mb = 64; v_nbanks = 4 }
 
-let run_workload machine records =
-  Ssmc.Machine.preload machine [ (1, 65536); (2, 32768) ];
-  Ssmc.Machine.run machine records
+let live_words () =
+  Gc.full_major ();
+  (Gc.stat ()).Gc.live_words
 
-let make_trace ~seed ~profile =
-  (Trace.Synth.generate profile ~rng:(Rng.create ~seed) ~duration:(Time.span_s 60.0))
-    .Trace.Synth.records
-
-let test_recycle_identity () =
-  (* A recycled machine must produce byte-identical run results to a
-     freshly created one — this identity is what lets the fleet reuse
-     machine allocations across shard churn without changing anything. *)
-  let cfg = Ssmc.Config.solid_state ~flash_mb:8 ~dram_mb:2 ~seed:23 () in
-  let records = make_trace ~seed:23 ~profile:Trace.Workloads.pim in
-  let fresh = Ssmc.Machine.create cfg in
-  let r_fresh = run_workload fresh records in
-  (* Dirty a machine with a different workload, then recycle it into the
-     same config: wear, programmed bytes, counters, meters must all reset. *)
-  let dirty = Ssmc.Machine.create cfg in
-  ignore (run_workload dirty (make_trace ~seed:99 ~profile:Trace.Workloads.compile));
-  let recycled = Ssmc.Machine.recycle dirty cfg in
-  let r_recycled = run_workload recycled records in
-  Alcotest.(check bool) "recycle = create (full result)" true
-    (Stdlib.compare r_fresh r_recycled = 0);
-  Alcotest.(check int) "ops" r_fresh.Ssmc.Machine.ops_applied
-    r_recycled.Ssmc.Machine.ops_applied;
-  Alcotest.(check (float 0.0)) "energy" r_fresh.Ssmc.Machine.energy_j
-    r_recycled.Ssmc.Machine.energy_j;
-  (* The reuse actually happened: same flash device object underneath. *)
-  (match (Ssmc.Machine.flash dirty, Ssmc.Machine.flash recycled) with
-  | Some a, Some b ->
-    Alcotest.(check bool) "flash allocation reused" true (a == b)
-  | _ -> Alcotest.fail "expected flash on both machines")
-
-let test_recycle_shape_mismatch_falls_back () =
-  let cfg_a = Ssmc.Config.solid_state ~flash_mb:8 ~seed:5 () in
-  let cfg_b = Ssmc.Config.solid_state ~flash_mb:16 ~seed:5 () in
-  let records = make_trace ~seed:5 ~profile:Trace.Workloads.pim in
-  let old = Ssmc.Machine.create cfg_a in
-  ignore (run_workload old records);
-  let recycled = Ssmc.Machine.recycle old cfg_b in
-  let r_recycled = run_workload recycled records in
-  let r_fresh = run_workload (Ssmc.Machine.create cfg_b) records in
-  Alcotest.(check bool) "fallback result identical to create" true
-    (Stdlib.compare r_fresh r_recycled = 0);
-  match (Ssmc.Machine.flash old, Ssmc.Machine.flash recycled) with
-  | Some a, Some b ->
-    Alcotest.(check bool) "different geometry means fresh flash" true (a != b)
-  | _ -> Alcotest.fail "expected flash on both machines"
+let test_run_retains_no_machine () =
+  let machine_words =
+    let cfg = Ssmc.Config.solid_state ~dram_mb:1 ~flash_mb:64 ~nbanks:4 ~seed:1 () in
+    Obj.reachable_words (Obj.repr (Ssmc.Machine.create cfg))
+  in
+  List.iter
+    (fun jobs ->
+      ignore (peak_live_words ~jobs ~devices:4);
+      let spec =
+        Ssmc.Fleet.spec ~devices:4 ~shard:2 ~base_seed:5 ~duration:(Time.span_s 2.0)
+          ~variants:[ big ] ()
+      in
+      let before = live_words () in
+      let report = Ssmc.Fleet.run ~jobs spec in
+      let growth = live_words () - before in
+      Alcotest.(check int) "no device out of space" 0 report.Ssmc.Fleet.out_of_space;
+      Printf.printf "jobs %d: live words %+d across the run; one machine is %d words\n"
+        jobs growth machine_words;
+      if 20 * growth >= machine_words then
+        Alcotest.failf
+          "jobs %d: the run left %d more live words; one machine is %d, the limit 5%%"
+          jobs growth machine_words)
+    [ 1; 2 ]
 
 let suite =
   [
@@ -193,7 +175,5 @@ let suite =
     Alcotest.test_case "validate rejects bad specs" `Quick test_validate_rejects;
     Alcotest.test_case "live heap flat in fleet size" `Quick
       test_memory_flat_in_fleet_size;
-    Alcotest.test_case "recycle identical to create" `Quick test_recycle_identity;
-    Alcotest.test_case "recycle falls back on shape mismatch" `Quick
-      test_recycle_shape_mismatch_falls_back;
+    Alcotest.test_case "run retains no machine" `Quick test_run_retains_no_machine;
   ]

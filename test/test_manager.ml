@@ -400,7 +400,7 @@ let prop_no_data_loss_random_ops =
 (* --- Page-differential logging -------------------------------------------- *)
 
 let diff_cfg ?(delta_bytes = 64) ?(merge_len = 4) () =
-  { Storage.Diff_log.default_config with Storage.Diff_log.delta_bytes; merge_len }
+  { Storage.Diff_log.delta_bytes; merge_len }
 
 let diff_stats_exn m =
   match Storage.Manager.diff_stats m with

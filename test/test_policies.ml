@@ -174,18 +174,6 @@ let test_relocation_victim_tie_lowest_id () =
   | Some s -> Alcotest.(check int) "lowest id relocated" 0 (Storage.Segment.id s)
   | None -> Alcotest.fail "should trigger"
 
-let test_lifetime_writes () =
-  Alcotest.(check (float 1e-9)) "even wear full budget" 1000.0
-    (Storage.Wear.lifetime_writes ~endurance:10 ~total_sectors:100 ~max_erases:5
-       ~total_erases:500);
-  (* Skewed wear (max 4x the mean) quarters the lifetime. *)
-  Alcotest.(check (float 1e-9)) "skew divides budget" 250.0
-    (Storage.Wear.lifetime_writes ~endurance:10 ~total_sectors:100 ~max_erases:8
-       ~total_erases:200);
-  Alcotest.(check (float 0.0)) "nothing erased" infinity
-    (Storage.Wear.lifetime_writes ~endurance:10 ~total_sectors:100 ~max_erases:0
-       ~total_erases:0)
-
 (* --- Banks ----------------------------------------------------------------------- *)
 
 let test_banks_validate () =
@@ -235,7 +223,6 @@ let suite =
     Alcotest.test_case "select tie -> lowest id" `Quick test_cleaner_select_tie_lowest_id;
     Alcotest.test_case "relocation tie -> lowest id" `Quick
       test_relocation_victim_tie_lowest_id;
-    Alcotest.test_case "lifetime writes" `Quick test_lifetime_writes;
     Alcotest.test_case "banks validate" `Quick test_banks_validate;
     Alcotest.test_case "banks allowed" `Quick test_banks_allowed;
   ]

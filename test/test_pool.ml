@@ -27,47 +27,23 @@ let test_map_equiv_list_map () =
     [ 0; 1; 2; 5; 64; 257 ]
 
 let test_mapi_order () =
-  let items = List.init 100 (fun i -> 100 - i) in
+  (* Early items take longest, so with several domains later items finish
+     first; each result must still land at its submission index. *)
+  let spin i =
+    let acc = ref i in
+    for k = 1 to (100 - i) * 200 do
+      acc := (!acc * 31) + k
+    done;
+    ignore (Sys.opaque_identity !acc);
+    (i, 100 - i)
+  in
+  let items = List.init 100 Fun.id in
   List.iter
     (fun jobs ->
       Alcotest.(check (list (pair int int)))
-        (Printf.sprintf "mapi keeps submission order, jobs=%d" jobs)
-        (List.mapi (fun i x -> (i, x)) items)
-        (Pool.run_mapi ~jobs (fun i x -> (i, x)) items))
-    job_counts
-
-let test_chunked () =
-  let items = List.init 129 (fun i -> keyed_work 41 i) in
-  let expect = List.map succ items in
-  List.iter
-    (fun chunk ->
-      Pool.with_pool ~jobs:4 (fun pool ->
-          Alcotest.(check (list int))
-            (Printf.sprintf "chunk=%d" chunk)
-            expect
-            (Pool.map ~chunk pool succ items)))
-    [ 1; 2; 7; 64; 1000 ]
-
-let test_map_array () =
-  let items = Array.init 83 (fun i -> keyed_work 43 i) in
-  Pool.with_pool ~jobs:3 (fun pool ->
-      Alcotest.(check (array int))
-        "map_array ≡ Array.map" (Array.map succ items)
-        (Pool.map_array pool succ items))
-
-let test_map_reduce_in_order () =
-  (* A non-associative, non-commutative combine: order differences would
-     show immediately in the result string. *)
-  let items = List.init 40 (fun i -> keyed_work 47 i) in
-  let combine acc v = acc ^ "," ^ string_of_int v in
-  let expect = List.fold_left (fun acc x -> combine acc (x * 2)) "r" items in
-  List.iter
-    (fun jobs ->
-      Pool.with_pool ~jobs (fun pool ->
-          Alcotest.(check string)
-            (Printf.sprintf "map_reduce in order, jobs=%d" jobs)
-            expect
-            (Pool.map_reduce pool ~map:(fun x -> x * 2) ~combine ~init:"r" items)))
+        (Printf.sprintf "results keep submission order, jobs=%d" jobs)
+        (List.map (fun i -> (i, 100 - i)) items)
+        (Pool.run_map ~jobs spin items))
     job_counts
 
 exception Boom of int
@@ -83,25 +59,20 @@ let test_first_failure_wins () =
         (fun () -> ignore (Pool.run_map ~jobs f (List.init 40 Fun.id))))
     job_counts
 
-let test_shutdown () =
-  let pool = Pool.create ~jobs:2 () in
-  Alcotest.(check int) "jobs" 2 (Pool.jobs pool);
-  Alcotest.(check (list int)) "usable" [ 2; 4 ] (Pool.map pool (fun x -> x * 2) [ 1; 2 ]);
-  Pool.shutdown pool;
-  Pool.shutdown pool;
-  (* idempotent *)
-  Alcotest.check_raises "use after shutdown" (Invalid_argument "Pool: pool is shut down")
-    (fun () -> ignore (Pool.map pool succ [ 1; 2; 3 ]))
-
 let test_pool_reuse () =
-  (* One pool across many batches, interleaved sizes. *)
-  Pool.with_pool ~jobs:4 (fun pool ->
+  (* One ambient pool across many batches, interleaved sizes; the default
+     job count it was sized by is restored afterwards. *)
+  let previous = Pool.default_jobs () in
+  Pool.set_default_jobs 4;
+  Fun.protect
+    ~finally:(fun () -> Pool.set_default_jobs previous)
+    (fun () ->
       List.iter
         (fun n ->
           let items = List.init n (fun i -> keyed_work 53 i) in
           Alcotest.(check (list int))
             (Printf.sprintf "batch n=%d" n)
-            (List.map succ items) (Pool.map pool succ items))
+            (List.map succ items) (Pool.run_map succ items))
         [ 64; 1; 0; 31; 128; 3 ])
 
 let prop_map_matches_all_job_counts =
@@ -138,11 +109,7 @@ let suite =
   [
     Alcotest.test_case "map ≡ List.map" `Quick test_map_equiv_list_map;
     Alcotest.test_case "mapi order" `Quick test_mapi_order;
-    Alcotest.test_case "chunked" `Quick test_chunked;
-    Alcotest.test_case "map_array" `Quick test_map_array;
-    Alcotest.test_case "map_reduce in order" `Quick test_map_reduce_in_order;
     Alcotest.test_case "first failure wins" `Quick test_first_failure_wins;
-    Alcotest.test_case "shutdown" `Quick test_shutdown;
     Alcotest.test_case "pool reuse" `Quick test_pool_reuse;
     QCheck_alcotest.to_alcotest prop_map_matches_all_job_counts;
     Alcotest.test_case "sweep equivalence across job counts" `Slow
