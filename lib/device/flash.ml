@@ -14,18 +14,16 @@ let config ?(spec = Specs.intel_flash) ?(nbanks = 1) ?endurance_override ~size_b
   let sectors_per_bank = Units.ceil_div sectors nbanks in
   { spec; nbanks; sectors_per_bank; endurance_override }
 
-type sector_state = {
-  mutable erase_count : int;
-  mutable programmed : int;  (** Bytes programmed since the last erase. *)
-  mutable bad : bool;
-}
-
 type t = {
   cfg : config;
   endurance : int;
   active_w : float; (* constant for a fixed geometry; hoisted out of [service] *)
   idle_w : float;
-  sectors : sector_state array;
+  (* Per-sector state, indexed by sector: erases so far, and bytes
+     programmed since the last erase.  A sector is bad exactly when its
+     erase count reaches [endurance]. *)
+  erase_counts : int array;
+  programmed : int array;
   bank_busy : Time.t array;
   meter : Power.Meter.t;
   c_reads : Stat.Counter.t;
@@ -53,7 +51,8 @@ let create cfg =
         if e <= 0 then invalid_arg "Flash.create: endurance <= 0";
         e
       | None -> cfg.spec.Specs.f_endurance);
-    sectors = Array.init n (fun _ -> { erase_count = 0; programmed = 0; bad = false });
+    erase_counts = Array.make n 0;
+    programmed = Array.make n 0;
     bank_busy = Array.make cfg.nbanks Time.zero;
     meter = Power.Meter.create ~label:"flash";
     c_reads = Stat.Counter.create ();
@@ -67,7 +66,7 @@ let create cfg =
 
 let nbanks t = t.cfg.nbanks
 let sectors_per_bank t = t.cfg.sectors_per_bank
-let nsectors t = Array.length t.sectors
+let nsectors t = Array.length t.erase_counts
 let sector_bytes t = t.cfg.spec.Specs.f_sector_bytes
 let size_bytes t = nsectors t * sector_bytes t
 let endurance t = t.endurance
@@ -84,9 +83,10 @@ let pp_error ppf = function
   | Bad_sector -> Fmt.string ppf "bad sector (worn out)"
   | Overwrite_without_erase -> Fmt.string ppf "overwrite without erase"
 
-let state t sector =
-  if sector < 0 || sector >= nsectors t then invalid_arg "Flash: sector out of range";
-  t.sectors.(sector)
+let check_sector t sector =
+  if sector < 0 || sector >= nsectors t then invalid_arg "Flash: sector out of range"
+
+let bad t sector = t.erase_counts.(sector) >= t.endurance
 
 let op_name = function
   | `Read -> "flash.read"
@@ -123,8 +123,8 @@ let p_bytes_programmed = Probe.counter "device.flash.bytes_programmed"
 
 let read t ~now ~sector ~bytes =
   check_bytes t bytes;
-  let s = state t sector in
-  if s.bad then raise (Error Bad_sector);
+  check_sector t sector;
+  if bad t sector then raise (Error Bad_sector);
   let dur = Specs.access_time t.cfg.spec.Specs.f_read ~bytes in
   let finish = service t ~now ~sector ~op:`Read dur in
   Stat.Counter.incr t.c_reads;
@@ -135,12 +135,13 @@ let read t ~now ~sector ~bytes =
 
 let program t ~now ~sector ~bytes =
   check_bytes t bytes;
-  let s = state t sector in
-  if s.bad then raise (Error Bad_sector);
-  if s.programmed + bytes > sector_bytes t then raise (Error Overwrite_without_erase);
+  check_sector t sector;
+  if bad t sector then raise (Error Bad_sector);
+  if t.programmed.(sector) + bytes > sector_bytes t then
+    raise (Error Overwrite_without_erase);
   let dur = Specs.access_time t.cfg.spec.Specs.f_write ~bytes in
   let finish = service t ~now ~sector ~op:`Program dur in
-  s.programmed <- s.programmed + bytes;
+  t.programmed.(sector) <- t.programmed.(sector) + bytes;
   Stat.Counter.incr t.c_programs;
   Stat.Counter.add t.c_bytes_programmed bytes;
   Probe.incr p_programs;
@@ -148,12 +149,11 @@ let program t ~now ~sector ~bytes =
   finish
 
 let erase t ~now ~sector =
-  let s = state t sector in
-  if s.bad then raise (Error Bad_sector);
+  check_sector t sector;
+  if bad t sector then raise (Error Bad_sector);
   let finish = service t ~now ~sector ~op:`Erase t.cfg.spec.Specs.f_erase in
-  s.erase_count <- s.erase_count + 1;
-  s.programmed <- 0;
-  if s.erase_count >= t.endurance then s.bad <- true;
+  t.erase_counts.(sector) <- t.erase_counts.(sector) + 1;
+  t.programmed.(sector) <- 0;
   Stat.Counter.incr t.c_erases;
   Probe.incr p_erases;
   finish
@@ -162,18 +162,26 @@ let bank_busy_until t ~bank =
   if bank < 0 || bank >= nbanks t then invalid_arg "Flash.bank_busy_until";
   t.bank_busy.(bank)
 
-let erase_count t ~sector = (state t sector).erase_count
-let is_bad t ~sector = (state t sector).bad
-let programmed_bytes t ~sector = (state t sector).programmed
+let erase_count t ~sector =
+  check_sector t sector;
+  t.erase_counts.(sector)
+
+let is_bad t ~sector =
+  check_sector t sector;
+  bad t sector
+
+let programmed_bytes t ~sector =
+  check_sector t sector;
+  t.programmed.(sector)
 
 let bad_sectors t =
-  Array.fold_left (fun acc s -> if s.bad then acc + 1 else acc) 0 t.sectors
+  Array.fold_left (fun acc e -> if e >= t.endurance then acc + 1 else acc) 0 t.erase_counts
 
 let live_capacity_bytes t = (nsectors t - bad_sectors t) * sector_bytes t
 
 let wear_summary t =
   let summary = Stat.Summary.create () in
-  Array.iter (fun s -> Stat.Summary.observe summary (float_of_int s.erase_count)) t.sectors;
+  Array.iter (fun e -> Stat.Summary.observe summary (float_of_int e)) t.erase_counts;
   summary
 
 let meter t = t.meter
@@ -200,11 +208,7 @@ let reset_stats t =
 let factory_reset t =
   (* Back to the state [create] built: pristine sectors, idle banks, zero
      meters — the blank card a parity array rebuilds onto. *)
-  Array.iter
-    (fun s ->
-      s.erase_count <- 0;
-      s.programmed <- 0;
-      s.bad <- false)
-    t.sectors;
+  Array.fill t.erase_counts 0 (nsectors t) 0;
+  Array.fill t.programmed 0 (nsectors t) 0;
   Array.fill t.bank_busy 0 (Array.length t.bank_busy) Time.zero;
   reset_stats t

@@ -86,6 +86,8 @@ val bank_busy_until : t -> bank:int -> Sim.Time.t
 
 val erase_count : t -> sector:int -> int
 val is_bad : t -> sector:int -> bool
+(** A sector is bad exactly when its erase count reaches {!endurance}. *)
+
 val programmed_bytes : t -> sector:int -> int
 val bad_sectors : t -> int
 val live_capacity_bytes : t -> int

@@ -100,29 +100,20 @@ type meta = {
   mutable hdr_sector : int;
 }
 
-(* A sector header as the log-structured convention stores it on the
-   medium.  [h_live] is the in-place obsoletion bit: NOR flash can clear
-   bits without an erase, so superseding or deleting a block marks its old
-   header dead where it lies — remount then never resurrects stale data.
-   [h_pos] distinguishes a full base page (-1, the only kind without diff
-   logging) from a delta record at that position in its block's chain. *)
-type header = { h_block : int; h_version : int; mutable h_live : bool; h_pos : int }
-
-(* Both metadata tables are dense-keyed — block ids count up from zero and
-   sector numbers are bounded by the flash geometry — so each is an array
-   indexed directly by its key, with absence a shared sentinel compared by
-   physical identity.  A lookup on the replay hot path is one bounds check
-   and one load, and an insert allocates nothing beyond the record itself;
-   the hashtables these replace allocated a bucket per insert and their
-   resizes dominated preload.  The sentinels are never mutated: every
-   mutation goes through a record a successful lookup returned ([find_meta]
-   raises on the sentinel, [obsolete_header] guards on [h_block]). *)
+(* The block table is dense-keyed — block ids count up from zero — so it
+   is an array indexed directly by block id, with absence a shared
+   sentinel compared by physical identity.  A lookup on the replay hot path
+   is one bounds check and one load, and an insert allocates nothing beyond
+   the record itself; the hashtable this replaced allocated a bucket per
+   insert and its resizes dominated preload.  The sentinel is never
+   mutated: every mutation goes through a record a successful lookup
+   returned ([find_meta] raises on the sentinel). *)
 let no_meta : meta = { loc = blank; hdr_sector = min_int }
 
 let where m = if m.loc >= 0 then Flashed else if m.loc = buffered then Buffered else Blank
 
-let no_header : header =
-  { h_block = min_int; h_version = min_int; h_live = false; h_pos = -1 }
+(* The [hdr_block] of a sector that holds no header. *)
+let no_block = -1
 
 type t = {
   cfg : config;
@@ -153,11 +144,20 @@ type t = {
   (* Blocks one timer firing flushes, filled in deadline order. *)
   batch : block array;
   mutable cleaning : bool;  (** Re-entrancy guard for the cleaner. *)
-  (* Sector headers: which logical block a sector holds, its write version,
-     and whether it is still live.  Conceptually part of flash (it survives
-     power loss); kept here because the device model does not store
-     payloads. *)
-  durable : header array; (* indexed by sector; [no_header] = absent *)
+  (* Sector headers as the log-structured convention stores them on the
+     medium, one entry per sector in each array: the logical block the
+     sector holds ([no_block] if none), and its write version shifted left
+     one bit over the liveness bit.  That bit is the in-place obsoletion
+     bit: NOR flash can clear bits without an erase, so superseding or
+     deleting a block marks its old header dead where it lies — remount
+     then never resurrects stale data.  [hdr_pos], empty without diff
+     logging, tells a full base page (-1) from a delta record at that
+     position in its block's chain.  Conceptually part of flash (it
+     survives power loss); kept here because the device model does not
+     store payloads.  Programs write ints, so none allocates. *)
+  hdr_block : int array;
+  hdr_version : int array;
+  hdr_pos : int array;
   mutable next_version : int;
   (* Incrementally maintained segment-state indexes and counters.  The
      indexes answer every allocation/cleaning decision in O(log n), or
@@ -350,7 +350,12 @@ let make ?card cfg ~engine ~flash ~dram =
       on_timer = ignore;
       batch = Array.make (max 0 cfg.max_flush_batch) 0;
       cleaning = false;
-      durable = Array.make (Device.Flash.nsectors flash) no_header;
+      hdr_block = Array.make (Device.Flash.nsectors flash) no_block;
+      hdr_version = Array.make (Device.Flash.nsectors flash) 0;
+      hdr_pos =
+        (match cfg.diff_log with
+        | Some _ -> Array.make (Device.Flash.nsectors flash) (-1)
+        | None -> [||]);
       next_version = 0;
       idx =
         Seg_index.create ~nbanks ~nsegments ~nslots:cfg.segment_sectors
@@ -402,14 +407,24 @@ let flash_program t ~now ~sector ~bytes =
   try Device.Flash.program t.flash ~now ~sector ~bytes
   with Device.Flash.Error e -> device_failure e
 
+let header_live t sector = t.hdr_version.(sector) land 1 = 1
+let header_version t sector = t.hdr_version.(sector) lsr 1
+let header_pos t sector = match t.diff with Some _ -> t.hdr_pos.(sector) | None -> -1
+
 (* Clear a block's previous header's liveness bit in place, if it still
    exists and still belongs to this block (cleaning may have erased the
    sector and a later program reused it for someone else). *)
 let obsolete_header t ~block ~hdr_sector =
-  if hdr_sector >= 0 then begin
-    let h = t.durable.(hdr_sector) in
-    if h.h_block = block then h.h_live <- false
-  end
+  if hdr_sector >= 0 && t.hdr_block.(hdr_sector) = block then
+    t.hdr_version.(hdr_sector) <- t.hdr_version.(hdr_sector) land lnot 1
+
+(* A live header for [block] at the next version. *)
+let write_header t ~sector ~block ~pos =
+  let version = t.next_version in
+  t.next_version <- version + 1;
+  t.hdr_block.(sector) <- block;
+  t.hdr_version.(sector) <- (version lsl 1) lor 1;
+  match t.diff with Some _ -> t.hdr_pos.(sector) <- pos | None -> ()
 
 (* Written as part of every sector program (the 16-byte header).  The new
    header supersedes the block's previous one, which is obsoleted in place
@@ -417,9 +432,7 @@ let obsolete_header t ~block ~hdr_sector =
    the device, so it costs no extra bank time. *)
 let record_header t m ~sector ~block =
   obsolete_header t ~block ~hdr_sector:m.hdr_sector;
-  let version = t.next_version in
-  t.next_version <- version + 1;
-  t.durable.(sector) <- { h_block = block; h_version = version; h_live = true; h_pos = -1 };
+  write_header t ~sector ~block ~pos:(-1);
   m.hdr_sector <- sector
 
 (* A delta record's header.  Deltas deliberately bypass [m.hdr_sector]:
@@ -429,9 +442,7 @@ let record_header t m ~sector ~block =
    it; it is -1 for a fresh delta. *)
 let record_delta_header t ~sector ~block ~pos ~prev_sector =
   obsolete_header t ~block ~hdr_sector:prev_sector;
-  let version = t.next_version in
-  t.next_version <- version + 1;
-  t.durable.(sector) <- { h_block = block; h_version = version; h_live = true; h_pos = pos }
+  write_header t ~sector ~block ~pos
 
 (* --- Free-segment picks --------------------------------------------------- *)
 
@@ -683,8 +694,9 @@ and clean_one t ~cursor ~purpose =
          hold a chain's base page or one of its delta records rather than
          the block's only copy; relocating those updates the chain table
          (and, for deltas, the record's own header) instead of [m.loc]. *)
-      List.iter
-        (fun (slot, b) ->
+      for slot = 0 to Segment.used_slots victim - 1 do
+        let b = Segment.block_at victim slot in
+        if b >= 0 then begin
           let sector = Segment.sector_of_slot victim slot in
           let role = chain_role t ~seg:(Segment.id victim) ~slot b in
           let nbytes =
@@ -719,14 +731,15 @@ and clean_one t ~cursor ~purpose =
           Segment.kill victim ~slot;
           note_kill t victim;
           t.c_cleaned <- t.c_cleaned + 1;
-          Probe.incr t.probes.p_cleaned)
-        (Segment.live_blocks victim);
+          Probe.incr t.probes.p_cleaned
+        end
+      done;
       (* Erase the sectors that were programmed since the last erase. *)
       let erases_before = erase_count_of_segment t victim in
       let victim_bank = bank_of_segment t (Segment.id victim) in
       for slot = 0 to Segment.used_slots victim - 1 do
         let sector = Segment.sector_of_slot victim slot in
-        t.durable.(sector) <- no_header;
+        t.hdr_block.(sector) <- no_block;
         match Device.Flash.erase t.flash ~now:!cursor ~sector with
         | finish ->
           cursor := finish;
@@ -1258,16 +1271,13 @@ let crash_and_remount t =
   cancel_timer t;
   ignore (Write_buffer.drain t.buffer);
   let fresh = create ?card:t.card t.cfg ~engine:t.engine ~flash:t.flash ~dram:t.dram in
-  (* Deep-copy the headers: they model on-flash state shared by old and new
-     manager, but the records are mutable and the dead manager must not
+  (* Copy the headers: they model on-flash state shared by old and new
+     manager, but the arrays are mutable and the dead manager must not
      alias the live one's. *)
-  Array.iteri
-    (fun k h ->
-      if h != no_header then
-        fresh.durable.(k) <-
-          { h_block = h.h_block; h_version = h.h_version; h_live = h.h_live;
-            h_pos = h.h_pos })
-    t.durable;
+  let nsectors = Array.length t.hdr_block in
+  Array.blit t.hdr_block 0 fresh.hdr_block 0 nsectors;
+  Array.blit t.hdr_version 0 fresh.hdr_version 0 nsectors;
+  Array.blit t.hdr_pos 0 fresh.hdr_pos 0 (Array.length t.hdr_pos);
   fresh.next_version <- t.next_version;
   (* Scan every readable sector's header, charging the device. *)
   let now = Engine.now t.engine in
@@ -1283,16 +1293,20 @@ let crash_and_remount t =
   done;
   (* Newest live version of each block's base page wins; headers obsoleted
      in place (superseded or deleted data) never come back.  Delta headers
-     (h_pos >= 0, diff logging only) are chain members, not base
+     (position >= 0, diff logging only) are chain members, not base
      candidates. *)
+  let live_at sector =
+    fresh.hdr_block.(sector) <> no_block && header_live fresh sector
+  in
   let winner = Hashtbl.create 1024 in
-  Array.iteri
-    (fun sector h ->
-      if h != no_header && h.h_live && h.h_pos < 0 then
-        match Hashtbl.find_opt winner h.h_block with
-        | Some (v, _) when v >= h.h_version -> ()
-        | Some _ | None -> Hashtbl.replace winner h.h_block (h.h_version, sector))
-    fresh.durable;
+  for sector = 0 to nsectors - 1 do
+    if live_at sector && header_pos fresh sector < 0 then begin
+      let block = fresh.hdr_block.(sector) and version = header_version fresh sector in
+      match Hashtbl.find_opt winner block with
+      | Some (v, _) when v >= version -> ()
+      | Some _ | None -> Hashtbl.replace winner block (version, sector)
+    end
+  done;
   (* Chain recovery (diff logging only): per block, the newest live delta
      header at each position; then accept only the longest contiguous
      position prefix of blocks that kept a base.  A chain truncated at a
@@ -1305,22 +1319,23 @@ let crash_and_remount t =
   | None -> ()
   | Some _ ->
     let candidates = Hashtbl.create 64 in
-    Array.iteri
-      (fun sector h ->
-        if h != no_header && h.h_live && h.h_pos >= 0 then begin
-          let per =
-            match Hashtbl.find_opt candidates h.h_block with
-            | Some per -> per
-            | None ->
-              let per = Hashtbl.create 8 in
-              Hashtbl.replace candidates h.h_block per;
-              per
-          in
-          match Hashtbl.find_opt per h.h_pos with
-          | Some (v, _) when v >= h.h_version -> ()
-          | Some _ | None -> Hashtbl.replace per h.h_pos (h.h_version, sector)
-        end)
-      fresh.durable;
+    for sector = 0 to nsectors - 1 do
+      let pos = header_pos fresh sector in
+      if live_at sector && pos >= 0 then begin
+        let block = fresh.hdr_block.(sector) and version = header_version fresh sector in
+        let per =
+          match Hashtbl.find_opt candidates block with
+          | Some per -> per
+          | None ->
+            let per = Hashtbl.create 8 in
+            Hashtbl.replace candidates block per;
+            per
+        in
+        match Hashtbl.find_opt per pos with
+        | Some (v, _) when v >= version -> ()
+        | Some _ | None -> Hashtbl.replace per pos (version, sector)
+      end
+    done;
     Hashtbl.iter
       (fun block per ->
         if Hashtbl.mem winner block then begin
@@ -1350,33 +1365,34 @@ let crash_and_remount t =
       let nslots = Segment.nslots seg in
       let occupied = ref 0 in
       for slot = 0 to nslots - 1 do
-        if fresh.durable.(Segment.sector_of_slot seg slot) != no_header then
+        if fresh.hdr_block.(Segment.sector_of_slot seg slot) <> no_block then
           incr occupied
       done;
       if !occupied > 0 then begin
         Segment.open_ seg;
         for slot = 0 to !occupied - 1 do
           let sector = Segment.sector_of_slot seg slot in
-          let h = fresh.durable.(sector) in
+          let block = fresh.hdr_block.(sector) in
           (* A hole would mean appends were not sequential. *)
-          assert (h != no_header);
-          let s = Segment.append seg ~block:h.h_block in
+          assert (block <> no_block);
+          let s = Segment.append seg ~block in
           assert (s = slot);
           (* Even a dead header pins its block id: a resurrected id would
              otherwise collide with it on the next remount. *)
-          max_block := max !max_block h.h_block;
+          max_block := max !max_block block;
           let winning =
-            h.h_live && h.h_pos < 0
+            header_live fresh sector
+            && header_pos fresh sector < 0
             &&
-            match Hashtbl.find_opt winner h.h_block with
+            match Hashtbl.find_opt winner block with
             | Some (_, s) -> s = sector
             | None -> false
           in
           if winning then
             let m = { loc = blank; hdr_sector = sector } in
             set_flashed fresh m ~seg:(Segment.id seg) ~slot;
-            set_meta fresh h.h_block m
-          else if h.h_pos >= 0 && Hashtbl.mem accepted sector then begin
+            set_meta fresh block m
+          else if header_pos fresh sector >= 0 && Hashtbl.mem accepted sector then begin
             (* An accepted chain member: the slot stays live; the chain
                table entry is registered once every segment is rebuilt. *)
             let block, pos = Hashtbl.find accepted sector in

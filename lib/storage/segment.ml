@@ -59,13 +59,9 @@ let kill t ~slot =
   t.slots.(slot) <- empty;
   t.live <- t.live - 1
 
-let live_blocks t =
-  let acc = ref [] in
-  for slot = nslots t - 1 downto 0 do
-    let block = t.slots.(slot) in
-    if block <> empty then acc := (slot, block) :: !acc
-  done;
-  !acc
+let block_at t slot =
+  if slot < 0 || slot >= nslots t then invalid_arg "Segment.block_at";
+  t.slots.(slot)
 
 let live_count t = t.live
 let used_slots t = t.next_slot

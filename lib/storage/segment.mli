@@ -41,8 +41,9 @@ val kill : t -> slot:int -> unit
 (** Mark the block in [slot] dead (superseded or freed).
     @raise Invalid_argument if the slot is empty or out of range. *)
 
-val live_blocks : t -> (int * int) list
-(** [(slot, block)] pairs still live, ascending by slot. *)
+val block_at : t -> int -> int
+(** The live block in a slot, or -1 if the slot holds none (never used,
+    or killed).  @raise Invalid_argument if the slot is out of range. *)
 
 val live_count : t -> int
 val used_slots : t -> int

@@ -116,6 +116,19 @@ let test_bytes_bounds () =
   Alcotest.check_raises "oversized read" (Invalid_argument "Flash: bytes out of range")
     (fun () -> ignore (Device.Flash.read f ~now:t0 ~sector:0 ~bytes:513))
 
+let counters f =
+  [
+    Device.Flash.reads f;
+    Device.Flash.programs f;
+    Device.Flash.erases f;
+    Device.Flash.bytes_read f;
+    Device.Flash.bytes_programmed f;
+    Time.span_to_ns (Device.Flash.total_wait f);
+    Time.span_to_ns (Device.Flash.read_wait f);
+  ]
+
+let joules m = Device.Power.Meter.(active_joules m, background_joules m)
+
 (* [Array.reinsert_card] hands a factory-reset device to a fresh manager
    as a blank replacement card, so after the reset the device must be
    indistinguishable from a new one: wear, programmed bytes, bank
@@ -164,24 +177,10 @@ let test_factory_reset_is_fresh () =
     (per_sector Device.Flash.programmed_bytes fresh)
     (per_sector Device.Flash.programmed_bytes used);
   Alcotest.(check int) "bad sectors" 0 (Device.Flash.bad_sectors used);
-  let counters f =
-    [
-      Device.Flash.reads f;
-      Device.Flash.programs f;
-      Device.Flash.erases f;
-      Device.Flash.bytes_read f;
-      Device.Flash.bytes_programmed f;
-      Time.span_to_ns (Device.Flash.total_wait f);
-      Time.span_to_ns (Device.Flash.read_wait f);
-    ]
-  in
   Alcotest.(check (list int)) "counters" (counters fresh) (counters used);
-  let joules f =
-    let m = Device.Flash.meter f in
-    (Device.Power.Meter.active_joules m, Device.Power.Meter.background_joules m)
-  in
-  Alcotest.(check (pair (float 0.0) (float 0.0))) "meter joules" (joules fresh)
-    (joules used)
+  Alcotest.(check (pair (float 0.0) (float 0.0))) "meter joules"
+    (joules (Device.Flash.meter fresh))
+    (joules (Device.Flash.meter used))
 
 (* Random interleavings never violate the page state machine. *)
 let prop_state_machine =
@@ -211,6 +210,107 @@ let prop_erase_counts_monotone =
       Array.for_all Fun.id
         (Array.init 8 (fun s -> Device.Flash.erase_count f ~sector:s >= before.(s))))
 
+(* --- Oracle --------------------------------------------------------------
+
+   The device against [Flash_oracle] (one mutable record per sector, the
+   model it replaced), op for op on random traces over a few sectors in
+   1 to 3 banks.  The endurance is 1 to 4 erases, so sectors wear out
+   within a trace and later requests to them are refused.  Requests are
+   issued at a clock that stands still for several ops at a time, so they
+   queue behind busy banks.  The traces mix reads, programs of a few bytes
+   to a whole sector (so overwrites are refused), erases, idle charges,
+   [reset_stats] and [factory_reset], plus out-of-range sectors and byte
+   counts.  After every op the outcome (finish instant, raised error or
+   invalid argument), each sector's erase count, programmed bytes and bad
+   bit, [bad_sectors], the counters and the meter's joules must agree. *)
+
+module O = Flash_oracle
+
+type outcome = Finished of int | Refused of Device.Flash.error | Invalid of string
+
+let outcome f =
+  match f () with
+  | finish -> Finished (Time.to_ns finish)
+  | exception Device.Flash.Error e -> Refused e
+  | exception Invalid_argument msg -> Invalid msg
+
+(* [None], or the first mismatch of the trace seeded [seed]. *)
+let oracle_mismatch ~seed ~ops =
+  let rng = Rng.create ~seed in
+  let nbanks = 1 + Rng.int rng 3 in
+  let cfg =
+    Device.Flash.config ~nbanks
+      ~endurance_override:(1 + Rng.int rng 4)
+      ~size_bytes:(nbanks * (1 + Rng.int rng 4) * 512)
+      ()
+  in
+  let f = Device.Flash.create cfg and o = O.create cfg in
+  let nsectors = Device.Flash.nsectors f in
+  let now = ref 0 in
+  let mismatch = ref None in
+  let i = ref 0 in
+  let check what agree =
+    if Option.is_none !mismatch && not agree then
+      mismatch := Some (Printf.sprintf "seed %d, op %d: %s" seed !i what)
+  in
+  let op what dev orc =
+    let at = Time.of_ns !now in
+    check what (outcome (fun () -> dev at) = outcome (fun () -> orc at))
+  in
+  while !i < ops && Option.is_none !mismatch do
+    (* One in 20 requests names the sector just past the end. *)
+    let sector = if Rng.int rng 20 = 0 then nsectors else Rng.int rng nsectors in
+    let bytes =
+      match Rng.int rng 4 with
+      | 0 -> 512
+      | 1 -> 505 + Rng.int rng 10 (* 513 and 514 are out of range *)
+      | _ -> Rng.int rng 200
+    in
+    (match Rng.int rng 100 with
+    | k when k < 30 ->
+      op "read"
+        (fun now -> Device.Flash.read f ~now ~sector ~bytes)
+        (fun now -> O.read o ~now ~sector ~bytes)
+    | k when k < 65 ->
+      op "program"
+        (fun now -> Device.Flash.program f ~now ~sector ~bytes)
+        (fun now -> O.program o ~now ~sector ~bytes)
+    | k when k < 85 ->
+      op "erase"
+        (fun now -> Device.Flash.erase f ~now ~sector)
+        (fun now -> O.erase o ~now ~sector)
+    | k when k < 88 ->
+      let d = Time.span_ns (1_000_000 * Rng.int rng 50) in
+      Device.Flash.charge_idle f d;
+      O.charge_idle o d
+    | k when k < 91 ->
+      Device.Flash.reset_stats f;
+      O.reset_stats o
+    | k when k < 93 ->
+      Device.Flash.factory_reset f;
+      O.factory_reset o
+    | _ -> now := !now + (1_000_000 * Rng.int rng 40));
+    for sector = 0 to nsectors - 1 do
+      check "erase_count"
+        (Device.Flash.erase_count f ~sector = O.erase_count o ~sector);
+      check "programmed_bytes"
+        (Device.Flash.programmed_bytes f ~sector = O.programmed_bytes o ~sector);
+      check "is_bad" (Device.Flash.is_bad f ~sector = O.is_bad o ~sector)
+    done;
+    check "bad_sectors" (Device.Flash.bad_sectors f = O.bad_sectors o);
+    check "counters" (counters f = O.counters o);
+    check "meter" (joules (Device.Flash.meter f) = joules (O.meter o));
+    incr i
+  done;
+  !mismatch
+
+let test_matches_oracle () =
+  for seed = 1 to 300 do
+    match oracle_mismatch ~seed ~ops:300 with
+    | None -> ()
+    | Some what -> Alcotest.failf "differs from the oracle at %s" what
+  done
+
 let suite =
   [
     Alcotest.test_case "geometry" `Quick test_geometry;
@@ -225,4 +325,5 @@ let suite =
     Alcotest.test_case "bounds" `Quick test_bytes_bounds;
     QCheck_alcotest.to_alcotest prop_state_machine;
     QCheck_alcotest.to_alcotest prop_erase_counts_monotone;
+    Alcotest.test_case "matches the oracle op for op" `Quick test_matches_oracle;
   ]

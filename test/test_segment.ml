@@ -38,8 +38,10 @@ let test_kill_and_live_blocks () =
   ignore (Storage.Segment.append s ~block:8);
   ignore (Storage.Segment.append s ~block:9);
   Storage.Segment.kill s ~slot:1;
-  Alcotest.(check (list (pair int int))) "live blocks" [ (0, 7); (2, 9) ]
-    (Storage.Segment.live_blocks s);
+  Alcotest.(check (list int)) "live blocks by slot" [ 7; -1; 9 ]
+    (List.init 3 (Storage.Segment.block_at s));
+  Alcotest.check_raises "slot bound" (Invalid_argument "Segment.block_at") (fun () ->
+      ignore (Storage.Segment.block_at s 3));
   Alcotest.(check int) "used slots unchanged" 3 (Storage.Segment.used_slots s);
   Alcotest.check_raises "double kill" (Invalid_argument "Segment.kill: slot empty")
     (fun () -> Storage.Segment.kill s ~slot:1)
@@ -71,13 +73,9 @@ let prop_live_count_consistent =
       for b = 0 to 9 do
         ignore (Storage.Segment.append s ~block:b)
       done;
-      List.iter
-        (fun slot ->
-          match List.assoc_opt slot (Storage.Segment.live_blocks s) with
-          | Some _ -> Storage.Segment.kill s ~slot
-          | None -> ())
-        kills;
-      Storage.Segment.live_count s = List.length (Storage.Segment.live_blocks s))
+      let live slot = Storage.Segment.block_at s slot >= 0 in
+      List.iter (fun slot -> if live slot then Storage.Segment.kill s ~slot) kills;
+      Storage.Segment.live_count s = List.length (List.filter live (List.init 10 Fun.id)))
 
 let suite =
   [
