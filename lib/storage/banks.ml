@@ -28,12 +28,16 @@ let probe_label ?card ?bank metric =
   | None -> base ^ "." ^ metric
   | Some b -> Printf.sprintf "%s.bank%d.%s" base b metric
 
+let first_bank policy purpose =
+  match (policy, purpose) with
+  | Partitioned { write_banks }, (Clean_out | Cold_load) -> write_banks
+  | Unified, _ | Partitioned _, Fresh_write -> 0
+
+let end_bank policy ~nbanks purpose =
+  match (policy, purpose) with
+  | Partitioned { write_banks }, Fresh_write -> write_banks
+  | Unified, _ | Partitioned _, (Clean_out | Cold_load) -> nbanks
+
 let allowed policy ~nbanks purpose ~bank =
   if bank < 0 || bank >= nbanks then invalid_arg "Banks.allowed: bank out of range";
-  match policy with
-  | Unified -> true
-  | Partitioned { write_banks } -> begin
-    match purpose with
-    | Fresh_write -> bank < write_banks
-    | Clean_out | Cold_load -> bank >= write_banks
-  end
+  bank >= first_bank policy purpose && bank < end_bank policy ~nbanks purpose

@@ -26,7 +26,15 @@ val validate : policy -> nbanks:int -> (unit, string) result
 (** Partitioning must leave at least one bank on each side. *)
 
 val allowed : policy -> nbanks:int -> purpose -> bank:int -> bool
-(** May a segment in [bank] be opened for [purpose]? *)
+(** May a segment in [bank] be opened for [purpose]?  Exactly when
+    [first_bank <= bank < end_bank]. *)
+
+val first_bank : policy -> purpose -> int
+(** The lowest bank [purpose] may use. *)
+
+val end_bank : policy -> nbanks:int -> purpose -> int
+(** One past the highest bank [purpose] may use: every purpose may use a
+    contiguous run of banks. *)
 
 val probe_label : ?card:int -> ?bank:int -> string -> string
 (** The one probe label scheme shared by bank accounting and per-card

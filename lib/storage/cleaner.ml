@@ -1,36 +1,7 @@
-(* [Storage.Array] (the card array) would shadow the stdlib inside this library. *)
-module Array = Stdlib.Array
-open Sim
-
 type policy = Greedy | Cost_benefit
 
 let policy_name = function Greedy -> "greedy" | Cost_benefit -> "cost-benefit"
 let pp_policy ppf p = Fmt.string ppf (policy_name p)
-
-let score policy ~now seg =
-  let u = Segment.utilization seg in
-  match policy with
-  | Greedy -> 1.0 -. u
-  | Cost_benefit ->
-    let age =
-      Time.span_to_s (Time.diff (Time.max now (Segment.last_touched seg))
-                        (Segment.last_touched seg))
-    in
-    (* +1s keeps brand-new segments from scoring zero across the board. *)
-    (age +. 1.0) *. (1.0 -. u) /. (1.0 +. u)
-
-let select policy ~now ~eligible segments =
-  Array.fold_left
-    (fun best seg ->
-      if Segment.state seg <> Segment.Closed || not (eligible seg) then best
-      else begin
-        let s = score policy ~now seg in
-        match best with
-        | Some (_, best_score) when best_score >= s -> best
-        | Some _ | None -> Some (seg, s)
-      end)
-    None segments
-  |> Option.map fst
 
 let write_amplification ~blocks_written ~blocks_flushed =
   if blocks_flushed = 0 then 1.0

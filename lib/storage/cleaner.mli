@@ -2,34 +2,27 @@
 
     When free segments run low the storage manager must clean: copy the
     live blocks out of some closed segment and erase it.  Which segment to
-    clean is the policy decision this module makes.  Two classic policies:
+    clean is the policy this module names.  Two classic policies:
 
     - {e Greedy}: clean the segment with the fewest live blocks — least
       copying now, but it re-cleans hot segments and lets cold, half-dead
       segments pin space forever.
     - {e Cost-benefit} (Rosenblum & Ousterhout): maximize
-      [age * (1 - u) / (1 + u)] where [u] is utilization and [age] the time
-      since the segment last changed; old, partly-dead segments get cleaned
+      [(age + 1) * (1 - u) / (1 + u)] where [u] is utilization and [age]
+      the seconds since the segment last changed (+1 s so that brand-new
+      segments do not all score 0); old, partly-dead segments get cleaned
       even at higher utilization, which keeps cleaning cost stable as the
       disk (here: flash) fills.
 
-    Selection is a pure function over segment statistics so policies can be
-    unit-tested in isolation and benchmarked head-to-head (experiment E7). *)
+    {!Seg_index} makes the decision for {!Manager}: greedy from its
+    live-count buckets, cost-benefit from its per-live-count age heaps,
+    which compute the score themselves.  The full-scan reference lives in
+    [test/scan_oracle.ml]; experiment E7 races the two policies. *)
 
 type policy = Greedy | Cost_benefit
 
 val pp_policy : Format.formatter -> policy -> unit
 val policy_name : policy -> string
-
-val score : policy -> now:Sim.Time.t -> Segment.t -> float
-(** Desirability of cleaning this segment (higher = better victim). *)
-
-val select :
-  policy -> now:Sim.Time.t -> eligible:(Segment.t -> bool) -> Segment.t array ->
-  Segment.t option
-(** The best eligible Closed segment, or [None].  Fully-live segments are
-    still eligible (static wear leveling may force them); scoring naturally
-    deprioritizes them. *)
 
 val write_amplification : blocks_written:int -> blocks_flushed:int -> float
 (** Total flash programs (client flushes + cleaner copies) per client

@@ -496,42 +496,43 @@ let pick_free t ~purpose ~restrict =
 
 (* --- Victim selection ----------------------------------------------------- *)
 
-let bank_allowed_for t ~purpose ~bank =
-  match purpose with
-  | None -> true
-  | Some p -> Banks.allowed t.cfg.banking ~nbanks:(Device.Flash.nbanks t.flash) p ~bank
-
-(* {!Wear.relocation_victim}, then {!Cleaner.select}, answered from the
-   per-bank indexes. *)
+(* {!Wear.relocation_victim}, then the cleaner's pick, answered from the
+   per-bank indexes: a segment id, -1 for none. *)
 let select_victim t ~now ~purpose =
   let nbanks = Device.Flash.nbanks t.flash in
+  (* A victim comes from the banks [first_bank] up to [end_bank]: every
+     bank when no purpose is given. *)
+  let first_bank =
+    match purpose with None -> 0 | Some p -> Banks.first_bank t.cfg.banking p
+  in
+  let end_bank =
+    match purpose with None -> nbanks | Some p -> Banks.end_bank t.cfg.banking ~nbanks p
+  in
   let relocation =
     match t.cfg.wear with
-    | Wear.None_ | Wear.Dynamic -> None
+    | Wear.None_ | Wear.Dynamic -> -1
     | Wear.Static { spread_threshold } ->
       let e = Wear.evenness_of_acc t.wear_acc in
-      if not (Wear.spread_exceeds e ~spread_threshold) then None
+      if not (Wear.spread_exceeds e ~spread_threshold) then -1
       else begin
         (* The least-worn closed segment in the allowed banks, lowest id
            on ties. *)
         let best_id = ref (-1) in
         let best_key = ref 0 in
-        for bank = 0 to nbanks - 1 do
-          if bank_allowed_for t ~purpose ~bank then
-            match Seg_index.coldest_closed t.idx ~bank with
-            | Some (key, id) ->
-              if !best_id < 0 || key < !best_key then begin
-                best_id := id;
-                best_key := key
-              end
-            | None -> ()
+        for bank = first_bank to end_bank - 1 do
+          match Seg_index.coldest_closed t.idx ~bank with
+          | Some (key, id) ->
+            if !best_id < 0 || key < !best_key then begin
+              best_id := id;
+              best_key := key
+            end
+          | None -> ()
         done;
-        if !best_id < 0 then None else Some t.segments.(!best_id)
+        !best_id
       end
   in
-  match relocation with
-  | Some v -> Some v
-  | None -> (
+  if relocation >= 0 then relocation
+  else
     match t.cfg.cleaner with
     | Cleaner.Greedy ->
       (* Greedy maximizes 1 - u, i.e. minimizes the live count; lowest id
@@ -539,30 +540,25 @@ let select_victim t ~now ~purpose =
          ascend with banks). *)
       let best_id = ref (-1) in
       let best_key = ref 0 in
-      for bank = 0 to nbanks - 1 do
-        if bank_allowed_for t ~purpose ~bank then
-          match Seg_index.least_live_closed t.idx ~bank with
-          | Some (key, id) ->
-            if !best_id < 0 || key < !best_key then begin
-              best_id := id;
-              best_key := key
-            end
-          | None -> ()
+      for bank = first_bank to end_bank - 1 do
+        match Seg_index.least_live_closed t.idx ~bank with
+        | Some (key, id) ->
+          if !best_id < 0 || key < !best_key then begin
+            best_id := id;
+            best_key := key
+          end
+        | None -> ()
       done;
-      if !best_id < 0 then None else Some t.segments.(!best_id)
+      !best_id
     | Cleaner.Cost_benefit ->
-      (* Scores are computed by Cleaner.score itself, so the floats are
-         the reference's floats. *)
-      Seg_index.max_score_closed t.idx
-        ~allowed:(fun bank -> bank_allowed_for t ~purpose ~bank)
-        ~score:(fun id -> Cleaner.score t.cfg.cleaner ~now t.segments.(id))
-      |> Option.map (fun id -> t.segments.(id)))
+      Seg_index.max_score_closed t.idx ~first_bank ~end_bank ~now_ns:(Time.to_ns now)
 
 let next_free_segment t ~purpose ~restrict =
   Option.map Segment.id (pick_free t ~purpose ~restrict)
 
 let next_victim t ~purpose =
-  Option.map Segment.id (select_victim t ~now:(Engine.now t.engine) ~purpose)
+  let v = select_victim t ~now:(Engine.now t.engine) ~purpose in
+  if v < 0 then None else Some v
 
 (* --- Log appends, segment acquisition, cleaning -------------------------- *)
 
@@ -667,115 +663,123 @@ and clean_one t ~cursor ~purpose =
   if t.cleaning then false
   else begin
     t.cleaning <- true;
-    Fun.protect ~finally:(fun () -> t.cleaning <- false) @@ fun () ->
-    let now = Engine.now t.engine in
-    match select_victim t ~now ~purpose with
-    | None ->
-      Log.debug (fun m -> m "cleaner: no eligible victim");
-      false
-    | Some victim ->
-      Log.debug (fun m ->
-          m "cleaning segment %d (live %d/%d, %d erases)" (Segment.id victim)
-            (Segment.live_count victim) (Segment.nslots victim)
-            (erase_count_of_segment t victim));
-      (* The victim leaves the candidate structures now; the copy-out
-         kills below adjust only the live-block counter. *)
-      closed_index_remove t victim;
-      (* A full victim frees nothing and is cleaned all the same: full
-         segments are eligible ({!Cleaner.select}) and score 0, so one is
-         picked only when every candidate is full, or when static wear
-         leveling relocates it. *)
-      t.c_cleanings <- t.c_cleanings + 1;
-      Probe.incr t.probes.p_cleanings;
-      let clean_start = !cursor in
-      let live_in = Segment.live_count victim in
-      let bytes = block_bytes t in
-      (* Copy out the survivors.  With diff logging on, a live slot may
-         hold a chain's base page or one of its delta records rather than
-         the block's only copy; relocating those updates the chain table
-         (and, for deltas, the record's own header) instead of [m.loc]. *)
-      for slot = 0 to Segment.used_slots victim - 1 do
-        let b = Segment.block_at victim slot in
-        if b >= 0 then begin
-          let sector = Segment.sector_of_slot victim slot in
-          let role = chain_role t ~seg:(Segment.id victim) ~slot b in
-          let nbytes =
-            match t.diff with
-            | Some d when role >= 0 -> (Diff_log.delta d ~block:b role).Diff_log.d_bytes
-            | Some _ | None -> bytes
-          in
-          cursor := flash_read t ~now:!cursor ~sector ~bytes:nbytes;
-          let out = ensure_open t ~purpose:Banks.Clean_out ~cursor in
-          let out_slot = program_append t out ~cursor ~block:b ~bytes:nbytes in
-          let out_sector = Segment.sector_of_slot out out_slot in
-          (match t.diff with
-          | Some d when role = role_base ->
-            let m = find_meta t b in
-            record_header t m ~sector:out_sector ~block:b;
-            Diff_log.rebase d ~block:b ~seg:(Segment.id out) ~slot:out_slot;
-            (* While the block sits dirty its loc stays Buffered; the
-               chain table alone tracks where the base went. *)
-            (match where m with
-            | Flashed -> set_flashed t m ~seg:(Segment.id out) ~slot:out_slot
-            | Buffered | Blank -> ())
-          | Some d when role >= 0 ->
-            let dl = Diff_log.delta d ~block:b role in
-            record_delta_header t ~sector:out_sector ~block:b ~pos:role
-              ~prev_sector:dl.Diff_log.d_sector;
-            Diff_log.relocate_delta d ~block:b ~pos:role ~seg:(Segment.id out)
-              ~slot:out_slot ~sector:out_sector
-          | Some _ | None ->
-            let m = find_meta t b in
-            record_header t m ~sector:out_sector ~block:b;
-            set_flashed t m ~seg:(Segment.id out) ~slot:out_slot);
-          Segment.kill victim ~slot;
-          note_kill t victim;
-          t.c_cleaned <- t.c_cleaned + 1;
-          Probe.incr t.probes.p_cleaned
-        end
-      done;
-      (* Erase the sectors that were programmed since the last erase. *)
-      let erases_before = erase_count_of_segment t victim in
-      let victim_bank = bank_of_segment t (Segment.id victim) in
-      for slot = 0 to Segment.used_slots victim - 1 do
+    match clean_victim t ~cursor ~purpose with
+    | cleaned ->
+      t.cleaning <- false;
+      cleaned
+    | exception e ->
+      t.cleaning <- false;
+      raise e
+  end
+
+(* One cleaning pass, under [t.cleaning]: pick a victim, copy its live
+   blocks out, erase it.  False when there is no victim. *)
+and clean_victim t ~cursor ~purpose =
+  let v = select_victim t ~now:(Engine.now t.engine) ~purpose in
+  if v < 0 then begin
+    Log.debug (fun m -> m "cleaner: no eligible victim");
+    false
+  end
+  else begin
+    let victim = t.segments.(v) in
+    (* The victim leaves the candidate structures now; the copy-out
+       kills below adjust only the live-block counter. *)
+    closed_index_remove t victim;
+    (* A full victim frees nothing and is cleaned all the same: full
+       segments are eligible and score 0 under cost-benefit, so one is
+       picked only when every candidate is full, or when static wear
+       leveling relocates it. *)
+    t.c_cleanings <- t.c_cleanings + 1;
+    Probe.incr t.probes.p_cleanings;
+    let clean_start = !cursor in
+    let live_in = Segment.live_count victim in
+    let bytes = block_bytes t in
+    (* Copy out the survivors.  With diff logging on, a live slot may
+       hold a chain's base page or one of its delta records rather than
+       the block's only copy; relocating those updates the chain table
+       (and, for deltas, the record's own header) instead of [m.loc]. *)
+    for slot = 0 to Segment.used_slots victim - 1 do
+      let b = Segment.block_at victim slot in
+      if b >= 0 then begin
         let sector = Segment.sector_of_slot victim slot in
-        t.hdr_block.(sector) <- no_block;
-        match Device.Flash.erase t.flash ~now:!cursor ~sector with
-        | finish ->
-          cursor := finish;
-          Probe.incr t.probes.p_bank_erases.(victim_bank)
-        | exception Device.Flash.Error Device.Flash.Bad_sector -> ()
-        | exception Device.Flash.Error e ->
-          Fmt.failwith "Manager: erase failed: %a" Device.Flash.pp_error e
-      done;
-      Wear.acc_bump t.wear_acc ~old_count:erases_before
-        ~new_count:(erase_count_of_segment t victim);
-      Segment.reset_to_free victim;
-      (* Retire the segment if wear-out claimed any of its sectors. *)
-      let worn = ref false in
-      for slot = 0 to Segment.nslots victim - 1 do
-        if Device.Flash.is_bad t.flash ~sector:(Segment.sector_of_slot victim slot)
-        then worn := true
-      done;
-      if !worn then begin
-        t.retired.(Segment.id victim) <- true;
-        t.n_retired <- t.n_retired + 1;
-        Log.warn (fun m ->
-            m "segment %d retired (worn out); %d segments remain"
-              (Segment.id victim)
-              (Array.length t.segments - t.n_retired))
+        let role = chain_role t ~seg:(Segment.id victim) ~slot b in
+        let nbytes =
+          match t.diff with
+          | Some d when role >= 0 -> (Diff_log.delta d ~block:b role).Diff_log.d_bytes
+          | Some _ | None -> bytes
+        in
+        cursor := flash_read t ~now:!cursor ~sector ~bytes:nbytes;
+        let out = ensure_open t ~purpose:Banks.Clean_out ~cursor in
+        let out_slot = program_append t out ~cursor ~block:b ~bytes:nbytes in
+        let out_sector = Segment.sector_of_slot out out_slot in
+        (match t.diff with
+        | Some d when role = role_base ->
+          let m = find_meta t b in
+          record_header t m ~sector:out_sector ~block:b;
+          Diff_log.rebase d ~block:b ~seg:(Segment.id out) ~slot:out_slot;
+          (* While the block sits dirty its loc stays Buffered; the
+             chain table alone tracks where the base went. *)
+          (match where m with
+          | Flashed -> set_flashed t m ~seg:(Segment.id out) ~slot:out_slot
+          | Buffered | Blank -> ())
+        | Some d when role >= 0 ->
+          let dl = Diff_log.delta d ~block:b role in
+          record_delta_header t ~sector:out_sector ~block:b ~pos:role
+            ~prev_sector:dl.Diff_log.d_sector;
+          Diff_log.relocate_delta d ~block:b ~pos:role ~seg:(Segment.id out)
+            ~slot:out_slot ~sector:out_sector
+        | Some _ | None ->
+          let m = find_meta t b in
+          record_header t m ~sector:out_sector ~block:b;
+          set_flashed t m ~seg:(Segment.id out) ~slot:out_slot);
+        Segment.kill victim ~slot;
+        note_kill t victim;
+        t.c_cleaned <- t.c_cleaned + 1;
+        Probe.incr t.probes.p_cleaned
       end
-      else free_index_add t victim;
-      if Probe.timeline_enabled () then
-        Probe.span ~name:"cleaner.pass" ~cat:"cleaner"
-          ~args:
-            (card_args t
-               [
-                 ("segment", string_of_int (Segment.id victim));
-                 ("copied", string_of_int live_in);
-               ])
-          ~start:clean_start ~finish:!cursor ();
-      true
+    done;
+    (* Erase the sectors that were programmed since the last erase. *)
+    let erases_before = erase_count_of_segment t victim in
+    let victim_bank = bank_of_segment t (Segment.id victim) in
+    for slot = 0 to Segment.used_slots victim - 1 do
+      let sector = Segment.sector_of_slot victim slot in
+      t.hdr_block.(sector) <- no_block;
+      match Device.Flash.erase t.flash ~now:!cursor ~sector with
+      | finish ->
+        cursor := finish;
+        Probe.incr t.probes.p_bank_erases.(victim_bank)
+      | exception Device.Flash.Error Device.Flash.Bad_sector -> ()
+      | exception Device.Flash.Error e ->
+        Fmt.failwith "Manager: erase failed: %a" Device.Flash.pp_error e
+    done;
+    Wear.acc_bump t.wear_acc ~old_count:erases_before
+      ~new_count:(erase_count_of_segment t victim);
+    Segment.reset_to_free victim;
+    (* Retire the segment if wear-out claimed any of its sectors. *)
+    let worn = ref false in
+    for slot = 0 to Segment.nslots victim - 1 do
+      if Device.Flash.is_bad t.flash ~sector:(Segment.sector_of_slot victim slot)
+      then worn := true
+    done;
+    if !worn then begin
+      t.retired.(Segment.id victim) <- true;
+      t.n_retired <- t.n_retired + 1;
+      Log.warn (fun m ->
+          m "segment %d retired (worn out); %d segments remain"
+            (Segment.id victim)
+            (Array.length t.segments - t.n_retired))
+    end
+    else free_index_add t victim;
+    if Probe.timeline_enabled () then
+      Probe.span ~name:"cleaner.pass" ~cat:"cleaner"
+        ~args:
+          (card_args t
+             [
+               ("segment", string_of_int (Segment.id victim));
+               ("copied", string_of_int live_in);
+             ])
+        ~start:clean_start ~finish:!cursor ();
+    true
   end
 
 (* Program one client/cold block at the head of the log, whole. *)

@@ -249,37 +249,51 @@ let coldest_closed t ~bank =
   check_bank t bank;
   Bucketed.min_entry t.by_erase.(bank)
 
-(* The lowest id, [best] or below, among the nodes of the subtree at [i]
-   (of a heap holding [n] ids) whose score is [s].  Scores never rise
-   from parent to child, so the nodes tying the root form a subtree
-   around it: each path stops at its first lower score. *)
-let rec lowest_tied heap ~n ~score ~s i best =
-  if i >= n then best
+(* The cost-benefit score of closed segment [id] with [live] live blocks
+   at [now] ns: [u] its utilization, [age] the seconds since it last
+   changed, +1 s so that brand-new segments do not all score 0.  Inlined,
+   so the float stays unboxed in the caller. *)
+let[@inline] score a ~now ~live id =
+  let lt = a.lt.(id) in
+  let u = float_of_int live /. float_of_int a.nslots in
+  let age = float_of_int (Int.max now lt - lt) /. 1e9 in
+  (age +. 1.0) *. (1.0 -. u) /. (1.0 +. u)
+
+(* The lowest id, [low] or below, among the nodes of the subtree at [i]
+   (of the live-[live] heap holding [n] ids) that score as [root] does.
+   Scores never rise from parent to child, so the nodes tying the root
+   form a subtree around it: each path stops at its first lower score.
+   Both scores are computed here, so no float crosses a call. *)
+let rec lowest_tied a heap ~n ~now ~live ~root i low =
+  if i >= n then low
   else begin
     let id = heap.(i) in
-    if score id <> (s : float) then best
+    if score a ~now ~live id <> score a ~now ~live root then low
     else begin
-      let best = lowest_tied heap ~n ~score ~s ((2 * i) + 1) (Int.min id best) in
-      lowest_tied heap ~n ~score ~s ((2 * i) + 2) best
+      let low = lowest_tied a heap ~n ~now ~live ~root ((2 * i) + 1) (Int.min id low) in
+      lowest_tied a heap ~n ~now ~live ~root ((2 * i) + 2) low
     end
   end
 
-let max_score_closed t ~allowed ~score =
+let max_score_closed t ~first_bank ~end_bank ~now_ns:now =
   let a = t.by_age in
+  (* Local refs, which the compiler keeps unboxed in registers. *)
   let best_id = ref (-1) in
   let best = ref neg_infinity in
   (* Live-major, so the full-segment heaps, which all score 0, come last
      and are walked only when no bank holds anything better. *)
   for live = 0 to a.nslots do
-    for bank = 0 to t.nbanks - 1 do
+    for bank = first_bank to end_bank - 1 do
       let h = (bank * (a.nslots + 1)) + live in
       let n = a.size.(h) in
-      if n > 0 && allowed bank then begin
+      if n > 0 then begin
         let heap = a.heaps.(h) in
-        let s = score heap.(0) in
+        let root = heap.(0) in
+        let s = score a ~now ~live root in
         if s >= !best then begin
           let id =
-            lowest_tied heap ~n ~score ~s 1 (lowest_tied heap ~n ~score ~s 2 heap.(0))
+            lowest_tied a heap ~n ~now ~live ~root 1
+              (lowest_tied a heap ~n ~now ~live ~root 2 root)
           in
           if s > !best || id < !best_id then begin
             best := s;
@@ -289,7 +303,7 @@ let max_score_closed t ~allowed ~score =
       end
     done
   done;
-  if !best_id < 0 then None else Some !best_id
+  !best_id
 
 let closed_by_age t ~bank ~live =
   check_bank t bank;

@@ -2,10 +2,10 @@
 
     The storage manager's hot decisions — which free segment to open
     ({!Wear.pick_free} plus the least-busy-bank restriction), which closed
-    segment to clean ({!Cleaner.select}, {!Wear.relocation_victim}) — were
-    originally full scans over the segment array on every call.  This
-    module keeps the same decisions available from structures updated at
-    each segment state transition:
+    segment to clean (greedy or cost-benefit, {!Wear.relocation_victim})
+    — were originally full scans over the segment array on every call.
+    This module keeps the same decisions available from structures
+    updated at each segment state transition:
 
     - per bank, the {e free} segments bucketed by wear key (erase count,
       or a constant under first-fit allocation), so least-worn / most-worn
@@ -15,11 +15,13 @@
       relocation);
     - per bank and per live count [0 .. nslots], an indexed binary
       min-heap of the closed segments keyed by (last-touched instant, id),
-      for cost-benefit victim selection.  At a fixed live count the score
-      [age * (1-u)/(1+u)] never rises as the last-touched instant grows,
-      so each heap's root is its bucket's best candidate: a pick scores at
-      most [banks * (nslots + 1)] roots, plus the nodes that tie a root's
-      score, and costs O(banks · nslots) however many segments there are.
+      for cost-benefit victim selection.  The index computes the
+      cost-benefit score [age * (1-u)/(1+u)] itself, from the keys it
+      holds.  At a fixed live count that score never rises as the
+      last-touched instant grows, so each heap's root is its bucket's
+      best candidate: a pick scores at most [banks * (nslots + 1)] roots,
+      plus the nodes that tie a root's score, costs O(banks · nslots)
+      however many segments there are, and allocates nothing.
       The heaps live in int arrays that double when full and never
       shrink, beside id-indexed position and key arrays sized at
       {!create}: adding, removing and re-bucketing a segment is
@@ -29,9 +31,10 @@
     Buckets are [Map]/[Set] based, so their entry points are O(log n) and
     min/max queries return the {e lowest segment id} within the extreme
     bucket — matching the first-in-id-order tie-breaking of the scans;
-    the cost-benefit pick breaks equal scores the same way.  The scans
-    live in [test/scan_oracle.ml], the oracle the differential tests check
-    the manager's decisions against after every operation.
+    the cost-benefit pick breaks equal scores the same way.  The scans,
+    and the reference cost-benefit score, live in [test/scan_oracle.ml],
+    the oracle the differential tests check the manager's decisions
+    against after every operation.
 
     This module is pure bookkeeping over [(bank, id, key)] integers; it
     never touches devices or segments.  {!Manager} owns the hook points
@@ -123,13 +126,16 @@ val coldest_closed : t -> bank:int -> (int * int) option
 (** [(erase count, id)] of the least-worn closed segment in the bank
     (static wear-leveling relocation candidate). *)
 
-val max_score_closed : t -> allowed:(int -> bool) -> score:(int -> float) -> int option
-(** The cost-benefit victim: over the banks [b] with [allowed b], the
-    closed segment with the highest [score id], lowest id on equal
-    scores; [None] when there is none.  Exact for any [score] that, at a
-    fixed live count, never rises as the last-touched instant grows — as
-    {!Cleaner.score} under cost-benefit.  [score] is called only on each
-    (bank, live) heap's root and on the nodes that tie a root's score. *)
+val max_score_closed : t -> first_bank:int -> end_bank:int -> now_ns:int -> int
+(** The cost-benefit victim at instant [now_ns]: over the banks from
+    [first_bank] up to, not including, [end_bank], the closed segment with
+    the highest score, lowest id on equal scores; [-1] when there is none.
+    The index scores a segment itself, from its keys: with [u] its live
+    count over [nslots] and [age] the seconds from its last-touched
+    instant to [now_ns] (0 if that instant is later), the score is
+    [(age +. 1.0) *. (1.0 -. u) /. (1.0 +. u)], evaluated in that order.
+    Only each (bank, live) heap's root and the nodes that tie a root's
+    score are scored.  Allocates nothing. *)
 
 val closed_by_age : t -> bank:int -> live:int -> (int * int) array
 (** The cost-benefit heap of the bank's closed segments with [live] live

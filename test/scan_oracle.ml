@@ -5,14 +5,45 @@
    module is the reference those must match: the scan-per-decision
    implementation the indexes replaced, rebuilt on the public policy
    functions ({!Storage.Wear.pick_free}, {!Storage.Wear.relocation_victim},
-   {!Storage.Cleaner.select}, {!Storage.Wear.evenness}) over the manager's
-   segment array.  [check] compares every decision and count the manager
-   would report right now; the differential tests call it after every
-   operation. *)
+   {!Storage.Wear.evenness}) and on the cleaner's reference [score] and
+   [select] below, over the manager's segment array.  [check] compares
+   every decision and count the manager would report right now; the
+   differential tests call it after every operation. *)
 
 open Sim
 module M = Storage.Manager
 module Seg = Storage.Segment
+
+(* Desirability of cleaning [seg] under [policy] (higher = better
+   victim), from the segment itself.  [Storage.Seg_index] computes the
+   cost-benefit score from its own keys; it must match this one float
+   for float. *)
+let score policy ~now seg =
+  let u = Seg.utilization seg in
+  match policy with
+  | Storage.Cleaner.Greedy -> 1.0 -. u
+  | Storage.Cleaner.Cost_benefit ->
+    let age =
+      Time.span_to_s (Time.diff (Time.max now (Seg.last_touched seg)) (Seg.last_touched seg))
+    in
+    (* +1s keeps brand-new segments from scoring zero across the board. *)
+    (age +. 1.0) *. (1.0 -. u) /. (1.0 +. u)
+
+(* The best eligible Closed segment, the first in id order on equal
+   scores, or [None].  Full segments are eligible (static wear leveling
+   may force them); their score puts them last. *)
+let select policy ~now ~eligible segments =
+  Array.fold_left
+    (fun best seg ->
+      if Seg.state seg <> Seg.Closed || not (eligible seg) then best
+      else begin
+        let s = score policy ~now seg in
+        match best with
+        | Some (_, best_score) when best_score >= s -> best
+        | Some _ | None -> Some (seg, s)
+      end)
+    None segments
+  |> Option.map fst
 
 (* The manager's state as the scans read it. *)
 type view = {
@@ -76,7 +107,7 @@ let victim v ~now ~purpose =
        v.segments
    with
   | Some seg -> Some seg
-  | None -> Storage.Cleaner.select v.cfg.M.cleaner ~now ~eligible v.segments)
+  | None -> select v.cfg.M.cleaner ~now ~eligible v.segments)
   |> Option.map Seg.id
 
 let count v f = Array.fold_left (fun n seg -> n + f seg) 0 v.segments

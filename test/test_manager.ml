@@ -153,6 +153,39 @@ let test_out_of_space () =
         ignore (Storage.Manager.write_block m b)
       done)
 
+(* The cleaner's re-entrancy flag survives an exception.  A card of
+   blocks written through fills until a write raises [Out_of_space] from
+   inside a cleaning pass: the pass copies its victim's survivors out and
+   finds no free segment to open for them.  Freeing every block then
+   leaves segments with nothing to copy, so the next writes must clean
+   again and succeed; a cleaner left flagged as running would refuse
+   every pass and fail them. *)
+let test_out_of_space_inside_cleaning () =
+  let _engine, m, _ = make ~flash_kib:32 ~buffer_blocks:0 () in
+  let write () =
+    let b = Storage.Manager.alloc m in
+    ignore (Storage.Manager.write_block m b);
+    b
+  in
+  let written = ref [] in
+  (match
+     for _ = 1 to 70 do
+       written := write () :: !written
+     done
+   with
+  | () -> Alcotest.fail "the card never filled"
+  | exception Storage.Manager.Out_of_space -> ());
+  let cleanings () = (Storage.Manager.stats m).Storage.Manager.cleanings in
+  let before = cleanings () in
+  List.iter (Storage.Manager.free_block m) !written;
+  for _ = 1 to 8 do
+    match write () with
+    | _ -> ()
+    | exception Storage.Manager.Out_of_space ->
+      Alcotest.fail "a write after freeing every block ran out of space"
+  done;
+  Alcotest.(check bool) "cleaning ran again" true (cleanings () > before)
+
 let test_load_cold_placement_partitioned () =
   let _engine, m, _ =
     make ~nbanks:2 ~banking:(Storage.Banks.Partitioned { write_banks = 1 }) ()
@@ -565,6 +598,8 @@ let suite =
     Alcotest.test_case "overwrite supersedes" `Quick test_overwrite_supersedes_flash_copy;
     Alcotest.test_case "cleaning preserves data" `Quick test_cleaning_triggers_and_preserves;
     Alcotest.test_case "out of space" `Quick test_out_of_space;
+    Alcotest.test_case "out of space inside cleaning" `Quick
+      test_out_of_space_inside_cleaning;
     Alcotest.test_case "partitioned placement" `Quick test_load_cold_placement_partitioned;
     Alcotest.test_case "flush_all" `Quick test_flush_all;
     Alcotest.test_case "hot blocks stay in DRAM" `Quick test_hot_blocks_stay_in_dram;

@@ -1,4 +1,5 @@
-(* Cleaner victim selection, wear-leveling, and bank-partitioning policies. *)
+(* Cleaner victim selection (the reference scan in [Scan_oracle]),
+   wear-leveling, and bank-partitioning policies. *)
 open Sim
 
 let segment ~id ~fill ~kill ~touched =
@@ -19,7 +20,7 @@ let test_greedy_picks_emptiest () =
   let b = segment ~id:1 ~fill:8 ~kill:[ 0; 1; 2; 3; 4 ] ~touched:0 in
   let c = segment ~id:2 ~fill:8 ~kill:[ 0; 1 ] ~touched:0 in
   let victim =
-    Storage.Cleaner.select Storage.Cleaner.Greedy ~now:(Time.of_ns 100)
+    Scan_oracle.select Storage.Cleaner.Greedy ~now:(Time.of_ns 100)
       ~eligible:(fun _ -> true)
       [| a; b; c |]
   in
@@ -30,7 +31,7 @@ let test_cost_benefit_prefers_old_segments () =
   let young = segment ~id:0 ~fill:8 ~kill:[ 0; 1 ] ~touched:1_000_000_000 in
   let old = segment ~id:1 ~fill:8 ~kill:[ 0; 1 ] ~touched:0 in
   let victim =
-    Storage.Cleaner.select Storage.Cleaner.Cost_benefit ~now:(Time.of_ns 2_000_000_000)
+    Scan_oracle.select Storage.Cleaner.Cost_benefit ~now:(Time.of_ns 2_000_000_000)
       ~eligible:(fun _ -> true)
       [| young; old |]
   in
@@ -44,8 +45,8 @@ let test_cost_benefit_cleans_fuller_old_over_emptier_young () =
   let now = Time.of_ns 1_000_000_000_000 in
   let cb = Storage.Cleaner.Cost_benefit in
   Alcotest.(check bool) "old fuller scores higher" true
-    (Storage.Cleaner.score cb ~now old_fuller
-    > Storage.Cleaner.score cb ~now young_empty)
+    (Scan_oracle.score cb ~now old_fuller
+    > Scan_oracle.score cb ~now young_empty)
 
 let test_select_respects_eligibility_and_state () =
   let open_seg = segment ~id:0 ~fill:4 ~kill:[ 0; 1; 2; 3 ] ~touched:0 in
@@ -53,7 +54,7 @@ let test_select_respects_eligibility_and_state () =
   let fresh = Storage.Segment.create ~id:1 ~first_sector:64 ~nslots:8 in
   Storage.Segment.open_ fresh;
   let victim =
-    Storage.Cleaner.select Storage.Cleaner.Greedy ~now:Time.zero
+    Scan_oracle.select Storage.Cleaner.Greedy ~now:Time.zero
       ~eligible:(fun s -> Storage.Segment.id s <> 0)
       [| open_seg; fresh |]
   in
@@ -152,7 +153,7 @@ let test_cleaner_select_tie_lowest_id () =
   let now = Time.of_ns 500_000_000 in
   List.iter
     (fun (name, policy) ->
-      match Storage.Cleaner.select policy ~now ~eligible:(fun _ -> true) segs with
+      match Scan_oracle.select policy ~now ~eligible:(fun _ -> true) segs with
       | Some s -> Alcotest.(check int) name 0 (Storage.Segment.id s)
       | None -> Alcotest.fail "no victim")
     [ ("greedy tie", Storage.Cleaner.Greedy);
@@ -204,6 +205,17 @@ let test_banks_allowed () =
   Alcotest.(check bool) "unified allows all" true
     (Storage.Banks.allowed Storage.Banks.Unified ~nbanks:4 Storage.Banks.Fresh_write
        ~bank:3);
+  let range policy purpose =
+    (Storage.Banks.first_bank policy purpose, Storage.Banks.end_bank policy ~nbanks:4 purpose)
+  in
+  Alcotest.(check (pair int int)) "fresh writes: banks 0..1" (0, 2)
+    (range p Storage.Banks.Fresh_write);
+  Alcotest.(check (pair int int)) "cleaning output: banks 2..3" (2, 4)
+    (range p Storage.Banks.Clean_out);
+  Alcotest.(check (pair int int)) "cold loads: banks 2..3" (2, 4)
+    (range p Storage.Banks.Cold_load);
+  Alcotest.(check (pair int int)) "unified: banks 0..3" (0, 4)
+    (range Storage.Banks.Unified Storage.Banks.Cold_load);
   Alcotest.check_raises "bank range" (Invalid_argument "Banks.allowed: bank out of range")
     (fun () -> ignore (Storage.Banks.allowed p ~nbanks:4 Storage.Banks.Fresh_write ~bank:4))
 

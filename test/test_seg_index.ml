@@ -90,26 +90,41 @@ let aged_index () =
 let raises_invalid f =
   match f () with () -> false | exception Invalid_argument _ -> true
 
-(* A score of the cost-benefit shape: at a fixed live count it never rises
-   as the last-touched instant grows.  [quantum] coarsens the age so that
-   different instants tie. *)
-let heap_score ~now ~quantum (lt, live) =
-  float_of_int ((Int.max 0 (now - lt) / quantum) + 1)
-  *. float_of_int (heap_nslots - live)
-  /. float_of_int (heap_nslots + live)
+(* The reference score ([Scan_oracle.score]) of a segment with [live] of
+   its [heap_nslots] blocks live, last touched at [lt] ns. *)
+let oracle_score ~now ~live ~lt =
+  let seg = Storage.Segment.create ~id:0 ~first_sector:0 ~nslots:heap_nslots in
+  Storage.Segment.open_ seg;
+  for b = 0 to heap_nslots - 1 do
+    ignore (Storage.Segment.append seg ~block:b)
+  done;
+  for slot = 0 to heap_nslots - live - 1 do
+    Storage.Segment.kill seg ~slot
+  done;
+  Storage.Segment.touch seg ~at:(Sim.Time.of_ns lt);
+  Scan_oracle.score Storage.Cleaner.Cost_benefit ~now:(Sim.Time.of_ns now) seg
+
+(* Instants whose scores tie by rounding.  Near 2^57 ns an age of about
+   1.4e8 s has a float step of about 30 ns, so last-touched instants a
+   few ns apart score alike; at [2^57 - 280] the live-1 scores tie over
+   0..48 ns, a span that [(age +. 1.0) *. ((1.0 -. u) /. (1.0 +. u))]
+   splits in two.  At 0 every age is 0, so a live count's scores all
+   tie; at 60 only equal instants do. *)
+let near_2_57 = 1 lsl 57
+let tie_nows = [ near_2_57 - 280; near_2_57 - 100; (1 lsl 56) + 3; 60; 0 ]
 
 (* Model-based check: random adds, removes and live-count changes against
    a list of (id, live, lt) entries.  After every op each (bank, live)
    heap holds exactly the model's entries, its root is their minimum
    (lt, id), every parent precedes its children, and the pick agrees with
-   a scan of the model over random bank subsets; misuse raises and
-   changes nothing. *)
+   a scan of the model scored by the oracle, over each bank range at
+   each of [tie_nows]; misuse raises and changes nothing. *)
 let prop_heaps_match_model =
   QCheck.Test.make ~name:"seg_index: age heaps match naive model" ~count:300
     QCheck.(
       list
         (quad (int_bound 3) (int_bound (heap_ids - 1)) (int_bound heap_nslots)
-           (int_bound 5)))
+           (int_bound 15)))
     (fun ops ->
       let idx = aged_index () in
       let model = ref [] in
@@ -143,31 +158,27 @@ let prop_heaps_match_model =
           done
         done
       in
-      let check_pick ~now ~quantum ~mask =
-        let allowed b = mask land (1 lsl b) <> 0 in
-        let score = heap_score ~now ~quantum in
+      let check_pick ~now (first_bank, end_bank) =
         let scan =
           List.fold_left
             (fun best (id, live, lt) ->
-              if not (allowed (bank id)) then best
+              if bank id < first_bank || bank id >= end_bank then best
               else
-                let s = score (lt, live) in
+                let s = oracle_score ~now ~live ~lt in
                 match best with
                 | Some (bid, bs) when bs > s || (bs = s && bid < id) -> best
                 | Some _ | None -> Some (id, s))
             None !model
-          |> Option.map fst
+          |> Option.fold ~none:(-1) ~some:fst
         in
-        let lookup id =
-          match find id with Some (_, live, lt) -> score (lt, live) | None -> nan
-        in
-        if I.max_score_closed idx ~allowed ~score:lookup <> scan then
-          QCheck.Test.fail_reportf
-            "pick differs from the scan (now %d, quantum %d, banks %d)" now quantum mask
+        let pick = I.max_score_closed idx ~first_bank ~end_bank ~now_ns:now in
+        if pick <> scan then
+          QCheck.Test.fail_reportf "pick %d, the scan %d (now %d, banks %d..%d)" pick scan
+            now first_bank (end_bank - 1)
       in
       List.iter
         (fun (kind, id, live, t) ->
-          let lt = 10 * t in
+          let lt = 4 * t in
           (match (kind, find id) with
           | 0, None ->
             I.add_closed idx ~bank:(bank id) ~id ~live ~erase:0 ~lt_ns:lt;
@@ -206,8 +217,8 @@ let prop_heaps_match_model =
           | _, None -> ());
           check_heaps ();
           List.iter
-            (fun (now, quantum, mask) -> check_pick ~now ~quantum ~mask)
-            [ (60, 1, 3); (60, 25, 3); (20, 1, 1); (35, 40, 2); (0, 1, 3) ])
+            (fun now -> List.iter (check_pick ~now) [ (0, 1); (1, 2); (0, 2); (1, 1) ])
+            tie_nows)
         ops;
       true)
 
@@ -238,28 +249,33 @@ let test_heap_misuse_raises () =
     "removed" [||]
     (I.closed_by_age idx ~bank:0 ~live:2)
 
-(* Ties the root alone gets wrong.  Bank 0: full segments all score 0,
-   so the lowest id wins however young it is.  Bank 1: a coarse age makes
-   two instants score alike, so the younger, lower id wins. *)
+(* Ties the root alone gets wrong, from the production score.  Bank 0:
+   full segments all score 0, so the lowest id wins however young it is.
+   Bank 1: at [2^57 - 280] ns, live-1 segments last touched at 14 and
+   18 ns score alike, so the younger, lower id wins; one touched at 50 ns
+   scores lower. *)
 let test_pick_walks_ties () =
   let idx = aged_index () in
   let full = heap_nslots in
   let entries =
     [ (4, full, 10); (5, full, 20); (1, full, 30); (2, full, 40); (0, full, 90) ]
-    @ [ (9, 1, 10); (7, 1, 12); (6, 1, 30) ]
+    @ [ (9, 1, 14); (7, 1, 18); (6, 1, 50) ]
   in
   List.iter
     (fun (id, live, lt) -> I.add_closed idx ~bank:(id / 6) ~id ~live ~erase:0 ~lt_ns:lt)
     entries;
+  let now = near_2_57 - 280 in
   let score id =
     let _, live, lt = List.find (fun (i, _, _) -> i = id) entries in
-    heap_score ~now:100 ~quantum:25 (lt, live)
+    oracle_score ~now ~live ~lt
   in
-  let pick bank = I.max_score_closed idx ~allowed:(fun b -> b = bank) ~score in
-  Alcotest.(check (option int)) "full: the youngest, lowest id" (Some 0) (pick 0);
-  Alcotest.(check (option int)) "equal floats: the lower id" (Some 7) (pick 1);
-  Alcotest.(check (option int)) "both banks: any positive score beats full" (Some 7)
-    (I.max_score_closed idx ~allowed:(fun _ -> true) ~score)
+  Alcotest.(check bool) "14 and 18 ns tie" true (score 9 = score 7);
+  Alcotest.(check bool) "50 ns scores lower" true (score 6 < score 7);
+  let pick first_bank end_bank = I.max_score_closed idx ~first_bank ~end_bank ~now_ns:now in
+  Alcotest.(check int) "full: the youngest, lowest id" 0 (pick 0 1);
+  Alcotest.(check int) "equal floats: the lower id" 7 (pick 1 2);
+  Alcotest.(check int) "both banks: any positive score beats full" 7 (pick 0 2);
+  Alcotest.(check int) "no bank: none" (-1) (pick 1 1)
 
 let test_free_side_counters () =
   let idx =
