@@ -6,7 +6,7 @@
 
 type 'a entry = {
   at : Time.t;
-  mutable seq : int;
+  seq : int;
       (* Tie-break: equal instants deliver in [seq] order.  Keys are unique,
          so delivery order never depends on the heap's layout. *)
   payload : 'a;
@@ -126,35 +126,6 @@ let min_exn t =
 
 let peek_time_exn t = (min_exn t).at
 let peek_exn t = (min_exn t).payload
-
-(* A fresh sequence number puts the root behind every entry at its
-   instant, exactly where a pop and re-add would put it. *)
-let requeue_exn t =
-  let entry = min_exn t in
-  entry.seq <- t.next_seq;
-  t.next_seq <- t.next_seq + 1;
-  sift_down t 0
-
-let filter_inplace t keep =
-  let kept = ref 0 in
-  for i = 0 to t.size - 1 do
-    let entry = t.heap.(i) in
-    if entry.pending && keep entry.at entry.payload then begin
-      t.heap.(!kept) <- entry;
-      incr kept
-    end
-    else if entry.pending then begin
-      entry.pending <- false;
-      t.live <- t.live - 1
-    end
-  done;
-  for i = !kept to t.size - 1 do
-    t.heap.(i) <- dummy ()
-  done;
-  t.size <- !kept;
-  for i = (t.size / 2) - 1 downto 0 do
-    sift_down t i
-  done
 
 let length t = t.live
 let is_empty t = t.live = 0

@@ -8,7 +8,12 @@
     Reads allocate nothing: check {!is_empty}, read {!peek_time_exn} (an
     unboxed instant) or {!peek_exn}, then take the payload with
     {!pop_exn}.  An option or tuple result would box on every call, which
-    the simulation engine would pay once per event. *)
+    the simulation engine would pay once per event.
+
+    It queues the engine's events, whose handles cancel, and the trace
+    generator's.  The write buffer keeps its own deadline heap in flat int
+    arrays instead: it needs no handle, and an [add] here allocates an
+    entry that every heap move then writes through the write barrier. *)
 
 type 'a t
 
@@ -43,19 +48,6 @@ val peek_time_exn : 'a t -> Time.t
 val peek_exn : 'a t -> 'a
 (** The payload of the earliest live event, left in the queue.
     @raise Empty when the queue has no live events. *)
-
-val requeue_exn : 'a t -> unit
-(** Move the earliest live event behind every other event at its instant,
-    in place: delivery order is then exactly what popping it and adding
-    its payload back at the same instant would give, but nothing is
-    allocated and its handle stays valid.
-    @raise Empty when the queue has no live events. *)
-
-val filter_inplace : 'a t -> (Time.t -> 'a -> bool) -> unit
-(** Drop every event for which the predicate is false (and every
-    cancelled one) and rebuild the heap in place, in O(n).  Survivors keep
-    their relative delivery order; a dropped event's handle behaves as if
-    cancelled. *)
 
 val length : 'a t -> int
 (** Number of live (non-cancelled, not yet popped) events. *)

@@ -683,7 +683,8 @@ and clean_victim t ~cursor ~purpose =
   else begin
     let victim = t.segments.(v) in
     (* The victim leaves the candidate structures now; the copy-out
-       kills below adjust only the live-block counter. *)
+       kills below adjust only the live-block counter.  A copy-out that
+       runs out of space puts it back, with the survivors it still holds. *)
     closed_index_remove t victim;
     (* A full victim frees nothing and is cleaned all the same: full
        segments are eligible and score 0 under cost-benefit, so one is
@@ -693,51 +694,11 @@ and clean_victim t ~cursor ~purpose =
     Probe.incr t.probes.p_cleanings;
     let clean_start = !cursor in
     let live_in = Segment.live_count victim in
-    let bytes = block_bytes t in
-    (* Copy out the survivors.  With diff logging on, a live slot may
-       hold a chain's base page or one of its delta records rather than
-       the block's only copy; relocating those updates the chain table
-       (and, for deltas, the record's own header) instead of [m.loc]. *)
-    for slot = 0 to Segment.used_slots victim - 1 do
-      let b = Segment.block_at victim slot in
-      if b >= 0 then begin
-        let sector = Segment.sector_of_slot victim slot in
-        let role = chain_role t ~seg:(Segment.id victim) ~slot b in
-        let nbytes =
-          match t.diff with
-          | Some d when role >= 0 -> (Diff_log.delta d ~block:b role).Diff_log.d_bytes
-          | Some _ | None -> bytes
-        in
-        cursor := flash_read t ~now:!cursor ~sector ~bytes:nbytes;
-        let out = ensure_open t ~purpose:Banks.Clean_out ~cursor in
-        let out_slot = program_append t out ~cursor ~block:b ~bytes:nbytes in
-        let out_sector = Segment.sector_of_slot out out_slot in
-        (match t.diff with
-        | Some d when role = role_base ->
-          let m = find_meta t b in
-          record_header t m ~sector:out_sector ~block:b;
-          Diff_log.rebase d ~block:b ~seg:(Segment.id out) ~slot:out_slot;
-          (* While the block sits dirty its loc stays Buffered; the
-             chain table alone tracks where the base went. *)
-          (match where m with
-          | Flashed -> set_flashed t m ~seg:(Segment.id out) ~slot:out_slot
-          | Buffered | Blank -> ())
-        | Some d when role >= 0 ->
-          let dl = Diff_log.delta d ~block:b role in
-          record_delta_header t ~sector:out_sector ~block:b ~pos:role
-            ~prev_sector:dl.Diff_log.d_sector;
-          Diff_log.relocate_delta d ~block:b ~pos:role ~seg:(Segment.id out)
-            ~slot:out_slot ~sector:out_sector
-        | Some _ | None ->
-          let m = find_meta t b in
-          record_header t m ~sector:out_sector ~block:b;
-          set_flashed t m ~seg:(Segment.id out) ~slot:out_slot);
-        Segment.kill victim ~slot;
-        note_kill t victim;
-        t.c_cleaned <- t.c_cleaned + 1;
-        Probe.incr t.probes.p_cleaned
-      end
-    done;
+    (match copy_out t victim ~cursor with
+    | () -> ()
+    | exception e ->
+      closed_index_add t victim;
+      raise e);
     (* Erase the sectors that were programmed since the last erase. *)
     let erases_before = erase_count_of_segment t victim in
     let victim_bank = bank_of_segment t (Segment.id victim) in
@@ -781,6 +742,54 @@ and clean_victim t ~cursor ~purpose =
         ~start:clean_start ~finish:!cursor ();
     true
   end
+
+(* Copy [victim]'s survivors out to the clean-out segment.  With diff
+   logging on, a live slot may hold a chain's base page or one of its delta
+   records rather than the block's only copy; relocating those updates the
+   chain table (and, for deltas, the record's own header) instead of
+   [m.loc]. *)
+and copy_out t victim ~cursor =
+  let bytes = block_bytes t in
+  for slot = 0 to Segment.used_slots victim - 1 do
+    let b = Segment.block_at victim slot in
+    if b >= 0 then begin
+      let sector = Segment.sector_of_slot victim slot in
+      let role = chain_role t ~seg:(Segment.id victim) ~slot b in
+      let nbytes =
+        match t.diff with
+        | Some d when role >= 0 -> (Diff_log.delta d ~block:b role).Diff_log.d_bytes
+        | Some _ | None -> bytes
+      in
+      cursor := flash_read t ~now:!cursor ~sector ~bytes:nbytes;
+      let out = ensure_open t ~purpose:Banks.Clean_out ~cursor in
+      let out_slot = program_append t out ~cursor ~block:b ~bytes:nbytes in
+      let out_sector = Segment.sector_of_slot out out_slot in
+      (match t.diff with
+      | Some d when role = role_base ->
+        let m = find_meta t b in
+        record_header t m ~sector:out_sector ~block:b;
+        Diff_log.rebase d ~block:b ~seg:(Segment.id out) ~slot:out_slot;
+        (* While the block sits dirty its loc stays Buffered; the
+           chain table alone tracks where the base went. *)
+        (match where m with
+        | Flashed -> set_flashed t m ~seg:(Segment.id out) ~slot:out_slot
+        | Buffered | Blank -> ())
+      | Some d when role >= 0 ->
+        let dl = Diff_log.delta d ~block:b role in
+        record_delta_header t ~sector:out_sector ~block:b ~pos:role
+          ~prev_sector:dl.Diff_log.d_sector;
+        Diff_log.relocate_delta d ~block:b ~pos:role ~seg:(Segment.id out)
+          ~slot:out_slot ~sector:out_sector
+      | Some _ | None ->
+        let m = find_meta t b in
+        record_header t m ~sector:out_sector ~block:b;
+        set_flashed t m ~seg:(Segment.id out) ~slot:out_slot);
+      Segment.kill victim ~slot;
+      note_kill t victim;
+      t.c_cleaned <- t.c_cleaned + 1;
+      Probe.incr t.probes.p_cleaned
+    end
+  done
 
 (* Program one client/cold block at the head of the log, whole. *)
 let append_full t ~purpose ~cursor b =

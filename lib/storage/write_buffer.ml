@@ -22,33 +22,33 @@ type t = {
      a lookup is a bounds check and a load, and nothing is allocated. *)
   mutable deadline : int array;
   mutable size : int;
-  (* Deadline-ordered queue with lazy invalidation: an entry is stale when
-     the table disagrees with its timestamp (refreshed or removed). *)
-  queue : int Event_queue.t;
-  (* The compaction filter, built once so compacting allocates nothing. *)
-  current : Time.t -> int -> bool;
+  (* The deadline queue, entry [i] being [(q_at.(i), q_seq.(i),
+     q_block.(i))]: see below. *)
+  mutable q_at : int array;  (* deadline, ns *)
+  mutable q_seq : int array;
+  mutable q_block : int array;
+  mutable pending : int;  (* entries held, stale ones included *)
+  mutable next_seq : int;
   mutable absorbed : int;
   mutable cancelled : int;
   mutable admitted : int;
 }
 
-let is_current t at block = t.deadline.(block) = Time.to_ns at
-
 let create cfg =
   if cfg.capacity_blocks < 0 then invalid_arg "Write_buffer.create: negative capacity";
-  let rec t =
-    {
-      cfg;
-      deadline = [||];
-      size = 0;
-      queue = Event_queue.create ();
-      current = (fun at block -> is_current t at block);
-      absorbed = 0;
-      cancelled = 0;
-      admitted = 0;
-    }
-  in
-  t
+  {
+    cfg;
+    deadline = [||];
+    size = 0;
+    q_at = [||];
+    q_seq = [||];
+    q_block = [||];
+    pending = 0;
+    next_seq = 0;
+    absorbed = 0;
+    cancelled = 0;
+    admitted = 0;
+  }
 
 let config t = t.cfg
 let size t = t.size
@@ -73,17 +73,113 @@ let p_absorbed = Probe.counter "storage.write_buffer.absorbed"
 let p_admitted = Probe.counter "storage.write_buffer.admitted"
 let p_cancelled = Probe.counter "storage.write_buffer.cancelled"
 
+(* --- The deadline queue ---------------------------------------------------
+
+   A binary min-heap ordered by (deadline, sequence number), in three
+   parallel int arrays: an entry is three ints in place, so none is
+   allocated and no heap move goes through the write barrier.  Enqueues
+   and the peek's requeue draw from one sequence counter.  Keys are
+   unique, so entries come out in an order that does not depend on the
+   heap's layout, and equal deadlines come out in sequence order.
+   Invalidation is lazy: an entry is stale when [deadline.(block)]
+   disagrees with it (the block was refreshed or removed).
+
+   Sifts move a hole instead of swapping: each level stores one entry, and
+   the entry being placed is written once, where the hole stops.  The
+   helpers are [@inline]: this build has no flambda, and a call per
+   comparison and per move would be much of a sift's cost. *)
+
+(* Does the entry [(at, seq)] come before the one in cell [i]? *)
+let[@inline] before t at seq i =
+  let ai = t.q_at.(i) in
+  at < ai || (at = ai && seq < t.q_seq.(i))
+
+let[@inline] place t i at seq block =
+  t.q_at.(i) <- at;
+  t.q_seq.(i) <- seq;
+  t.q_block.(i) <- block
+
+let[@inline] move t ~src ~dst = place t dst t.q_at.(src) t.q_seq.(src) t.q_block.(src)
+
+let rec sift_up t i at seq block =
+  let parent = (i - 1) / 2 in
+  if i > 0 && before t at seq parent then begin
+    move t ~src:parent ~dst:i;
+    sift_up t parent at seq block
+  end
+  else place t i at seq block
+
+(* Place the entry at the hole [i] of a heap of [n] entries, or below it. *)
+let rec sift_down t ~n i at seq block =
+  let l = (2 * i) + 1 in
+  let c = if l + 1 < n && before t t.q_at.(l + 1) t.q_seq.(l + 1) l then l + 1 else l in
+  if c < n && not (before t at seq c) then begin
+    move t ~src:c ~dst:i;
+    sift_down t ~n c at seq block
+  end
+  else place t i at seq block
+
+let extend a cap =
+  let grown = Array.make cap 0 in
+  Array.blit a 0 grown 0 (Array.length a);
+  grown
+
+let push t at block =
+  let n = t.pending in
+  if n = Array.length t.q_at then begin
+    let cap = if n = 0 then 16 else 2 * n in
+    t.q_at <- extend t.q_at cap;
+    t.q_seq <- extend t.q_seq cap;
+    t.q_block <- extend t.q_block cap
+  end;
+  t.pending <- n + 1;
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  sift_up t n at seq block
+
+(* Drop the root; the last entry refills the heap from the top. *)
+let pop_min t =
+  let n = t.pending - 1 in
+  t.pending <- n;
+  if n > 0 then sift_down t ~n 0 t.q_at.(n) t.q_seq.(n) t.q_block.(n)
+
+(* A fresh sequence number puts the root behind every entry at its
+   deadline, exactly where popping it and pushing it back would. *)
+let requeue_min t =
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  sift_down t ~n:t.pending 0 t.q_at.(0) seq t.q_block.(0)
+
+let[@inline] is_current t i = t.deadline.(t.q_block.(i)) = t.q_at.(i)
+
+(* Keep the entries the table still agrees with, in place, then rebuild the
+   heap bottom-up.  Survivors keep their keys, so they come out in the
+   same order as before. *)
+let compact t =
+  let kept = ref 0 in
+  for i = 0 to t.pending - 1 do
+    if is_current t i then begin
+      move t ~src:i ~dst:!kept;
+      incr kept
+    end
+  done;
+  let n = !kept in
+  t.pending <- n;
+  for i = (n / 2) - 1 downto 0 do
+    sift_down t ~n i t.q_at.(i) t.q_seq.(i) t.q_block.(i)
+  done
+
 (* A deadline refresh leaves the block's previous queue entry behind
    (lazy invalidation), so refresh-heavy hot-block workloads would grow
-   the queue without bound.  When stale entries outnumber live ones, drop
-   every entry the table no longer agrees with, in place.  Survivors keep
-   their relative order, so same-deadline FIFO ties break exactly as
-   before, and the cost is amortized O(1) per enqueue. *)
+   the queue without bound.  When stale entries outnumber live ones,
+   compact: the cost is amortized O(1) per enqueue, except that rewrites
+   of one block at one instant leave entries that all look current, so a
+   long burst of them compacts on every enqueue. *)
 let enqueue t ~block ~deadline =
-  t.deadline.(block) <- Time.to_ns deadline;
-  ignore (Event_queue.add t.queue ~at:deadline block);
-  let pending = Event_queue.length t.queue in
-  if pending > 16 && pending > 2 * t.size then Event_queue.filter_inplace t.queue t.current
+  let at = Time.to_ns deadline in
+  t.deadline.(block) <- at;
+  push t at block;
+  if t.pending > 16 && t.pending > 2 * t.size then compact t
 
 let write t ~now ~block =
   (* Zero capacity is a true pass-through: nothing is ever admitted, so
@@ -128,11 +224,10 @@ let remove t ~block =
 
 (* Pop due entries, skipping stale ones, until a live block comes out. *)
 let rec take_expired_exn t ~now =
-  if Event_queue.is_empty t.queue then raise_notrace Not_found;
-  let at = Event_queue.peek_time_exn t.queue in
-  if Time.( < ) now at then raise_notrace Not_found;
-  let block = Event_queue.pop_exn t.queue in
-  if is_current t at block then begin
+  if t.pending = 0 || Time.to_ns now < t.q_at.(0) then raise_notrace Not_found;
+  let current = is_current t 0 and block = t.q_block.(0) in
+  pop_min t;
+  if current then begin
     forget t block;
     block
   end
@@ -141,15 +236,14 @@ let rec take_expired_exn t ~now =
 (* Drop stale heads; requeue the live head behind its equal-deadline peers
    and return it. *)
 let rec peek_exn t =
-  if Event_queue.is_empty t.queue then raise_notrace Not_found;
-  let at = Event_queue.peek_time_exn t.queue in
-  let block = Event_queue.peek_exn t.queue in
-  if is_current t at block then begin
-    Event_queue.requeue_exn t.queue;
+  if t.pending = 0 then raise_notrace Not_found;
+  let block = t.q_block.(0) in
+  if is_current t 0 then begin
+    requeue_min t;
     block
   end
   else begin
-    ignore (Event_queue.pop_exn t.queue);
+    pop_min t;
     peek_exn t
   end
 
@@ -165,7 +259,7 @@ let drain t =
   in
   go []
 
-let pending_entries t = Event_queue.length t.queue
+let pending_entries t = t.pending
 
 let absorbed_writes t = t.absorbed
 let cancelled_blocks t = t.cancelled

@@ -9,7 +9,11 @@
 
     This module is the pure data structure: a set of dirty blocks with
     deadlines and a capacity bound.  Devices and flushing live in
-    {!Manager}. *)
+    {!Manager}.  Each block's deadline sits in a table indexed by block,
+    and the deadline order in a binary min-heap of (deadline, sequence
+    number, block) held in three flat int arrays, so no write, peek,
+    expiry or removal allocates once the arrays have grown to their
+    working size. *)
 
 type config = {
   capacity_blocks : int;  (** 0 disables buffering (write-through). *)
@@ -86,9 +90,12 @@ val drain : t -> int list
 (** Remove and return everything, in deadline order ([flush_all]). *)
 
 val pending_entries : t -> int
-(** Queue entries currently held, including stale ones left behind by
-    deadline refreshes and removals.  Compaction keeps this within a
-    constant factor of {!size}; exposed so tests can pin the bound. *)
+(** The entries the deadline queue holds, stale ones included: each admit
+    and each refresh adds one, and stale ones leave when a peek or an
+    expiry meets them at the head, or when compaction (which runs once
+    they outnumber the live ones) drops them.  Rewrites of one block at
+    one instant leave entries that all match its deadline, so compaction
+    keeps them all.  Exposed so tests can compare the queue op for op. *)
 
 (** {1 Counters} *)
 

@@ -4,8 +4,8 @@
 
    The per-block path allocates nothing in steady state from the write
    buffer down: the device models, their energy meters and the statistics
-   accumulators are held at 0 words per call, and the write buffer at its
-   queue entry per enqueue and 0 otherwise.  So is the array path above
+   accumulators are held at 0 words per call, and so is every write-buffer
+   operation, its deadline queue included.  So is the array path above
    it: the front cache's lookups, inserts and forgets, parity routing, and
    block reads through an array (front-cache hit or miss) or one card.
 
@@ -24,9 +24,12 @@
    cards, and the array front cache's forget/insert/hit cycle.  Two
    whole-machine ceilings hold words per trace record on a 60 s
    engineering replay, on one card and on the benchmark's 4-card parity
-   array.  Each ceiling is 1.15x the figure measured when it was set; a
-   sector program that allocated a header record again would break the
-   churn, drain and one-card replay ceilings.
+   array.  Each ceiling is 1.15x the figure measured when it was set,
+   except the parity replay's, which is 1.05x: at 1.15x it would pass the
+   level before the write buffer's queue stopped allocating.  A sector
+   program that allocated a header record again would break the churn,
+   drain and one-card replay ceilings, and a queue entry allocated per
+   enqueue the churn and both replay ceilings.
 
    The footprint ceiling holds a fresh 64 MB machine's reachable heap per
    flash sector, so per-sector state kept as a record per sector shows. *)
@@ -82,7 +85,7 @@ let churn_words ~mib =
 
 let test_cleaning_ceiling () =
   let small, small_pick = churn_words ~mib:8 and large, large_pick = churn_words ~mib:32 in
-  let ceiling = 8.3 and gap = 10.0 and pick = 2.0 in
+  let ceiling = 4.0 and gap = 10.0 and pick = 2.0 in
   Printf.printf "minor words/op: %.2f (8 MB), %.2f (32 MB)\n" small large;
   Printf.printf "minor words/next_victim: %.2f (8 MB), %.2f (32 MB)\n" small_pick
     large_pick;
@@ -343,8 +346,8 @@ let test_block_path_calls () =
          ])
 
 (* A 512-block buffer, grown to its working size by one full cycle before
-   anything is measured: an admit or a refresh then allocates exactly its
-   5-word queue entry (compaction included), and the rest nothing. *)
+   anything is measured: no operation then allocates, an admit's or a
+   refresh's enqueue and compaction included. *)
 let test_write_buffer_ops () =
   let module WB = Storage.Write_buffer in
   let n = 512 in
@@ -378,8 +381,8 @@ let test_write_buffer_ops () =
   let remove = words (fun () -> for block = 0 to n - 1 do ignore (WB.remove b ~block) done) in
   check_words
     [
-      ("Write_buffer admit", 5.0, admit);
-      ("Write_buffer refresh", 5.0, refresh);
+      ("Write_buffer admit", 0.0, admit);
+      ("Write_buffer refresh", 0.0, refresh);
       ("Write_buffer peek", 0.0, peek);
       ("Write_buffer pop-expired", 0.0, expire);
       ("Write_buffer remove", 0.0, remove);
@@ -430,11 +433,11 @@ let replay_words_per_record ~parity =
   words /. float_of_int c.Trace.Replay.Compiled.n
 
 let test_replay_ceiling () =
-  check_ceiling "engineering replay, one card, per record" ~ceiling:59.4
+  check_ceiling "engineering replay, one card, per record" ~ceiling:43.2
     (replay_words_per_record ~parity:false)
 
 let test_parity_replay_ceiling () =
-  check_ceiling "engineering replay, 4-card parity array, per record" ~ceiling:405.1
+  check_ceiling "engineering replay, 4-card parity array, per record" ~ceiling:340.0
     (replay_words_per_record ~parity:true)
 
 (* --- Footprint ------------------------------------------------------------ *)
@@ -469,7 +472,7 @@ let suite =
     Alcotest.test_case "leaf device and stat calls: 0 words" `Quick test_leaf_calls;
     Alcotest.test_case "front cache, parity routing and block reads: 0 words" `Quick
       test_block_path_calls;
-    Alcotest.test_case "write buffer: entry per enqueue, 0 otherwise" `Quick
+    Alcotest.test_case "write buffer: entry per enqueue and the rest: 0 words" `Quick
       test_write_buffer_ops;
     Alcotest.test_case "one-card replay words/record: ceiling" `Quick test_replay_ceiling;
     Alcotest.test_case "parity-array replay words/record: ceiling" `Quick

@@ -1,9 +1,26 @@
 open Sim
 
-(* A small machine: 256KB flash, 2 banks, 8-sector segments. *)
-let make ?(flash_kib = 256) ?(nbanks = 2) ?(buffer_blocks = 16) ?(delay = 30.0)
-    ?(cleaner = Storage.Cleaner.Cost_benefit) ?(wear = Storage.Wear.Dynamic)
-    ?(banking = Storage.Banks.Unified) ?(endurance = 1_000) ?diff_log () =
+(* A small machine's manager: 8-sector segments. *)
+let config ?(buffer_blocks = 16) ?(delay = 30.0) ?(cleaner = Storage.Cleaner.Cost_benefit)
+    ?(wear = Storage.Wear.Dynamic) ?(banking = Storage.Banks.Unified) ?diff_log () =
+  {
+    Storage.Manager.default_config with
+    Storage.Manager.segment_sectors = 8;
+    buffer =
+      {
+        Storage.Write_buffer.capacity_blocks = buffer_blocks;
+        writeback_delay = Time.span_s delay;
+        refresh_on_rewrite = true;
+      };
+    cleaner;
+    wear;
+    banking;
+    diff_log;
+  }
+
+(* A small machine: 256KB flash, 2 banks. *)
+let make ?(flash_kib = 256) ?(nbanks = 2) ?buffer_blocks ?delay ?cleaner ?wear ?banking
+    ?(endurance = 1_000) ?diff_log () =
   let engine = Engine.create () in
   let flash =
     Device.Flash.create
@@ -11,22 +28,7 @@ let make ?(flash_kib = 256) ?(nbanks = 2) ?(buffer_blocks = 16) ?(delay = 30.0)
          ~size_bytes:(flash_kib * 1024) ())
   in
   let dram = Device.Dram.create ~size_bytes:Units.mib ~battery_backed:true () in
-  let cfg =
-    {
-      Storage.Manager.default_config with
-      Storage.Manager.segment_sectors = 8;
-      buffer =
-        {
-          Storage.Write_buffer.capacity_blocks = buffer_blocks;
-          writeback_delay = Time.span_s delay;
-          refresh_on_rewrite = true;
-        };
-      cleaner;
-      wear;
-      banking;
-      diff_log;
-    }
-  in
+  let cfg = config ?buffer_blocks ?delay ?cleaner ?wear ?banking ?diff_log () in
   (engine, Storage.Manager.create cfg ~engine ~flash ~dram, flash)
 
 let advance engine span = Engine.run_until engine (Time.add (Engine.now engine) span)
@@ -153,15 +155,21 @@ let test_out_of_space () =
         ignore (Storage.Manager.write_block m b)
       done)
 
-(* The cleaner's re-entrancy flag survives an exception.  A card of
-   blocks written through fills until a write raises [Out_of_space] from
-   inside a cleaning pass: the pass copies its victim's survivors out and
-   finds no free segment to open for them.  Freeing every block then
-   leaves segments with nothing to copy, so the next writes must clean
-   again and succeed; a cleaner left flagged as running would refuse
-   every pass and fail them. *)
+(* The cleaner survives an exception.  A card of blocks written through
+   fills until a write raises [Out_of_space] from inside a cleaning pass:
+   the pass copies its victim's survivors out and finds no free segment to
+   open for them.  The half-copied victim must stay a cleaning candidate,
+   so the scans of [Scan_oracle] agree with every index then.  Freeing
+   every block leaves segments with nothing to copy, so the next writes
+   must clean again and succeed, and the scans must agree again; a cleaner
+   left flagged as running would refuse every pass and fail them. *)
 let test_out_of_space_inside_cleaning () =
   let _engine, m, _ = make ~flash_kib:32 ~buffer_blocks:0 () in
+  let agree what =
+    match Scan_oracle.check (config ~buffer_blocks:0 ()) m with
+    | Ok () -> ()
+    | Error msg -> Alcotest.failf "%s: %s" what msg
+  in
   let write () =
     let b = Storage.Manager.alloc m in
     ignore (Storage.Manager.write_block m b);
@@ -175,6 +183,7 @@ let test_out_of_space_inside_cleaning () =
    with
   | () -> Alcotest.fail "the card never filled"
   | exception Storage.Manager.Out_of_space -> ());
+  agree "after Out_of_space";
   let cleanings () = (Storage.Manager.stats m).Storage.Manager.cleanings in
   let before = cleanings () in
   List.iter (Storage.Manager.free_block m) !written;
@@ -184,7 +193,8 @@ let test_out_of_space_inside_cleaning () =
     | exception Storage.Manager.Out_of_space ->
       Alcotest.fail "a write after freeing every block ran out of space"
   done;
-  Alcotest.(check bool) "cleaning ran again" true (cleanings () > before)
+  Alcotest.(check bool) "cleaning ran again" true (cleanings () > before);
+  agree "after freeing every block and writing 8 more"
 
 let test_load_cold_placement_partitioned () =
   let _engine, m, _ =

@@ -233,73 +233,134 @@ module O = Write_buffer_oracle
 
 let tick_ns = 250_000_000
 
+(* The two buffers driven through the same calls, and the first call on
+   which they disagreed. *)
+type pair = {
+  wb : WB.t;
+  o : O.t;
+  seed : int;
+  mutable now : int;  (* ns *)
+  mutable op : int;
+  mutable peak : int;  (* most queue entries held after an op *)
+  mutable mismatch : string option;
+}
+
+let pair ~seed cfg =
+  { wb = WB.create cfg; o = O.create cfg; seed; now = 0; op = 0; peak = 0; mismatch = None }
+
+let check p what agree =
+  if Option.is_none p.mismatch && not agree then
+    p.mismatch <- Some (Printf.sprintf "seed %d, op %d: %s" p.seed p.op what)
+
+let found f = match f () with v -> Some v | exception Not_found -> None
+
+(* A write, evicting the oldest block through a peek while the buffer is
+   full, as the manager does. *)
+let rec write p block =
+  let at = Time.of_ns p.now in
+  let r = WB.write p.wb ~now:at ~block in
+  check p "write" (r = O.write p.o ~now:at ~block);
+  if r = WB.Needs_eviction && WB.capacity p.wb > 0 then begin
+    let victim = found (fun () -> WB.oldest_exn p.wb) in
+    check p "eviction peek" (victim = O.oldest p.o);
+    match victim with
+    | Some v ->
+      check p "evict" (WB.take p.wb ~block:v = O.take p.o ~block:v);
+      write p block
+    | None -> ()
+  end
+
+(* How many blocks came out. *)
+let take_expired p ~limit =
+  let at = Time.of_ns p.now in
+  let taken = expired ~limit p.wb ~now:at in
+  check p "take_expired" (taken = O.take_expired ~limit p.o ~now:at);
+  List.length taken
+
+let next_deadline p =
+  check p "next_deadline" (found (fun () -> WB.next_deadline_exn p.wb) = O.next_deadline p.o)
+
+(* Ends every op: [size] and [pending_entries] must agree too. *)
+let settle p =
+  check p "size" (WB.size p.wb = O.size p.o);
+  check p "pending_entries" (WB.pending_entries p.wb = O.pending_entries p.o);
+  p.peak <- max p.peak (WB.pending_entries p.wb);
+  p.op <- p.op + 1
+
+let counters_agree p =
+  check p "counters"
+    (WB.absorbed_writes p.wb = O.absorbed_writes p.o
+    && WB.admitted_blocks p.wb = O.admitted_blocks p.o
+    && WB.cancelled_blocks p.wb = O.cancelled_blocks p.o)
+
 (* [None], or the first mismatch of the trace seeded [seed]. *)
 let oracle_mismatch ~seed ~ops =
   let rng = Rng.create ~seed in
   let capacity = if Rng.int rng 20 = 0 then 0 else 1 + Rng.int rng 8 in
   let nblocks = 2 + Rng.int rng 30 in
-  let cfg =
-    {
-      WB.capacity_blocks = capacity;
-      writeback_delay = Time.span_ns (tick_ns * Rng.int rng 8);
-      refresh_on_rewrite = Rng.int rng 5 > 0;
-    }
+  let p =
+    pair ~seed
+      {
+        WB.capacity_blocks = capacity;
+        writeback_delay = Time.span_ns (tick_ns * Rng.int rng 8);
+        refresh_on_rewrite = Rng.int rng 5 > 0;
+      }
   in
-  let wb = WB.create cfg and o = O.create cfg in
-  let now = ref 0 in
-  let mismatch = ref None in
-  let i = ref 0 in
-  let check what agree =
-    if Option.is_none !mismatch && not agree then
-      mismatch := Some (Printf.sprintf "seed %d, op %d: %s" seed !i what)
-  in
-  let found f = match f () with v -> Some v | exception Not_found -> None in
-  let rec write block =
-    let at = Time.of_ns !now in
-    let r = WB.write wb ~now:at ~block in
-    check "write" (r = O.write o ~now:at ~block);
-    if r = WB.Needs_eviction && capacity > 0 then begin
-      let victim = found (fun () -> WB.oldest_exn wb) in
-      check "eviction peek" (victim = O.oldest o);
-      match victim with
-      | Some v ->
-        check "evict" (WB.take wb ~block:v = O.take o ~block:v);
-        write block
-      | None -> ()
-    end
-  in
-  let take_expired ~limit =
-    let at = Time.of_ns !now in
-    check "take_expired" (expired ~limit wb ~now:at = O.take_expired ~limit o ~now:at)
-  in
-  while !i < ops && Option.is_none !mismatch do
+  while p.op < ops && Option.is_none p.mismatch do
     let block = Rng.int rng nblocks in
     (match Rng.int rng 100 with
-    | k when k < 40 -> write block
-    | k when k < 50 -> check "remove" (WB.remove wb ~block = O.remove o ~block)
-    | k when k < 55 -> check "take" (WB.take wb ~block = O.take o ~block)
+    | k when k < 40 -> write p block
+    | k when k < 50 -> check p "remove" (WB.remove p.wb ~block = O.remove p.o ~block)
+    | k when k < 55 -> check p "take" (WB.take p.wb ~block = O.take p.o ~block)
     | k when k < 70 ->
-      take_expired ~limit:(if Rng.int rng 3 = 0 then max_int else 1 + Rng.int rng 4)
-    | k when k < 78 -> check "oldest" (found (fun () -> WB.oldest_exn wb) = O.oldest o)
-    | k when k < 86 ->
-      check "next_deadline"
-        (found (fun () -> WB.next_deadline_exn wb) = O.next_deadline o)
-    | k when k < 87 -> check "drain" (WB.drain wb = O.drain o)
-    | _ -> now := !now + (tick_ns * Rng.int rng 6));
-    check "size" (WB.size wb = O.size o);
-    check "pending_entries" (WB.pending_entries wb = O.pending_entries o);
-    incr i
+      ignore (take_expired p ~limit:(if Rng.int rng 3 = 0 then max_int else 1 + Rng.int rng 4))
+    | k when k < 78 -> check p "oldest" (found (fun () -> WB.oldest_exn p.wb) = O.oldest p.o)
+    | k when k < 86 -> next_deadline p
+    | k when k < 87 -> check p "drain" (WB.drain p.wb = O.drain p.o)
+    | _ -> p.now <- p.now + (tick_ns * Rng.int rng 6));
+    settle p
   done;
-  check "counters"
-    (WB.absorbed_writes wb = O.absorbed_writes o
-    && WB.admitted_blocks wb = O.admitted_blocks o
-    && WB.cancelled_blocks wb = O.cancelled_blocks o);
-  !mismatch
+  counters_agree p;
+  p.mismatch
 
-let oracle_case name speed ~traces ~ops =
+(* The traces above hold at most 8 blocks of at most 31 ids.  This one is
+   the benchmark's scale and shape: Baker's 2,048-block buffer, and the
+   manager-churn workload's rounds over an 8 MB card's 13,926 live blocks.
+   Each simulated second, the writeback timer takes the expired blocks in
+   batches of 16 and re-arms with a peek; then 96 same-instant Zipf(1.0)
+   writes land, each followed by the re-arming peek.  Hot blocks are
+   rewritten many times in an instant, so the queue grows to thousands of
+   entries and compacts thousands at a time. *)
+let churn_mismatch ~seed ~rounds =
+  let rng = Rng.create ~seed in
+  let zipf = Distribution.Zipf.create ~n:13_926 ~s:1.0 in
+  let p = pair ~seed WB.default_config in
+  let round = ref 0 in
+  while !round < rounds && Option.is_none p.mismatch do
+    p.now <- p.now + 1_000_000_000;
+    while
+      let taken = take_expired p ~limit:16 in
+      next_deadline p;
+      settle p;
+      taken = 16
+    do
+      ()
+    done;
+    for _ = 1 to 96 do
+      write p (Distribution.Zipf.sample zipf rng);
+      next_deadline p;
+      settle p
+    done;
+    incr round
+  done;
+  counters_agree p;
+  check p "the queue never outgrew 2,048 entries" (p.peak > 2048);
+  p.mismatch
+
+let oracle_case name speed ~traces mismatch =
   Alcotest.test_case name speed (fun () ->
       for seed = 1 to traces do
-        match oracle_mismatch ~seed ~ops with
+        match mismatch ~seed with
         | None -> ()
         | Some what -> Alcotest.failf "differs from the oracle at %s" what
       done)
@@ -320,6 +381,9 @@ let suite =
     Alcotest.test_case "refresh does not leak queue entries" `Quick
       test_refresh_does_not_leak_queue_entries;
     QCheck_alcotest.to_alcotest prop_conservation;
-    oracle_case "matches the oracle op for op" `Quick ~traces:300 ~ops:1000;
-    oracle_case "matches the oracle, long traces" `Slow ~traces:3000 ~ops:3000;
+    oracle_case "matches the oracle op for op" `Quick ~traces:300 (oracle_mismatch ~ops:1000);
+    oracle_case "matches the oracle, long traces" `Slow ~traces:3000
+      (oracle_mismatch ~ops:3000);
+    oracle_case "matches the oracle at benchmark scale" `Quick ~traces:3
+      (churn_mismatch ~rounds:300);
   ]
