@@ -508,22 +508,24 @@ let eject_card ?(surprise = false) t ~card =
         st_len degraded lost);
   { lost_buffered = lost; degraded_blocks = degraded }
 
-let default_rebuild_batch = 32
-let default_rebuild_spacing = Time.span_ms 1.0
+(* A rebuild reconstructs [rebuild_batch] slots per engine event, with
+   successive events at least [rebuild_spacing] apart. *)
+let rebuild_batch = 32
+let rebuild_spacing = Time.span_ms 1.0
 
-let rec schedule_rebuild t (r : rebuilding) ~batch ~spacing ~at =
-  r.r_ev <- Engine.schedule t.engine ~at (fun _ -> rebuild_step t r ~batch ~spacing)
+let rec schedule_rebuild t (r : rebuilding) ~at =
+  r.r_ev <- Engine.schedule t.engine ~at (fun _ -> rebuild_step t r)
 
-(* One rebuild quantum: reconstruct up to [batch] slots onto the fresh
-   card, then yield the engine back to foreground traffic and reschedule.
-   Slots that already exist on the fresh manager (the crash-recovered
-   prefix of an interrupted rebuild) are skipped. *)
-and rebuild_step t (r : rebuilding) ~batch ~spacing =
+(* One rebuild quantum: reconstruct up to [rebuild_batch] slots onto the
+   fresh card, then yield the engine back to foreground traffic and
+   reschedule.  Slots that already exist on the fresh manager (the
+   crash-recovered prefix of an interrupted rebuild) are skipped. *)
+and rebuild_step t (r : rebuilding) =
   r.r_ev <- Event_queue.none;
   let fresh = t.cards.(r.r_card) in
   let now = Engine.now t.engine in
   let cursor = ref now in
-  let n = min batch (r.r_len - r.r_cursor) in
+  let n = min rebuild_batch (r.r_len - r.r_cursor) in
   for i = 0 to n - 1 do
     let l = r.r_cursor + i in
     match r.r_st.(l) with
@@ -549,11 +551,9 @@ and rebuild_step t (r : rebuilding) ~batch ~spacing =
         f "card %d rebuilt (%d slots) in %a" r.r_card r.r_len Time.pp_span span)
   end
   else
-    schedule_rebuild t r ~batch ~spacing
-      ~at:(Time.max !cursor (Time.add now spacing))
+    schedule_rebuild t r ~at:(Time.max !cursor (Time.add now rebuild_spacing))
 
-let reinsert_card ?(batch = default_rebuild_batch)
-    ?(spacing = default_rebuild_spacing) t ~card =
+let reinsert_card t ~card =
   let d =
     match t.health with
     | Degraded d when d.missing = card -> d
@@ -564,7 +564,6 @@ let reinsert_card ?(batch = default_rebuild_batch)
     | Healthy | Rebuilding _ ->
       invalid_arg "Array.reinsert_card: array is not degraded"
   in
-  if batch <= 0 then invalid_arg "Array.reinsert_card: batch must be positive";
   (* The returning card is blank media — a replacement, or the same card
      wiped — and everything it held is reconstructed from the survivors. *)
   let flash = Manager.flash t.cards.(card) in
@@ -593,7 +592,7 @@ let reinsert_card ?(batch = default_rebuild_batch)
   else begin
     t.health <- Rebuilding r;
     Log.info (fun f -> f "card %d reinserted; rebuilding %d slots" card d.st_len);
-    schedule_rebuild t r ~batch ~spacing ~at:(Engine.now t.engine)
+    schedule_rebuild t r ~at:(Engine.now t.engine)
   end
 
 (* --- Introspection -------------------------------------------------------- *)
@@ -925,8 +924,7 @@ let crash_and_remount t =
   let fresh = { t with cards; next_global; health } in
   (match health with
   | Rebuilding r ->
-    schedule_rebuild fresh r ~batch:default_rebuild_batch
-      ~spacing:default_rebuild_spacing ~at:(Engine.now t.engine)
+    schedule_rebuild fresh r ~at:(Engine.now t.engine)
   | Healthy | Degraded _ -> ());
   let report =
     {

@@ -128,12 +128,12 @@ val eject_card : ?surprise:bool -> t -> card:int -> eject_report
     @raise Invalid_argument on a non-parity striping (nothing would
     survive), when a card is already out, or on a bad index. *)
 
-val reinsert_card : ?batch:int -> ?spacing:Sim.Time.span -> t -> card:int -> unit
+val reinsert_card : t -> card:int -> unit
 (** A blank replacement card in the missing slot: the old flash is
     factory-reset, a fresh manager takes over, and a background rebuild
-    streams the missing contents back — [batch] slots (default 32) per
-    engine event, successive events at least [spacing] (default 1ms)
-    apart, foreground traffic interleaving freely.  Slots the rebuild
+    streams the missing contents back — 32 slots per engine event,
+    successive events at least 1 ms apart, foreground traffic
+    interleaving freely.  Slots the rebuild
     has not reached yet keep their degraded behavior; the array turns
     [`Healthy] when the rebuild completes.
     @raise Invalid_argument unless the array is degraded and [card] is

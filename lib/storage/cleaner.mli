@@ -14,10 +14,11 @@
       even at higher utilization, which keeps cleaning cost stable as the
       disk (here: flash) fills.
 
-    {!Seg_index} makes the decision for {!Manager}: greedy from its
-    live-count buckets, cost-benefit from its per-live-count age heaps,
-    which compute the score themselves.  The full-scan reference lives in
-    [test/scan_oracle.ml]; experiment E7 races the two policies. *)
+    {!Seg_index} makes the decision for {!Manager} from its per-live-count
+    heaps: greedy takes the lowest id of the lowest live count, and
+    cost-benefit keys the heaps by last-touched instant and computes the
+    score itself.  The full-scan reference lives in [test/scan_oracle.ml];
+    experiment E7 races the two policies. *)
 
 type policy = Greedy | Cost_benefit
 

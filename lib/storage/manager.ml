@@ -160,13 +160,12 @@ type t = {
   hdr_pos : int array;
   mutable next_version : int;
   (* Incrementally maintained segment-state indexes and counters.  The
-     indexes answer every allocation/cleaning decision in O(log n), or
-     O(banks * nslots) for a cost-benefit victim; the counters replace
+     index answers every allocation/cleaning decision in O(banks), or
+     O(banks * nslots) for a cleaner's victim; the counters replace
      O(#segments) rescans in stats and the maybe_clean loop condition.
      The differential tests hold both against full scans of [segments]. *)
   idx : Seg_index.t;
   wear_acc : Wear.acc;
-  in_closed_idx : bool array;
   mutable n_live_blocks : int;
   mutable n_retired : int;
   (* Counters. *)
@@ -234,10 +233,20 @@ let erase_count_of_segment t seg =
    per-bank free/victim structures, the wear accumulator, and the O(1)
    counters in sync with the array the reference scans walk. *)
 
-(* The free index key: erase count under wear-leveling allocation, 0 under
-   first-fit (so the min entry is simply the lowest free id). *)
+(* The policies, as the index's keys.  The free heaps' wear key: the
+   erase count under wear-leveling allocation, 0 under first fit (so the
+   least-worn pick is the lowest free id). *)
 let wear_key t seg =
-  if Seg_index.wear_keyed t.idx then erase_count_of_segment t seg else 0
+  match t.cfg.wear with
+  | Wear.None_ -> 0
+  | Wear.Dynamic | Wear.Static _ -> erase_count_of_segment t seg
+
+(* The closed age heaps' key: the last-touched instant under cost-benefit,
+   0 under greedy (so each heap's root is its lowest id). *)
+let age_key t seg =
+  match t.cfg.cleaner with
+  | Cleaner.Greedy -> 0
+  | Cleaner.Cost_benefit -> Time.to_ns (Segment.last_touched seg)
 
 let free_index_add t seg =
   let i = Segment.id seg in
@@ -247,34 +256,28 @@ let free_index_remove t seg =
   let i = Segment.id seg in
   Seg_index.remove_free t.idx ~bank:(bank_of_segment t i) ~key:(wear_key t seg) ~id:i
 
-let lt_ns seg = Time.to_ns (Segment.last_touched seg)
-
 let closed_index_add t seg =
   let i = Segment.id seg in
-  if not t.retired.(i) then begin
+  if not t.retired.(i) then
     Seg_index.add_closed t.idx ~bank:(bank_of_segment t i) ~id:i
       ~live:(Segment.live_count seg) ~erase:(erase_count_of_segment t seg)
-      ~lt_ns:(lt_ns seg);
-    t.in_closed_idx.(i) <- true
-  end
+      ~age:(age_key t seg)
 
 let closed_index_remove t seg =
   let i = Segment.id seg in
-  if t.in_closed_idx.(i) then begin
+  if Seg_index.mem_closed t.idx ~id:i then
     Seg_index.remove_closed t.idx ~bank:(bank_of_segment t i) ~id:i
       ~live:(Segment.live_count seg) ~erase:(erase_count_of_segment t seg)
-      ~lt_ns:(lt_ns seg);
-    t.in_closed_idx.(i) <- false
-  end
+      ~age:(age_key t seg)
 
 (* After [Segment.kill seg ~slot]. *)
 let note_kill t seg =
   t.n_live_blocks <- t.n_live_blocks - 1;
   let i = Segment.id seg in
-  if t.in_closed_idx.(i) then begin
+  if Seg_index.mem_closed t.idx ~id:i then begin
     let live = Segment.live_count seg in
     Seg_index.closed_live_changed t.idx ~bank:(bank_of_segment t i) ~id:i
-      ~old_live:(live + 1) ~new_live:live ~lt_ns:(lt_ns seg)
+      ~old_live:(live + 1) ~new_live:live ~age:(age_key t seg)
   end
 
 (* Rebuild every index, counter, and the wear accumulator from the segment
@@ -283,7 +286,6 @@ let note_kill t seg =
 let rebuild_indexes t =
   Seg_index.clear t.idx;
   Wear.acc_clear t.wear_acc;
-  Array.fill t.in_closed_idx 0 (Array.length t.in_closed_idx) false;
   t.n_live_blocks <- 0;
   t.n_retired <- 0;
   Array.iteri
@@ -357,14 +359,8 @@ let make ?card cfg ~engine ~flash ~dram =
         | Some _ -> Array.make (Device.Flash.nsectors flash) (-1)
         | None -> [||]);
       next_version = 0;
-      idx =
-        Seg_index.create ~nbanks ~nsegments ~nslots:cfg.segment_sectors
-          ~wear_keyed:(cfg.wear <> Wear.None_)
-          ~track_live:(cfg.cleaner = Cleaner.Greedy)
-          ~track_erase:(match cfg.wear with Wear.Static _ -> true | _ -> false)
-          ~track_age:(cfg.cleaner = Cleaner.Cost_benefit);
+      idx = Seg_index.create ~nbanks ~nsegments ~nslots:cfg.segment_sectors;
       wear_acc = Wear.acc_create ();
-      in_closed_idx = Array.make nsegments false;
       n_live_blocks = 0;
       n_retired = 0;
       c_writes = 0;
@@ -446,12 +442,11 @@ let record_delta_header t ~sector ~block ~pos ~prev_sector =
 
 (* --- Free-segment picks --------------------------------------------------- *)
 
-(* The index walk: per allowed bank, one O(log n) min/max lookup; across
-   banks, prefer the least-busy bank, then the wear policy's key, then the
-   lowest id — the tie-breaking of {!Wear.pick_free} over the least-busy
-   bank's free segments (ids ascend with banks, and each bank entry
-   already carries its lowest tied id).  No closures, no intermediate
-   lists. *)
+(* Per allowed bank, the root of one free heap; across banks, prefer the
+   least-busy bank, then the wear policy's key, then the lowest id (ids
+   ascend with banks, and each root is its bank's lowest tied id) — the
+   tie-breaking of the reference scan over the least-busy bank's free
+   segments. *)
 let pick_free t ~purpose ~restrict =
   let nbanks = Device.Flash.nbanks t.flash in
   (* Under Static wear leveling, cold data (cleaner output and cold
@@ -466,38 +461,32 @@ let pick_free t ~purpose ~restrict =
   let best_key = ref 0 in
   let best_busy = ref Time.zero in
   for bank = 0 to nbanks - 1 do
-    if
-      Seg_index.bank_free_count t.idx ~bank > 0
-      && ((not restrict) || Banks.allowed t.cfg.banking ~nbanks purpose ~bank)
+    let id =
+      if want_most_worn then Seg_index.most_worn_free t.idx ~bank
+      else Seg_index.least_worn_free t.idx ~bank
+    in
+    if id >= 0 && ((not restrict) || Banks.allowed t.cfg.banking ~nbanks purpose ~bank)
     then begin
-      let entry =
-        if want_most_worn then Seg_index.most_worn_free t.idx ~bank
-        else Seg_index.least_worn_free t.idx ~bank
-      in
-      match entry with
-      | None -> assert false (* bank_free_count > 0 *)
-      | Some (key, id) ->
-        let better =
-          !best_id < 0
-          ||
-          let busy = Device.Flash.bank_busy_until t.flash ~bank in
-          Time.( < ) busy !best_busy
-          || Time.equal busy !best_busy
-             && (if want_most_worn then key > !best_key else key < !best_key)
-        in
-        if better then begin
-          best_id := id;
-          best_key := key;
-          best_busy := Device.Flash.bank_busy_until t.flash ~bank
-        end
+      let key = wear_key t t.segments.(id) in
+      let busy = Device.Flash.bank_busy_until t.flash ~bank in
+      if
+        !best_id < 0
+        || Time.( < ) busy !best_busy
+        || Time.equal busy !best_busy
+           && (if want_most_worn then key > !best_key else key < !best_key)
+      then begin
+        best_id := id;
+        best_key := key;
+        best_busy := busy
+      end
     end
   done;
   if !best_id < 0 then None else Some t.segments.(!best_id)
 
 (* --- Victim selection ----------------------------------------------------- *)
 
-(* {!Wear.relocation_victim}, then the cleaner's pick, answered from the
-   per-bank indexes: a segment id, -1 for none. *)
+(* A due wear-leveling relocation, then the cleaner's pick: a segment id,
+   -1 for none. *)
 let select_victim t ~now ~purpose =
   let nbanks = Device.Flash.nbanks t.flash in
   (* A victim comes from the banks [first_bank] up to [end_bank]: every
@@ -512,44 +501,14 @@ let select_victim t ~now ~purpose =
     match t.cfg.wear with
     | Wear.None_ | Wear.Dynamic -> -1
     | Wear.Static { spread_threshold } ->
-      let e = Wear.evenness_of_acc t.wear_acc in
-      if not (Wear.spread_exceeds e ~spread_threshold) then -1
-      else begin
-        (* The least-worn closed segment in the allowed banks, lowest id
-           on ties. *)
-        let best_id = ref (-1) in
-        let best_key = ref 0 in
-        for bank = first_bank to end_bank - 1 do
-          match Seg_index.coldest_closed t.idx ~bank with
-          | Some (key, id) ->
-            if !best_id < 0 || key < !best_key then begin
-              best_id := id;
-              best_key := key
-            end
-          | None -> ()
-        done;
-        !best_id
-      end
+      if Wear.spread_exceeds (Wear.evenness_of_acc t.wear_acc) ~spread_threshold then
+        Seg_index.coldest_closed t.idx ~first_bank ~end_bank
+      else -1
   in
   if relocation >= 0 then relocation
   else
     match t.cfg.cleaner with
-    | Cleaner.Greedy ->
-      (* Greedy maximizes 1 - u, i.e. minimizes the live count; lowest id
-         on ties (per-bank entries carry their lowest tied id, and ids
-         ascend with banks). *)
-      let best_id = ref (-1) in
-      let best_key = ref 0 in
-      for bank = first_bank to end_bank - 1 do
-        match Seg_index.least_live_closed t.idx ~bank with
-        | Some (key, id) ->
-          if !best_id < 0 || key < !best_key then begin
-            best_id := id;
-            best_key := key
-          end
-        | None -> ()
-      done;
-      !best_id
+    | Cleaner.Greedy -> Seg_index.least_live_closed t.idx ~first_bank ~end_bank
     | Cleaner.Cost_benefit ->
       Seg_index.max_score_closed t.idx ~first_bank ~end_bank ~now_ns:(Time.to_ns now)
 

@@ -61,9 +61,11 @@ val default_config : config
     blocks stay in DRAM because a rewrite restarts a buffered block's
     deadline.
 
-    Allocation and cleaning decisions are answered from incrementally
-    maintained per-bank indexes (O(log n) each, O(banks · nslots) for a
-    cost-benefit victim, O(1) counters for statistics).  Whenever fewer than two segments are free, an
+    Allocation and cleaning decisions are answered from the
+    incrementally maintained heaps of {!Seg_index} (O(banks) for a free
+    segment or a relocation, O(banks · nslots) for a greedy or
+    cost-benefit victim, O(log n) per update, O(1) counters for
+    statistics).  Whenever fewer than two segments are free, an
     allocation first cleans until two are free again or no victim is
     left. *)
 
@@ -201,8 +203,8 @@ val wear_evenness : t -> Wear.evenness
 
 val buffer_pending_entries : t -> int
 (** Writeback-queue entries, stale refresh leftovers included (see
-    {!Write_buffer.pending_entries}) — the gauge the allocation benches
-    pin to show compaction keeps the queue bounded. *)
+    {!Write_buffer.pending_entries}): perfbench reports their maximum as
+    [write_buffer.pending_entries_max]. *)
 
 val diff_stats : t -> Diff_log.stats option
 (** Chain and delta-traffic counters; [None] when diff logging is off. *)

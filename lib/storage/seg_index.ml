@@ -1,261 +1,224 @@
 (* [Storage.Array] (the card array) would shadow the stdlib inside this library. *)
 module Array = Stdlib.Array
-module Int_map = Map.Make (Int)
-module Int_set = Set.Make (Int)
 
-module Bucketed = struct
-  type t = {
-    mutable buckets : Int_set.t Int_map.t;
-    mutable size : int;
-  }
-
-  let create () = { buckets = Int_map.empty; size = 0 }
-  let size t = t.size
-
-  let mem t ~key id =
-    match Int_map.find_opt key t.buckets with
-    | None -> false
-    | Some set -> Int_set.mem id set
-
-  let add t ~key id =
-    let set =
-      match Int_map.find_opt key t.buckets with
-      | None -> Int_set.empty
-      | Some set ->
-        if Int_set.mem id set then
-          invalid_arg
-            (Printf.sprintf "Seg_index.Bucketed.add: id %d already under key %d" id key);
-        set
-    in
-    t.buckets <- Int_map.add key (Int_set.add id set) t.buckets;
-    t.size <- t.size + 1
-
-  let remove t ~key id =
-    match Int_map.find_opt key t.buckets with
-    | None ->
-      invalid_arg (Printf.sprintf "Seg_index.Bucketed.remove: no bucket for key %d" key)
-    | Some set ->
-      if not (Int_set.mem id set) then
-        invalid_arg
-          (Printf.sprintf "Seg_index.Bucketed.remove: id %d not under key %d" id key);
-      let set = Int_set.remove id set in
-      t.buckets <-
-        (if Int_set.is_empty set then Int_map.remove key t.buckets
-         else Int_map.add key set t.buckets);
-      t.size <- t.size - 1
-
-  let min_entry t =
-    match Int_map.min_binding_opt t.buckets with
-    | None -> None
-    | Some (key, set) -> Some (key, Int_set.min_elt set)
-
-  let max_entry t =
-    match Int_map.max_binding_opt t.buckets with
-    | None -> None
-    | Some (key, set) -> Some (key, Int_set.min_elt set)
-end
-
-(* Cost-benefit candidates: per bank and live count, a binary min-heap of
-   closed segment ids keyed by (last-touched ns, id), in an int array that
-   doubles when full and never shrinks, so updates allocate only while a
-   heap outgrows its largest size so far.  [pos] (the id's index within
-   its heap, or [-1]) and [lt] are indexed by segment id. *)
-type aged = {
-  nslots : int;
-  heaps : int array array; (* heap [h = bank * (nslots + 1) + live] *)
+(* A family of indexed binary min-heaps over segment ids, ordered by
+   (key, id).  Each heap is an int array that doubles when full and never
+   shrinks, so updates allocate only while a heap outgrows its largest
+   size so far.  An id sits in at most one heap of a family: [pos] (its
+   index within that heap, or [-1]) and [key] are indexed by id and
+   shared by the family's heaps. *)
+type heaps = {
+  heaps : int array array;
   size : int array;
   pos : int array;
-  lt : int array;
+  key : int array;
 }
 
-let aged_create ~nbanks ~nsegments ~nslots =
-  let nheaps = nbanks * (nslots + 1) in
+let heaps_create ~nheaps ~nsegments =
   {
-    nslots;
     heaps = Array.make nheaps [||];
     size = Array.make nheaps 0;
     pos = Array.make nsegments (-1);
-    lt = Array.make nsegments 0;
+    key = Array.make nsegments 0;
   }
 
-let heap_of a ~bank ~live =
-  if live < 0 || live > a.nslots then
-    invalid_arg (Printf.sprintf "Seg_index: live count %d out of range" live);
-  (bank * (a.nslots + 1)) + live
+let heaps_clear f =
+  Array.fill f.size 0 (Array.length f.size) 0;
+  Array.fill f.pos 0 (Array.length f.pos) (-1)
 
-(* Slots [i] and [j] of [heap] in (lt, id) order. *)
-let precedes a heap i j =
+(* Slots [i] and [j] of [heap] in (key, id) order. *)
+let precedes f heap i j =
   let x = heap.(i) and y = heap.(j) in
-  a.lt.(x) < a.lt.(y) || (a.lt.(x) = a.lt.(y) && x < y)
+  f.key.(x) < f.key.(y) || (f.key.(x) = f.key.(y) && x < y)
 
-let place a heap i id =
+let place f heap i id =
   heap.(i) <- id;
-  a.pos.(id) <- i
+  f.pos.(id) <- i
 
-let swap a heap i j =
+let swap f heap i j =
   let x = heap.(i) in
-  place a heap i heap.(j);
-  place a heap j x
+  place f heap i heap.(j);
+  place f heap j x
 
-let rec sift_up a heap i =
+let rec sift_up f heap i =
   if i > 0 then begin
     let parent = (i - 1) / 2 in
-    if precedes a heap i parent then begin
-      swap a heap i parent;
-      sift_up a heap parent
+    if precedes f heap i parent then begin
+      swap f heap i parent;
+      sift_up f heap parent
     end
   end
 
-let rec sift_down a heap ~n i =
+let rec sift_down f heap ~n i =
   let l = (2 * i) + 1 in
   if l < n then begin
-    let c = if l + 1 < n && precedes a heap (l + 1) l then l + 1 else l in
-    if precedes a heap c i then begin
-      swap a heap c i;
-      sift_down a heap ~n c
+    let c = if l + 1 < n && precedes f heap (l + 1) l then l + 1 else l in
+    if precedes f heap c i then begin
+      swap f heap c i;
+      sift_down f heap ~n c
     end
   end
 
-let aged_add a ~bank ~id ~live ~lt_ns =
-  let h = heap_of a ~bank ~live in
-  if a.pos.(id) >= 0 then
-    invalid_arg (Printf.sprintf "Seg_index: id %d already indexed by age" id);
-  let n = a.size.(h) in
-  if n = Array.length a.heaps.(h) then begin
-    let grown = Array.make (Int.max 4 (2 * n)) 0 in
-    Array.blit a.heaps.(h) 0 grown 0 n;
-    a.heaps.(h) <- grown
-  end;
-  a.lt.(id) <- lt_ns;
-  a.size.(h) <- n + 1;
-  place a a.heaps.(h) n id;
-  sift_up a a.heaps.(h) n
+(* Whether [id] is in heap [h] under [key]. *)
+let mem f h ~id ~key =
+  let i = f.pos.(id) in
+  i >= 0 && i < f.size.(h) && f.heaps.(h).(i) = id && f.key.(id) = key
 
-let aged_remove a ~bank ~id ~live ~lt_ns =
-  let h = heap_of a ~bank ~live in
-  let heap = a.heaps.(h) in
-  let i = a.pos.(id) in
-  if i < 0 || i >= a.size.(h) || heap.(i) <> id || a.lt.(id) <> lt_ns then
-    invalid_arg
-      (Printf.sprintf "Seg_index: id %d not indexed at live %d, %d ns" id live lt_ns);
-  let n = a.size.(h) - 1 in
-  a.size.(h) <- n;
-  a.pos.(id) <- -1;
+(* Unchecked: callers test [pos] and {!mem} first, so misuse raises before
+   anything changes. *)
+let push f h ~id ~key =
+  let n = f.size.(h) in
+  if n = Array.length f.heaps.(h) then begin
+    let grown = Array.make (Int.max 4 (2 * n)) 0 in
+    Array.blit f.heaps.(h) 0 grown 0 n;
+    f.heaps.(h) <- grown
+  end;
+  f.key.(id) <- key;
+  f.size.(h) <- n + 1;
+  place f f.heaps.(h) n id;
+  sift_up f f.heaps.(h) n
+
+let delete f h ~id =
+  let heap = f.heaps.(h) in
+  let i = f.pos.(id) in
+  let n = f.size.(h) - 1 in
+  f.size.(h) <- n;
+  f.pos.(id) <- -1;
   if i < n then begin
-    place a heap i heap.(n);
-    sift_down a heap ~n i;
-    sift_up a heap i
+    place f heap i heap.(n);
+    sift_down f heap ~n i;
+    sift_up f heap i
   end
+
+let root f h = if f.size.(h) = 0 then -1 else f.heaps.(h).(0)
 
 type t = {
   nbanks : int;
-  wear_keyed : bool;
-  track_live : bool;
-  track_erase : bool;
-  track_age : bool;
-  free : Bucketed.t array;
-  by_live : Bucketed.t array;
-  by_erase : Bucketed.t array;
-  by_age : aged;
+  nslots : int;
+  (* Free segments, heap [bank], by wear key and by its negation. *)
+  least_worn : heaps;
+  most_worn : heaps;
+  (* Closed segments, heap [bank] by erase count, and heap
+     [bank * (nslots + 1) + live] by age key. *)
+  by_erase : heaps;
+  by_age : heaps;
   mutable free_total : int;
 }
 
-let create ~nbanks ~nsegments ~nslots ~wear_keyed ~track_live ~track_erase ~track_age =
+let create ~nbanks ~nsegments ~nslots =
   if nbanks < 1 then invalid_arg "Seg_index.create: nbanks < 1";
+  let per_bank () = heaps_create ~nheaps:nbanks ~nsegments in
   {
     nbanks;
-    wear_keyed;
-    track_live;
-    track_erase;
-    track_age;
-    free = Array.init nbanks (fun _ -> Bucketed.create ());
-    by_live = Array.init nbanks (fun _ -> Bucketed.create ());
-    by_erase = Array.init nbanks (fun _ -> Bucketed.create ());
-    by_age = aged_create ~nbanks ~nsegments ~nslots;
+    nslots;
+    least_worn = per_bank ();
+    most_worn = per_bank ();
+    by_erase = per_bank ();
+    by_age = heaps_create ~nheaps:(nbanks * (nslots + 1)) ~nsegments;
     free_total = 0;
   }
 
 let clear t =
-  for bank = 0 to t.nbanks - 1 do
-    t.free.(bank) <- Bucketed.create ();
-    t.by_live.(bank) <- Bucketed.create ();
-    t.by_erase.(bank) <- Bucketed.create ()
-  done;
-  Array.fill t.by_age.size 0 (Array.length t.by_age.size) 0;
-  Array.fill t.by_age.pos 0 (Array.length t.by_age.pos) (-1);
+  heaps_clear t.least_worn;
+  heaps_clear t.most_worn;
+  heaps_clear t.by_erase;
+  heaps_clear t.by_age;
   t.free_total <- 0
-
-let wear_keyed t = t.wear_keyed
 
 let check_bank t bank =
   if bank < 0 || bank >= t.nbanks then invalid_arg "Seg_index: bank out of range"
+
+let age_heap t ~bank ~live =
+  if live < 0 || live > t.nslots then
+    invalid_arg (Printf.sprintf "Seg_index: live count %d out of range" live);
+  (bank * (t.nslots + 1)) + live
+
+let already id = invalid_arg (Printf.sprintf "Seg_index: id %d already indexed" id)
+
+let absent id what key =
+  invalid_arg (Printf.sprintf "Seg_index: id %d not indexed under %s %d" id what key)
 
 (* --- Free side ------------------------------------------------------------ *)
 
 let free_count t = t.free_total
 
-let bank_free_count t ~bank =
-  check_bank t bank;
-  Bucketed.size t.free.(bank)
-
 let add_free t ~bank ~key ~id =
   check_bank t bank;
-  Bucketed.add t.free.(bank) ~key id;
+  if t.least_worn.pos.(id) >= 0 then already id;
+  push t.least_worn bank ~id ~key;
+  push t.most_worn bank ~id ~key:(-key);
   t.free_total <- t.free_total + 1
 
 let remove_free t ~bank ~key ~id =
   check_bank t bank;
-  Bucketed.remove t.free.(bank) ~key id;
+  if not (mem t.least_worn bank ~id ~key) then absent id "wear key" key;
+  delete t.least_worn bank ~id;
+  delete t.most_worn bank ~id;
   t.free_total <- t.free_total - 1
 
 let least_worn_free t ~bank =
   check_bank t bank;
-  Bucketed.min_entry t.free.(bank)
+  root t.least_worn bank
 
 let most_worn_free t ~bank =
   check_bank t bank;
-  Bucketed.max_entry t.free.(bank)
+  root t.most_worn bank
 
 (* --- Closed (victim) side ------------------------------------------------- *)
 
-let add_closed t ~bank ~id ~live ~erase ~lt_ns =
-  check_bank t bank;
-  if t.track_live then Bucketed.add t.by_live.(bank) ~key:live id;
-  if t.track_erase then Bucketed.add t.by_erase.(bank) ~key:erase id;
-  if t.track_age then aged_add t.by_age ~bank ~id ~live ~lt_ns
+let mem_closed t ~id = t.by_age.pos.(id) >= 0
 
-let remove_closed t ~bank ~id ~live ~erase ~lt_ns =
+let add_closed t ~bank ~id ~live ~erase ~age =
   check_bank t bank;
-  if t.track_live then Bucketed.remove t.by_live.(bank) ~key:live id;
-  if t.track_erase then Bucketed.remove t.by_erase.(bank) ~key:erase id;
-  if t.track_age then aged_remove t.by_age ~bank ~id ~live ~lt_ns
+  let h = age_heap t ~bank ~live in
+  if mem_closed t ~id then already id;
+  push t.by_age h ~id ~key:age;
+  push t.by_erase bank ~id ~key:erase
 
-let closed_live_changed t ~bank ~id ~old_live ~new_live ~lt_ns =
+let remove_closed t ~bank ~id ~live ~erase ~age =
   check_bank t bank;
-  if t.track_live then begin
-    Bucketed.remove t.by_live.(bank) ~key:old_live id;
-    Bucketed.add t.by_live.(bank) ~key:new_live id
-  end;
-  if t.track_age then begin
-    aged_remove t.by_age ~bank ~id ~live:old_live ~lt_ns;
-    aged_add t.by_age ~bank ~id ~live:new_live ~lt_ns
-  end
+  let h = age_heap t ~bank ~live in
+  if not (mem t.by_age h ~id ~key:age) then absent id "age key" age;
+  if not (mem t.by_erase bank ~id ~key:erase) then absent id "erase count" erase;
+  delete t.by_age h ~id;
+  delete t.by_erase bank ~id
 
-let least_live_closed t ~bank =
+let closed_live_changed t ~bank ~id ~old_live ~new_live ~age =
   check_bank t bank;
-  Bucketed.min_entry t.by_live.(bank)
+  let h = age_heap t ~bank ~live:old_live in
+  let h' = age_heap t ~bank ~live:new_live in
+  if not (mem t.by_age h ~id ~key:age) then absent id "age key" age;
+  delete t.by_age h ~id;
+  push t.by_age h' ~id ~key:age
 
-let coldest_closed t ~bank =
-  check_bank t bank;
-  Bucketed.min_entry t.by_erase.(bank)
+(* The root of the first non-empty age heap, live count major, then bank. *)
+let rec least_live_from t ~first_bank ~end_bank ~live bank =
+  if live > t.nslots then -1
+  else if bank >= end_bank then
+    least_live_from t ~first_bank ~end_bank ~live:(live + 1) first_bank
+  else
+    let id = root t.by_age ((bank * (t.nslots + 1)) + live) in
+    if id >= 0 then id else least_live_from t ~first_bank ~end_bank ~live (bank + 1)
+
+let least_live_closed t ~first_bank ~end_bank =
+  least_live_from t ~first_bank ~end_bank ~live:0 first_bank
+
+let coldest_closed t ~first_bank ~end_bank =
+  let f = t.by_erase in
+  let best = ref (-1) in
+  for bank = first_bank to end_bank - 1 do
+    let id = root f bank in
+    if id >= 0 && (!best < 0 || f.key.(id) < f.key.(!best)) then best := id
+  done;
+  !best
 
 (* The cost-benefit score of closed segment [id] with [live] live blocks
    at [now] ns: [u] its utilization, [age] the seconds since it last
    changed, +1 s so that brand-new segments do not all score 0.  Inlined,
    so the float stays unboxed in the caller. *)
-let[@inline] score a ~now ~live id =
-  let lt = a.lt.(id) in
-  let u = float_of_int live /. float_of_int a.nslots in
+let[@inline] score t ~now ~live id =
+  let lt = t.by_age.key.(id) in
+  let u = float_of_int live /. float_of_int t.nslots in
   let age = float_of_int (Int.max now lt - lt) /. 1e9 in
   (age +. 1.0) *. (1.0 -. u) /. (1.0 +. u)
 
@@ -264,14 +227,14 @@ let[@inline] score a ~now ~live id =
    Scores never rise from parent to child, so the nodes tying the root
    form a subtree around it: each path stops at its first lower score.
    Both scores are computed here, so no float crosses a call. *)
-let rec lowest_tied a heap ~n ~now ~live ~root i low =
+let rec lowest_tied t heap ~n ~now ~live ~root i low =
   if i >= n then low
   else begin
     let id = heap.(i) in
-    if score a ~now ~live id <> score a ~now ~live root then low
+    if score t ~now ~live id <> score t ~now ~live root then low
     else begin
-      let low = lowest_tied a heap ~n ~now ~live ~root ((2 * i) + 1) (Int.min id low) in
-      lowest_tied a heap ~n ~now ~live ~root ((2 * i) + 2) low
+      let low = lowest_tied t heap ~n ~now ~live ~root ((2 * i) + 1) (Int.min id low) in
+      lowest_tied t heap ~n ~now ~live ~root ((2 * i) + 2) low
     end
   end
 
@@ -282,18 +245,18 @@ let max_score_closed t ~first_bank ~end_bank ~now_ns:now =
   let best = ref neg_infinity in
   (* Live-major, so the full-segment heaps, which all score 0, come last
      and are walked only when no bank holds anything better. *)
-  for live = 0 to a.nslots do
+  for live = 0 to t.nslots do
     for bank = first_bank to end_bank - 1 do
-      let h = (bank * (a.nslots + 1)) + live in
+      let h = (bank * (t.nslots + 1)) + live in
       let n = a.size.(h) in
       if n > 0 then begin
         let heap = a.heaps.(h) in
         let root = heap.(0) in
-        let s = score a ~now ~live root in
+        let s = score t ~now ~live root in
         if s >= !best then begin
           let id =
-            lowest_tied a heap ~n ~now ~live ~root 1
-              (lowest_tied a heap ~n ~now ~live ~root 2 root)
+            lowest_tied t heap ~n ~now ~live ~root 1
+              (lowest_tied t heap ~n ~now ~live ~root 2 root)
           in
           if s > !best || id < !best_id then begin
             best := s;
@@ -305,10 +268,17 @@ let max_score_closed t ~first_bank ~end_bank ~now_ns:now =
   done;
   !best_id
 
-let closed_by_age t ~bank ~live =
+type family = Least_worn | Most_worn | By_erase | By_age of int
+
+let heap t family ~bank =
   check_bank t bank;
-  let a = t.by_age in
-  let h = heap_of a ~bank ~live in
-  Array.init a.size.(h) (fun i ->
-      let id = a.heaps.(h).(i) in
-      (a.lt.(id), id))
+  let f, h =
+    match family with
+    | Least_worn -> (t.least_worn, bank)
+    | Most_worn -> (t.most_worn, bank)
+    | By_erase -> (t.by_erase, bank)
+    | By_age live -> (t.by_age, age_heap t ~bank ~live)
+  in
+  Array.init f.size.(h) (fun i ->
+      let id = f.heaps.(h).(i) in
+      (f.key.(id), id))

@@ -1,5 +1,3 @@
-(* [Storage.Array] (the card array) would shadow the stdlib inside this library. *)
-module Array = Stdlib.Array
 module Int_map = Map.Make (Int)
 
 type policy = None_ | Dynamic | Static of { spread_threshold : int }
@@ -10,34 +8,6 @@ let policy_name = function
   | Static { spread_threshold } -> Printf.sprintf "static(%d)" spread_threshold
 
 let pp_policy ppf p = Fmt.string ppf (policy_name p)
-
-let fold_free f acc segments =
-  Array.fold_left
-    (fun acc seg -> if Segment.state seg = Segment.Free then f acc seg else acc)
-    acc segments
-
-let pick_free ?(for_cold = false) policy ~erase_count segments =
-  let least_worn () =
-    fold_free
-      (fun best seg ->
-        match best with
-        | Some b when erase_count b <= erase_count seg -> best
-        | Some _ | None -> Some seg)
-      None segments
-  in
-  let most_worn () =
-    fold_free
-      (fun best seg ->
-        match best with
-        | Some b when erase_count b >= erase_count seg -> best
-        | Some _ | None -> Some seg)
-      None segments
-  in
-  match policy with
-  | None_ ->
-    fold_free (fun best seg -> match best with None -> Some seg | some -> some) None segments
-  | Dynamic -> least_worn ()
-  | Static _ -> if for_cold then most_worn () else least_worn ()
 
 type evenness = {
   min_erases : int;
@@ -91,11 +61,6 @@ let acc_bump a ~old_count ~new_count =
   a.sum_sq <- a.sum_sq + (new_count * new_count) - (old_count * old_count);
   a.levels <- level_incr (level_decr a.levels old_count) new_count
 
-let acc_of_scan ~erase_count segments =
-  let a = acc_create () in
-  Array.iter (fun seg -> acc_add a (erase_count seg)) segments;
-  a
-
 let evenness_of_acc a =
   if a.count = 0 then
     { min_erases = 0; max_erases = 0; mean_erases = 0.0; stddev_erases = 0.0 }
@@ -115,26 +80,8 @@ let evenness_of_acc a =
       stddev_erases = sqrt variance }
   end
 
-let evenness ~erase_count segments = evenness_of_acc (acc_of_scan ~erase_count segments)
-
 (* Trigger on max - mean rather than max - min: a single segment that
    happens never to erase (an outlier minimum) must not keep forced
    relocation running forever. *)
 let spread_exceeds e ~spread_threshold =
   float_of_int e.max_erases -. e.mean_erases > float_of_int spread_threshold
-
-let relocation_victim policy ~erase_count ~eligible segments =
-  match policy with
-  | None_ | Dynamic -> None
-  | Static { spread_threshold } ->
-    let e = evenness ~erase_count segments in
-    if not (spread_exceeds e ~spread_threshold) then None
-    else
-      Array.fold_left
-        (fun best seg ->
-          if Segment.state seg <> Segment.Closed || not (eligible seg) then best
-          else
-            match best with
-            | Some b when erase_count b <= erase_count seg -> best
-            | Some _ | None -> Some seg)
-        None segments

@@ -15,7 +15,13 @@
       fully live, putting its under-used sectors back into rotation.
 
     The evenness of the resulting wear directly multiplies device lifetime:
-    the device dies when its hottest sectors die. *)
+    the device dies when its hottest sectors die.
+
+    {!Manager} makes each policy's decisions from {!Seg_index} and keeps
+    the evenness in an {!acc}.  The reference scans over a segment array
+    — the free pick, the relocation victim and the evenness — live in
+    [test/scan_oracle.ml], which the differential tests hold the manager
+    against. *)
 
 type policy =
   | None_
@@ -26,27 +32,6 @@ type policy =
 
 val pp_policy : Format.formatter -> policy -> unit
 val policy_name : policy -> string
-
-val pick_free :
-  ?for_cold:bool ->
-  policy -> erase_count:(Segment.t -> int) -> Segment.t array -> Segment.t option
-(** Choose which Free segment to open next.  With [for_cold] (data the
-    cleaner judged long-lived), [Static] picks the {e most}-worn free
-    segment — parking cold data on tired sectors and releasing fresh ones
-    into circulation, the essence of static wear leveling.  Hot
-    (default) allocation picks the least-worn segment under [Dynamic] and
-    [Static], and first-fit under [None_]. *)
-
-val relocation_victim :
-  policy ->
-  erase_count:(Segment.t -> int) ->
-  eligible:(Segment.t -> bool) ->
-  Segment.t array ->
-  Segment.t option
-(** Under [Static], the Closed segment that should be forcibly relocated —
-    the least-worn one — when the wear spread exceeds the threshold.
-    [None] for other policies or when the spread is within bounds.  The
-    spread is computed over {e all} segments' erase counts. *)
 
 (** {1 Wear metrics} *)
 
@@ -62,8 +47,8 @@ type acc
     multiplicities) in exact integer form.  Integer sums are
     order-independent, so an accumulator maintained incrementally — one
     {!acc_bump} per segment cleaning — holds byte-for-byte the same
-    values as one built by {!acc_of_scan} over the array, and the
-    evenness floats derived from either are identical. *)
+    values as one built by an {!acc_add} per segment, and the evenness
+    floats derived from either are identical. *)
 
 val acc_create : unit -> acc
 val acc_clear : acc -> unit
@@ -74,15 +59,9 @@ val acc_add : acc -> int -> unit
 val acc_bump : acc -> old_count:int -> new_count:int -> unit
 (** A segment moved from [old_count] to [new_count] erases. *)
 
-val acc_of_scan : erase_count:(Segment.t -> int) -> Segment.t array -> acc
-(** The reference: fold every segment's current erase count. *)
-
 val evenness_of_acc : acc -> evenness
 (** The single derivation of the evenness floats; both the scan and the
     incremental paths go through it. *)
-
-val evenness : erase_count:(Segment.t -> int) -> Segment.t array -> evenness
-(** [evenness_of_acc] of [acc_of_scan]. *)
 
 val spread_exceeds : evenness -> spread_threshold:int -> bool
 (** The [Static] relocation trigger: [max - mean > threshold].  Max minus

@@ -3,16 +3,83 @@
    The manager answers every allocation and cleaning decision from
    per-bank indexes and keeps O(1) counters for its statistics.  This
    module is the reference those must match: the scan-per-decision
-   implementation the indexes replaced, rebuilt on the public policy
-   functions ({!Storage.Wear.pick_free}, {!Storage.Wear.relocation_victim},
-   {!Storage.Wear.evenness}) and on the cleaner's reference [score] and
-   [select] below, over the manager's segment array.  [check] compares
+   implementation the indexes replaced — the wear policies' [pick_free],
+   [relocation_victim] and [evenness] and the cleaner's [score] and
+   [select] below — over the manager's segment array.  [check] compares
    every decision and count the manager would report right now; the
    differential tests call it after every operation. *)
 
 open Sim
 module M = Storage.Manager
 module Seg = Storage.Segment
+module Wear = Storage.Wear
+
+(* --- Wear leveling --------------------------------------------------------- *)
+
+let fold_free f acc segments =
+  Array.fold_left
+    (fun acc seg -> if Seg.state seg = Seg.Free then f acc seg else acc)
+    acc segments
+
+(* The Free segment to open next.  With [for_cold] (data the cleaner
+   judged long-lived), [Static] picks the most-worn free segment; hot
+   (default) allocation picks the least-worn under [Dynamic] and
+   [Static], and first fit under [None_].  The first in id order on
+   ties. *)
+let pick_free ?(for_cold = false) policy ~erase_count segments =
+  let least_worn () =
+    fold_free
+      (fun best seg ->
+        match best with
+        | Some b when erase_count b <= erase_count seg -> best
+        | Some _ | None -> Some seg)
+      None segments
+  in
+  let most_worn () =
+    fold_free
+      (fun best seg ->
+        match best with
+        | Some b when erase_count b >= erase_count seg -> best
+        | Some _ | None -> Some seg)
+      None segments
+  in
+  match policy with
+  | Wear.None_ ->
+    fold_free
+      (fun best seg -> match best with None -> Some seg | some -> some)
+      None segments
+  | Wear.Dynamic -> least_worn ()
+  | Wear.Static _ -> if for_cold then most_worn () else least_worn ()
+
+(* Every segment's current erase count, folded into one accumulator. *)
+let acc_of_scan ~erase_count segments =
+  let a = Wear.acc_create () in
+  Array.iter (fun seg -> Wear.acc_add a (erase_count seg)) segments;
+  a
+
+let evenness ~erase_count segments =
+  Wear.evenness_of_acc (acc_of_scan ~erase_count segments)
+
+(* Under [Static], when the spread over all segments' erase counts
+   exceeds the threshold, the least-worn eligible Closed segment, the
+   first in id order on ties; [None] otherwise. *)
+let relocation_victim policy ~erase_count ~eligible segments =
+  match policy with
+  | Wear.None_ | Wear.Dynamic -> None
+  | Wear.Static { spread_threshold } ->
+    let e = evenness ~erase_count segments in
+    if not (Wear.spread_exceeds e ~spread_threshold) then None
+    else
+      Array.fold_left
+        (fun best seg ->
+          if Seg.state seg <> Seg.Closed || not (eligible seg) then best
+          else
+            match best with
+            | Some b when erase_count b <= erase_count seg -> best
+            | Some _ | None -> Some seg)
+        None segments
+
+(* --- Cleaning -------------------------------------------------------------- *)
 
 (* Desirability of cleaning [seg] under [policy] (higher = better
    victim), from the segment itself.  [Storage.Seg_index] computes the
@@ -75,7 +142,7 @@ let allowed v purpose seg =
 
 (* Free segments (in the purpose's banks if [restrict]), narrowed to the
    least-busy bank, then the wear policy's pick among them. *)
-let pick_free v ~purpose ~restrict =
+let free_pick v ~purpose ~restrict =
   let candidates =
     List.filter
       (fun seg ->
@@ -93,8 +160,7 @@ let pick_free v ~purpose ~restrict =
     in
     let in_least = List.filter (fun seg -> Time.equal (busy seg) least) candidates in
     let for_cold = purpose <> Storage.Banks.Fresh_write in
-    Storage.Wear.pick_free ~for_cold v.cfg.M.wear ~erase_count:(erase_count v)
-      (Array.of_list in_least)
+    pick_free ~for_cold v.cfg.M.wear ~erase_count:(erase_count v) (Array.of_list in_least)
     |> Option.map Seg.id
 
 (* A due wear-leveling relocation first, else the cleaner's choice. *)
@@ -103,8 +169,7 @@ let victim v ~now ~purpose =
     in_service v seg && match purpose with None -> true | Some p -> allowed v p seg
   in
   (match
-     Storage.Wear.relocation_victim v.cfg.M.wear ~erase_count:(erase_count v) ~eligible
-       v.segments
+     relocation_victim v.cfg.M.wear ~erase_count:(erase_count v) ~eligible v.segments
    with
   | Some seg -> Some seg
   | None -> select v.cfg.M.cleaner ~now ~eligible v.segments)
@@ -132,7 +197,7 @@ let purpose_name = function
 
 let pp_id = Fmt.(option ~none:(any "none") int)
 
-let pp_evenness ppf (e : Storage.Wear.evenness) =
+let pp_evenness ppf (e : Wear.evenness) =
   Fmt.pf ppf "min %d max %d mean %h sd %h" e.min_erases e.max_erases e.mean_erases
     e.stddev_erases
 
@@ -153,7 +218,7 @@ let check cfg m =
             (Fmt.str "free pick (%s, restrict %b)" (purpose_name purpose) restrict)
             pp_id
             ~manager:(M.next_free_segment m ~purpose ~restrict)
-            ~scan:(pick_free v ~purpose ~restrict))
+            ~scan:(free_pick v ~purpose ~restrict))
         [ true; false ])
     purposes;
   let now = Engine.now (M.engine m) in
@@ -174,5 +239,5 @@ let check cfg m =
   expect "live blocks" Fmt.int ~manager:stats.M.live_blocks
     ~scan:(count v Seg.live_count - chain_slots m);
   expect "wear evenness" pp_evenness ~manager:(M.wear_evenness m)
-    ~scan:(Storage.Wear.evenness ~erase_count:(erase_count v) v.segments);
+    ~scan:(evenness ~erase_count:(erase_count v) v.segments);
   match List.rev !errors with [] -> Ok () | es -> Error (String.concat "; " es)

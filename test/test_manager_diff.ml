@@ -303,6 +303,51 @@ let test_same_instant_closes () =
   List.iter kill [ 3; 2 ];
   Alcotest.(check (option int)) "two kills each" (Some 2) (M.next_victim m ~purpose:None)
 
+(* Static wear leveling parks cold data on the most-worn free segment.
+   The other cases here cannot see which free segment a cold pick takes:
+   cleaning starts only below two free segments, so a clean-out pick
+   rarely finds free segments of different wear in one bank, and cold
+   loads at the start see only zero erase counts.  So this flash is worn
+   unevenly before the manager mounts it: on one 64 KB bank with 8-sector
+   segments, segment i has [3i mod 7] erases, so segment 2 (6 erases, the
+   lowest such id) is the cold pick and segment 0 (none) the hot one.
+   The run that follows starts with a spread of 3.2 erases over the mean,
+   past the threshold of 2, so it relocates too. *)
+let test_static_cold_pick () =
+  let module M = Storage.Manager in
+  let cfg =
+    Ops.config ~cleaner:Storage.Cleaner.Cost_benefit
+      ~wear:(Storage.Wear.Static { spread_threshold = 2 })
+      ~banking:Storage.Banks.Unified ~buffer_blocks:8 ()
+  in
+  let engine = Engine.create () in
+  let flash =
+    Device.Flash.create (Device.Flash.config ~nbanks:1 ~size_bytes:(64 * 1024) ())
+  in
+  let nslots = cfg.M.segment_sectors in
+  for seg = 0 to (Device.Flash.nsectors flash / nslots) - 1 do
+    for _ = 1 to 3 * seg mod 7 do
+      for sector = seg * nslots to ((seg + 1) * nslots) - 1 do
+        ignore (Device.Flash.erase flash ~now:Time.zero ~sector)
+      done
+    done
+  done;
+  let dram = Device.Dram.create ~size_bytes:Units.mib ~battery_backed:true () in
+  let m = M.create cfg ~engine ~flash ~dram in
+  let pick purpose = M.next_free_segment m ~purpose ~restrict:true in
+  Alcotest.(check (option int)) "clean-out: the most-worn" (Some 2)
+    (pick Storage.Banks.Clean_out);
+  Alcotest.(check (option int)) "cold load: the most-worn" (Some 2)
+    (pick Storage.Banks.Cold_load);
+  Alcotest.(check (option int)) "fresh write: the least-worn" (Some 0)
+    (pick Storage.Banks.Fresh_write);
+  expect_agreement cfg ~step:0 m;
+  Ops.run_ops
+    ~after:(fun step -> expect_agreement cfg ~step:(step + 1) m)
+    (engine, m)
+    (Ops.lcg_ops ~seed:3 ~len:300);
+  Alcotest.(check bool) "the run relocated or cleaned" true ((M.stats m).M.cleanings > 0)
+
 let suite =
   [
     grid_case ~name:"scan vs indexed: policy grid" ~seed:42 ~len:420;
@@ -324,4 +369,6 @@ let suite =
       test_all_full_lowest_id_youngest;
     Alcotest.test_case "cost-benefit tie: same-instant closes" `Quick
       test_same_instant_closes;
+    Alcotest.test_case "static: cold data on the most-worn free segment" `Quick
+      test_static_cold_pick;
   ]

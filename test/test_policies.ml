@@ -1,5 +1,5 @@
-(* Cleaner victim selection (the reference scan in [Scan_oracle]),
-   wear-leveling, and bank-partitioning policies. *)
+(* Cleaner victim selection and wear leveling (the reference scans in
+   [Scan_oracle]), and bank-partitioning policies. *)
 open Sim
 
 let segment ~id ~fill ~kill ~touched =
@@ -76,24 +76,24 @@ let test_pick_free_policies () =
   let a = free_segment ~id:0 and b = free_segment ~id:1 and c = free_segment ~id:2 in
   let counts = [| 5; 1; 3 |] in
   let erase_count s = counts.(Storage.Segment.id s) in
-  (match Storage.Wear.pick_free Storage.Wear.None_ ~erase_count [| a; b; c |] with
+  (match Scan_oracle.pick_free Storage.Wear.None_ ~erase_count [| a; b; c |] with
   | Some s -> Alcotest.(check int) "first-fit ignores wear" 0 (Storage.Segment.id s)
   | None -> Alcotest.fail "no pick");
-  match Storage.Wear.pick_free Storage.Wear.Dynamic ~erase_count [| a; b; c |] with
+  match Scan_oracle.pick_free Storage.Wear.Dynamic ~erase_count [| a; b; c |] with
   | Some s -> Alcotest.(check int) "dynamic picks least worn" 1 (Storage.Segment.id s)
   | None -> Alcotest.fail "no pick"
 
 let test_pick_free_skips_non_free () =
   let used = segment ~id:0 ~fill:8 ~kill:[] ~touched:0 in
   let free = free_segment ~id:1 in
-  match Storage.Wear.pick_free Storage.Wear.Dynamic ~erase_count:(fun _ -> 0) [| used; free |] with
+  match Scan_oracle.pick_free Storage.Wear.Dynamic ~erase_count:(fun _ -> 0) [| used; free |] with
   | Some s -> Alcotest.(check int) "only free considered" 1 (Storage.Segment.id s)
   | None -> Alcotest.fail "no pick"
 
 let test_evenness () =
   let segs = Array.init 4 (fun id -> free_segment ~id) in
   let counts = [| 0; 10; 5; 5 |] in
-  let e = Storage.Wear.evenness ~erase_count:(fun s -> counts.(Storage.Segment.id s)) segs in
+  let e = Scan_oracle.evenness ~erase_count:(fun s -> counts.(Storage.Segment.id s)) segs in
   Alcotest.(check int) "min" 0 e.Storage.Wear.min_erases;
   Alcotest.(check int) "max" 10 e.Storage.Wear.max_erases;
   Alcotest.(check (float 1e-9)) "mean" 5.0 e.Storage.Wear.mean_erases
@@ -106,7 +106,7 @@ let test_relocation_trigger () =
   let erase_count s = counts.(Storage.Segment.id s) in
   let policy = Storage.Wear.Static { spread_threshold = 10 } in
   (match
-     Storage.Wear.relocation_victim policy ~erase_count ~eligible:(fun _ -> true)
+     Scan_oracle.relocation_victim policy ~erase_count ~eligible:(fun _ -> true)
        [| closed; other |]
    with
   | Some s -> Alcotest.(check int) "coldest segment relocated" 0 (Storage.Segment.id s)
@@ -114,13 +114,13 @@ let test_relocation_trigger () =
   (* Below the threshold: no relocation. *)
   counts.(1) <- 5;
   Alcotest.(check bool) "no trigger below threshold" true
-    (Storage.Wear.relocation_victim policy ~erase_count ~eligible:(fun _ -> true)
+    (Scan_oracle.relocation_victim policy ~erase_count ~eligible:(fun _ -> true)
        [| closed; other |]
     = None);
   (* Dynamic never relocates. *)
   counts.(1) <- 100;
   Alcotest.(check bool) "dynamic never relocates" true
-    (Storage.Wear.relocation_victim Storage.Wear.Dynamic ~erase_count
+    (Scan_oracle.relocation_victim Storage.Wear.Dynamic ~erase_count
        ~eligible:(fun _ -> true) [| closed; other |]
     = None)
 
@@ -134,7 +134,7 @@ let test_pick_free_tie_lowest_id () =
   let segs = Array.init 4 (fun id -> free_segment ~id) in
   let erase_count _ = 7 in
   let check name policy ~for_cold =
-    match Storage.Wear.pick_free ~for_cold policy ~erase_count segs with
+    match Scan_oracle.pick_free ~for_cold policy ~erase_count segs with
     | Some s -> Alcotest.(check int) name 0 (Storage.Segment.id s)
     | None -> Alcotest.fail "no pick"
   in
@@ -168,7 +168,7 @@ let test_relocation_victim_tie_lowest_id () =
   let all = Array.append segs [| outlier |] in
   let erase_count s = if Storage.Segment.id s = 3 then 40 else 0 in
   match
-    Storage.Wear.relocation_victim
+    Scan_oracle.relocation_victim
       (Storage.Wear.Static { spread_threshold = 10 })
       ~erase_count ~eligible:(fun _ -> true) all
   with

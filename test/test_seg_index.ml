@@ -1,81 +1,193 @@
-(* Seg_index: the bucketed multiset and the composite per-bank index that
-   back the storage manager's O(log n) decisions. *)
+(* Seg_index: the indexed min-heaps that back the storage manager's
+   free-segment and victim picks. *)
 
-module B = Storage.Seg_index.Bucketed
 module I = Storage.Seg_index
 
-let entry = Alcotest.(option (pair int int))
+let raises_invalid f =
+  match f () with () -> false | exception Invalid_argument _ -> true
 
-let test_bucketed_basics () =
-  let b = B.create () in
-  Alcotest.(check int) "empty size" 0 (B.size b);
-  Alcotest.check entry "empty min" None (B.min_entry b);
-  Alcotest.check entry "empty max" None (B.max_entry b);
-  B.add b ~key:5 10;
-  B.add b ~key:2 7;
-  B.add b ~key:5 3;
-  Alcotest.(check int) "size" 3 (B.size b);
-  Alcotest.check entry "min key" (Some (2, 7)) (B.min_entry b);
-  Alcotest.check entry "max key, lowest id in bucket" (Some (5, 3)) (B.max_entry b);
-  B.remove b ~key:2 7;
-  Alcotest.check entry "min moves after remove" (Some (5, 3)) (B.min_entry b);
-  B.remove b ~key:5 3;
-  Alcotest.check entry "tie mate remains" (Some (5, 10)) (B.min_entry b)
+(* Checks one heap against the model's [(key, id)] entries for it: the
+   same members, and every parent before its children in (key, id) order,
+   so the root is their minimum. *)
+let check_heap idx family ~bank ~what expected =
+  let heap = I.heap idx family ~bank in
+  if List.sort compare (Array.to_list heap) <> List.sort compare expected then
+    QCheck.Test.fail_reportf "%s: wrong members" what;
+  Array.iteri
+    (fun i node ->
+      if i > 0 && compare heap.((i - 1) / 2) node >= 0 then
+        QCheck.Test.fail_reportf "%s: parent of %d does not precede it" what i)
+    heap
 
-let test_bucketed_tie_lowest_id () =
-  (* All keys equal: both extrema must report the lowest id — the property
-     that makes index picks match the reference scans' first-in-id-order
-     tie-breaking. *)
-  let b = B.create () in
-  List.iter (fun id -> B.add b ~key:4 id) [ 9; 1; 6; 3 ];
-  Alcotest.check entry "min tie" (Some (4, 1)) (B.min_entry b);
-  Alcotest.check entry "max tie" (Some (4, 1)) (B.max_entry b)
+(* The whole index.  Two banks of 64 ids (bank = id / 64) and four-slot
+   segments, so live counts run 0..4.  Keys come from small ranges, so
+   ties are common, within a bank and across banks. *)
+let model_banks = 2
+let model_per_bank = 64
+let model_ids = model_banks * model_per_bank
+let model_nslots = 4
 
-let test_bucketed_misuse_raises () =
-  let b = B.create () in
-  B.add b ~key:1 2;
-  Alcotest.check_raises "double add"
-    (Invalid_argument "Seg_index.Bucketed.add: id 2 already under key 1") (fun () ->
-      B.add b ~key:1 2);
-  Alcotest.check_raises "remove absent id"
-    (Invalid_argument "Seg_index.Bucketed.remove: id 3 not under key 1") (fun () ->
-      B.remove b ~key:1 3);
-  Alcotest.check_raises "remove absent key"
-    (Invalid_argument "Seg_index.Bucketed.remove: no bucket for key 9") (fun () ->
-      B.remove b ~key:9 2)
+type entry = Absent | Free of int | Closed of { live : int; erase : int; age : int }
 
-(* Model-based check: the bucketed structure against a naive association
-   list, over random add/remove/query sequences. *)
-let prop_bucketed_matches_model =
-  QCheck.Test.make ~name:"seg_index: bucketed matches naive model" ~count:300
-    QCheck.(list (triple (int_bound 7) (int_bound 15) bool))
-    (fun ops ->
-      let b = B.create () in
-      let model = ref [] in
-      List.iter
-        (fun (key, id, add) ->
-          if add then begin
-            if not (List.mem (key, id) !model) then begin
-              B.add b ~key id;
-              model := (key, id) :: !model
-            end
-          end
-          else if List.mem (key, id) !model then begin
-            B.remove b ~key id;
-            model := List.filter (fun e -> e <> (key, id)) !model
-          end)
-        ops;
-      let extreme pick =
-        match !model with
-        | [] -> None
-        | l ->
-          let key = List.fold_left (fun acc (k, _) -> pick acc k) (fst (List.hd l)) l in
-          let ids = List.filter_map (fun (k, i) -> if k = key then Some i else None) l in
-          Some (key, List.fold_left min (List.hd ids) ids)
+let bank_ranges = [ (0, 1); (1, 2); (0, 2); (1, 1) ]
+
+(* Model-based check: random adds, removes and live-count changes, with
+   misuse mixed in, against an array of entries.  [bias] sets the share
+   of adds that go to the free side (10%, 50% or 90%), so some runs grow
+   a bank's free heaps, others its closed heaps, past 32 ids.  After
+   every op, every heap of every family holds exactly the model's entries
+   in heap order; the least- and most-worn free picks match the model in
+   each bank; over each bank range, [coldest_closed] is the least
+   (erase, id) and [least_live_closed] the least (age, id) of the lowest
+   live count's lowest bank (the greedy victim when every age is 0); and
+   misuse raises and changes nothing. *)
+let prop_index_matches_model =
+  QCheck.Test.make ~name:"seg_index: whole index matches naive model" ~count:50
+    QCheck.(
+      pair (int_bound 2)
+        (list_of_size (Gen.int_range 100 600)
+           (quad (int_bound 9) (int_bound (model_ids - 1)) (int_bound 7) (int_bound 7))))
+    (fun (bias, ops) ->
+      let idx = I.create ~nbanks:model_banks ~nsegments:model_ids ~nslots:model_nslots in
+      let model = Array.make model_ids Absent in
+      let bank id = id / model_per_bank in
+      (* The least [(key, id)] over the ids [f] maps to [Some key]: -1 if none. *)
+      let least f =
+        let best = ref None in
+        Array.iteri
+          (fun id e ->
+            match f id e with
+            | Some k when (match !best with None -> true | Some b -> (k, id) < b) ->
+              best := Some (k, id)
+            | Some _ | None -> ())
+          model;
+        Option.fold ~none:(-1) ~some:snd !best
       in
-      B.size b = List.length !model
-      && B.min_entry b = extreme min
-      && B.max_entry b = extreme max)
+      let check () =
+        let nfree = ref 0 in
+        Array.iter (function Free _ -> incr nfree | Absent | Closed _ -> ()) model;
+        if I.free_count idx <> !nfree then
+          QCheck.Test.fail_reportf "free_count %d, model %d" (I.free_count idx) !nfree;
+        let entries f =
+          List.filter_map Fun.id (List.init model_ids (fun id -> f id model.(id)))
+        in
+        for b = 0 to model_banks - 1 do
+          let free_key neg id = function
+            | Free k when bank id = b -> Some (if neg then -k else k)
+            | Free _ | Absent | Closed _ -> None
+          in
+          let expect what got f =
+            let want = least f in
+            if got <> want then
+              QCheck.Test.fail_reportf "bank %d %s: index %d, model %d" b what got want
+          in
+          expect "least worn" (I.least_worn_free idx ~bank:b) (free_key false);
+          expect "most worn" (I.most_worn_free idx ~bank:b) (free_key true);
+          let pair f id e = Option.map (fun k -> (k, id)) (f id e) in
+          check_heap idx I.Least_worn ~bank:b ~what:"least-worn heap"
+            (entries (pair (free_key false)));
+          check_heap idx I.Most_worn ~bank:b ~what:"most-worn heap"
+            (entries (pair (free_key true)));
+          check_heap idx I.By_erase ~bank:b ~what:"erase heap"
+            (entries (fun id -> function
+               | Closed c when bank id = b -> Some (c.erase, id)
+               | Closed _ | Absent | Free _ -> None));
+          for live = 0 to model_nslots do
+            check_heap idx (I.By_age live) ~bank:b
+              ~what:(Printf.sprintf "age heap, live %d" live)
+              (entries (fun id -> function
+                 | Closed c when bank id = b && c.live = live -> Some (c.age, id)
+                 | Closed _ | Absent | Free _ -> None))
+          done
+        done;
+        List.iter
+          (fun (first_bank, end_bank) ->
+            let in_range id = bank id >= first_bank && bank id < end_bank in
+            let expect what got want =
+              if got <> want then
+                QCheck.Test.fail_reportf "banks %d..%d %s: index %d, model %d" first_bank
+                  (end_bank - 1) what got want
+            in
+            expect "coldest closed"
+              (I.coldest_closed idx ~first_bank ~end_bank)
+              (least (fun id -> function
+                 | Closed c when in_range id -> Some c.erase
+                 | Closed _ | Absent | Free _ -> None));
+            (* The first non-empty heap, by live count then bank. *)
+            let first_heap = ref (max_int, max_int) in
+            Array.iteri
+              (fun id -> function
+                | Closed c when in_range id ->
+                  first_heap := min !first_heap (c.live, bank id)
+                | Closed _ | Absent | Free _ -> ())
+              model;
+            expect "least live closed"
+              (I.least_live_closed idx ~first_bank ~end_bank)
+              (least (fun id -> function
+                 | Closed c when (c.live, bank id) = !first_heap -> Some c.age
+                 | Closed _ | Absent | Free _ -> None)))
+          bank_ranges
+      in
+      let must_raise what f =
+        if not (raises_invalid f) then QCheck.Test.fail_reportf "%s accepted" what
+      in
+      List.iter
+        (fun (kind, id, x, y) ->
+          let b = bank id in
+          (match (kind, model.(id)) with
+          | (0 | 1 | 2 | 3 | 4), Absent ->
+            if (x + (8 * y)) mod 10 < [| 1; 5; 9 |].(bias) then begin
+              let key = x mod 6 in
+              I.add_free idx ~bank:b ~key ~id;
+              model.(id) <- Free key
+            end
+            else begin
+              let live = x mod (model_nslots + 1) and erase = y mod 6 in
+              let age = (x + y) mod 3 in
+              I.add_closed idx ~bank:b ~id ~live ~erase ~age;
+              model.(id) <- Closed { live; erase; age }
+            end
+          | (0 | 1 | 2 | 3 | 4), Free key ->
+            must_raise "double free add" (fun () -> I.add_free idx ~bank:b ~key ~id)
+          | (0 | 1 | 2 | 3 | 4), Closed c ->
+            must_raise "double closed add" (fun () ->
+                I.add_closed idx ~bank:b ~id ~live:c.live ~erase:c.erase ~age:c.age)
+          | (5 | 6), Free key ->
+            I.remove_free idx ~bank:b ~key ~id;
+            model.(id) <- Absent
+          | (5 | 6), Closed c ->
+            I.remove_closed idx ~bank:b ~id ~live:c.live ~erase:c.erase ~age:c.age;
+            model.(id) <- Absent
+          | (5 | 6 | 7), Absent ->
+            must_raise "free remove of an absent id" (fun () ->
+                I.remove_free idx ~bank:b ~key:x ~id);
+            must_raise "closed remove of an absent id" (fun () ->
+                I.remove_closed idx ~bank:b ~id ~live:0 ~erase:x ~age:y)
+          | 7, Closed c ->
+            let live = x mod (model_nslots + 1) in
+            I.closed_live_changed idx ~bank:b ~id ~old_live:c.live ~new_live:live
+              ~age:c.age;
+            model.(id) <- Closed { c with live }
+          | 7, Free _ ->
+            must_raise "live change of a free id" (fun () ->
+                I.closed_live_changed idx ~bank:b ~id ~old_live:0 ~new_live:1 ~age:0)
+          | _, Free key ->
+            must_raise "free remove under a wrong key" (fun () ->
+                I.remove_free idx ~bank:b ~key:(key + 1) ~id)
+          | _, Closed c ->
+            let remove ~live ~erase ~age () =
+              I.remove_closed idx ~bank:b ~id ~live ~erase ~age
+            in
+            must_raise "remove under a wrong live count"
+              (remove ~live:((c.live + 1) mod (model_nslots + 1)) ~erase:c.erase ~age:c.age);
+            must_raise "remove under a wrong erase count"
+              (remove ~live:c.live ~erase:(c.erase + 1) ~age:c.age);
+            must_raise "remove under a wrong age key"
+              (remove ~live:c.live ~erase:c.erase ~age:(c.age + 1))
+          | _, Absent -> ());
+          check ())
+        ops;
+      true)
 
 (* The cost-benefit heaps.  Two banks of six ids (bank = id / 6) and
    four-slot segments, so live counts run 0..4. *)
@@ -83,12 +195,7 @@ let heap_banks = 2
 let heap_ids = 12
 let heap_nslots = 4
 
-let aged_index () =
-  I.create ~nbanks:heap_banks ~nsegments:heap_ids ~nslots:heap_nslots ~wear_keyed:true
-    ~track_live:false ~track_erase:false ~track_age:true
-
-let raises_invalid f =
-  match f () with () -> false | exception Invalid_argument _ -> true
+let aged_index () = I.create ~nbanks:heap_banks ~nsegments:heap_ids ~nslots:heap_nslots
 
 (* The reference score ([Scan_oracle.score]) of a segment with [live] of
    its [heap_nslots] blocks live, last touched at [lt] ns. *)
@@ -133,28 +240,12 @@ let prop_heaps_match_model =
       let check_heaps () =
         for b = 0 to heap_banks - 1 do
           for live = 0 to heap_nslots do
-            let heap = I.closed_by_age idx ~bank:b ~live in
-            let expected =
-              List.filter_map
-                (fun (id, l, lt) ->
-                  if bank id = b && l = live then Some (lt, id) else None)
-                !model
-              |> List.sort compare
-            in
-            if List.sort compare (Array.to_list heap) <> expected then
-              QCheck.Test.fail_reportf "bank %d live %d: wrong members" b live;
-            (match expected with
-            | [] -> ()
-            | least :: _ ->
-              if heap.(0) <> least then
-                QCheck.Test.fail_reportf "bank %d live %d: root is not the minimum" b
-                  live);
-            Array.iteri
-              (fun i node ->
-                if i > 0 && compare heap.((i - 1) / 2) node >= 0 then
-                  QCheck.Test.fail_reportf
-                    "bank %d live %d: parent of %d does not precede it" b live i)
-              heap
+            check_heap idx (I.By_age live) ~bank:b
+              ~what:(Printf.sprintf "bank %d live %d" b live)
+              (List.filter_map
+                 (fun (id, l, lt) ->
+                   if bank id = b && l = live then Some (lt, id) else None)
+                 !model)
           done
         done
       in
@@ -181,26 +272,26 @@ let prop_heaps_match_model =
           let lt = 4 * t in
           (match (kind, find id) with
           | 0, None ->
-            I.add_closed idx ~bank:(bank id) ~id ~live ~erase:0 ~lt_ns:lt;
+            I.add_closed idx ~bank:(bank id) ~id ~live ~erase:0 ~age:lt;
             model := (id, live, lt) :: !model
           | 0, Some (_, l, x) ->
             if
               not
                 (raises_invalid (fun () ->
-                     I.add_closed idx ~bank:(bank id) ~id ~live:l ~erase:0 ~lt_ns:x))
+                     I.add_closed idx ~bank:(bank id) ~id ~live:l ~erase:0 ~age:x))
             then QCheck.Test.fail_reportf "double add of %d accepted" id
           | 1, Some (_, l, x) ->
-            I.remove_closed idx ~bank:(bank id) ~id ~live:l ~erase:0 ~lt_ns:x;
+            I.remove_closed idx ~bank:(bank id) ~id ~live:l ~erase:0 ~age:x;
             model := List.filter (fun (i, _, _) -> i <> id) !model
           | (1 | 2 | 3), None ->
             if
               not
                 (raises_invalid (fun () ->
-                     I.remove_closed idx ~bank:(bank id) ~id ~live ~erase:0 ~lt_ns:lt))
+                     I.remove_closed idx ~bank:(bank id) ~id ~live ~erase:0 ~age:lt))
             then QCheck.Test.fail_reportf "remove of absent %d accepted" id
           | 2, Some (_, l, x) ->
             I.closed_live_changed idx ~bank:(bank id) ~id ~old_live:l ~new_live:live
-              ~lt_ns:x;
+              ~age:x;
             model := (id, live, x) :: List.filter (fun (i, _, _) -> i <> id) !model
           | _, Some (_, l, x) ->
             (* A wrong live count or last-touched instant. *)
@@ -209,10 +300,10 @@ let prop_heaps_match_model =
               not
                 (raises_invalid (fun () ->
                      I.remove_closed idx ~bank:(bank id) ~id ~live:wrong_live ~erase:0
-                       ~lt_ns:x)
+                       ~age:x)
                 && raises_invalid (fun () ->
                        I.remove_closed idx ~bank:(bank id) ~id ~live:l ~erase:0
-                         ~lt_ns:(x + 1)))
+                         ~age:(x + 1)))
             then QCheck.Test.fail_reportf "remove of %d under wrong keys accepted" id
           | _, None -> ());
           check_heaps ();
@@ -224,30 +315,30 @@ let prop_heaps_match_model =
 
 let test_heap_misuse_raises () =
   let idx = aged_index () in
-  I.add_closed idx ~bank:0 ~id:3 ~live:2 ~erase:0 ~lt_ns:100;
+  I.add_closed idx ~bank:0 ~id:3 ~live:2 ~erase:0 ~age:100;
   let raises what f = Alcotest.(check bool) what true (raises_invalid f) in
   raises "double add" (fun () ->
-      I.add_closed idx ~bank:0 ~id:3 ~live:2 ~erase:0 ~lt_ns:100);
+      I.add_closed idx ~bank:0 ~id:3 ~live:2 ~erase:0 ~age:100);
   raises "double add under other keys" (fun () ->
-      I.add_closed idx ~bank:0 ~id:3 ~live:1 ~erase:0 ~lt_ns:50);
+      I.add_closed idx ~bank:0 ~id:3 ~live:1 ~erase:0 ~age:50);
   raises "remove with the wrong live count" (fun () ->
-      I.remove_closed idx ~bank:0 ~id:3 ~live:1 ~erase:0 ~lt_ns:100);
+      I.remove_closed idx ~bank:0 ~id:3 ~live:1 ~erase:0 ~age:100);
   raises "remove with the wrong lt" (fun () ->
-      I.remove_closed idx ~bank:0 ~id:3 ~live:2 ~erase:0 ~lt_ns:99);
+      I.remove_closed idx ~bank:0 ~id:3 ~live:2 ~erase:0 ~age:99);
   raises "live change from the wrong count" (fun () ->
-      I.closed_live_changed idx ~bank:0 ~id:3 ~old_live:3 ~new_live:2 ~lt_ns:100);
+      I.closed_live_changed idx ~bank:0 ~id:3 ~old_live:3 ~new_live:2 ~age:100);
   raises "live count beyond nslots" (fun () ->
-      I.add_closed idx ~bank:0 ~id:4 ~live:(heap_nslots + 1) ~erase:0 ~lt_ns:0);
+      I.add_closed idx ~bank:0 ~id:4 ~live:(heap_nslots + 1) ~erase:0 ~age:0);
   raises "remove of an absent id" (fun () ->
-      I.remove_closed idx ~bank:0 ~id:5 ~live:2 ~erase:0 ~lt_ns:100);
+      I.remove_closed idx ~bank:0 ~id:5 ~live:2 ~erase:0 ~age:100);
   (* None of that disturbed the entry. *)
   Alcotest.(check (array (pair int int)))
     "entry intact" [| (100, 3) |]
-    (I.closed_by_age idx ~bank:0 ~live:2);
-  I.remove_closed idx ~bank:0 ~id:3 ~live:2 ~erase:0 ~lt_ns:100;
+    (I.heap idx (I.By_age 2) ~bank:0);
+  I.remove_closed idx ~bank:0 ~id:3 ~live:2 ~erase:0 ~age:100;
   Alcotest.(check (array (pair int int)))
     "removed" [||]
-    (I.closed_by_age idx ~bank:0 ~live:2)
+    (I.heap idx (I.By_age 2) ~bank:0)
 
 (* Ties the root alone gets wrong, from the production score.  Bank 0:
    full segments all score 0, so the lowest id wins however young it is.
@@ -262,7 +353,7 @@ let test_pick_walks_ties () =
     @ [ (9, 1, 14); (7, 1, 18); (6, 1, 50) ]
   in
   List.iter
-    (fun (id, live, lt) -> I.add_closed idx ~bank:(id / 6) ~id ~live ~erase:0 ~lt_ns:lt)
+    (fun (id, live, lt) -> I.add_closed idx ~bank:(id / 6) ~id ~live ~erase:0 ~age:lt)
     entries;
   let now = near_2_57 - 280 in
   let score id =
@@ -278,28 +369,22 @@ let test_pick_walks_ties () =
   Alcotest.(check int) "no bank: none" (-1) (pick 1 1)
 
 let test_free_side_counters () =
-  let idx =
-    I.create ~nbanks:2 ~nsegments:16 ~nslots:8 ~wear_keyed:true ~track_live:true
-      ~track_erase:true ~track_age:false
-  in
+  let idx = I.create ~nbanks:2 ~nsegments:16 ~nslots:8 in
+  Alcotest.(check int) "empty bank: none" (-1) (I.least_worn_free idx ~bank:0);
   I.add_free idx ~bank:0 ~key:3 ~id:0;
   I.add_free idx ~bank:0 ~key:3 ~id:1;
   I.add_free idx ~bank:1 ~key:1 ~id:8;
   Alcotest.(check int) "total" 3 (I.free_count idx);
-  Alcotest.(check int) "bank 0" 2 (I.bank_free_count idx ~bank:0);
-  Alcotest.check entry "least worn, tie to low id" (Some (3, 0))
-    (I.least_worn_free idx ~bank:0);
+  Alcotest.(check int) "least worn, tie to low id" 0 (I.least_worn_free idx ~bank:0);
+  Alcotest.(check int) "most worn, tie to low id" 0 (I.most_worn_free idx ~bank:0);
   I.remove_free idx ~bank:0 ~key:3 ~id:0;
   Alcotest.(check int) "total after remove" 2 (I.free_count idx);
-  Alcotest.check entry "survivor" (Some (3, 1)) (I.least_worn_free idx ~bank:0);
-  Alcotest.check entry "other bank untouched" (Some (1, 8)) (I.most_worn_free idx ~bank:1)
+  Alcotest.(check int) "survivor" 1 (I.least_worn_free idx ~bank:0);
+  Alcotest.(check int) "other bank untouched" 8 (I.most_worn_free idx ~bank:1)
 
 let suite =
   [
-    Alcotest.test_case "bucketed basics" `Quick test_bucketed_basics;
-    Alcotest.test_case "bucketed tie -> lowest id" `Quick test_bucketed_tie_lowest_id;
-    Alcotest.test_case "bucketed misuse raises" `Quick test_bucketed_misuse_raises;
-    QCheck_alcotest.to_alcotest prop_bucketed_matches_model;
+    QCheck_alcotest.to_alcotest prop_index_matches_model;
     QCheck_alcotest.to_alcotest prop_heaps_match_model;
     Alcotest.test_case "heap misuse raises" `Quick test_heap_misuse_raises;
     Alcotest.test_case "cost-benefit pick walks ties" `Quick test_pick_walks_ties;
