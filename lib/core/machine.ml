@@ -366,19 +366,16 @@ let inject_fault t kind =
     }
   in
   match kind with
-  | Fault.Power_failure ->
+  | Fault.Power_failure -> (
     (* External power vanishes.  Battery-backed DRAM rides it out on
        whichever battery holds; otherwise the machine cold-restarts when
        power returns. *)
-    if dram_backed && not (Device.Battery.exhausted t.battery) then
-      warm
-        (if Device.Battery.on_backup t.battery then `Backup_battery
-         else `Primary_battery)
-    else begin
+    match Recovery.survivor ~battery:t.battery ~dram_battery_backed:dram_backed with
+    | (`Primary_battery | `Backup_battery) as by -> warm by
+    | `Nothing ->
       let o = cold () in
       Device.Battery.recharge t.battery;
-      o
-    end
+      o)
   | Fault.Battery_swap ->
     (* The primary is pulled; only the lithium backup can carry DRAM
        through the gap.  Either way a fresh primary goes in afterwards. *)

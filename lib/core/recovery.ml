@@ -5,15 +5,15 @@ type outcome = {
   flash_blocks_intact : int;
 }
 
+let survivor ~battery ~dram_battery_backed =
+  if (not dram_battery_backed) || Device.Battery.exhausted battery then `Nothing
+  else if Device.Battery.on_backup battery then `Backup_battery
+  else `Primary_battery
+
 let power_failure ~manager ~battery ~dram_battery_backed =
   let stats = Storage.Manager.stats manager in
   let dirty = stats.Storage.Manager.dirty_blocks in
-  let survived_by =
-    if not dram_battery_backed then `Nothing
-    else if Device.Battery.exhausted battery then `Nothing
-    else if Device.Battery.on_backup battery then `Backup_battery
-    else `Primary_battery
-  in
+  let survived_by = survivor ~battery ~dram_battery_backed in
   {
     dirty_blocks = dirty;
     lost_blocks = (match survived_by with `Nothing -> dirty | _ -> 0);

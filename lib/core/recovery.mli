@@ -18,6 +18,14 @@ type outcome = {
   flash_blocks_intact : int;  (** Live flash data is never at risk. *)
 }
 
+val survivor :
+  battery:Device.Battery.t -> dram_battery_backed:bool ->
+  [ `Primary_battery | `Backup_battery | `Nothing ]
+(** Which battery keeps DRAM alive through a loss of external power:
+    none unless DRAM is battery-backed and a battery still holds; the
+    backup while the primary is empty, else the primary.  The one rule
+    {!power_failure} and [Machine.inject_fault] both apply. *)
+
 val power_failure :
   manager:Storage.Manager.t -> battery:Device.Battery.t -> dram_battery_backed:bool ->
   outcome

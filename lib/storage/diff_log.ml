@@ -5,31 +5,18 @@ type config = {
 
 let default_config = { delta_bytes = 64; merge_len = 4 }
 
-type delta = {
-  mutable d_seg : int;
-  mutable d_slot : int;
-  mutable d_sector : int;
-  d_pos : int;
-  d_bytes : int;
-}
-
 (* [Storage.Array] (the card array) would shadow the stdlib inside this library. *)
 module Array = Stdlib.Array
 
-type chain = {
-  mutable c_base_seg : int;
-  mutable c_base_slot : int;
-  (* Position order: the first [c_len] cells are the chain.  Grown by
-     doubling; chains are bounded by the merge threshold, so a chain's
-     array rarely grows past its first size. *)
-  mutable c_deltas : delta array;
-  mutable c_len : int;
-}
+(* The sectors of a chain's delta records in position order: the first
+   [len] cells.  Grown by doubling; chains are bounded by the merge
+   threshold, so a chain's array rarely grows past its first size. *)
+type chain = { mutable sectors : int array; mutable len : int }
 
 (* The chain table is dense-keyed by block id, like the manager's block
-   metadata, with absence a shared sentinel compared by physical identity
+   table, with absence a shared sentinel compared by physical identity
    and never mutated: a lookup is one bounds check and one load. *)
-let no_chain = { c_base_seg = -1; c_base_slot = -1; c_deltas = [||]; c_len = 0 }
+let no_chain = { sectors = [||]; len = 0 }
 
 type t = {
   cfg : config;
@@ -66,18 +53,29 @@ let chain_exn t ~block ~op =
   if c != no_chain then c
   else invalid_arg (Printf.sprintf "Diff_log.%s: block %d has no chain" op block)
 
-let base_seg t ~block = (chain_exn t ~block ~op:"base_seg").c_base_seg
-let base_slot t ~block = (chain_exn t ~block ~op:"base_slot").c_base_slot
-let chain_length t ~block = (find t block).c_len
-let next_pos t ~block = chain_length t ~block
+let chain_length t ~block = (find t block).len
 
-let delta t ~block i =
-  let c = chain_exn t ~block ~op:"delta" in
-  if i < 0 || i >= c.c_len then
-    invalid_arg (Printf.sprintf "Diff_log.delta: block %d has no delta at %d" block i);
-  c.c_deltas.(i)
+let delta_sector t ~block i =
+  let c = chain_exn t ~block ~op:"delta_sector" in
+  if i < 0 || i >= c.len then
+    invalid_arg (Printf.sprintf "Diff_log.delta_sector: block %d has no delta at %d" block i);
+  c.sectors.(i)
 
-let begin_chain t ~block ~seg ~slot =
+(* Top-level, so the cleaner's lookup builds no closure. *)
+let rec index_of sectors len sector i =
+  if i >= len then -1
+  else if sectors.(i) = sector then i
+  else index_of sectors len sector (i + 1)
+
+let delta_pos t ~block ~sector =
+  let c = chain_exn t ~block ~op:"delta_pos" in
+  let i = index_of c.sectors c.len sector 0 in
+  if i < 0 then
+    invalid_arg
+      (Printf.sprintf "Diff_log.delta_pos: block %d has no delta in sector %d" block sector);
+  i
+
+let begin_chain t ~block =
   if has_chain t ~block then
     invalid_arg (Printf.sprintf "Diff_log.begin_chain: block %d already chained" block);
   let cap = Array.length t.chains in
@@ -86,44 +84,33 @@ let begin_chain t ~block ~seg ~slot =
     Array.blit t.chains 0 bigger 0 cap;
     t.chains <- bigger
   end;
-  t.chains.(block) <-
-    { c_base_seg = seg; c_base_slot = slot; c_deltas = [||]; c_len = 0 };
+  t.chains.(block) <- { sectors = [||]; len = 0 };
   t.nchains <- t.nchains + 1
 
-let push_delta t ~block ~pos ~seg ~slot ~sector ~bytes =
+let push_delta t ~block ~pos ~sector =
   let c = chain_exn t ~block ~op:"push_delta" in
-  if pos <> c.c_len then
+  if pos <> c.len then
     invalid_arg
-      (Printf.sprintf "Diff_log.push_delta: block %d position %d, expected %d" block
-         pos c.c_len);
-  let d = { d_seg = seg; d_slot = slot; d_sector = sector; d_pos = pos; d_bytes = bytes } in
-  if c.c_len = Array.length c.c_deltas then begin
-    let bigger = Array.make (max 4 (2 * c.c_len)) d in
-    Array.blit c.c_deltas 0 bigger 0 c.c_len;
-    c.c_deltas <- bigger
+      (Printf.sprintf "Diff_log.push_delta: block %d position %d, expected %d" block pos
+         c.len);
+  if c.len = Array.length c.sectors then begin
+    let bigger = Array.make (max 4 (2 * c.len)) 0 in
+    Array.blit c.sectors 0 bigger 0 c.len;
+    c.sectors <- bigger
   end;
-  c.c_deltas.(c.c_len) <- d;
-  c.c_len <- c.c_len + 1
+  c.sectors.(c.len) <- sector;
+  c.len <- c.len + 1
 
 let should_merge t ~block =
   let c = find t block in
-  c != no_chain && c.c_len >= t.cfg.merge_len
+  c != no_chain && c.len >= t.cfg.merge_len
 
-let rebase t ~block ~seg ~slot =
-  let c = chain_exn t ~block ~op:"rebase" in
-  c.c_base_seg <- seg;
-  c.c_base_slot <- slot
-
-(* Positions are dense from 0, so the delta at [pos] is cell [pos]. *)
-let relocate_delta t ~block ~pos ~seg ~slot ~sector =
+let relocate_delta t ~block ~pos ~sector =
   let c = chain_exn t ~block ~op:"relocate_delta" in
-  if pos < 0 || pos >= c.c_len then
+  if pos < 0 || pos >= c.len then
     invalid_arg
       (Printf.sprintf "Diff_log.relocate_delta: block %d has no delta at %d" block pos);
-  let d = c.c_deltas.(pos) in
-  d.d_seg <- seg;
-  d.d_slot <- slot;
-  d.d_sector <- sector
+  c.sectors.(pos) <- sector
 
 let drop t ~block =
   if has_chain t ~block then begin
@@ -131,19 +118,15 @@ let drop t ~block =
     t.nchains <- t.nchains - 1
   end
 
-let iter_chains t ~f =
-  Array.iteri (fun block c -> if c != no_chain then f ~block ~ndeltas:c.c_len) t.chains
-
-let note_delta_programmed t ~bytes =
+let note_delta_programmed t =
   t.deltas_flushed <- t.deltas_flushed + 1;
-  t.delta_bytes_flushed <- t.delta_bytes_flushed + bytes
+  t.delta_bytes_flushed <- t.delta_bytes_flushed + t.cfg.delta_bytes
 
 let note_merge t = t.merges <- t.merges + 1
 let note_reassembly t = t.reassembled_reads <- t.reassembled_reads + 1
 
 type stats = {
   chains : int;
-  chained_deltas : int;
   deltas_flushed : int;
   delta_bytes_flushed : int;
   merges : int;
@@ -151,11 +134,8 @@ type stats = {
 }
 
 let stats (t : t) =
-  let chained = ref 0 in
-  iter_chains t ~f:(fun ~block:_ ~ndeltas -> chained := !chained + ndeltas);
   {
     chains = t.nchains;
-    chained_deltas = !chained;
     deltas_flushed = t.deltas_flushed;
     delta_bytes_flushed = t.delta_bytes_flushed;
     merges = t.merges;
@@ -165,7 +145,6 @@ let stats (t : t) =
 let add_stats a b =
   {
     chains = a.chains + b.chains;
-    chained_deltas = a.chained_deltas + b.chained_deltas;
     deltas_flushed = a.deltas_flushed + b.deltas_flushed;
     delta_bytes_flushed = a.delta_bytes_flushed + b.delta_bytes_flushed;
     merges = a.merges + b.merges;

@@ -9,13 +9,14 @@
     reaches the configured length it is merged back into a single full
     base page.
 
-    This module is the pure bookkeeping: which blocks have chains, where
-    their base pages and delta records live, and when a chain is due for
-    a merge.  Devices, headers, and scheduling live in {!Manager}, which
-    consults this table on the flush, read, free, cleaning, and remount
-    paths.  A manager created without a diff config never touches this
-    module, so the plain flush path is byte-identical with the policy
-    off. *)
+    This module is the pure bookkeeping: which blocks have chains, the
+    sectors of their delta records in position order, and when a chain is
+    due for a merge.  A chain's base page is the block's home sector in
+    {!Manager}'s block table, which this table does not repeat.  Devices,
+    headers, and scheduling live in {!Manager}, which consults this table
+    on the flush, read, free, cleaning, and remount paths.  A manager
+    created without a diff config never touches this module, so the plain
+    flush path is byte-identical with the policy off. *)
 
 type config = {
   delta_bytes : int;
@@ -30,16 +31,6 @@ type config = {
 val default_config : config
 (** 64-byte deltas, merge at 4 deltas. *)
 
-(** One delta record's location.  Coordinates are mutable because the
-    cleaner relocates delta records like any other live slot. *)
-type delta = {
-  mutable d_seg : int;
-  mutable d_slot : int;
-  mutable d_sector : int;
-  d_pos : int;  (** Position in the chain, dense from 0. *)
-  d_bytes : int;  (** Bytes the record occupies (programmed cost). *)
-}
-
 type t
 
 val create : config -> t
@@ -47,53 +38,42 @@ val config : t -> config
 
 val has_chain : t -> block:int -> bool
 
-(** {2 Chain reads}
+(** {2 Chains}
 
-    Allocation-free: the base page's coordinates and the deltas by
-    position, never an option or a list.  Each raises [Invalid_argument]
-    when the block has no chain. *)
-
-val base_seg : t -> block:int -> int
-val base_slot : t -> block:int -> int
-(** The chained block's base page: its segment and slot. *)
-
-val delta : t -> block:int -> int -> delta
-(** [delta t ~block i]: the record at position [i], [0 <= i <]
-    {!chain_length}. *)
+    Allocation-free reads: a chain is the sectors of its delta records,
+    dense by position from 0.  Each raises [Invalid_argument] when the
+    block has no chain. *)
 
 val chain_length : t -> block:int -> int
-(** Delta records in the block's chain; 0 without a chain. *)
+(** Delta records in the block's chain; 0 without a chain.  The next
+    {!push_delta} takes this position. *)
 
-val next_pos : t -> block:int -> int
-(** The position the next {!push_delta} should use (= current length). *)
+val delta_sector : t -> block:int -> int -> int
+(** [delta_sector t ~block i]: the sector of the record at position [i],
+    [0 <= i <] {!chain_length}. *)
 
-val begin_chain : t -> block:int -> seg:int -> slot:int -> unit
-(** Start an empty chain anchored at the block's current flash copy.
-    No-op semantics are the caller's problem: raises [Invalid_argument]
-    if the block already has a chain. *)
+val delta_pos : t -> block:int -> sector:int -> int
+(** The position of the block's delta record in [sector].
+    @raise Invalid_argument if no record of the chain is there. *)
 
-val push_delta :
-  t -> block:int -> pos:int -> seg:int -> slot:int -> sector:int -> bytes:int -> unit
-(** Append a delta record to the chain.  [pos] must equal {!next_pos}
+val begin_chain : t -> block:int -> unit
+(** Start an empty chain against the block's home sector.
+    @raise Invalid_argument if the block already has a chain. *)
+
+val push_delta : t -> block:int -> pos:int -> sector:int -> unit
+(** Append a delta record to the chain.  [pos] must equal {!chain_length}
     (dense positions are what remount's truncation rule relies on).
     @raise Invalid_argument without a chain or on a position gap. *)
 
 val should_merge : t -> block:int -> bool
 (** Has the chain reached [merge_len] deltas? *)
 
-val rebase : t -> block:int -> seg:int -> slot:int -> unit
-(** The cleaner moved the base page; update its coordinates. *)
-
-val relocate_delta :
-  t -> block:int -> pos:int -> seg:int -> slot:int -> sector:int -> unit
-(** The cleaner moved the delta at [pos]; update its coordinates. *)
+val relocate_delta : t -> block:int -> pos:int -> sector:int -> unit
+(** The cleaner moved the delta at [pos] to [sector]. *)
 
 val drop : t -> block:int -> unit
 (** Forget the block's chain (after a merge, or when the block is
     freed).  No-op if it has none. *)
-
-val iter_chains : t -> f:(block:int -> ndeltas:int -> unit) -> unit
-(** Visit every chained block, in ascending block order. *)
 
 (** {1 Traffic counters}
 
@@ -101,13 +81,14 @@ val iter_chains : t -> f:(block:int -> ndeltas:int -> unit) -> unit
     The manager bumps these where it charges the device, so they stay in
     lockstep with the flash traffic counters. *)
 
-val note_delta_programmed : t -> bytes:int -> unit
+val note_delta_programmed : t -> unit
+(** One delta record of [delta_bytes] programmed. *)
+
 val note_merge : t -> unit
 val note_reassembly : t -> unit
 
 type stats = {
   chains : int;  (** Blocks currently holding a delta chain. *)
-  chained_deltas : int;  (** Delta records across every live chain. *)
   deltas_flushed : int;  (** Overwrite flushes encoded as deltas. *)
   delta_bytes_flushed : int;
   merges : int;  (** Chains folded back into a full base page. *)

@@ -82,35 +82,12 @@ let no_timer = Time.of_ns max_int
 
 type block = int
 
-(* Where a block's current data lives, in one int, so that no state
-   change allocates: [blank] (allocated, no data anywhere yet),
-   [buffered] (dirty in the DRAM write buffer), or, when non-negative, the
-   log position [seg * segment_sectors + slot] of its flash copy. *)
-let blank = -2
-let buffered = -1
-
-type where = Blank | Buffered | Flashed
-
-type meta = {
-  mutable loc : int;
-  (* Sector holding this block's newest durable header, -1 if none.  It can
-     trail [loc]: a rewritten-but-dirty block keeps its old on-flash header
-     live so a crash rolls back to the previous version instead of losing
-     the block outright. *)
-  mutable hdr_sector : int;
-}
-
-(* The block table is dense-keyed — block ids count up from zero — so it
-   is an array indexed directly by block id, with absence a shared
-   sentinel compared by physical identity.  A lookup on the replay hot path
-   is one bounds check and one load, and an insert allocates nothing beyond
-   the record itself; the hashtable this replaced allocated a bucket per
-   insert and its resizes dominated preload.  The sentinel is never
-   mutated: every mutation goes through a record a successful lookup
-   returned ([find_meta] raises on the sentinel). *)
-let no_meta : meta = { loc = blank; hdr_sector = min_int }
-
-let where m = if m.loc >= 0 then Flashed else if m.loc = buffered then Buffered else Blank
+(* Where a block's current data lives: nowhere, because the handle is
+   unknown ([Absent]: never allocated, or freed) or has no data yet
+   ([Blank]); in the DRAM write buffer ([Buffered]); or in flash, in its
+   home sector ([Flashed]).  Constant constructors, so a table of them
+   is a flat array of immediates. *)
+type where = Absent | Blank | Buffered | Flashed
 
 (* The [hdr_block] of a sector that holds no header. *)
 let no_block = -1
@@ -130,7 +107,18 @@ type t = {
   retired : bool array;
   segs_per_bank : int;
   buffer : Write_buffer.t;
-  mutable meta : meta array; (* indexed by block id; [no_meta] = absent *)
+  (* The block table, dense-keyed — block ids count up from zero — so two
+     arrays indexed by block id: a lookup on the replay hot path is one
+     bounds check and one load, and no state change allocates.  [home] is
+     the sector of the block's newest durable header, -1 if none: a
+     Flashed block's data, a chained block's base page.  It can hold a
+     Buffered block's superseded copy too: a rewritten-but-dirty block
+     keeps its old on-flash header live, so a crash rolls back to the
+     previous version instead of losing the block outright.  Every state
+     change goes through [set_state], which keeps [n_flashed]. *)
+  mutable state : where array;
+  mutable home : int array;
+  mutable n_flashed : int;
   mutable next_block : block;
   mutable open_fresh : int option;
   mutable open_clean : int option;
@@ -166,7 +154,6 @@ type t = {
      The differential tests hold both against full scans of [segments]. *)
   idx : Seg_index.t;
   wear_acc : Wear.acc;
-  mutable n_live_blocks : int;
   mutable n_retired : int;
   (* Counters. *)
   mutable c_writes : int;
@@ -201,26 +188,46 @@ let card_args t args =
   | None -> args
   | Some c -> ("card", string_of_int c) :: args
 
-let set_flashed t m ~seg ~slot = m.loc <- (seg * t.cfg.segment_sectors) + slot
-let loc_seg t m = m.loc / t.cfg.segment_sectors
-let loc_slot t m = m.loc mod t.cfg.segment_sectors
+(* The segment and slot of a sector: the inverse of [Segment.sector_of_slot]
+   (banks may end in spare sectors no segment covers). *)
+let seg_of_sector t s =
+  let per_bank = Device.Flash.sectors_per_bank t.flash in
+  ((s / per_bank) * t.segs_per_bank) + (s mod per_bank / t.cfg.segment_sectors)
 
-let find_meta t b =
-  let m = if b >= 0 && b < Array.length t.meta then t.meta.(b) else no_meta in
-  if m != no_meta then m
-  else invalid_arg (Printf.sprintf "Manager: unknown block %d" b)
+let slot_of_sector t s =
+  s mod Device.Flash.sectors_per_bank t.flash mod t.cfg.segment_sectors
 
-let ensure_meta_capacity t b =
-  let cap = Array.length t.meta in
+let state_of t b =
+  match if b >= 0 && b < Array.length t.state then t.state.(b) else Absent with
+  | Absent -> invalid_arg (Printf.sprintf "Manager: unknown block %d" b)
+  | w -> w
+
+let set_state t b w =
+  (match t.state.(b) with
+  | Flashed -> t.n_flashed <- t.n_flashed - 1
+  | Absent | Blank | Buffered -> ());
+  (match w with Flashed -> t.n_flashed <- t.n_flashed + 1 | Absent | Blank | Buffered -> ());
+  t.state.(b) <- w
+
+(* Grown by doubling from 1024 entries as handles reach it: sized at
+   creation, the table would cost a fresh machine words per flash
+   sector. *)
+let ensure_capacity t b =
+  let cap = Array.length t.state in
   if b >= cap then begin
-    let narr = Array.make (max (b + 1) (max 1024 (2 * cap))) no_meta in
-    Array.blit t.meta 0 narr 0 cap;
-    t.meta <- narr
+    let size = max (b + 1) (max 1024 (2 * cap)) in
+    let state = Array.make size Absent and home = Array.make size (-1) in
+    Array.blit t.state 0 state 0 cap;
+    Array.blit t.home 0 home 0 cap;
+    t.state <- state;
+    t.home <- home
   end
 
-let set_meta t b m =
-  ensure_meta_capacity t b;
-  t.meta.(b) <- m
+(* A new Blank block under handle [b]. *)
+let add_block t b =
+  ensure_capacity t b;
+  t.home.(b) <- -1;
+  set_state t b Blank
 
 let erase_count_of_segment t seg =
   (* Segments wear uniformly (whole-segment erases), so the first sector's
@@ -272,7 +279,6 @@ let closed_index_remove t seg =
 
 (* After [Segment.kill seg ~slot]. *)
 let note_kill t seg =
-  t.n_live_blocks <- t.n_live_blocks - 1;
   let i = Segment.id seg in
   if Seg_index.mem_closed t.idx ~id:i then begin
     let live = Segment.live_count seg in
@@ -286,12 +292,10 @@ let note_kill t seg =
 let rebuild_indexes t =
   Seg_index.clear t.idx;
   Wear.acc_clear t.wear_acc;
-  t.n_live_blocks <- 0;
   t.n_retired <- 0;
   Array.iteri
     (fun i seg ->
       Wear.acc_add t.wear_acc (erase_count_of_segment t seg);
-      t.n_live_blocks <- t.n_live_blocks + Segment.live_count seg;
       if t.retired.(i) then t.n_retired <- t.n_retired + 1
       else
         match Segment.state seg with
@@ -342,7 +346,9 @@ let make ?card cfg ~engine ~flash ~dram =
       retired = Array.make nsegments false;
       segs_per_bank;
       buffer = Write_buffer.create cfg.buffer;
-      meta = Array.make (nsegments * cfg.segment_sectors) no_meta;
+      state = [||];
+      home = [||];
+      n_flashed = 0;
       next_block = 0;
       open_fresh = None;
       open_clean = None;
@@ -361,7 +367,6 @@ let make ?card cfg ~engine ~flash ~dram =
       next_version = 0;
       idx = Seg_index.create ~nbanks ~nsegments ~nslots:cfg.segment_sectors;
       wear_acc = Wear.acc_create ();
-      n_live_blocks = 0;
       n_retired = 0;
       c_writes = 0;
       c_reads = 0;
@@ -377,18 +382,10 @@ let make ?card cfg ~engine ~flash ~dram =
 let free_segment_count t = Seg_index.free_count t.idx
 let capacity_blocks t = (nsegments t - t.n_retired) * t.cfg.segment_sectors
 
-let kill_slot t ~seg ~slot =
-  let s = t.segments.(seg) in
-  Segment.kill s ~slot;
+let kill_sector t sector =
+  let s = t.segments.(seg_of_sector t sector) in
+  Segment.kill s ~slot:(slot_of_sector t sector);
   note_kill t s
-
-(* Kill a block's flash copy (data superseded or freed). *)
-let kill_flash_copy t m =
-  match where m with
-  | Flashed ->
-    kill_slot t ~seg:(loc_seg t m) ~slot:(loc_slot t m);
-    m.loc <- blank
-  | Blank | Buffered -> ()
 
 (* Worn segments are retired before reuse, so the device refusing a
    read or program is a bug. *)
@@ -425,15 +422,16 @@ let write_header t ~sector ~block ~pos =
 (* Written as part of every sector program (the 16-byte header).  The new
    header supersedes the block's previous one, which is obsoleted in place
    — the bit-clear rides along with programs the caller already charged to
-   the device, so it costs no extra bank time. *)
-let record_header t m ~sector ~block =
-  obsolete_header t ~block ~hdr_sector:m.hdr_sector;
+   the device, so it costs no extra bank time — and [sector] becomes the
+   block's home. *)
+let record_header t ~sector ~block =
+  obsolete_header t ~block ~hdr_sector:t.home.(block);
   write_header t ~sector ~block ~pos:(-1);
-  m.hdr_sector <- sector
+  t.home.(block) <- sector
 
-(* A delta record's header.  Deltas deliberately bypass [m.hdr_sector]:
-   that pointer tracks the block's base header (the rollback anchor), and
-   a chain keeps base plus every delta live at once.  [prev_sector]
+(* A delta record's header.  Deltas deliberately leave the home alone: it
+   is the block's base header (the rollback anchor), and a chain keeps
+   base plus every delta live at once.  [prev_sector]
    obsoletes the delta's own superseded copy when the cleaner relocates
    it; it is -1 for a fresh delta. *)
 let record_delta_header t ~sector ~block ~pos ~prev_sector =
@@ -521,34 +519,12 @@ let next_victim t ~purpose =
 
 (* --- Log appends, segment acquisition, cleaning -------------------------- *)
 
-(* What a live slot [(seg, slot)] holds for block [b]: [role_whole] (the
-   block's only copy), [role_base] (its chain's base page) or, as a
-   non-negative position, one of its chain's delta records. *)
-let role_whole = -2
-let role_base = -1
-
-let rec delta_at d b ~seg ~slot i =
-  if i >= Diff_log.chain_length d ~block:b then role_whole
-  else
-    let dl = Diff_log.delta d ~block:b i in
-    if dl.Diff_log.d_seg = seg && dl.Diff_log.d_slot = slot then i
-    else delta_at d b ~seg ~slot (i + 1)
-
-let chain_role t ~seg ~slot b =
-  match t.diff with
-  | Some d when Diff_log.has_chain d ~block:b ->
-    if Diff_log.base_seg d ~block:b = seg && Diff_log.base_slot d ~block:b = slot then
-      role_base
-    else delta_at d b ~seg ~slot 0
-  | Some _ | None -> role_whole
-
 (* Append [block] to the open segment [seg] and program its sector with
    [bytes] on the cursor: the one place the log grows, and so the one
    place segments fill, get touched, and turn Closed (where they become
    victim candidates).  Returns the slot. *)
 let program_append t seg ~cursor ~block ~bytes =
   let slot = Segment.append seg ~block in
-  t.n_live_blocks <- t.n_live_blocks + 1;
   Segment.touch seg ~at:(Engine.now t.engine);
   if Segment.state seg = Segment.Closed then closed_index_add t seg;
   cursor := flash_program t ~now:!cursor ~sector:(Segment.sector_of_slot seg slot) ~bytes;
@@ -606,7 +582,7 @@ and acquire t ~purpose ~cursor =
       (* One forced cleaning pass, then give up. *)
       if not (clean_one t ~cursor ~purpose:None) then begin
         Log.err (fun m ->
-            m "out of space: %d live blocks, %d free segments" t.n_live_blocks
+            m "out of space: %d flashed blocks, %d free segments" t.n_flashed
               (free_segment_count t));
         raise Out_of_space
       end;
@@ -702,47 +678,33 @@ and clean_victim t ~cursor ~purpose =
     true
   end
 
-(* Copy [victim]'s survivors out to the clean-out segment.  With diff
-   logging on, a live slot may hold a chain's base page or one of its delta
-   records rather than the block's only copy; relocating those updates the
-   chain table (and, for deltas, the record's own header) instead of
-   [m.loc]. *)
+(* Copy [victim]'s survivors out to the clean-out segment.  A live slot
+   holds either its block's home — the only copy, or a chain's base page,
+   which stays live while the block sits dirty — and the copy becomes the
+   new home, or, with diff logging on, one of the chain's delta records,
+   which the chain table follows to its new sector. *)
 and copy_out t victim ~cursor =
-  let bytes = block_bytes t in
   for slot = 0 to Segment.used_slots victim - 1 do
     let b = Segment.block_at victim slot in
     if b >= 0 then begin
       let sector = Segment.sector_of_slot victim slot in
-      let role = chain_role t ~seg:(Segment.id victim) ~slot b in
+      let is_home = sector = t.home.(b) in
       let nbytes =
         match t.diff with
-        | Some d when role >= 0 -> (Diff_log.delta d ~block:b role).Diff_log.d_bytes
-        | Some _ | None -> bytes
+        | Some d when not is_home -> (Diff_log.config d).Diff_log.delta_bytes
+        | Some _ | None -> block_bytes t
       in
       cursor := flash_read t ~now:!cursor ~sector ~bytes:nbytes;
       let out = ensure_open t ~purpose:Banks.Clean_out ~cursor in
-      let out_slot = program_append t out ~cursor ~block:b ~bytes:nbytes in
-      let out_sector = Segment.sector_of_slot out out_slot in
+      let out_sector =
+        Segment.sector_of_slot out (program_append t out ~cursor ~block:b ~bytes:nbytes)
+      in
       (match t.diff with
-      | Some d when role = role_base ->
-        let m = find_meta t b in
-        record_header t m ~sector:out_sector ~block:b;
-        Diff_log.rebase d ~block:b ~seg:(Segment.id out) ~slot:out_slot;
-        (* While the block sits dirty its loc stays Buffered; the
-           chain table alone tracks where the base went. *)
-        (match where m with
-        | Flashed -> set_flashed t m ~seg:(Segment.id out) ~slot:out_slot
-        | Buffered | Blank -> ())
-      | Some d when role >= 0 ->
-        let dl = Diff_log.delta d ~block:b role in
-        record_delta_header t ~sector:out_sector ~block:b ~pos:role
-          ~prev_sector:dl.Diff_log.d_sector;
-        Diff_log.relocate_delta d ~block:b ~pos:role ~seg:(Segment.id out)
-          ~slot:out_slot ~sector:out_sector
-      | Some _ | None ->
-        let m = find_meta t b in
-        record_header t m ~sector:out_sector ~block:b;
-        set_flashed t m ~seg:(Segment.id out) ~slot:out_slot);
+      | Some d when not is_home ->
+        let pos = Diff_log.delta_pos d ~block:b ~sector in
+        record_delta_header t ~sector:out_sector ~block:b ~pos ~prev_sector:sector;
+        Diff_log.relocate_delta d ~block:b ~pos ~sector:out_sector
+      | Some _ | None -> record_header t ~sector:out_sector ~block:b);
       Segment.kill victim ~slot;
       note_kill t victim;
       t.c_cleaned <- t.c_cleaned + 1;
@@ -754,46 +716,44 @@ and copy_out t victim ~cursor =
 let append_full t ~purpose ~cursor b =
   let seg = ensure_open t ~purpose ~cursor in
   let slot = program_append t seg ~cursor ~block:b ~bytes:(block_bytes t) in
-  let m = find_meta t b in
-  record_header t m ~sector:(Segment.sector_of_slot seg slot) ~block:b;
-  set_flashed t m ~seg:(Segment.id seg) ~slot
+  record_header t ~sector:(Segment.sector_of_slot seg slot) ~block:b;
+  set_state t b Flashed
 
-(* Program an overwrite as a delta record against the chain's base page:
-   one log slot, but only [delta_bytes] of program traffic.  The block's
-   loc goes back to the base page — reads reassemble base + chain, and
-   the crash harness's placement invariant is over the base. *)
-let append_delta t d ~cursor b ~bseg ~bslot =
-  let nbytes = (Diff_log.config d).Diff_log.delta_bytes in
+(* Program an overwrite as a delta record against the chain's base page
+   (the block's home): one log slot, but only [delta_bytes] of program
+   traffic.  Reads reassemble base + chain. *)
+let append_delta t d ~cursor b =
   let seg = ensure_open t ~purpose:Banks.Fresh_write ~cursor in
-  let slot = program_append t seg ~cursor ~block:b ~bytes:nbytes in
+  let slot =
+    program_append t seg ~cursor ~block:b ~bytes:(Diff_log.config d).Diff_log.delta_bytes
+  in
   let sector = Segment.sector_of_slot seg slot in
-  let pos = Diff_log.next_pos d ~block:b in
+  let pos = Diff_log.chain_length d ~block:b in
   record_delta_header t ~sector ~block:b ~pos ~prev_sector:(-1);
-  Diff_log.push_delta d ~block:b ~pos ~seg:(Segment.id seg) ~slot ~sector ~bytes:nbytes;
-  Diff_log.note_delta_programmed d ~bytes:nbytes;
-  set_flashed t (find_meta t b) ~seg:bseg ~slot:bslot
+  Diff_log.push_delta d ~block:b ~pos ~sector;
+  Diff_log.note_delta_programmed d;
+  set_state t b Flashed
 
 (* Retire a block's chain: kill the base page's slot and every delta
    record's slot, obsolete the delta headers, and forget the chain.  The
-   base header is the block's own ([m.hdr_sector]); the caller supersedes
-   it (merge) or obsoletes it (free). *)
+   base header is the block's home; the caller supersedes it (merge) or
+   obsoletes it (free). *)
 let drop_chain t d ~block =
-  kill_slot t ~seg:(Diff_log.base_seg d ~block) ~slot:(Diff_log.base_slot d ~block);
+  kill_sector t t.home.(block);
   for i = 0 to Diff_log.chain_length d ~block - 1 do
-    let dl = Diff_log.delta d ~block i in
-    kill_slot t ~seg:dl.Diff_log.d_seg ~slot:dl.Diff_log.d_slot;
-    obsolete_header t ~block ~hdr_sector:dl.Diff_log.d_sector
+    let sector = Diff_log.delta_sector d ~block i in
+    kill_sector t sector;
+    obsolete_header t ~block ~hdr_sector:sector
   done;
   Diff_log.drop d ~block
 
 (* Read a chain's delta records in position order from [finish]: the
    reassembly a chained read or a merge pays after the base page. *)
 let read_deltas t d ~block finish =
+  let bytes = (Diff_log.config d).Diff_log.delta_bytes in
   let finish = ref finish in
   for i = 0 to Diff_log.chain_length d ~block - 1 do
-    let dl = Diff_log.delta d ~block i in
-    finish :=
-      flash_read t ~now:!finish ~sector:dl.Diff_log.d_sector ~bytes:dl.Diff_log.d_bytes
+    finish := flash_read t ~now:!finish ~sector:(Diff_log.delta_sector d ~block i) ~bytes
   done;
   !finish
 
@@ -803,12 +763,7 @@ let read_deltas t d ~block finish =
    cursor right after the delta that tripped the threshold, so merges
    ride the writeback timer's pacing like any other flush work. *)
 let merge_chain t d ~cursor b =
-  let base =
-    Segment.sector_of_slot
-      t.segments.(Diff_log.base_seg d ~block:b)
-      (Diff_log.base_slot d ~block:b)
-  in
-  cursor := flash_read t ~now:!cursor ~sector:base ~bytes:(block_bytes t);
+  cursor := flash_read t ~now:!cursor ~sector:t.home.(b) ~bytes:(block_bytes t);
   cursor := read_deltas t d ~block:b !cursor;
   (* Retire the chain before acquiring the output segment, so a cleaning
      pass the allocation may trigger never copies slots we are folding. *)
@@ -822,8 +777,7 @@ let merge_chain t d ~cursor b =
 let append_block t ~purpose ~cursor b =
   match t.diff with
   | Some d when Diff_log.has_chain d ~block:b ->
-    append_delta t d ~cursor b ~bseg:(Diff_log.base_seg d ~block:b)
-      ~bslot:(Diff_log.base_slot d ~block:b);
+    append_delta t d ~cursor b;
     if Diff_log.should_merge d ~block:b then merge_chain t d ~cursor b
   | Some _ | None -> append_full t ~purpose ~cursor b
 
@@ -918,7 +872,7 @@ let create ?card cfg ~engine ~flash ~dram =
 let alloc t =
   let b = t.next_block in
   t.next_block <- b + 1;
-  set_meta t b { loc = blank; hdr_sector = -1 };
+  add_block t b;
   b
 
 let next_fresh_block t = t.next_block
@@ -926,7 +880,10 @@ let next_fresh_block t = t.next_block
 let reserve_blocks t ~next =
   if next > t.next_block then t.next_block <- next
 
-let block_exists t b = b >= 0 && b < Array.length t.meta && t.meta.(b) != no_meta
+let block_exists t b =
+  b >= 0
+  && b < Array.length t.state
+  && match t.state.(b) with Absent -> false | Blank | Buffered | Flashed -> true
 
 (* Recreate an empty (Blank) block under an already-reserved handle.  A
    striped array's rebuild path reserves the reinserted card's cursor in
@@ -939,7 +896,7 @@ let revive_block t b =
          t.next_block);
   if block_exists t b then
     invalid_arg (Printf.sprintf "Manager.revive_block: block %d already exists" b);
-  set_meta t b { loc = blank; hdr_sector = -1 }
+  add_block t b
 
 (* The card is leaving the machine: cancel the pending writeback timer and
    drop the buffer, so the dormant manager can never program a device that
@@ -954,32 +911,33 @@ let flush_now t ~cursor b =
 
 (* Put the block in the buffer, evicting the oldest dirty block
    synchronously while the buffer is full; returns the client's cursor. *)
-let rec admit t ~at ~cursor m b =
+let rec admit t ~at ~cursor b =
   match Write_buffer.write t.buffer ~now:at ~block:b with
   | Write_buffer.Absorbed | Write_buffer.Admitted ->
-    m.loc <- buffered;
+    set_state t b Buffered;
     cursor
   | Write_buffer.Needs_eviction ->
     (* Full implies non-empty, so there is a victim. *)
     let cursor = ref cursor in
     flush_now t ~cursor (Write_buffer.oldest_exn t.buffer);
-    admit t ~at ~cursor:!cursor m b
+    admit t ~at ~cursor:!cursor b
 
 let write_block_at t ~at b =
-  let m = find_meta t b in
+  let w = state_of t b in
   t.c_writes <- t.c_writes + 1;
   Probe.incr t.probes.p_writes;
-  (match t.diff with
-  | None -> kill_flash_copy t m
-  | Some d -> (
+  (match (w, t.diff) with
+  | Flashed, None ->
+    (* The copy is superseded; its header stays live as the rollback copy
+       until the new data reaches flash. *)
+    kill_sector t t.home.(b);
+    set_state t b Blank
+  | Flashed, Some d ->
     (* Keep the flash copy live: it becomes (or already is) the base page
        the overwrite will flush a delta against.  A crash before that
        flush rolls the block back to base + already-flushed deltas. *)
-    match where m with
-    | Flashed ->
-      if not (Diff_log.has_chain d ~block:b) then
-        Diff_log.begin_chain d ~block:b ~seg:(loc_seg t m) ~slot:(loc_slot t m)
-    | Blank | Buffered -> ()));
+    if not (Diff_log.has_chain d ~block:b) then Diff_log.begin_chain d ~block:b
+  | (Absent | Blank | Buffered), _ -> ());
   let dram_latency = Device.Dram.write t.dram ~bytes:(block_bytes t) in
   let finish =
     if Write_buffer.capacity t.buffer = 0 then begin
@@ -989,7 +947,7 @@ let write_block_at t ~at b =
       !cursor
     end
     else begin
-      let finish = admit t ~at ~cursor:(Time.add at dram_latency) m b in
+      let finish = admit t ~at ~cursor:(Time.add at dram_latency) b in
       (if over_watermark t then begin
          (* Pull the next flush forward to now. *)
          let now_t = Engine.now t.engine in
@@ -1010,14 +968,13 @@ let write_block t b =
   Time.diff (write_block_at t ~at:now b) now
 
 let read_block_at ~bytes t ~at b =
-  let m = find_meta t b in
+  let w = state_of t b in
   t.c_reads <- t.c_reads + 1;
   Probe.incr t.probes.p_reads;
-  match where m with
-  | Blank | Buffered -> Time.add at (Device.Dram.read t.dram ~bytes)
+  match w with
+  | Absent | Blank | Buffered -> Time.add at (Device.Dram.read t.dram ~bytes)
   | Flashed ->
-    let sector = Segment.sector_of_slot t.segments.(loc_seg t m) (loc_slot t m) in
-    let finish = flash_read t ~now:at ~sector ~bytes in
+    let finish = flash_read t ~now:at ~sector:t.home.(b) ~bytes in
     (* Chain reassembly: the base page read above plus every delta record,
        cursor-threaded — the read-latency side of the diff-log trade. *)
     let finish =
@@ -1036,28 +993,27 @@ let read_block ?bytes t b =
   Time.diff (read_block_at ~bytes t ~at:now b) now
 
 let free_block t b =
-  let m = find_meta t b in
-  (match where m with
+  let w = state_of t b in
+  (match w with
   | Buffered -> ignore (Write_buffer.remove t.buffer ~block:b)
-  | Flashed | Blank -> ());
-  (match t.diff with
-  | Some d when Diff_log.has_chain d ~block:b ->
+  | Absent | Flashed | Blank -> ());
+  (match (w, t.diff) with
+  | _, Some d when Diff_log.has_chain d ~block:b ->
     (* The whole chain dies with the block: base page (live even while
        the block sat dirty) and every delta record and header. *)
-    drop_chain t d ~block:b;
-    m.loc <- blank
-  | Some _ | None -> kill_flash_copy t m);
+    drop_chain t d ~block:b
+  | Flashed, _ -> kill_sector t t.home.(b)
+  | (Absent | Blank | Buffered), _ -> ());
   (* Deletion is durable: whatever header the block still has on flash —
      even a rollback copy left live while the block sat dirty — is
      obsoleted in place, so a crash cannot resurrect freed data. *)
-  obsolete_header t ~block:b ~hdr_sector:m.hdr_sector;
-  t.meta.(b) <- no_meta
+  obsolete_header t ~block:b ~hdr_sector:t.home.(b);
+  set_state t b Absent
 
 let load_cold t b =
-  let m = find_meta t b in
-  (match where m with
+  (match state_of t b with
   | Blank -> ()
-  | Buffered | Flashed -> invalid_arg "Manager.load_cold: block already has data");
+  | Absent | Buffered | Flashed -> invalid_arg "Manager.load_cold: block already has data");
   let cursor = ref (Engine.now t.engine) in
   append_block t ~purpose:Banks.Cold_load ~cursor b;
   t.c_cold <- t.c_cold + 1;
@@ -1090,23 +1046,6 @@ type stats = {
   write_amplification : float;
 }
 
-(* [n_live_blocks] counts live log slots — with chains, a block holds
-   several (base + deltas), and a dirty chained block's base is live with
-   the block counted under [dirty_blocks].  Correct both out so
-   [stats.live_blocks] keeps meaning "blocks whose current data is a
-   flash copy", which fs-level accounting sums against the namespace. *)
-let resident_blocks t =
-  let phys = t.n_live_blocks in
-  match t.diff with
-  | None -> phys
-  | Some d ->
-    let extra = ref 0 in
-    Diff_log.iter_chains d ~f:(fun ~block ~ndeltas ->
-        extra :=
-          !extra + ndeltas
-          + (match where (find_meta t block) with Buffered -> 1 | Blank | Flashed -> 0));
-    phys - !extra
-
 let stats t =
   {
     client_writes = t.c_writes;
@@ -1121,7 +1060,7 @@ let stats t =
     dirty_blocks = Write_buffer.size t.buffer;
     free_segments = free_segment_count t;
     retired_segments = t.n_retired;
-    live_blocks = resident_blocks t;
+    live_blocks = t.n_flashed;
     write_reduction =
       (if t.c_writes = 0 then 0.0
        else 1.0 -. (float_of_int t.c_flushed /. float_of_int t.c_writes));
@@ -1145,28 +1084,23 @@ let wear_evenness t = Wear.evenness_of_acc t.wear_acc
 (* A chained block keeps a durable base page on flash even while its
    newest data sits dirty in DRAM, so placement introspection reports the
    base — that is the copy a crash rolls back to, and the placement the
-   crash harness asserts survives a remount. *)
-let segment_of_block t b =
-  let m = find_meta t b in
-  match (where m, t.diff) with
-  | Flashed, _ -> Some (loc_seg t m)
-  | Buffered, Some d when Diff_log.has_chain d ~block:b ->
-    Some (Diff_log.base_seg d ~block:b)
-  | (Buffered | Blank), _ -> None
+   crash harness asserts survives a remount.  The sector of the block's
+   live flash copy, -1 for none. *)
+let flash_home t b =
+  match (state_of t b, t.diff) with
+  | Flashed, _ -> t.home.(b)
+  | Buffered, Some d when Diff_log.has_chain d ~block:b -> t.home.(b)
+  | (Absent | Buffered | Blank), _ -> -1
 
-let has_flash_copy t b =
-  match (where (find_meta t b), t.diff) with
-  | Flashed, _ -> true
-  | Buffered, Some d -> Diff_log.has_chain d ~block:b
-  | (Buffered | Blank), _ -> false
+let segment_of_block t b =
+  let s = flash_home t b in
+  if s < 0 then None else Some (seg_of_sector t s)
+
+let has_flash_copy t b = flash_home t b >= 0
 
 let location_of_block t b =
-  let m = find_meta t b in
-  match (where m, t.diff) with
-  | Flashed, _ -> Some (loc_seg t m, loc_slot t m)
-  | Buffered, Some d when Diff_log.has_chain d ~block:b ->
-    Some (Diff_log.base_seg d ~block:b, Diff_log.base_slot d ~block:b)
-  | (Buffered | Blank), _ -> None
+  let s = flash_home t b in
+  if s < 0 then None else Some (seg_of_sector t s, slot_of_sector t s)
 
 let buffer_pending_entries t = Write_buffer.pending_entries t.buffer
 
@@ -1196,12 +1130,12 @@ let segment_snapshots t =
     t.segments
 
 let block_is_dirty t b =
-  match where (find_meta t b) with Buffered -> true | Blank | Flashed -> false
+  match state_of t b with Buffered -> true | Absent | Blank | Flashed -> false
 
 let known_blocks t =
   let acc = ref [] in
-  for b = Array.length t.meta - 1 downto 0 do
-    if t.meta.(b) != no_meta then acc := b :: !acc
+  for b = Array.length t.state - 1 downto 0 do
+    if block_exists t b then acc := b :: !acc
   done;
   !acc
 
@@ -1263,33 +1197,37 @@ let crash_and_remount t =
     | exception Device.Flash.Error Device.Flash.Bad_sector -> ()
     | exception Device.Flash.Error e -> Fmt.failwith "remount: %a" Device.Flash.pp_error e
   done;
-  (* Newest live version of each block's base page wins; headers obsoleted
-     in place (superseded or deleted data) never come back.  Delta headers
-     (position >= 0, diff logging only) are chain members, not base
-     candidates. *)
+  (* Newest live version of each block's base page wins, straight into
+     the block table; headers obsoleted in place (superseded or deleted
+     data) never come back.  Delta headers (position >= 0, diff logging
+     only) are chain members, not base candidates. *)
   let live_at sector =
     fresh.hdr_block.(sector) <> no_block && header_live fresh sector
   in
-  let winner = Hashtbl.create 1024 in
   for sector = 0 to nsectors - 1 do
     if live_at sector && header_pos fresh sector < 0 then begin
-      let block = fresh.hdr_block.(sector) and version = header_version fresh sector in
-      match Hashtbl.find_opt winner block with
-      | Some (v, _) when v >= version -> ()
-      | Some _ | None -> Hashtbl.replace winner block (version, sector)
+      let block = fresh.hdr_block.(sector) in
+      if
+        (not (block_exists fresh block))
+        || header_version fresh fresh.home.(block) < header_version fresh sector
+      then begin
+        ensure_capacity fresh block;
+        fresh.home.(block) <- sector;
+        set_state fresh block Flashed
+      end
     end
   done;
   (* Chain recovery (diff logging only): per block, the newest live delta
      header at each position; then accept only the longest contiguous
-     position prefix of blocks that kept a base.  A chain truncated at a
-     gap — or orphaned by a freed base — rolls the block back to base plus
-     the accepted prefix, the same allowance rollback-to-stale makes for a
-     block that died dirty.  Everything past the cut is discarded as
-     stale. *)
+     position prefix of blocks that kept a base, and chain it again.  A
+     chain truncated at a gap — or orphaned by a freed base — rolls the
+     block back to base plus the accepted prefix, the same allowance
+     rollback-to-stale makes for a block that died dirty.  Everything past
+     the cut is discarded as stale. *)
   let accepted = Hashtbl.create 64 in
   (match fresh.diff with
   | None -> ()
-  | Some _ ->
+  | Some d ->
     let candidates = Hashtbl.create 64 in
     for sector = 0 to nsectors - 1 do
       let pos = header_pos fresh sector in
@@ -1310,22 +1248,19 @@ let crash_and_remount t =
     done;
     Hashtbl.iter
       (fun block per ->
-        if Hashtbl.mem winner block then begin
+        if block_exists fresh block then begin
           let rec go pos =
             match Hashtbl.find_opt per pos with
             | Some (_, sector) ->
-              Hashtbl.replace accepted sector (block, pos);
+              if pos = 0 then Diff_log.begin_chain d ~block;
+              Diff_log.push_delta d ~block ~pos ~sector;
+              Hashtbl.replace accepted sector ();
               go (pos + 1)
             | None -> ()
           in
           go 0
         end)
       candidates);
-  (* Accepted delta slots, recorded as the segment rebuild walks them, so
-     the fresh manager's chain table can be rebuilt afterwards. *)
-  let recovered_deltas : (int, (int * int * int * int) list) Hashtbl.t =
-    Hashtbl.create 64
-  in
   (* Rebuild segment occupancy: appends were sequential, so each segment's
      programmed sectors are a prefix of its slots.  The loop drives the
      segments directly; indexes and counters are rebuilt wholesale at the
@@ -1352,27 +1287,12 @@ let crash_and_remount t =
           (* Even a dead header pins its block id: a resurrected id would
              otherwise collide with it on the next remount. *)
           max_block := max !max_block block;
-          let winning =
-            header_live fresh sector
-            && header_pos fresh sector < 0
-            &&
-            match Hashtbl.find_opt winner block with
-            | Some (_, s) -> s = sector
-            | None -> false
+          (* A live slot is a winning base or an accepted chain member. *)
+          let kept =
+            if header_pos fresh sector >= 0 then Hashtbl.mem accepted sector
+            else block_exists fresh block && fresh.home.(block) = sector
           in
-          if winning then
-            let m = { loc = blank; hdr_sector = sector } in
-            set_flashed fresh m ~seg:(Segment.id seg) ~slot;
-            set_meta fresh block m
-          else if header_pos fresh sector >= 0 && Hashtbl.mem accepted sector then begin
-            (* An accepted chain member: the slot stays live; the chain
-               table entry is registered once every segment is rebuilt. *)
-            let block, pos = Hashtbl.find accepted sector in
-            Hashtbl.replace recovered_deltas block
-              ((pos, Segment.id seg, slot, sector)
-              :: (Option.value ~default:[] (Hashtbl.find_opt recovered_deltas block)))
-          end
-          else begin
+          if not kept then begin
             incr stale;
             Segment.kill seg ~slot
           end
@@ -1390,30 +1310,12 @@ let crash_and_remount t =
       done;
       if !worn then fresh.retired.(i) <- true)
     fresh.segments;
-  (* Re-register the recovered chains: base coordinates come from the
-     winning base's meta, deltas in position order from the rebuild walk. *)
-  (match fresh.diff with
-  | None -> ()
-  | Some d ->
-    Hashtbl.iter
-      (fun block lst ->
-        let m = find_meta fresh block in
-        (match where m with
-        | Flashed ->
-          Diff_log.begin_chain d ~block ~seg:(loc_seg fresh m) ~slot:(loc_slot fresh m)
-        | Blank | Buffered -> assert false);
-        List.iter
-          (fun (pos, seg, slot, sector) ->
-            let bytes = (Diff_log.config d).Diff_log.delta_bytes in
-            Diff_log.push_delta d ~block ~pos ~seg ~slot ~sector ~bytes)
-          (List.sort compare lst))
-      recovered_deltas);
   fresh.next_block <- !max_block + 1;
   rebuild_indexes fresh;
   let report =
     {
       sectors_scanned = !scanned;
-      live_recovered = Hashtbl.length winner;
+      live_recovered = fresh.n_flashed;
       stale_discarded = !stale;
       buffered_lost;
     }

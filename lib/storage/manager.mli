@@ -188,7 +188,10 @@ type stats = {
   dirty_blocks : int;  (** Currently in the buffer. *)
   free_segments : int;
   retired_segments : int;
-  live_blocks : int;  (** Blocks with a live flash copy. *)
+  live_blocks : int;
+      (** Blocks whose current data is in flash: a running count, kept
+          as each block changes state.  A dirty block is not counted,
+          even while its chain's base page stays live in flash. *)
   write_reduction : float;
       (** 1 - flushed/writes: the Section 3.3 headline metric. *)
   write_amplification : float;

@@ -238,6 +238,15 @@ let check cfg m =
     ~scan:(count v (fun seg -> if in_service v seg then Seg.nslots seg else 0));
   expect "live blocks" Fmt.int ~manager:stats.M.live_blocks
     ~scan:(count v Seg.live_count - chain_slots m);
+  (* Every block's reported flash copy is a live slot holding that block. *)
+  List.iter
+    (fun b ->
+      match M.location_of_block m b with
+      | Some (seg, slot) ->
+        expect (Fmt.str "placement of block %d" b) Fmt.int ~manager:b
+          ~scan:(Seg.block_at v.segments.(seg) slot)
+      | None -> ())
+    (M.known_blocks m);
   expect "wear evenness" pp_evenness ~manager:(M.wear_evenness m)
     ~scan:(evenness ~erase_count:(erase_count v) v.segments);
   match List.rev !errors with [] -> Ok () | es -> Error (String.concat "; " es)

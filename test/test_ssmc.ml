@@ -182,6 +182,61 @@ let test_recovery_outcomes () =
   let o4 = Ssmc.Recovery.power_failure ~manager ~battery ~dram_battery_backed:false in
   Alcotest.(check int) "no battery backing loses too" 1 o4.Ssmc.Recovery.lost_blocks
 
+(* One survival rule, two entry points: [Recovery.power_failure] and a
+   [Power_failure] injected into a machine both decide who keeps DRAM
+   alive by [Recovery.survivor].  The table pins all six cases. *)
+let test_power_failure_survivor_table () =
+  let set_state battery = function
+    | `Fresh -> ()
+    | `On_backup -> Device.Battery.deplete_primary battery
+    | `Exhausted ->
+      Device.Battery.deplete_primary battery;
+      Device.Battery.drain battery ~joules:(Device.Battery.backup_joules battery)
+  in
+  let name = function
+    | `Primary_battery -> "primary"
+    | `Backup_battery -> "backup"
+    | `Parity -> "parity"
+    | `Nothing -> "nothing"
+  in
+  List.iter
+    (fun (backed, state, expected) ->
+      let what = Printf.sprintf "backed=%b %s" backed in
+      let battery = Device.Battery.create ~backup_joules:10.0 ~capacity_joules:100.0 () in
+      set_state battery state;
+      Alcotest.(check string) (what "survivor") (name expected)
+        (name (Ssmc.Recovery.survivor ~battery ~dram_battery_backed:backed));
+      let engine = Engine.create () in
+      let flash = Device.Flash.create (Device.Flash.config ~size_bytes:(256 * 1024) ()) in
+      let dram = Device.Dram.create ~size_bytes:Units.mib ~battery_backed:backed () in
+      let manager =
+        Storage.Manager.create Storage.Manager.default_config ~engine ~flash ~dram
+      in
+      let o = Ssmc.Recovery.power_failure ~manager ~battery ~dram_battery_backed:backed in
+      Alcotest.(check string) (what "Recovery.power_failure") (name expected)
+        (name o.Ssmc.Recovery.survived_by);
+      let machine =
+        Ssmc.Machine.create
+          {
+            (Ssmc.Config.solid_state ~flash_mb:2 ~seed:3 ()) with
+            Ssmc.Config.battery_backed_dram = backed;
+          }
+      in
+      set_state (Ssmc.Machine.battery machine) state;
+      let o = Ssmc.Machine.inject_fault machine Fault.Power_failure in
+      Alcotest.(check string) (what "Machine.inject_fault") (name expected)
+        (name o.Ssmc.Machine.survived_by);
+      Alcotest.(check bool) (what "cold restart") (expected = `Nothing)
+        o.Ssmc.Machine.cold_restart)
+    [
+      (true, `Fresh, `Primary_battery);
+      (true, `On_backup, `Backup_battery);
+      (true, `Exhausted, `Nothing);
+      (false, `Fresh, `Nothing);
+      (false, `On_backup, `Nothing);
+      (false, `Exhausted, `Nothing);
+    ]
+
 let test_holdup_days () =
   let dram = Device.Dram.create ~size_bytes:(4 * Units.mib) ~battery_backed:true () in
   let battery = Device.Battery.of_watt_hours ~backup_wh:0.5 10.0 in
@@ -315,6 +370,8 @@ let suite =
     Alcotest.test_case "solid beats conventional" `Slow test_solid_beats_conventional;
     Alcotest.test_case "config dollars" `Quick test_config_dollars;
     Alcotest.test_case "recovery outcomes" `Quick test_recovery_outcomes;
+    Alcotest.test_case "power-failure survivor table" `Quick
+      test_power_failure_survivor_table;
     Alcotest.test_case "holdup days" `Quick test_holdup_days;
     Alcotest.test_case "sizing knee" `Quick test_sizing_knee_logic;
     Alcotest.test_case "sizing knee tolerance" `Quick test_sizing_knee_tolerance;
