@@ -170,6 +170,13 @@ let is_bad t ~sector =
   check_sector t sector;
   bad t sector
 
+let rec bad_from t sector stop = sector < stop && (bad t sector || bad_from t (sector + 1) stop)
+
+let any_bad t ~sector ~count =
+  check_sector t sector;
+  check_sector t (sector + count - 1);
+  bad_from t sector (sector + count)
+
 let programmed_bytes t ~sector =
   check_sector t sector;
   t.programmed.(sector)
@@ -178,11 +185,6 @@ let bad_sectors t =
   Array.fold_left (fun acc e -> if e >= t.endurance then acc + 1 else acc) 0 t.erase_counts
 
 let live_capacity_bytes t = (nsectors t - bad_sectors t) * sector_bytes t
-
-let wear_summary t =
-  let summary = Stat.Summary.create () in
-  Array.iter (fun e -> Stat.Summary.observe summary (float_of_int e)) t.erase_counts;
-  summary
 
 let meter t = t.meter
 

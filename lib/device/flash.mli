@@ -88,13 +88,13 @@ val erase_count : t -> sector:int -> int
 val is_bad : t -> sector:int -> bool
 (** A sector is bad exactly when its erase count reaches {!endurance}. *)
 
+val any_bad : t -> sector:int -> count:int -> bool
+(** Whether any of the [count >= 1] sectors from [sector] on is bad. *)
+
 val programmed_bytes : t -> sector:int -> int
 val bad_sectors : t -> int
 val live_capacity_bytes : t -> int
 (** Capacity excluding bad sectors. *)
-
-val wear_summary : t -> Sim.Stat.Summary.t
-(** Erase counts across all sectors (fresh summary on each call). *)
 
 (** {1 Traffic and energy} *)
 

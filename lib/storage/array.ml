@@ -640,7 +640,6 @@ let pp_parity_stats ppf s =
     s.last_rebuild
 
 let card_stats t i = Manager.stats t.cards.(i)
-let wear_evenness t i = Manager.wear_evenness t.cards.(i)
 
 let diff_stats (t : t) =
   Stdlib.Array.fold_left

@@ -179,7 +179,6 @@ val parity_stats : t -> parity_stats
 val pp_parity_stats : Format.formatter -> parity_stats -> unit
 
 val card_stats : t -> int -> Manager.stats
-val wear_evenness : t -> int -> Wear.evenness
 (** Per card. *)
 
 val diff_stats : t -> Diff_log.stats option

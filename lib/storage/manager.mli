@@ -80,7 +80,8 @@ val create :
 (** [card] is this manager's position in a multi-card {!Array}; it only
     changes probe labels ([Banks.probe_label]: ["storage.card<i>.*"]
     instead of the historical ["storage.manager.*"]) and timeline span
-    args, never behavior.
+    args, never behavior.  Segments with a sector the flash has already
+    worn out start retired.
     @raise Invalid_argument if the configuration is inconsistent with the
     flash geometry: segments must fit within a bank, partitioning must be
     valid, delta records must fit in a sector, and the flash must hold at
@@ -202,7 +203,9 @@ val stats : t -> stats
 val pp_stats : Format.formatter -> stats -> unit
 
 val wear_evenness : t -> Wear.evenness
-(** Erase-count spread across segments. *)
+(** Erase-count spread across segments, scanned from the flash on each
+    call.  Fails if the running erase total or maximum behind [Static]'s
+    trigger has run apart from that scan. *)
 
 val buffer_pending_entries : t -> int
 (** Writeback-queue entries, stale refresh leftovers included (see

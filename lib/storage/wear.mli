@@ -17,9 +17,11 @@
     The evenness of the resulting wear directly multiplies device lifetime:
     the device dies when its hottest sectors die.
 
-    {!Manager} makes each policy's decisions from {!Seg_index} and keeps
-    the evenness in an {!acc}.  The reference scans over a segment array
-    — the free pick, the relocation victim and the evenness — live in
+    {!Manager} makes each policy's decisions from {!Seg_index}, and
+    [Static]'s trigger from a running total and maximum of the segments'
+    erase counts; the evenness is read from the flash on demand, through
+    {!evenness}.  The reference scans over a segment array — the free
+    pick, the relocation victim and the evenness — live in
     [test/scan_oracle.ml], which the differential tests hold the manager
     against. *)
 
@@ -42,28 +44,13 @@ type evenness = {
   stddev_erases : float;
 }
 
-type acc
-(** Running wear statistics (count, total, sum of squares, per-level
-    multiplicities) in exact integer form.  Integer sums are
-    order-independent, so an accumulator maintained incrementally — one
-    {!acc_bump} per segment cleaning — holds byte-for-byte the same
-    values as one built by an {!acc_add} per segment, and the evenness
-    floats derived from either are identical. *)
+val evenness : int array -> evenness
+(** The evenness of the given per-segment erase counts (all zero for
+    none); the mean and standard deviation are derived from their exact
+    integer total and sum of squares. *)
 
-val acc_create : unit -> acc
-val acc_clear : acc -> unit
-
-val acc_add : acc -> int -> unit
-(** Register one more segment currently at the given erase count. *)
-
-val acc_bump : acc -> old_count:int -> new_count:int -> unit
-(** A segment moved from [old_count] to [new_count] erases. *)
-
-val evenness_of_acc : acc -> evenness
-(** The single derivation of the evenness floats; both the scan and the
-    incremental paths go through it. *)
-
-val spread_exceeds : evenness -> spread_threshold:int -> bool
-(** The [Static] relocation trigger: [max - mean > threshold].  Max minus
-    mean rather than max minus min, so one never-erased outlier segment
-    cannot keep forced relocation running forever. *)
+val spread_exceeds :
+  max_erases:int -> total_erases:int -> segments:int -> spread_threshold:int -> bool
+(** The [Static] relocation trigger: [max - total / segments > threshold].
+    Max minus mean rather than max minus min, so one never-erased outlier
+    segment cannot keep forced relocation running forever. *)

@@ -51,14 +51,51 @@ let pick_free ?(for_cold = false) policy ~erase_count segments =
   | Wear.Dynamic -> least_worn ()
   | Wear.Static _ -> if for_cold then most_worn () else least_worn ()
 
+(* Wear statistics over the segments' erase counts in exact integer form:
+   a count, a total, a sum of squares and the number of segments at each
+   erase level, whose least and greatest keys are the min and the max:
+   the reference for the manager's [Wear.evenness] scan and for the
+   running erase total and maximum behind its [Static] trigger. *)
+module Int_map = Map.Make (Int)
+
+type acc = {
+  mutable count : int;
+  mutable total : int;
+  mutable sum_sq : int;
+  mutable levels : int Int_map.t;
+}
+
+let acc_add a c =
+  a.count <- a.count + 1;
+  a.total <- a.total + c;
+  a.sum_sq <- a.sum_sq + (c * c);
+  a.levels <- Int_map.update c (function None -> Some 1 | Some n -> Some (n + 1)) a.levels
+
 (* Every segment's current erase count, folded into one accumulator. *)
 let acc_of_scan ~erase_count segments =
-  let a = Wear.acc_create () in
-  Array.iter (fun seg -> Wear.acc_add a (erase_count seg)) segments;
+  let a = { count = 0; total = 0; sum_sq = 0; levels = Int_map.empty } in
+  Array.iter (fun seg -> acc_add a (erase_count seg)) segments;
   a
 
-let evenness ~erase_count segments =
-  Wear.evenness_of_acc (acc_of_scan ~erase_count segments)
+let max_erases a = if a.count = 0 then 0 else fst (Int_map.max_binding a.levels)
+
+let evenness_of_acc a : Wear.evenness =
+  if a.count = 0 then
+    { min_erases = 0; max_erases = 0; mean_erases = 0.0; stddev_erases = 0.0 }
+  else begin
+    let n = float_of_int a.count in
+    let variance =
+      if a.count < 2 then 0.0
+      else
+        Float.max 0.0
+          ((float_of_int a.sum_sq -. (float_of_int a.total *. float_of_int a.total /. n))
+          /. float_of_int (a.count - 1))
+    in
+    { min_erases = fst (Int_map.min_binding a.levels); max_erases = max_erases a;
+      mean_erases = float_of_int a.total /. n; stddev_erases = sqrt variance }
+  end
+
+let evenness ~erase_count segments = evenness_of_acc (acc_of_scan ~erase_count segments)
 
 (* Under [Static], when the spread over all segments' erase counts
    exceeds the threshold, the least-worn eligible Closed segment, the
@@ -67,8 +104,12 @@ let relocation_victim policy ~erase_count ~eligible segments =
   match policy with
   | Wear.None_ | Wear.Dynamic -> None
   | Wear.Static { spread_threshold } ->
-    let e = evenness ~erase_count segments in
-    if not (Wear.spread_exceeds e ~spread_threshold) then None
+    let a = acc_of_scan ~erase_count segments in
+    if
+      not
+        (Wear.spread_exceeds ~max_erases:(max_erases a) ~total_erases:a.total
+           ~segments:a.count ~spread_threshold)
+    then None
     else
       Array.fold_left
         (fun best seg ->
@@ -121,6 +162,13 @@ type view = {
   segs_per_bank : int;
 }
 
+(* A segment is out of service once wear-out claims any of its sectors:
+   the device refuses to program a bad one. *)
+let worn flash seg =
+  List.exists
+    (fun slot -> Device.Flash.is_bad flash ~sector:(Seg.sector_of_slot seg slot))
+    (List.init (Seg.nslots seg) Fun.id)
+
 let view cfg m =
   let segments = M.segments m in
   let flash = M.flash m in
@@ -128,7 +176,7 @@ let view cfg m =
     cfg;
     flash;
     segments;
-    retired = Array.map (fun s -> s.M.seg_retired) (M.segment_snapshots m);
+    retired = Array.map (worn flash) segments;
     segs_per_bank = Array.length segments / Device.Flash.nbanks flash;
   }
 
@@ -247,6 +295,11 @@ let check cfg m =
           ~scan:(Seg.block_at v.segments.(seg) slot)
       | None -> ())
     (M.known_blocks m);
-  expect "wear evenness" pp_evenness ~manager:(M.wear_evenness m)
-    ~scan:(evenness ~erase_count:(erase_count v) v.segments);
+  (* [wear_evenness] fails if [Static]'s running erase total or maximum
+     ran apart from the flash. *)
+  (match M.wear_evenness m with
+  | e ->
+    expect "wear evenness" pp_evenness ~manager:e
+      ~scan:(evenness ~erase_count:(erase_count v) v.segments)
+  | exception Failure msg -> errors := msg :: !errors);
   match List.rev !errors with [] -> Ok () | es -> Error (String.concat "; " es)

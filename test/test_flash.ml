@@ -222,7 +222,8 @@ let prop_erase_counts_monotone =
    [reset_stats] and [factory_reset], plus out-of-range sectors and byte
    counts.  After every op the outcome (finish instant, raised error or
    invalid argument), each sector's erase count, programmed bytes and bad
-   bit, [bad_sectors], the counters and the meter's joules must agree. *)
+   bit, [any_bad] from each sector to the end, [bad_sectors], the
+   counters and the meter's joules must agree. *)
 
 module O = Flash_oracle
 
@@ -295,7 +296,10 @@ let oracle_mismatch ~seed ~ops =
         (Device.Flash.erase_count f ~sector = O.erase_count o ~sector);
       check "programmed_bytes"
         (Device.Flash.programmed_bytes f ~sector = O.programmed_bytes o ~sector);
-      check "is_bad" (Device.Flash.is_bad f ~sector = O.is_bad o ~sector)
+      check "is_bad" (Device.Flash.is_bad f ~sector = O.is_bad o ~sector);
+      check "any_bad"
+        (Device.Flash.any_bad f ~sector ~count:(nsectors - sector)
+        = List.exists (fun s -> O.is_bad o ~sector:s) (List.init (nsectors - sector) (( + ) sector)))
     done;
     check "bad_sectors" (Device.Flash.bad_sectors f = O.bad_sectors o);
     check "counters" (counters f = O.counters o);

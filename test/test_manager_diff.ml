@@ -58,12 +58,13 @@ module Ops = struct
 
   (* Drive one manager through the op stream, calling [after] with the
      step index after each op.  Deterministic in the stream, so managers
-     fed the same list allocate identical handles.  Fills stop at 60% of
-     capacity, so random streams never hit Out_of_space. *)
-  let run_ops ?(after = ignore) (engine, m) ops =
+     fed the same list allocate identical handles.  [live] lists the
+     blocks the manager already holds (none by default).  Fills stop at
+     60% of capacity, so random streams never hit Out_of_space. *)
+  let run_ops ?(after = ignore) ?(live = []) (engine, m) ops =
     let cap = Storage.Manager.capacity_blocks m * 6 / 10 in
-    let live = ref [] in
-    let nlive = ref 0 in
+    let nlive = ref (List.length live) in
+    let live = ref live in
     List.iteri
       (fun step n ->
         (match op_of_int n with
@@ -311,7 +312,9 @@ let test_same_instant_closes () =
    segments, segment i has [3i mod 7] erases, so segment 2 (6 erases, the
    lowest such id) is the cold pick and segment 0 (none) the hot one.
    The run that follows starts with a spread of 3.2 erases over the mean,
-   past the threshold of 2, so it relocates too. *)
+   past the threshold of 2, so it relocates too; it goes on through a
+   crash and remount, where the trigger's erase total and maximum are
+   rebuilt from the flash, and 300 more ops on the recovered blocks. *)
 let test_static_cold_pick () =
   let module M = Storage.Manager in
   let cfg =
@@ -345,7 +348,44 @@ let test_static_cold_pick () =
     ~after:(fun step -> expect_agreement cfg ~step:(step + 1) m)
     (engine, m)
     (Ops.lcg_ops ~seed:3 ~len:300);
-  Alcotest.(check bool) "the run relocated or cleaned" true ((M.stats m).M.cleanings > 0)
+  Alcotest.(check bool) "the run relocated or cleaned" true ((M.stats m).M.cleanings > 0);
+  let m, _, _ = M.crash_and_remount m in
+  expect_agreement cfg ~step:301 m;
+  Ops.run_ops ~live:(M.known_blocks m)
+    ~after:(fun step -> expect_agreement cfg ~step:(step + 302) m)
+    (engine, m)
+    (Ops.lcg_ops ~seed:4 ~len:300);
+  Alcotest.(check bool) "the remounted run cleaned" true ((M.stats m).M.cleanings > 0)
+
+(* A manager mounted on flash that wear-out has already reached retires
+   the worn segments before it programs anything.  One 64 KB bank with
+   endurance 3, sector 3 erased three times: segment 0 is worn, so first
+   fit skips it.  Write-through, so every write programs a sector; the
+   oracle reads retirement from the device's bad sectors. *)
+let test_mount_on_worn_flash () =
+  let module M = Storage.Manager in
+  let cfg =
+    Ops.config ~cleaner:Storage.Cleaner.Cost_benefit ~wear:Storage.Wear.None_
+      ~banking:Storage.Banks.Unified ~buffer_blocks:0 ()
+  in
+  let engine = Engine.create () in
+  let flash =
+    Device.Flash.create
+      (Device.Flash.config ~nbanks:1 ~endurance_override:3 ~size_bytes:(64 * 1024) ())
+  in
+  for _ = 1 to 3 do
+    ignore (Device.Flash.erase flash ~now:Time.zero ~sector:3)
+  done;
+  let dram = Device.Dram.create ~size_bytes:Units.mib ~battery_backed:true () in
+  let m = M.create cfg ~engine ~flash ~dram in
+  Alcotest.(check int) "segment 0 retired at mount" 1 (M.stats m).M.retired_segments;
+  expect_agreement cfg ~step:0 m;
+  Ops.run_ops
+    ~after:(fun step -> expect_agreement cfg ~step:(step + 1) m)
+    (engine, m)
+    (Ops.lcg_ops ~seed:5 ~len:200);
+  let m, _, _ = M.crash_and_remount m in
+  expect_agreement cfg ~step:201 m
 
 (* Banks that are not a whole number of segments: 3 banks of 100
    sectors in 8-sector segments leave 4 spare sectors at the end of each
@@ -442,6 +482,8 @@ let suite =
       test_same_instant_closes;
     Alcotest.test_case "static: cold data on the most-worn free segment" `Quick
       test_static_cold_pick;
+    Alcotest.test_case "mount on worn flash retires worn segments" `Quick
+      test_mount_on_worn_flash;
     Alcotest.test_case "banks not a whole number of segments" `Quick test_ragged_banks;
     Alcotest.test_case "cleaner moves a dirty chained block's base" `Quick
       test_cleaner_moves_dirty_base;

@@ -4,18 +4,6 @@ open Sim
 let test_vfs_path_of_file_id () =
   Alcotest.(check string) "mapping" "/data/f17" (Fs.Vfs.path_of_file_id 17)
 
-let test_flash_wear_summary () =
-  let f =
-    Device.Flash.create
-      (Device.Flash.config ~endurance_override:100 ~size_bytes:(8 * 1024) ())
-  in
-  ignore (Device.Flash.erase f ~now:Time.zero ~sector:0);
-  ignore (Device.Flash.erase f ~now:Time.zero ~sector:0);
-  let s = Device.Flash.wear_summary f in
-  Alcotest.(check int) "one entry per sector" 16 (Stat.Summary.count s);
-  Alcotest.(check (option (float 1e-9))) "max" (Some 2.0) (Stat.Summary.max s);
-  Alcotest.(check (float 1e-9)) "total erases" 2.0 (Stat.Summary.total s)
-
 let test_trends_configuration_cost () =
   (* 20MB of flash at $50/MB in 1993. *)
   Alcotest.(check (float 1.0)) "20MB flash ~ $1000" 1000.0
@@ -159,7 +147,6 @@ let test_card_eject_report_pp () =
 let suite =
   [
     Alcotest.test_case "vfs path mapping" `Quick test_vfs_path_of_file_id;
-    Alcotest.test_case "flash wear summary" `Quick test_flash_wear_summary;
     Alcotest.test_case "trends configuration cost" `Quick test_trends_configuration_cost;
     Alcotest.test_case "machine manual account" `Quick test_machine_manual_account;
     Alcotest.test_case "fs names" `Quick test_fs_names;

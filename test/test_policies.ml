@@ -96,7 +96,8 @@ let test_evenness () =
   let e = Scan_oracle.evenness ~erase_count:(fun s -> counts.(Storage.Segment.id s)) segs in
   Alcotest.(check int) "min" 0 e.Storage.Wear.min_erases;
   Alcotest.(check int) "max" 10 e.Storage.Wear.max_erases;
-  Alcotest.(check (float 1e-9)) "mean" 5.0 e.Storage.Wear.mean_erases
+  Alcotest.(check (float 1e-9)) "mean" 5.0 e.Storage.Wear.mean_erases;
+  Alcotest.(check bool) "the manager's scan agrees" true (Storage.Wear.evenness counts = e)
 
 let test_relocation_trigger () =
   let closed = segment ~id:0 ~fill:8 ~kill:[] ~touched:0 in
