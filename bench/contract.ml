@@ -42,6 +42,10 @@ let rows =
     row [ "e7"; "e8" ] [ "e7_"; "e8_" ] ~snapshot:"bench/e7e8-quick.snapshot.json";
     (* E9 has no snapshot: its pin is job-count invariance. *)
     row [ "e9" ] [ "e9_" ];
+    (* The remount after total power loss reads one 16-byte header per
+       good sector: its scan time and what it recovers and loses, at each
+       card size, so a mount path that changes the scan charge shows. *)
+    row [ "e10" ] [ "e10_remount_" ] ~snapshot:"bench/e10-quick.snapshot.json";
     row [ "e11" ] [ "e11_" ] ~snapshot:"bench/e11-quick.snapshot.json";
     row [ "e12" ] [ "e12_" ] ~snapshot:"bench/e12-quick.snapshot.json";
     (* Per-card queues decouple the cards, and one card through the array

@@ -107,6 +107,12 @@ and recovery_table () =
         ignore (Storage.Manager.write_block manager b)
       done;
       let _fresh, scan, report = Storage.Manager.crash_and_remount manager in
+      let metric what v =
+        Common.put_metric (Printf.sprintf "e10_remount_%s_%dmb" what flash_mb) v
+      in
+      metric "scan_ms" (Time.span_to_ms scan);
+      metric "recovered" (float_of_int report.Storage.Manager.live_recovered);
+      metric "lost" (float_of_int report.Storage.Manager.buffered_lost);
       Table.add_row t
         [
           Table.cell_bytes (flash_mb * Units.mib);

@@ -12,11 +12,10 @@ type t = {
   engine : Engine.t;
   host_dram : Device.Dram.t;
   card_flash : Device.Flash.t;
+  (* The manager configuration the card was created with: every insertion
+     mounts the card's flash with it. *)
+  config : Storage.Manager.config;
   mutable state : state option;  (** None while ejected. *)
-  (* While ejected, the last manager stands in for the card's on-flash
-     sector headers (the device model does not store payloads); insertion
-     remounts from it. *)
-  mutable dormant : Storage.Manager.t option;
   (* The namespace checkpoint written to the card at the last orderly
      eject; conceptually stored in reserved sectors on the card, so it
      travels with it. *)
@@ -36,8 +35,8 @@ let create ?(name = "flash-card") ?(nbanks = 2) ?(spec = Device.Specs.intel_flas
     engine;
     host_dram;
     card_flash;
+    config = manager;
     state = Some { manager = mgr; fs };
-    dormant = None;
     checkpoint = None;
   }
 
@@ -75,16 +74,16 @@ let write_checkpoint t st =
   let cursor = ref (Engine.now t.engine) in
   let sector_bytes = Device.Flash.sector_bytes t.card_flash in
   let sectors = Units.ceil_div bytes sector_bytes in
+  let spec = Device.Flash.spec t.card_flash in
   (* The reserved checkpoint area is rewritten in place: model its cost as
-     [sectors] erase+program cycles on bank 0's first sectors. *)
+     [sectors] erase+program cycles on bank 0's first sectors, at the
+     card's own timings. *)
   for s = 0 to sectors - 1 do
     (match Device.Flash.read t.card_flash ~now:!cursor ~sector:s ~bytes:16 with
     | finish -> cursor := finish
     | exception Device.Flash.Error Device.Flash.Bad_sector -> ());
-    cursor := Time.add !cursor (Time.span_scale Device.Specs.(intel_flash.f_erase) 1.0);
-    cursor :=
-      Time.add !cursor
-        (Device.Specs.access_time Device.Specs.(intel_flash.f_write) ~bytes:sector_bytes)
+    cursor := Time.add !cursor spec.Device.Specs.f_erase;
+    cursor := Time.add !cursor (Device.Specs.access_time spec.f_write ~bytes:sector_bytes)
   done;
   t.checkpoint <- Some entries;
   Time.diff !cursor (Engine.now t.engine)
@@ -97,7 +96,7 @@ let eject ?(surprise = false) t =
     if surprise then begin
       (* The buffer (host DRAM) still holds the card's dirty data: gone.
          Detaching also cancels the pending writeback timer — without it
-         the dormant manager would keep programming a card that is no
+         the ejected manager would keep programming a card that is no
          longer in the slot. *)
       let lost = Storage.Manager.detach st.manager in
       { flushed_blocks = 0; lost_blocks = lost; eject_latency = Time.span_zero }
@@ -113,7 +112,6 @@ let eject ?(surprise = false) t =
       }
     end
   in
-  t.dormant <- Some st.manager;
   t.state <- None;
   report
 
@@ -124,13 +122,10 @@ let pp_insert_report ppf r =
 
 let insert t =
   if inserted t then invalid_arg (Printf.sprintf "Card %s: already inserted" t.card_name);
-  let dormant =
-    match t.dormant with
-    | Some m -> m
-    | None -> invalid_arg (Printf.sprintf "Card %s: never initialized" t.card_name)
+  (* Mount the card from its own sector headers. *)
+  let manager, scan_time, report =
+    Storage.Manager.mount t.config ~engine:t.engine ~flash:t.card_flash ~dram:t.host_dram
   in
-  (* Scan the card's sector headers and rebuild the storage manager. *)
-  let manager, scan_time, report = Storage.Manager.crash_and_remount dormant in
   let fs = Fs.Memfs.create_fs ~manager () in
   (* Rebuild the namespace from the checkpoint the card carries; files
      whose blocks did not survive (dirty at a surprise eject, never
@@ -176,5 +171,4 @@ let insert t =
       end)
     (Storage.Manager.known_blocks manager);
   t.state <- Some { manager; fs };
-  t.dormant <- None;
   { scan_time; blocks_recovered = report.Storage.Manager.live_recovered }

@@ -11,9 +11,10 @@
 
     Eject semantics are where removability bites: the card's write buffer
     lives in the *host's* DRAM.  An orderly eject flushes it first; a
-    surprise eject (the user pulls the card) loses the buffered blocks,
-    and the next insertion recovers the flash-resident state by the
-    remount scan. *)
+    surprise eject (the user pulls the card) loses the buffered blocks.
+    Either way the card takes its state with it: the sector headers on
+    its flash and the namespace checkpoint, and the next insertion mounts
+    it from those alone ({!Storage.Manager.mount}). *)
 
 type t
 
@@ -28,7 +29,10 @@ val create :
   unit ->
   t
 (** A fresh (formatted) card, inserted into the host that owns [engine]
-    and [host_dram]. *)
+    and [host_dram].  [spec] (default {!Device.Specs.intel_flash}) sets
+    the card's device timings, the orderly eject's checkpoint writes
+    included; [manager] is the configuration every insertion mounts the
+    card with. *)
 
 val name : t -> string
 val flash : t -> Device.Flash.t
@@ -50,7 +54,8 @@ type eject_report = {
 
 val eject : ?surprise:bool -> t -> eject_report
 (** Detach the card.  Orderly (default): flush the host-side buffer to the
-    card first; nothing is lost.  [surprise]: the buffer's contents are
+    card first and write the namespace checkpoint, at the card's own
+    timings; nothing is lost.  [surprise]: the buffer's contents are
     gone.  After ejecting, {!fs} and {!manager} refuse to serve.
     @raise Invalid_argument if already ejected. *)
 
@@ -60,12 +65,14 @@ type insert_report = {
 }
 
 val insert : t -> insert_report
-(** Re-attach an ejected card: scans its sector headers, rebuilds the
-    storage-manager state, and rebuilds the namespace from the checkpoint
-    the card carries (written at the last orderly eject).  Files whose
-    blocks did not survive — dirty at a surprise eject — are dropped;
-    surviving blocks the checkpoint does not reach are scavenged into
-    ["/recovered-<n>"] files so nothing readable is silently discarded.
+(** Re-attach an ejected card: mounts its flash from the sector headers
+    alone ({!Storage.Manager.mount} with the configuration the card was
+    created with; nothing of the manager it was ejected from), and
+    rebuilds the namespace from the checkpoint the card carries (written
+    at the last orderly eject).  Files whose blocks did not survive —
+    dirty at a surprise eject — are dropped; surviving blocks the
+    checkpoint does not reach are scavenged into ["/recovered-<n>"] files
+    so nothing readable is silently discarded.
     @raise Invalid_argument if already inserted. *)
 
 val pp_eject_report : Format.formatter -> eject_report -> unit

@@ -24,6 +24,14 @@ type t = {
      erase count reaches [endurance]. *)
   erase_counts : int array;
   programmed : int array;
+  (* The header the last program wrote, stored verbatim: its block (-1
+     once erased), its version shifted left one bit over the live bit
+     that [obsolete] clears, and its position (-1 once erased), in an
+     array allocated at the first other position: a flash that never
+     holds a delta record pays no word per sector for it. *)
+  hdr_block : int array;
+  hdr_version : int array;
+  mutable hdr_pos : int array;
   bank_busy : Time.t array;
   meter : Power.Meter.t;
   c_reads : Stat.Counter.t;
@@ -53,6 +61,9 @@ let create cfg =
       | None -> cfg.spec.Specs.f_endurance);
     erase_counts = Array.make n 0;
     programmed = Array.make n 0;
+    hdr_block = Array.make n (-1);
+    hdr_version = Array.make n 0;
+    hdr_pos = [||];
     bank_busy = Array.make cfg.nbanks Time.zero;
     meter = Power.Meter.create ~label:"flash";
     c_reads = Stat.Counter.create ();
@@ -65,6 +76,7 @@ let create cfg =
   }
 
 let nbanks t = t.cfg.nbanks
+let spec t = t.cfg.spec
 let sectors_per_bank t = t.cfg.sectors_per_bank
 let nsectors t = Array.length t.erase_counts
 let sector_bytes t = t.cfg.spec.Specs.f_sector_bytes
@@ -133,7 +145,11 @@ let read t ~now ~sector ~bytes =
   Probe.add p_bytes_read bytes;
   finish
 
-let program t ~now ~sector ~bytes =
+let set_pos t sector pos =
+  if pos <> -1 && Array.length t.hdr_pos = 0 then t.hdr_pos <- Array.make (nsectors t) (-1);
+  if Array.length t.hdr_pos > 0 then t.hdr_pos.(sector) <- pos
+
+let program t ~now ~sector ~bytes ~block ~version ~pos =
   check_bytes t bytes;
   check_sector t sector;
   if bad t sector then raise (Error Bad_sector);
@@ -142,6 +158,9 @@ let program t ~now ~sector ~bytes =
   let dur = Specs.access_time t.cfg.spec.Specs.f_write ~bytes in
   let finish = service t ~now ~sector ~op:`Program dur in
   t.programmed.(sector) <- t.programmed.(sector) + bytes;
+  t.hdr_block.(sector) <- block;
+  t.hdr_version.(sector) <- (version lsl 1) lor 1;
+  set_pos t sector pos;
   Stat.Counter.incr t.c_programs;
   Stat.Counter.add t.c_bytes_programmed bytes;
   Probe.incr p_programs;
@@ -154,9 +173,25 @@ let erase t ~now ~sector =
   let finish = service t ~now ~sector ~op:`Erase t.cfg.spec.Specs.f_erase in
   t.erase_counts.(sector) <- t.erase_counts.(sector) + 1;
   t.programmed.(sector) <- 0;
+  t.hdr_block.(sector) <- -1;
+  t.hdr_version.(sector) <- 0;
+  set_pos t sector (-1);
   Stat.Counter.incr t.c_erases;
   Probe.incr p_erases;
   finish
+
+(* A bit-clear in place: no bank time, no energy. *)
+let obsolete t ~sector =
+  check_sector t sector;
+  t.hdr_version.(sector) <- t.hdr_version.(sector) land lnot 1
+
+let header_block t ~sector = check_sector t sector; t.hdr_block.(sector)
+let header_version t ~sector = check_sector t sector; t.hdr_version.(sector) asr 1
+let header_live t ~sector = check_sector t sector; t.hdr_version.(sector) land 1 = 1
+
+let header_pos t ~sector =
+  check_sector t sector;
+  if Array.length t.hdr_pos = 0 then -1 else t.hdr_pos.(sector)
 
 let bank_busy_until t ~bank =
   if bank < 0 || bank >= nbanks t then invalid_arg "Flash.bank_busy_until";
@@ -208,9 +243,12 @@ let reset_stats t =
   Power.Meter.reset t.meter
 
 let factory_reset t =
-  (* Back to the state [create] built: pristine sectors, idle banks, zero
-     meters — the blank card a parity array rebuilds onto. *)
+  (* Back to the state [create] built: pristine sectors, no headers, idle
+     banks, zero meters — the blank card a parity array rebuilds onto. *)
   Array.fill t.erase_counts 0 (nsectors t) 0;
   Array.fill t.programmed 0 (nsectors t) 0;
+  Array.fill t.hdr_block 0 (nsectors t) (-1);
+  Array.fill t.hdr_version 0 (nsectors t) 0;
+  Array.fill t.hdr_pos 0 (Array.length t.hdr_pos) (-1);
   Array.fill t.bank_busy 0 (Array.length t.bank_busy) Time.zero;
   reset_stats t

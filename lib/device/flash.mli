@@ -10,8 +10,17 @@
 
     The model enforces the write discipline in hardware terms: programming a
     sector can only consume bytes that have been erased and not yet
-    programmed.  Validity of *data* (live vs dead) is a software notion and
-    belongs to the storage manager, not here. *)
+    programmed.
+
+    Each program also writes the sector's header, the durable state a
+    card carries from machine to machine: the logical block, a version
+    and a position, as the storage manager hands them over, plus a live
+    bit set by the program.  The device stores those bits and interprets
+    none of them.  It only clears them: an erase wipes the header, and
+    {!obsolete} clears the live bit in place, as NOR flash clears bits
+    without an erase.  Validity of *data* (live vs dead, which copy is
+    newest) is a software notion and belongs to the storage manager,
+    which mounts a card by reading these headers back. *)
 
 type t
 
@@ -39,6 +48,7 @@ val create : config -> t
 
 (** {1 Geometry} *)
 
+val spec : t -> Specs.flash_spec
 val nbanks : t -> int
 val nsectors : t -> int
 val sector_bytes : t -> int
@@ -70,15 +80,40 @@ val read : t -> now:Sim.Time.t -> sector:int -> bytes:int -> Sim.Time.t
     @raise Invalid_argument if the sector is out of range or
     [bytes] exceeds the sector size. *)
 
-val program : t -> now:Sim.Time.t -> sector:int -> bytes:int -> Sim.Time.t
-(** Program [bytes] of erased space in the sector.
+val program :
+  t ->
+  now:Sim.Time.t ->
+  sector:int ->
+  bytes:int ->
+  block:int ->
+  version:int ->
+  pos:int ->
+  Sim.Time.t
+(** Program [bytes] of erased space in the sector, and store its header:
+    [block], [version] and [pos], live.  A header of the sector's earlier
+    program since its last erase is overwritten.
     @raise Error [Bad_sector] or [Overwrite_without_erase]. *)
 
 val erase : t -> now:Sim.Time.t -> sector:int -> Sim.Time.t
-(** Erase the sector, recycling its programmed space and consuming one
-    endurance cycle.  The erase that exhausts the endurance budget still
-    succeeds; the sector is bad afterwards.
+(** Erase the sector, recycling its programmed space, clearing its header
+    and consuming one endurance cycle.  The erase that exhausts the
+    endurance budget still succeeds; the sector is bad afterwards.
     @raise Error [Bad_sector] on a sector that is already bad. *)
+
+val obsolete : t -> sector:int -> unit
+(** Clear the header's live bit in place.  Takes no bank time and no
+    energy: the bit-clear rides along with programs already charged.  A
+    sector without a header is left as it is. *)
+
+(** {2 Headers}
+
+    What the last program since the sector's last erase stored; an erased
+    sector reads block -1, version 0, not live, position -1. *)
+
+val header_block : t -> sector:int -> int
+val header_version : t -> sector:int -> int
+val header_live : t -> sector:int -> bool
+val header_pos : t -> sector:int -> int
 
 val bank_busy_until : t -> bank:int -> Sim.Time.t
 
@@ -116,7 +151,7 @@ val reset_stats : t -> unit
 
 val factory_reset : t -> unit
 (** Restore the device to the state {!create} built it in — pristine wear,
-    no programmed bytes, idle banks, zero counters and meters.  A
+    no programmed bytes or headers, idle banks, zero counters and meters.  A
     factory-reset device is observationally identical to a freshly
     created one; {!Storage.Array.reinsert_card} relies on that to serve a
     reinserted card as a blank replacement, and [test_flash.ml] pins the

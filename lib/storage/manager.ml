@@ -89,7 +89,7 @@ type block = int
    is a flat array of immediates. *)
 type where = Absent | Blank | Buffered | Flashed
 
-(* The [hdr_block] of a sector that holds no header. *)
+(* The [Device.Flash.header_block] of a sector that holds no header. *)
 let no_block = -1
 
 type t = {
@@ -132,20 +132,8 @@ type t = {
   (* Blocks one timer firing flushes, filled in deadline order. *)
   batch : block array;
   mutable cleaning : bool;  (** Re-entrancy guard for the cleaner. *)
-  (* Sector headers as the log-structured convention stores them on the
-     medium, one entry per sector in each array: the logical block the
-     sector holds ([no_block] if none), and its write version shifted left
-     one bit over the liveness bit.  That bit is the in-place obsoletion
-     bit: NOR flash can clear bits without an erase, so superseding or
-     deleting a block marks its old header dead where it lies — remount
-     then never resurrects stale data.  [hdr_pos], empty without diff
-     logging, tells a full base page (-1) from a delta record at that
-     position in its block's chain.  Conceptually part of flash (it
-     survives power loss); kept here because the device model does not
-     store payloads.  Programs write ints, so none allocates. *)
-  hdr_block : int array;
-  hdr_version : int array;
-  hdr_pos : int array;
+  (* The version the next program's header carries: above every version
+     on the flash, so a block's newer copy always wins at mount. *)
   mutable next_version : int;
   (* Incrementally maintained segment-state indexes and counters.  The
      index answers every allocation/cleaning decision in O(banks), or
@@ -318,9 +306,9 @@ let rebuild_indexes t =
 let worn flash seg =
   Device.Flash.any_bad flash ~sector:(Segment.first_sector seg) ~count:(Segment.nslots seg)
 
-(* A manager without its timer callback; {!create} below adds it once
-   [timer_fired] exists.  Segments the flash already wore out are retired
-   from the start. *)
+(* A manager without its timer callback, its block table or its segments'
+   contents, which {!create} below adds from the flash.  Segments the
+   flash already wore out are retired from the start. *)
 let make ?card cfg ~engine ~flash ~dram =
   if cfg.segment_sectors <= 0 then invalid_arg "Manager.create: segment_sectors <= 0";
   if cfg.segment_sectors > Device.Flash.sectors_per_bank flash then
@@ -373,12 +361,6 @@ let make ?card cfg ~engine ~flash ~dram =
       on_timer = ignore;
       batch = Array.make (max 0 cfg.max_flush_batch) 0;
       cleaning = false;
-      hdr_block = Array.make (Device.Flash.nsectors flash) no_block;
-      hdr_version = Array.make (Device.Flash.nsectors flash) 0;
-      hdr_pos =
-        (match cfg.diff_log with
-        | Some _ -> Array.make (Device.Flash.nsectors flash) (-1)
-        | None -> [||]);
       next_version = 0;
       idx = Seg_index.create ~nbanks ~nsegments ~nslots:cfg.segment_sectors;
       n_retired = 0;
@@ -392,7 +374,6 @@ let make ?card cfg ~engine ~flash ~dram =
       c_cleanings = 0;
     }
   in
-  rebuild_indexes t;
   t
 
 let free_segment_count t = Seg_index.free_count t.idx
@@ -412,47 +393,33 @@ let flash_read t ~now ~sector ~bytes =
   try Device.Flash.read t.flash ~now ~sector ~bytes
   with Device.Flash.Error e -> device_failure e
 
-let flash_program t ~now ~sector ~bytes =
-  try Device.Flash.program t.flash ~now ~sector ~bytes
-  with Device.Flash.Error e -> device_failure e
-
-let header_live t sector = t.hdr_version.(sector) land 1 = 1
-let header_version t sector = t.hdr_version.(sector) lsr 1
-let header_pos t sector = match t.diff with Some _ -> t.hdr_pos.(sector) | None -> -1
-
-(* Clear a block's previous header's liveness bit in place, if it still
-   exists and still belongs to this block (cleaning may have erased the
-   sector and a later program reused it for someone else). *)
-let obsolete_header t ~block ~hdr_sector =
-  if hdr_sector >= 0 && t.hdr_block.(hdr_sector) = block then
-    t.hdr_version.(hdr_sector) <- t.hdr_version.(hdr_sector) land lnot 1
-
-(* A live header for [block] at the next version. *)
-let write_header t ~sector ~block ~pos =
+(* Every program carries its sector's header (16 bytes of the program):
+   a live header for [block] at the next version, whose [pos] is -1 for a
+   full page and a delta record's position in its block's chain. *)
+let flash_program t ~now ~sector ~bytes ~block ~pos =
   let version = t.next_version in
   t.next_version <- version + 1;
-  t.hdr_block.(sector) <- block;
-  t.hdr_version.(sector) <- (version lsl 1) lor 1;
-  match t.diff with Some _ -> t.hdr_pos.(sector) <- pos | None -> ()
+  try Device.Flash.program t.flash ~now ~sector ~bytes ~block ~version ~pos
+  with Device.Flash.Error e -> device_failure e
 
-(* Written as part of every sector program (the 16-byte header).  The new
-   header supersedes the block's previous one, which is obsoleted in place
-   — the bit-clear rides along with programs the caller already charged to
-   the device, so it costs no extra bank time — and [sector] becomes the
-   block's home. *)
-let record_header t ~sector ~block =
-  obsolete_header t ~block ~hdr_sector:t.home.(block);
-  write_header t ~sector ~block ~pos:(-1);
+(* Clear a block's superseded header's live bit in place — a bit-clear
+   that rides along with programs already charged, so it costs no bank
+   time — if the header still exists and still belongs to this block
+   (cleaning may have erased the sector and a later program reused it for
+   someone else).  The header that supersedes it is on the flash first. *)
+let obsolete_header t ~block ~hdr_sector =
+  if hdr_sector >= 0 && Device.Flash.header_block t.flash ~sector:hdr_sector = block then
+    Device.Flash.obsolete t.flash ~sector:hdr_sector
+
+(* [sector] now holds [block]'s newest full page: it becomes the home,
+   and the previous home's header is obsoleted — unless the previous home
+   is [sector] itself: a dirty block's rollback copy can be erased by the
+   cleaner and its sector reused for the block's next program.  Deltas
+   leave the home alone: it is the chain's base (the rollback anchor),
+   and a chain keeps base plus every delta live at once. *)
+let set_home t ~block ~sector =
+  if t.home.(block) <> sector then obsolete_header t ~block ~hdr_sector:t.home.(block);
   t.home.(block) <- sector
-
-(* A delta record's header.  Deltas deliberately leave the home alone: it
-   is the block's base header (the rollback anchor), and a chain keeps
-   base plus every delta live at once.  [prev_sector]
-   obsoletes the delta's own superseded copy when the cleaner relocates
-   it; it is -1 for a fresh delta. *)
-let record_delta_header t ~sector ~block ~pos ~prev_sector =
-  obsolete_header t ~block ~hdr_sector:prev_sector;
-  write_header t ~sector ~block ~pos
 
 (* --- Free-segment picks --------------------------------------------------- *)
 
@@ -539,16 +506,17 @@ let next_victim t ~purpose =
 (* --- Log appends, segment acquisition, cleaning -------------------------- *)
 
 (* Append [block] to the open segment [seg] and program its sector with
-   [bytes] on the cursor: the one place the log grows, and so the one
-   place segments fill, get touched, and turn Closed (where they become
-   victim candidates).  Returns the slot. *)
-let program_append t seg ~cursor ~block ~bytes =
+   [bytes] and the header at [pos] on the cursor: the one place the log
+   grows, and so the one place segments fill, get touched, and turn
+   Closed (where they become victim candidates).  Returns the sector. *)
+let program_append t seg ~cursor ~block ~pos ~bytes =
   let slot = Segment.append seg ~block in
   Segment.touch seg ~at:(Engine.now t.engine);
   if Segment.state seg = Segment.Closed then closed_index_add t seg;
-  cursor := flash_program t ~now:!cursor ~sector:(Segment.sector_of_slot seg slot) ~bytes;
+  let sector = Segment.sector_of_slot seg slot in
+  cursor := flash_program t ~now:!cursor ~sector ~bytes ~block ~pos;
   Probe.incr t.probes.p_bank_programs.(bank_of_segment t (Segment.id seg));
-  slot
+  sector
 
 let open_segment t = function
   | Banks.Fresh_write -> t.open_fresh
@@ -658,7 +626,6 @@ and clean_victim t ~cursor ~purpose =
     let victim_bank = bank_of_segment t (Segment.id victim) in
     for slot = 0 to Segment.used_slots victim - 1 do
       let sector = Segment.sector_of_slot victim slot in
-      t.hdr_block.(sector) <- no_block;
       match Device.Flash.erase t.flash ~now:!cursor ~sector with
       | finish ->
         cursor := finish;
@@ -710,15 +677,15 @@ and copy_out t victim ~cursor =
       in
       cursor := flash_read t ~now:!cursor ~sector ~bytes:nbytes;
       let out = ensure_open t ~purpose:Banks.Clean_out ~cursor in
-      let out_sector =
-        Segment.sector_of_slot out (program_append t out ~cursor ~block:b ~bytes:nbytes)
-      in
       (match t.diff with
       | Some d when not is_home ->
         let pos = Diff_log.delta_pos d ~block:b ~sector in
-        record_delta_header t ~sector:out_sector ~block:b ~pos ~prev_sector:sector;
+        let out_sector = program_append t out ~cursor ~block:b ~pos ~bytes:nbytes in
+        obsolete_header t ~block:b ~hdr_sector:sector;
         Diff_log.relocate_delta d ~block:b ~pos ~sector:out_sector
-      | Some _ | None -> record_header t ~sector:out_sector ~block:b);
+      | Some _ | None ->
+        set_home t ~block:b
+          ~sector:(program_append t out ~cursor ~block:b ~pos:(-1) ~bytes:nbytes));
       Segment.kill victim ~slot;
       note_kill t victim;
       t.c_cleaned <- t.c_cleaned + 1;
@@ -729,8 +696,8 @@ and copy_out t victim ~cursor =
 (* Program one client/cold block at the head of the log, whole. *)
 let append_full t ~purpose ~cursor b =
   let seg = ensure_open t ~purpose ~cursor in
-  let slot = program_append t seg ~cursor ~block:b ~bytes:(block_bytes t) in
-  record_header t ~sector:(Segment.sector_of_slot seg slot) ~block:b;
+  set_home t ~block:b
+    ~sector:(program_append t seg ~cursor ~block:b ~pos:(-1) ~bytes:(block_bytes t));
   set_state t b Flashed
 
 (* Program an overwrite as a delta record against the chain's base page
@@ -738,12 +705,11 @@ let append_full t ~purpose ~cursor b =
    traffic.  Reads reassemble base + chain. *)
 let append_delta t d ~cursor b =
   let seg = ensure_open t ~purpose:Banks.Fresh_write ~cursor in
-  let slot =
-    program_append t seg ~cursor ~block:b ~bytes:(Diff_log.config d).Diff_log.delta_bytes
-  in
-  let sector = Segment.sector_of_slot seg slot in
   let pos = Diff_log.chain_length d ~block:b in
-  record_delta_header t ~sector ~block:b ~pos ~prev_sector:(-1);
+  let sector =
+    program_append t seg ~cursor ~block:b ~pos
+      ~bytes:(Diff_log.config d).Diff_log.delta_bytes
+  in
   Diff_log.push_delta d ~block:b ~pos ~sector;
   Diff_log.note_delta_programmed d;
   set_state t b Flashed
@@ -876,9 +842,103 @@ and timer_fired t =
     schedule_timer t ~at:(Time.max (Time.add now t.cfg.flush_spacing) !cursor)
   | _ | (exception Not_found) -> arm_timer t
 
+let block_exists t b =
+  b >= 0
+  && b < Array.length t.state
+  && match t.state.(b) with Absent -> false | Blank | Buffered | Flashed -> true
+
+(* --- Mount ------------------------------------------------------------------
+
+   A manager's durable state is the headers on its flash, and every manager
+   is built from them, host-side: a blank flash gives an empty manager. *)
+
+(* Whether the header in [sector] names the copy of [block] the mounted
+   state keeps: the block's home, or the record at its position in the
+   block's chain. *)
+let kept t ~block ~sector =
+  match (Device.Flash.header_pos t.flash ~sector, t.diff) with
+  | pos, _ when pos < 0 -> block_exists t block && t.home.(block) = sector
+  | pos, Some d ->
+    pos < Diff_log.chain_length d ~block && Diff_log.delta_sector d ~block pos = sector
+  | _, None -> false
+
+(* Appends were sequential, so each segment's programmed sectors are a
+   prefix of its slots: slot them back in, and take each block's newest
+   live full page as its home.  Headers obsoleted in place (superseded or
+   deleted data) never come back.  With diff logging on, chain each
+   block's live delta records in position order, the newest at each
+   position, up to the first gap: a chain truncated there, or orphaned by
+   a freed base, rolls the block back to its base plus that prefix, the
+   allowance rollback-to-stale makes for a block that died dirty.  Every
+   slot the mounted state does not keep is killed as stale.  Even a dead
+   header pins its block id and version, so no later handle or version
+   collides with it at the next mount. *)
+let read_headers t =
+  let flash = t.flash in
+  let max_block = ref (-1) and max_version = ref (-1) and deltas = ref [] in
+  for i = 0 to nsegments t - 1 do
+    let seg = t.segments.(i) in
+    let slot = ref 0 in
+    while
+      !slot < Segment.nslots seg
+      && Device.Flash.header_block flash ~sector:(Segment.sector_of_slot seg !slot)
+         <> no_block
+    do
+      let sector = Segment.sector_of_slot seg !slot in
+      let block = Device.Flash.header_block flash ~sector in
+      let version = Device.Flash.header_version flash ~sector in
+      if !slot = 0 then Segment.open_ seg;
+      ignore (Segment.append seg ~block : int);
+      max_block := max !max_block block;
+      max_version := max !max_version version;
+      if Device.Flash.header_live flash ~sector then
+        if Device.Flash.header_pos flash ~sector >= 0 then deltas := sector :: !deltas
+        else if
+          (not (block_exists t block))
+          || Device.Flash.header_version flash ~sector:t.home.(block) < version
+        then begin
+          ensure_capacity t block;
+          t.home.(block) <- sector;
+          set_state t block Flashed
+        end;
+      incr slot
+    done
+  done;
+  (match (t.diff, !deltas) with
+  | Some d, (_ :: _ as deltas) ->
+    (* By block, position, newest version first, then sector. *)
+    let key sector =
+      Device.Flash.
+        ( header_block flash ~sector,
+          header_pos flash ~sector,
+          -header_version flash ~sector,
+          sector )
+    in
+    List.iter
+      (fun sector ->
+        let block, pos, _, _ = key sector in
+        if block_exists t block && Diff_log.chain_length d ~block = pos then begin
+          if pos = 0 then Diff_log.begin_chain d ~block;
+          Diff_log.push_delta d ~block ~pos ~sector
+        end)
+      (List.sort (fun a b -> compare (key a) (key b)) deltas)
+  | _ -> ());
+  for i = 0 to nsegments t - 1 do
+    let seg = t.segments.(i) in
+    for slot = 0 to Segment.used_slots seg - 1 do
+      let sector = Segment.sector_of_slot seg slot in
+      if not (kept t ~block:(Segment.block_at seg slot) ~sector) then Segment.kill seg ~slot
+    done;
+    if Segment.state seg = Segment.Open then Segment.close seg
+  done;
+  t.next_block <- !max_block + 1;
+  t.next_version <- !max_version + 1;
+  rebuild_indexes t
+
 let create ?card cfg ~engine ~flash ~dram =
   let t = make ?card cfg ~engine ~flash ~dram in
   t.on_timer <- (fun _ -> timer_fired t);
+  read_headers t;
   t
 
 (* --- Client operations ---------------------------------------------------- *)
@@ -894,11 +954,6 @@ let next_fresh_block t = t.next_block
 let reserve_blocks t ~next =
   if next > t.next_block then t.next_block <- next
 
-let block_exists t b =
-  b >= 0
-  && b < Array.length t.state
-  && match t.state.(b) with Absent -> false | Blank | Buffered | Flashed -> true
-
 (* Recreate an empty (Blank) block under an already-reserved handle.  A
    striped array's rebuild path reserves the reinserted card's cursor in
    one jump ([reserve_blocks]), then revives exactly the handles the
@@ -912,9 +967,10 @@ let revive_block t b =
     invalid_arg (Printf.sprintf "Manager.revive_block: block %d already exists" b);
   add_block t b
 
-(* The card is leaving the machine: cancel the pending writeback timer and
-   drop the buffer, so the dormant manager can never program a device that
-   is no longer there.  Returns how many dirty blocks the drop lost. *)
+(* The card is leaving the machine, or its power is gone: cancel the
+   pending writeback timer and drop the buffer, so this manager can never
+   program the device again.  Returns how many dirty blocks the drop
+   lost. *)
 let detach t =
   cancel_timer t;
   List.length (Write_buffer.drain t.buffer)
@@ -1192,148 +1248,35 @@ let pp_remount_report ppf r =
   Fmt.pf ppf "scanned=%d recovered=%d stale=%d lost_from_buffer=%d" r.sectors_scanned
     r.live_recovered r.stale_discarded r.buffered_lost
 
-let crash_and_remount t =
-  let buffered_lost = Write_buffer.size t.buffer in
-  (* Power is gone: the dead manager must never touch the (shared) flash
-     again.  Cancel its pending writeback timer and discard the DRAM
-     buffer's contents — that is exactly the data the crash loses. *)
-  cancel_timer t;
-  ignore (Write_buffer.drain t.buffer);
-  let fresh = create ?card:t.card t.cfg ~engine:t.engine ~flash:t.flash ~dram:t.dram in
-  (* Copy the headers: they model on-flash state shared by old and new
-     manager, but the arrays are mutable and the dead manager must not
-     alias the live one's. *)
-  let nsectors = Array.length t.hdr_block in
-  Array.blit t.hdr_block 0 fresh.hdr_block 0 nsectors;
-  Array.blit t.hdr_version 0 fresh.hdr_version 0 nsectors;
-  Array.blit t.hdr_pos 0 fresh.hdr_pos 0 (Array.length t.hdr_pos);
-  fresh.next_version <- t.next_version;
-  (* Scan every readable sector's header, charging the device. *)
-  let now = Engine.now t.engine in
+(* Read every good sector's 16-byte header, charging the device, then
+   build the manager from those headers: the flash alone, nothing of a
+   manager that ran on it before. *)
+let mount ?card cfg ~engine ~flash ~dram =
+  let now = Engine.now engine in
   let cursor = ref now in
   let scanned = ref 0 in
-  for sector = 0 to Device.Flash.nsectors t.flash - 1 do
-    match Device.Flash.read t.flash ~now:!cursor ~sector ~bytes:16 with
+  for sector = 0 to Device.Flash.nsectors flash - 1 do
+    match Device.Flash.read flash ~now:!cursor ~sector ~bytes:16 with
     | finish ->
       incr scanned;
       cursor := finish
     | exception Device.Flash.Error Device.Flash.Bad_sector -> ()
-    | exception Device.Flash.Error e -> Fmt.failwith "remount: %a" Device.Flash.pp_error e
   done;
-  (* Newest live version of each block's base page wins, straight into
-     the block table; headers obsoleted in place (superseded or deleted
-     data) never come back.  Delta headers (position >= 0, diff logging
-     only) are chain members, not base candidates. *)
-  let live_at sector =
-    fresh.hdr_block.(sector) <> no_block && header_live fresh sector
-  in
-  for sector = 0 to nsectors - 1 do
-    if live_at sector && header_pos fresh sector < 0 then begin
-      let block = fresh.hdr_block.(sector) in
-      if
-        (not (block_exists fresh block))
-        || header_version fresh fresh.home.(block) < header_version fresh sector
-      then begin
-        ensure_capacity fresh block;
-        fresh.home.(block) <- sector;
-        set_state fresh block Flashed
-      end
-    end
-  done;
-  (* Chain recovery (diff logging only): per block, the newest live delta
-     header at each position; then accept only the longest contiguous
-     position prefix of blocks that kept a base, and chain it again.  A
-     chain truncated at a gap — or orphaned by a freed base — rolls the
-     block back to base plus the accepted prefix, the same allowance
-     rollback-to-stale makes for a block that died dirty.  Everything past
-     the cut is discarded as stale. *)
-  let accepted = Hashtbl.create 64 in
-  (match fresh.diff with
-  | None -> ()
-  | Some d ->
-    let candidates = Hashtbl.create 64 in
-    for sector = 0 to nsectors - 1 do
-      let pos = header_pos fresh sector in
-      if live_at sector && pos >= 0 then begin
-        let block = fresh.hdr_block.(sector) and version = header_version fresh sector in
-        let per =
-          match Hashtbl.find_opt candidates block with
-          | Some per -> per
-          | None ->
-            let per = Hashtbl.create 8 in
-            Hashtbl.replace candidates block per;
-            per
-        in
-        match Hashtbl.find_opt per pos with
-        | Some (v, _) when v >= version -> ()
-        | Some _ | None -> Hashtbl.replace per pos (version, sector)
-      end
-    done;
-    Hashtbl.iter
-      (fun block per ->
-        if block_exists fresh block then begin
-          let rec go pos =
-            match Hashtbl.find_opt per pos with
-            | Some (_, sector) ->
-              if pos = 0 then Diff_log.begin_chain d ~block;
-              Diff_log.push_delta d ~block ~pos ~sector;
-              Hashtbl.replace accepted sector ();
-              go (pos + 1)
-            | None -> ()
-          in
-          go 0
-        end)
-      candidates);
-  (* Rebuild segment occupancy: appends were sequential, so each segment's
-     programmed sectors are a prefix of its slots.  The loop drives the
-     segments directly; indexes and counters are rebuilt wholesale at the
-     end. *)
-  let stale = ref 0 in
-  let max_block = ref (-1) in
-  Array.iter
-    (fun seg ->
-      let nslots = Segment.nslots seg in
-      let occupied = ref 0 in
-      for slot = 0 to nslots - 1 do
-        if fresh.hdr_block.(Segment.sector_of_slot seg slot) <> no_block then
-          incr occupied
-      done;
-      if !occupied > 0 then begin
-        Segment.open_ seg;
-        for slot = 0 to !occupied - 1 do
-          let sector = Segment.sector_of_slot seg slot in
-          let block = fresh.hdr_block.(sector) in
-          (* A hole would mean appends were not sequential. *)
-          assert (block <> no_block);
-          let s = Segment.append seg ~block in
-          assert (s = slot);
-          (* Even a dead header pins its block id: a resurrected id would
-             otherwise collide with it on the next remount. *)
-          max_block := max !max_block block;
-          (* A live slot is a winning base or an accepted chain member. *)
-          let kept =
-            if header_pos fresh sector >= 0 then Hashtbl.mem accepted sector
-            else block_exists fresh block && fresh.home.(block) = sector
-          in
-          if not kept then begin
-            incr stale;
-            Segment.kill seg ~slot
-          end
-        done;
-        if Segment.state seg = Segment.Open then Segment.close seg
-      end)
-    fresh.segments;
-  fresh.next_block <- !max_block + 1;
-  rebuild_indexes fresh;
+  let t = create ?card cfg ~engine ~flash ~dram in
   let report =
     {
       sectors_scanned = !scanned;
-      live_recovered = fresh.n_flashed;
-      stale_discarded = !stale;
-      buffered_lost;
+      live_recovered = t.n_flashed;
+      (* Right after a mount, every dead slot is a copy the headers left
+         stale. *)
+      stale_discarded =
+        Array.fold_left
+          (fun n seg -> n + Segment.used_slots seg - Segment.live_count seg)
+          0 t.segments;
+      buffered_lost = 0;
     }
   in
-  Log.info (fun m -> m "remount: %a" pp_remount_report report);
+  Log.info (fun m -> m "mount: %a" pp_remount_report report);
   Probe.incr t.probes.p_remounts;
   if Probe.timeline_enabled () then
     Probe.span ~name:"manager.remount" ~cat:"recovery"
@@ -1343,7 +1286,15 @@ let crash_and_remount t =
              ("sectors_scanned", string_of_int report.sectors_scanned);
              ("live_recovered", string_of_int report.live_recovered);
              ("stale_discarded", string_of_int report.stale_discarded);
-             ("buffered_lost", string_of_int report.buffered_lost);
            ])
       ~start:now ~finish:!cursor ();
-  (fresh, Time.diff !cursor now, report)
+  (t, Time.diff !cursor now, report)
+
+(* Power is gone: the dead manager must never touch the flash again, and
+   the DRAM buffer's contents are exactly what the crash loses. *)
+let crash_and_remount t =
+  let buffered_lost = detach t in
+  let fresh, span, report =
+    mount ?card:t.card t.cfg ~engine:t.engine ~flash:t.flash ~dram:t.dram
+  in
+  (fresh, span, { report with buffered_lost })

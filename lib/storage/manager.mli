@@ -77,11 +77,14 @@ type block = int
 val create :
   ?card:int ->
   config -> engine:Sim.Engine.t -> flash:Device.Flash.t -> dram:Device.Dram.t -> t
-(** [card] is this manager's position in a multi-card {!Array}; it only
-    changes probe labels ([Banks.probe_label]: ["storage.card<i>.*"]
-    instead of the historical ["storage.manager.*"]) and timeline span
-    args, never behavior.  Segments with a sector the flash has already
-    worn out start retired.
+(** A manager built from the sector headers on [flash] (see {!mount}),
+    read host-side without charging the device: on blank flash (new or
+    factory-reset) it holds no blocks.  [card] is this manager's position
+    in a multi-card {!Array}; it only changes probe labels
+    ([Banks.probe_label]: ["storage.card<i>.*"] instead of the historical
+    ["storage.manager.*"]) and timeline span args, never behavior.
+    Segments with a sector the flash has already worn out start
+    retired.
     @raise Invalid_argument if the configuration is inconsistent with the
     flash geometry: segments must fit within a bank, partitioning must be
     valid, delta records must fit in a sector, and the flash must hold at
@@ -120,12 +123,13 @@ val revive_block : t -> block -> unit
     already exists. *)
 
 val detach : t -> int
-(** The card is leaving the machine: cancel any pending writeback timer
-    and drop the write buffer's contents, so the dormant manager can
-    never again touch a device that is no longer present.  Returns the
-    number of dirty blocks dropped (what a surprise eject loses; call
+(** The card is leaving the machine, or its power is gone: cancel any
+    pending writeback timer and drop the write buffer's contents, so this
+    manager never again touches the device.  Returns the number of dirty
+    blocks dropped (what a surprise eject or a crash loses; call
     {!flush_all} first for an orderly eject and this returns 0).  The
-    manager is introspection-only afterwards. *)
+    manager is introspection-only afterwards; the device is mounted again
+    with {!mount}. *)
 
 val write_block : t -> block -> Sim.Time.span
 (** (Re)write a block.  Supersedes any flash copy immediately; the new data
@@ -280,18 +284,23 @@ val known_blocks : t -> block list
 val reset_traffic : t -> unit
 (** Zero the traffic counters and device statistics (after preloading). *)
 
-(** {1 Crash recovery}
+(** {1 Mount and crash recovery}
 
-    Every programmed sector carries a small header naming the logical
-    block it holds, a monotonically increasing version, and a liveness bit
-    (the log-structured convention).  Superseding or deleting a block
-    clears its old header's liveness bit in place — flash can clear bits
+    Every program stores its sector's header on the device
+    ({!Device.Flash.program}): the logical block, a monotonically
+    increasing version, the position of a delta record in its chain (-1
+    for a full page), and a live bit (the log-structured convention).
+    The new header is on the flash before the copy it supersedes is
+    obsoleted: superseding or deleting a block clears its old header's
+    live bit in place ({!Device.Flash.obsolete}) — flash can clear bits
     without an erase — so freed data stays freed across a crash.  One
     deliberate exception: a block rewritten while its new data is still
     dirty in DRAM keeps its previous flash copy live, so a crash rolls the
     block back to the last durable version instead of losing it entirely.
 
-    If the machine loses {e all} power — both batteries — the DRAM-resident
+    Those headers are all a card carries, and every manager is built from
+    them: {!create} reads them for free, {!mount} charges the scan.  If
+    the machine loses {e all} power — both batteries — the DRAM-resident
     block map and the write buffer are gone, but flash and its headers
     survive; a remount rebuilds the map by scanning them.  Battery-backed
     DRAM exists precisely so this scan (and the loss of buffered data)
@@ -305,13 +314,30 @@ type remount_report = {
       (** Dirty blocks that existed only in the (now lost) write buffer. *)
 }
 
+val mount :
+  ?card:int ->
+  config ->
+  engine:Sim.Engine.t ->
+  flash:Device.Flash.t ->
+  dram:Device.Dram.t ->
+  t * Sim.Time.span * remount_report
+(** A manager over [flash] rebuilt from its sector headers alone, as
+    {!create} builds one, after reading each good sector's 16-byte header
+    from the device: the returned span is that scan, charged to the
+    flash's banks from the engine's current instant.  Each block's newest
+    live full page becomes its home; with diff logging on, each block's
+    live delta records chain back in position order up to the first gap.
+    Block handles of recovered blocks are the ones they had, and fresh
+    handles and versions start above every one on the flash.  The
+    report's [buffered_lost] is 0: the flash cannot tell what a lost
+    DRAM buffer held. *)
+
 val crash_and_remount : t -> t * Sim.Time.span * remount_report
-(** Simulate total power loss and recovery: a fresh manager over the same
-    flash device, its block map rebuilt by reading every sector's header.
-    Block handles for recovered blocks remain valid on the new manager.
-    The returned span is the scan time (the recovery-latency cost the
-    battery-backed organization avoids).  The crashed manager is dead
-    afterwards: its pending writeback timer is cancelled and its buffer
-    emptied, so it can never touch the shared flash again. *)
+(** Simulate total power loss and recovery: {!detach} the manager, whose
+    dropped buffer is the report's [buffered_lost], then {!mount} its
+    flash with its configuration.  Block handles for recovered blocks
+    remain valid on the new manager.  The returned span is the scan time
+    (the recovery-latency cost the battery-backed organization avoids).
+    The crashed manager is dead afterwards. *)
 
 val pp_remount_report : Format.formatter -> remount_report -> unit

@@ -1,14 +1,16 @@
 (* The flash device model as it was before its per-sector state moved to
-   two int arrays, kept as the reference the property test in
+   int arrays, kept as the reference the property test in
    [test_flash.ml] holds [Device.Flash] to, op for op.  Same shape as
    [write_buffer_oracle.ml]: a deliberately simple implementation, never
    shipped.
 
    Each sector is a mutable record of its erase count, its bytes
-   programmed since the last erase and a bad flag, which the erase that
-   reaches the endurance sets.  Banks serialize requests, and a request
-   is charged its time and energy.  Probes and timeline spans are left
-   out: they observe the device and decide nothing. *)
+   programmed since the last erase, a bad flag, which the erase that
+   reaches the endurance sets, and the header its last program stored
+   (block, version, position and a live flag, which [obsolete] clears and
+   an erase wipes).  Banks serialize requests, and a request is charged
+   its time and energy.  Probes and timeline spans are left out: they
+   observe the device and decide nothing. *)
 
 open Sim
 module Flash = Device.Flash
@@ -18,7 +20,17 @@ type sector_state = {
   mutable erase_count : int;
   mutable programmed : int;
   mutable bad : bool;
+  mutable h_block : int;
+  mutable h_version : int;
+  mutable h_pos : int;
+  mutable h_live : bool;
 }
+
+let wipe_header s =
+  s.h_block <- -1;
+  s.h_version <- 0;
+  s.h_pos <- -1;
+  s.h_live <- false
 
 type t = {
   cfg : Flash.config;
@@ -45,7 +57,17 @@ let create (cfg : Flash.config) =
     endurance = Option.value cfg.endurance_override ~default:cfg.spec.Specs.f_endurance;
     active_w = Device.Power.watts_of_mw (cfg.spec.Specs.f_active_mw_per_mb *. mib);
     idle_w = Device.Power.watts_of_mw (cfg.spec.Specs.f_idle_mw_per_mb *. mib);
-    sectors = Array.init n (fun _ -> { erase_count = 0; programmed = 0; bad = false });
+    sectors =
+      Array.init n (fun _ ->
+          {
+            erase_count = 0;
+            programmed = 0;
+            bad = false;
+            h_block = -1;
+            h_version = 0;
+            h_pos = -1;
+            h_live = false;
+          });
     bank_busy = Array.make cfg.nbanks Time.zero;
     meter = Device.Power.Meter.create ~label:"flash";
     reads = 0;
@@ -88,7 +110,7 @@ let read t ~now ~sector ~bytes =
   t.bytes_read <- t.bytes_read + bytes;
   finish
 
-let program t ~now ~sector ~bytes =
+let program t ~now ~sector ~bytes ~block ~version ~pos =
   check_bytes t bytes;
   let s = state t sector in
   if s.bad then raise (Flash.Error Flash.Bad_sector);
@@ -97,6 +119,10 @@ let program t ~now ~sector ~bytes =
   let dur = Specs.access_time t.cfg.spec.Specs.f_write ~bytes in
   let finish = service t ~now ~sector ~read:false dur in
   s.programmed <- s.programmed + bytes;
+  s.h_block <- block;
+  s.h_version <- version;
+  s.h_pos <- pos;
+  s.h_live <- true;
   t.programs <- t.programs + 1;
   t.bytes_programmed <- t.bytes_programmed + bytes;
   finish
@@ -107,13 +133,19 @@ let erase t ~now ~sector =
   let finish = service t ~now ~sector ~read:false t.cfg.spec.Specs.f_erase in
   s.erase_count <- s.erase_count + 1;
   s.programmed <- 0;
+  wipe_header s;
   if s.erase_count >= t.endurance then s.bad <- true;
   t.erases <- t.erases + 1;
   finish
 
+let obsolete t ~sector = (state t sector).h_live <- false
 let erase_count t ~sector = (state t sector).erase_count
 let is_bad t ~sector = (state t sector).bad
 let programmed_bytes t ~sector = (state t sector).programmed
+let header_block t ~sector = (state t sector).h_block
+let header_version t ~sector = (state t sector).h_version
+let header_pos t ~sector = (state t sector).h_pos
+let header_live t ~sector = (state t sector).h_live
 
 let bad_sectors t =
   Array.fold_left (fun acc s -> if s.bad then acc + 1 else acc) 0 t.sectors
@@ -148,7 +180,8 @@ let factory_reset t =
     (fun s ->
       s.erase_count <- 0;
       s.programmed <- 0;
-      s.bad <- false)
+      s.bad <- false;
+      wipe_header s)
     t.sectors;
   Array.fill t.bank_busy 0 (Array.length t.bank_busy) Time.zero;
   reset_stats t

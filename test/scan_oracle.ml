@@ -6,8 +6,9 @@
    implementation the indexes replaced — the wear policies' [pick_free],
    [relocation_victim] and [evenness] and the cleaner's [score] and
    [select] below — over the manager's segment array.  [check] compares
-   every decision and count the manager would report right now; the
-   differential tests call it after every operation. *)
+   every decision and count the manager would report right now, and
+   holds the sector headers on the device against the manager's slots
+   and blocks; the differential tests call it after every operation. *)
 
 open Sim
 module M = Storage.Manager
@@ -245,6 +246,59 @@ let purpose_name = function
 
 let pp_id = Fmt.(option ~none:(any "none") int)
 
+(* --- Headers ------------------------------------------------------------------ *)
+
+(* What a mount would read back, against what the manager holds:
+   - every live slot's sector carries a live header naming its block: a
+     full page (position -1) at the block's reported location, otherwise
+     a delta record at a position inside the block's chain;
+   - every other live header is a full page, the rollback copy of a dirty
+     block;
+   - at most one live full-page header exists per block, and at most one
+     live delta header per (block, position). *)
+let header_errors m =
+  let flash = M.flash m in
+  let errors = ref [] in
+  let error fmt = Fmt.kstr (fun e -> errors := e :: !errors) fmt in
+  let in_live_slot = Array.make (Device.Flash.nsectors flash) false in
+  Array.iter
+    (fun seg ->
+      for slot = 0 to Seg.used_slots seg - 1 do
+        let b = Seg.block_at seg slot in
+        if b >= 0 then begin
+          let sector = Seg.sector_of_slot seg slot in
+          let pos = Device.Flash.header_pos flash ~sector in
+          in_live_slot.(sector) <- true;
+          if
+            not
+              (Device.Flash.header_live flash ~sector
+              && Device.Flash.header_block flash ~sector = b)
+          then error "sector %d: live slot of block %d without its live header" sector b
+          else if M.location_of_block m b = Some (Seg.id seg, slot) then begin
+            if pos <> -1 then error "sector %d: block %d's home has position %d" sector b pos
+          end
+          else if pos < 0 || pos >= M.delta_chain_length m b then
+            error "sector %d: block %d's record has position %d, chain length %d" sector b
+              pos (M.delta_chain_length m b)
+        end
+      done)
+    (M.segments m);
+  let seen = Hashtbl.create 64 in
+  for sector = 0 to Device.Flash.nsectors flash - 1 do
+    if Device.Flash.header_live flash ~sector then begin
+      let b = Device.Flash.header_block flash ~sector in
+      let pos = Device.Flash.header_pos flash ~sector in
+      if Hashtbl.mem seen (b, pos) then
+        error "sector %d: a second live header of block %d at position %d" sector b pos;
+      Hashtbl.replace seen (b, pos) ();
+      if
+        (not in_live_slot.(sector))
+        && not (pos = -1 && M.block_exists m b && M.block_is_dirty m b)
+      then error "sector %d: live header of block %d is no dirty block's rollback copy" sector b
+    end
+  done;
+  List.rev !errors
+
 let pp_evenness ppf (e : Wear.evenness) =
   Fmt.pf ppf "min %d max %d mean %h sd %h" e.min_erases e.max_erases e.mean_erases
     e.stddev_erases
@@ -302,4 +356,5 @@ let check cfg m =
     expect "wear evenness" pp_evenness ~manager:e
       ~scan:(evenness ~erase_count:(erase_count v) v.segments)
   | exception Failure msg -> errors := msg :: !errors);
+  errors := List.rev_append (header_errors m) !errors;
   match List.rev !errors with [] -> Ok () | es -> Error (String.concat "; " es)

@@ -1,11 +1,11 @@
 (* Removable flash cards: eject/insert lifecycles. *)
 open Sim
 
-let make () =
+let make ?spec () =
   let engine = Engine.create () in
   let host_dram = Device.Dram.create ~size_bytes:(2 * Units.mib) ~battery_backed:true () in
   let card =
-    Ssmc.Card.create ~name:"test-card" ~size_mb:2
+    Ssmc.Card.create ~name:"test-card" ?spec ~size_mb:2
       ~manager:{ Storage.Manager.default_config with Storage.Manager.segment_sectors = 8 }
       ~engine ~host_dram ()
   in
@@ -98,6 +98,28 @@ let test_eject_keeps_sparse_slots () =
   Alcotest.(check bool) "the hole in front of it reads from DRAM" true
     (read_us 0 < 10.0)
 
+(* An orderly eject writes the namespace checkpoint at the card's own
+   timings: per checkpoint sector, a 16-byte header read, an erase and a
+   whole-sector program.  The buffer is flushed and the banks idle first,
+   so the eject's latency is the one checkpoint sector alone: 5.39 ms on
+   a SunDisk card, where Intel's timings would charge 10.43 ms. *)
+let test_checkpoint_at_card_timings () =
+  let spec = Device.Specs.sundisk_flash in
+  let engine, card = make ~spec () in
+  populate card;
+  ignore (Storage.Manager.flush_all (Ssmc.Card.manager card));
+  advance engine (Time.span_s 2.0);
+  let eject = Ssmc.Card.eject card in
+  let sector =
+    Device.Specs.(
+      Time.span_add
+        (access_time spec.f_read ~bytes:16)
+        (Time.span_add spec.f_erase (access_time spec.f_write ~bytes:512)))
+  in
+  Alcotest.(check int) "nothing left to flush" 0 eject.Ssmc.Card.flushed_blocks;
+  Alcotest.(check int) "one checkpoint sector at SunDisk timings" (Time.span_to_ns sector)
+    (Time.span_to_ns eject.Ssmc.Card.eject_latency)
+
 let test_xip_from_card () =
   (* The OmniBook pattern: bundled software in the card, executed in
      place through the host's VM. *)
@@ -134,6 +156,8 @@ let suite =
     Alcotest.test_case "surprise eject loses dirty" `Quick test_surprise_eject_loses_dirty_data;
     Alcotest.test_case "eject keeps sparse file slots" `Quick
       test_eject_keeps_sparse_slots;
+    Alcotest.test_case "SunDisk checkpoint at SunDisk timings" `Quick
+      test_checkpoint_at_card_timings;
     Alcotest.test_case "XIP from card" `Quick test_xip_from_card;
     Alcotest.test_case "double operations rejected" `Quick test_double_operations_rejected;
   ]

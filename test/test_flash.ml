@@ -13,6 +13,10 @@ let refused f =
 
 let t0 = Time.zero
 
+(* A program whose header these tests do not read back. *)
+let program f ~now ~sector ~bytes =
+  Device.Flash.program f ~now ~sector ~bytes ~block:sector ~version:0 ~pos:(-1)
+
 let test_geometry () =
   let f = make () in
   Alcotest.(check int) "sectors" 128 (Device.Flash.nsectors f);
@@ -26,24 +30,43 @@ let test_geometry () =
 
 let test_program_requires_erased_space () =
   let f = make () in
-  ignore (Device.Flash.program f ~now:t0 ~sector:0 ~bytes:512);
-  (match refused (fun () -> Device.Flash.program f ~now:t0 ~sector:0 ~bytes:1) with
+  ignore (program f ~now:t0 ~sector:0 ~bytes:512);
+  (match refused (fun () -> program f ~now:t0 ~sector:0 ~bytes:1) with
   | Some Device.Flash.Overwrite_without_erase -> ()
   | None -> Alcotest.fail "overwrite allowed"
   | Some e -> Alcotest.failf "wrong error: %a" Device.Flash.pp_error e);
   (* Partial programming of remaining erased bytes is fine. *)
   let f2 = make () in
-  ignore (Device.Flash.program f2 ~now:t0 ~sector:0 ~bytes:200);
-  ignore (Device.Flash.program f2 ~now:t0 ~sector:0 ~bytes:312);
+  ignore (program f2 ~now:t0 ~sector:0 ~bytes:200);
+  ignore (program f2 ~now:t0 ~sector:0 ~bytes:312);
   Alcotest.(check int) "fully programmed" 512 (Device.Flash.programmed_bytes f2 ~sector:0)
+
+(* A sector's header fields: block, version, position, and 1 if live. *)
+let header f ~sector =
+  Device.Flash.
+    [
+      header_block f ~sector;
+      header_version f ~sector;
+      header_pos f ~sector;
+      Bool.to_int (header_live f ~sector);
+    ]
 
 let test_erase_recycles () =
   let f = make () in
-  ignore (Device.Flash.program f ~now:t0 ~sector:3 ~bytes:512);
+  ignore (Device.Flash.program f ~now:t0 ~sector:3 ~bytes:512 ~block:7 ~version:12 ~pos:2);
+  Alcotest.(check (list int)) "header stored" [ 7; 12; 2; 1 ] (header f ~sector:3);
+  let busy = Device.Flash.bank_busy_until f ~bank:0 and meter = Device.Flash.meter f in
+  let before = Device.Power.Meter.total_joules meter in
+  Device.Flash.obsolete f ~sector:3;
+  Alcotest.(check (list int)) "obsoleted in place" [ 7; 12; 2; 0 ] (header f ~sector:3);
+  Alcotest.(check bool) "no bank time, no energy" true
+    (Time.equal busy (Device.Flash.bank_busy_until f ~bank:0)
+    && Device.Power.Meter.total_joules meter = before);
   ignore (Device.Flash.erase f ~now:t0 ~sector:3);
   Alcotest.(check int) "programmed reset" 0 (Device.Flash.programmed_bytes f ~sector:3);
   Alcotest.(check int) "erase counted" 1 (Device.Flash.erase_count f ~sector:3);
-  ignore (Device.Flash.program f ~now:t0 ~sector:3 ~bytes:512)
+  Alcotest.(check (list int)) "erase wipes the header" [ -1; 0; -1; 0 ] (header f ~sector:3);
+  ignore (program f ~now:t0 ~sector:3 ~bytes:512)
 
 let test_wear_out () =
   let f = make ~endurance:3 () in
@@ -68,7 +91,7 @@ let test_timing_matches_spec () =
   (* 250ns fixed + 100ns/B * 512 = 51.45us *)
   Alcotest.(check int) "read latency" 51_450 (Time.span_to_ns (Time.diff finish now));
   let now2 = Time.of_ns 200_000 in
-  let finish2 = Device.Flash.program f ~now:now2 ~sector:1 ~bytes:512 in
+  let finish2 = program f ~now:now2 ~sector:1 ~bytes:512 in
   (* 4us + 10us/B*512 = 5.124ms *)
   Alcotest.(check int) "program latency" 5_124_000
     (Time.span_to_ns (Time.diff finish2 now2))
@@ -86,7 +109,7 @@ let test_bank_contention () =
   let read_time =
     Time.span_to_ns (Device.Specs.access_time Device.Specs.intel_flash.f_read ~bytes:512)
   in
-  let prog, prog_wait = wait_of f (fun () -> Device.Flash.program f ~now:t0 ~sector:0 ~bytes:512) in
+  let prog, prog_wait = wait_of f (fun () -> program f ~now:t0 ~sector:0 ~bytes:512) in
   let read_same, same_wait = wait_of f (fun () -> Device.Flash.read f ~now:t0 ~sector:1 ~bytes:512) in
   Alcotest.(check int) "program found the bank idle" 0 prog_wait;
   Alcotest.(check bool) "same-bank read waited" true (same_wait > 0);
@@ -100,7 +123,7 @@ let test_bank_contention () =
 let test_traffic_counters () =
   let f = make () in
   ignore (Device.Flash.read f ~now:t0 ~sector:0 ~bytes:100);
-  ignore (Device.Flash.program f ~now:t0 ~sector:0 ~bytes:200);
+  ignore (program f ~now:t0 ~sector:0 ~bytes:200);
   ignore (Device.Flash.erase f ~now:t0 ~sector:0);
   Alcotest.(check int) "reads" 1 (Device.Flash.reads f);
   Alcotest.(check int) "programs" 1 (Device.Flash.programs f);
@@ -131,15 +154,17 @@ let joules m = Device.Power.Meter.(active_joules m, background_joules m)
 
 (* [Array.reinsert_card] hands a factory-reset device to a fresh manager
    as a blank replacement card, so after the reset the device must be
-   indistinguishable from a new one: wear, programmed bytes, bank
+   indistinguishable from a new one: wear, programmed bytes, headers, bank
    timelines, counters and meters all back to zero. *)
 let test_factory_reset_is_fresh () =
   let used = make ~endurance:3 () in
   for _ = 1 to 3 do
     ignore (Device.Flash.erase used ~now:t0 ~sector:5)
   done;
-  ignore (Device.Flash.program used ~now:t0 ~sector:0 ~bytes:512);
-  ignore (Device.Flash.program used ~now:t0 ~sector:64 ~bytes:300);
+  ignore (program used ~now:t0 ~sector:0 ~bytes:512);
+  ignore (Device.Flash.program used ~now:t0 ~sector:64 ~bytes:300 ~block:9 ~version:4 ~pos:1);
+  ignore (Device.Flash.program used ~now:t0 ~sector:66 ~bytes:300 ~block:9 ~version:5 ~pos:2);
+  Device.Flash.obsolete used ~sector:66;
   ignore (Device.Flash.read used ~now:t0 ~sector:65 ~bytes:100);
   Device.Flash.charge_idle used (Time.span_s 1.0);
   Alcotest.(check bool) "worn before the reset" true (Device.Flash.is_bad used ~sector:5);
@@ -154,15 +179,17 @@ let test_factory_reset_is_fresh () =
     in
     let finishes =
       [
-        at 0 (fun now -> Device.Flash.program f ~now ~sector:0 ~bytes:512);
+        at 0 (fun now -> program f ~now ~sector:0 ~bytes:512);
         at 0 (fun now -> Device.Flash.read f ~now ~sector:1 ~bytes:512);
-        at 0 (fun now -> Device.Flash.program f ~now ~sector:64 ~bytes:300);
+        at 0 (fun now ->
+            Device.Flash.program f ~now ~sector:64 ~bytes:300 ~block:3 ~version:1 ~pos:0);
         at 10_000 (fun now -> Device.Flash.read f ~now ~sector:65 ~bytes:100);
         at 20_000 (fun now -> Device.Flash.erase f ~now ~sector:5);
         at 30_000 (fun now -> Device.Flash.erase f ~now ~sector:0);
-        at 40_000 (fun now -> Device.Flash.program f ~now ~sector:0 ~bytes:128);
+        at 40_000 (fun now -> program f ~now ~sector:0 ~bytes:128);
       ]
     in
+    Device.Flash.obsolete f ~sector:64;
     Device.Flash.charge_idle f (Time.span_s 0.5);
     finishes
   in
@@ -176,6 +203,8 @@ let test_factory_reset_is_fresh () =
   Alcotest.(check (list int)) "programmed bytes"
     (per_sector Device.Flash.programmed_bytes fresh)
     (per_sector Device.Flash.programmed_bytes used);
+  Alcotest.(check (list (list int))) "headers" (per_sector header fresh)
+    (per_sector header used);
   Alcotest.(check int) "bad sectors" 0 (Device.Flash.bad_sectors used);
   Alcotest.(check (list int)) "counters" (counters fresh) (counters used);
   Alcotest.(check (pair (float 0.0) (float 0.0))) "meter joules"
@@ -192,7 +221,7 @@ let prop_state_machine =
       List.iter
         (fun (sector, bytes) ->
           let bytes = min bytes 512 in
-          match Device.Flash.program f ~now:t0 ~sector ~bytes with
+          match program f ~now:t0 ~sector ~bytes with
           | _ | (exception Device.Flash.Error Device.Flash.Overwrite_without_erase) -> ()
           | exception Device.Flash.Error Device.Flash.Bad_sector -> ())
         ops;
@@ -218,12 +247,14 @@ let prop_erase_counts_monotone =
    within a trace and later requests to them are refused.  Requests are
    issued at a clock that stands still for several ops at a time, so they
    queue behind busy banks.  The traces mix reads, programs of a few bytes
-   to a whole sector (so overwrites are refused), erases, idle charges,
-   [reset_stats] and [factory_reset], plus out-of-range sectors and byte
-   counts.  After every op the outcome (finish instant, raised error or
-   invalid argument), each sector's erase count, programmed bytes and bad
-   bit, [any_bad] from each sector to the end, [bad_sectors], the
-   counters and the meter's joules must agree. *)
+   to a whole sector (so overwrites are refused) with random headers, half
+   of them full pages (position -1) and half delta records, [obsolete]s,
+   erases, idle charges, [reset_stats] and [factory_reset], plus
+   out-of-range sectors and byte counts.  After every op the outcome
+   (finish instant, raised error or invalid argument), each sector's erase
+   count, programmed bytes, bad bit and header fields, [any_bad] from
+   each sector to the end, [bad_sectors], the counters and the meter's
+   joules must agree. *)
 
 module O = Flash_oracle
 
@@ -272,10 +303,17 @@ let oracle_mismatch ~seed ~ops =
       op "read"
         (fun now -> Device.Flash.read f ~now ~sector ~bytes)
         (fun now -> O.read o ~now ~sector ~bytes)
-    | k when k < 65 ->
+    | k when k < 60 ->
+      let block = Rng.int rng 6 and version = Rng.int rng 1000 in
+      let pos = if Rng.bool rng then -1 else Rng.int rng 4 in
       op "program"
-        (fun now -> Device.Flash.program f ~now ~sector ~bytes)
-        (fun now -> O.program o ~now ~sector ~bytes)
+        (fun now -> Device.Flash.program f ~now ~sector ~bytes ~block ~version ~pos)
+        (fun now -> O.program o ~now ~sector ~bytes ~block ~version ~pos)
+    | k when k < 65 ->
+      let outcome g = match g () with () -> None | exception Invalid_argument m -> Some m in
+      check "obsolete"
+        (outcome (fun () -> Device.Flash.obsolete f ~sector)
+        = outcome (fun () -> O.obsolete o ~sector))
     | k when k < 85 ->
       op "erase"
         (fun now -> Device.Flash.erase f ~now ~sector)
@@ -297,6 +335,12 @@ let oracle_mismatch ~seed ~ops =
       check "programmed_bytes"
         (Device.Flash.programmed_bytes f ~sector = O.programmed_bytes o ~sector);
       check "is_bad" (Device.Flash.is_bad f ~sector = O.is_bad o ~sector);
+      check "header_block"
+        (Device.Flash.header_block f ~sector = O.header_block o ~sector);
+      check "header_version"
+        (Device.Flash.header_version f ~sector = O.header_version o ~sector);
+      check "header_pos" (Device.Flash.header_pos f ~sector = O.header_pos o ~sector);
+      check "header_live" (Device.Flash.header_live f ~sector = O.header_live o ~sector);
       check "any_bad"
         (Device.Flash.any_bad f ~sector ~count:(nsectors - sector)
         = List.exists (fun s -> O.is_bad o ~sector:s) (List.init (nsectors - sector) (( + ) sector)))

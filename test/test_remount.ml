@@ -119,6 +119,62 @@ let test_scan_time_scales_with_flash_size () =
     true
     (large > 6.0 *. small && large < 10.0 *. small)
 
+(* One mount path: a manager is detached and its flash mounted with
+   [Manager.mount] from the device alone, never reading the old manager
+   again; a twin run of the same ops that calls [crash_and_remount]
+   instead must recover the same blocks at the same places, with the same
+   chains, scan span and report. *)
+let test_detach_then_mount_matches_remount () =
+  let module M = Storage.Manager in
+  let module Ops = Test_manager_diff.Ops in
+  List.iter
+    (fun diff_log ->
+      let cfg =
+        Ops.config ?diff_log ~cleaner:Storage.Cleaner.Cost_benefit
+          ~wear:Storage.Wear.Dynamic ~banking:Storage.Banks.Unified ~buffer_blocks:8 ()
+      in
+      let twin () =
+        let engine = Engine.create () in
+        let flash =
+          Device.Flash.create
+            (Device.Flash.config ~nbanks:2 ~endurance_override:60 ~size_bytes:(128 * 1024)
+               ())
+        in
+        let dram = Device.Dram.create ~size_bytes:Units.mib ~battery_backed:true () in
+        let m = M.create cfg ~engine ~flash ~dram in
+        Ops.run_ops (engine, m) (Ops.lcg_ops ~seed:42 ~len:350);
+        (engine, flash, dram, m)
+      in
+      let _, _, _, crashed = twin () in
+      let want, want_span, want_report = M.crash_and_remount crashed in
+      let engine, flash, dram, detached = twin () in
+      let lost = M.detach detached in
+      let got, got_span, report = M.mount cfg ~engine ~flash ~dram in
+      let ctx = if diff_log = None then "" else " (diff logging)" in
+      let per_block f m = List.map (fun b -> (b, f m b)) (M.known_blocks m) in
+      Alcotest.(check (list int)) ("recovered blocks" ^ ctx) (M.known_blocks want)
+        (M.known_blocks got);
+      Alcotest.(check (list (pair int (option (pair int int)))))
+        ("location_of_block" ^ ctx)
+        (per_block M.location_of_block want)
+        (per_block M.location_of_block got);
+      let chains = per_block M.delta_chain_length in
+      Alcotest.(check (list (pair int int))) ("delta_chain_length" ^ ctx) (chains want)
+        (chains got);
+      Alcotest.(check bool) ("the remount recovers chains" ^ ctx) (diff_log <> None)
+        (List.exists (fun (_, n) -> n > 0) (chains got));
+      Alcotest.(check string) ("remount report" ^ ctx)
+        (Fmt.str "%a" M.pp_remount_report want_report)
+        (Fmt.str "%a" M.pp_remount_report { report with M.buffered_lost = lost });
+      Alcotest.(check bool) ("something lost and something stale" ^ ctx) true
+        (lost > 0 && report.M.stale_discarded > 0);
+      Alcotest.(check int) ("scan span" ^ ctx) (Time.span_to_ns want_span)
+        (Time.span_to_ns got_span);
+      match Scan_oracle.check cfg got with
+      | Ok () -> ()
+      | Error msg -> Alcotest.failf "mounted manager%s: %s" ctx msg)
+    [ None; Some Storage.Diff_log.default_config ]
+
 let suite =
   [
     Alcotest.test_case "clean shutdown recovers everything" `Quick
@@ -129,4 +185,6 @@ let suite =
     Alcotest.test_case "recovered manager functional" `Quick
       test_recovered_manager_fully_functional;
     Alcotest.test_case "scan scales with size" `Quick test_scan_time_scales_with_flash_size;
+    Alcotest.test_case "detach then mount matches crash_and_remount" `Quick
+      test_detach_then_mount_matches_remount;
   ]
